@@ -152,7 +152,7 @@ func main() {
 		baseCPI := map[string]float64{}
 		for _, p := range profiles {
 			for _, s := range schemes {
-				res, err := runOneSampled(p, s, *insts, sampleCfg, customize, hub, *oracleFlag)
+				res, err := ppa.RunSampled(runConfig(p, s, *insts, customize, hub, *oracleFlag), sampleCfg)
 				if err != nil {
 					log.Fatalf("%s/%s: %v", p.Name, s.Kind, err)
 				}
@@ -175,7 +175,7 @@ func main() {
 		var baseCycles map[string]uint64 = map[string]uint64{}
 		for _, p := range profiles {
 			for _, s := range schemes {
-				res, err := runOne(p, s, *insts, customize, hub, *oracleFlag)
+				res, err := ppa.Run(runConfig(p, s, *insts, customize, hub, *oracleFlag))
 				if err != nil {
 					log.Fatalf("%s/%s: %v", p.Name, s.Kind, err)
 				}
@@ -244,26 +244,10 @@ func writeMetrics(f *os.File, hub *obs.Hub) error {
 	return f.Close()
 }
 
-// runOne builds and runs one simulation with the optional config override.
-func runOne(p workload.Profile, s persist.Config, insts int, customize func(*multicore.Config), hub *obs.Hub, oracle bool) (*multicore.Result, error) {
-	w, err := workload.New(p, insts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := multicore.DefaultConfig(len(w.Threads), s)
-	cfg.Obs = hub
-	cfg.Lockstep = oracle
-	if customize != nil {
-		customize(&cfg)
-	}
-	sys, err := multicore.NewSystem(cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Run(uint64(insts)*4000 + 1_000_000); err != nil {
-		return nil, err
-	}
-	return sys.Collect(), nil
+// runConfig describes one run of app p under scheme s.
+func runConfig(p workload.Profile, s persist.Config, insts int, customize func(*multicore.Config), hub *obs.Hub, oracle bool) ppa.RunConfig {
+	return ppa.RunConfig{Profile: &p, SchemeOverride: &s, InstsPerThread: insts,
+		Customize: customize, Obs: hub, Lockstep: oracle}
 }
 
 // parseSampleSpec parses the -sample value: comma-separated key=value pairs
@@ -313,18 +297,6 @@ func parseScaled(s string) (int, error) {
 	return n * mult, nil
 }
 
-// runOneSampled builds and runs one sampled-mode simulation.
-func runOneSampled(p workload.Profile, s persist.Config, insts int, sc multicore.SampleConfig, customize func(*multicore.Config), hub *obs.Hub, oracle bool) (*multicore.SampledResult, error) {
-	return ppa.RunSampled(ppa.RunConfig{
-		Profile:        &p,
-		SchemeOverride: &s,
-		InstsPerThread: insts,
-		Customize:      customize,
-		Obs:            hub,
-		Lockstep:       oracle,
-	}, sc)
-}
-
 // runSampleAudit runs every app/scheme pair both full and sampled, prints
 // the accuracy/speedup summary, and writes three files into dir:
 // full.json and sampled.json (obs sample arrays holding only the metrics
@@ -340,15 +312,7 @@ func runSampleAudit(profiles []workload.Profile, schemes []persist.Config, sc mu
 	fmt.Fprintln(tw, "app\tscheme\tfull-CPI\tsampled-CPI\terr%\tp95-err%\tspeedup")
 	for _, p := range profiles {
 		for _, s := range schemes {
-			p := p
-			s := s
-			rep, err := ppa.SampleAudit(ppa.RunConfig{
-				Profile:        &p,
-				SchemeOverride: &s,
-				InstsPerThread: insts,
-				Customize:      customize,
-				Lockstep:       oracle,
-			}, sc)
+			rep, err := ppa.SampleAudit(runConfig(p, s, insts, customize, nil, oracle), sc)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %v", p.Name, s.Kind, err)
 			}

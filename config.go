@@ -49,6 +49,6 @@ func DefaultMachineConfigJSON(n int, scheme Scheme) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := defaultMachine(n, sch)
+	cfg := RunConfig{}.machineConfig(n, sch)
 	return MarshalMachineConfig(&cfg)
 }

@@ -51,39 +51,19 @@ type runJob struct {
 
 // runAll executes jobs on the shared bounded worker pool (one worker per
 // CPU) and returns results in job order; the first failure cancels the
-// remaining jobs and surfaces from the lowest failing index.
+// remaining jobs and surfaces from the lowest failing index. Each job runs
+// through Run, which attaches DefaultObs: jobs run in parallel, so that hub
+// sees concurrent emitters (the obs layer is race-tested for exactly this).
 func runAll(jobs []runJob) ([]*multicore.Result, error) {
 	return sweep.Map(context.Background(), 0, len(jobs), func(_ context.Context, i int) (*multicore.Result, error) {
-		r, err := runOne(jobs[i])
+		j := jobs[i]
+		r, err := Run(RunConfig{Profile: &j.prof, SchemeOverride: &j.scheme, InstsPerThread: j.insts,
+			Customize: j.customize, SampleFreeRegs: j.sample})
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", jobs[i].prof.Name, jobs[i].scheme.Kind, err)
+			return nil, fmt.Errorf("%s/%s: %w", j.prof.Name, j.scheme.Kind, err)
 		}
 		return r, nil
 	})
-}
-
-func runOne(j runJob) (*multicore.Result, error) {
-	w, err := workload.New(j.prof, j.insts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := multicore.DefaultConfig(len(w.Threads), j.scheme)
-	cfg.Pipeline.SampleFreeRegs = j.sample
-	// The figure/table harness is the path ppabench traces: like NewSystem,
-	// attach the package default hub. Jobs run in parallel, so the hub sees
-	// concurrent emitters (the obs layer is race-tested for exactly this).
-	cfg.Obs = DefaultObs
-	if j.customize != nil {
-		j.customize(&cfg)
-	}
-	sys, err := multicore.NewSystem(cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Run(uint64(j.insts)*4000 + 1_000_000); err != nil {
-		return nil, err
-	}
-	return sys.Collect(), nil
 }
 
 // slowdownSeries runs every profile under the baseline and each scheme,

@@ -5,15 +5,13 @@ import (
 
 	"ppa/internal/multicore"
 	"ppa/internal/power"
-	"ppa/internal/recovery"
-	"ppa/internal/workload"
 )
 
 // This file implements repeated-failure orchestration: energy-harvesting
 // heritage says power can fail again at any point — including immediately
 // after a recovery. RunWithFailureSchedule drives a workload through an
-// arbitrary failure schedule, checkpointing, recovering, verifying, and
-// resuming at every outage until the programs complete.
+// arbitrary failure schedule, looping the crash driver (crash.go) at every
+// outage until the programs complete.
 
 // FailureSchedule re-exports the failure-injection schedules.
 type FailureSchedule = power.Schedule
@@ -69,99 +67,47 @@ func (o *ScheduleOutcome) Consistent() bool {
 
 // RunWithFailureSchedule executes a workload under repeated power failures:
 // at each scheduled cycle the machine loses power, JIT-checkpoints,
-// recovers, verifies the crash-consistency contract, and resumes every
-// thread after its LCPC — until the workload completes or the schedule
-// runs out of failures (after which the run completes undisturbed).
+// recovers under the scheme's recovery contract, verifies it (with the
+// oracle's verdict folded in when rc.Lockstep is set), and resumes every
+// thread at its contract point — until the workload completes or the
+// schedule runs out of failures (after which the run completes undisturbed).
 func RunWithFailureSchedule(rc RunConfig, schedule FailureSchedule) (*ScheduleOutcome, error) {
-	prof, sch, insts, err := rc.resolve()
+	r, err := newCrashRun(rc)
 	if err != nil {
 		return nil, err
 	}
-	w, err := workload.New(prof, insts)
-	if err != nil {
-		return nil, err
-	}
-
 	out := &ScheduleOutcome{}
-	startAt := make([]int, len(w.Threads))
-	var sys *multicore.System
-
-	build := func() (*multicore.System, error) {
-		cfg := multicore.DefaultConfig(len(w.Threads), sch)
-		if rc.Customize != nil {
-			rc.Customize(&cfg)
-		}
-		if sys == nil {
-			return multicore.NewSystem(cfg, w)
-		}
-		return multicore.NewSystemResumed(cfg, w, sys.Device(), startAt)
-	}
-
-	sys, err = build()
-	if err != nil {
-		return nil, err
-	}
-
 	var globalCycle uint64
-	maxCycles := uint64(insts)*4000 + 1_000_000
-	for round := 0; ; round++ {
-		if round > 10_000 {
-			return nil, fmt.Errorf("ppa: failure schedule did not terminate")
-		}
+	for round := 0; round <= 10_000; round++ {
 		next, ok := schedule.Next(globalCycle)
 		if !ok {
 			// No more failures: run to completion.
-			if err := sys.Run(maxCycles); err != nil {
+			if err := r.sys.Run(multicore.CycleBudget(rc.insts())); err != nil {
 				return nil, err
 			}
-			out.TotalCycles = globalCycle + sys.Cycle()
+			out.TotalCycles = globalCycle + r.sys.Cycle()
 			out.Completed = true
 			return out, nil
 		}
-		local := next - globalCycle
-		done, rerr := sys.RunUntil(local)
-		if rerr != nil {
-			return nil, rerr
+		v, err := r.cut(TorturePoint{Cycle: next - globalCycle}, true)
+		if err != nil {
+			return nil, err
 		}
-		if done {
-			out.TotalCycles = globalCycle + sys.Cycle()
+		globalCycle += v.cycle
+		if v.completed {
+			out.TotalCycles = globalCycle
 			out.Completed = true
 			return out, nil
 		}
-		globalCycle += sys.Cycle()
-
-		// Power failure: checkpoint, lose volatile state, then recover from
-		// the NVM checkpoint area — the only state a real outage leaves
-		// behind — validating framing and checksums on the way in.
-		sys.Crash()
+		if v.detected != nil {
+			return nil, v.detected
+		}
 		out.Failures++
 		out.FailCycles = append(out.FailCycles, globalCycle)
-		images, lerr := recovery.LoadImages(sys.Device())
-		if lerr != nil {
-			return nil, lerr
-		}
-		consistent := true
-		for _, im := range images {
-			out.CheckpointBytes += len(im.Encode())
-			prog := sys.Cores()[im.CoreID].Program()
-			if _, rerr := recovery.Replay(sys.Device(), im); rerr != nil {
-				return nil, rerr
-			}
-			if n := recovery.CountInconsistencies(sys.Device(), prog, im.Committed); n > 0 {
-				consistent = false
-				out.TotalInconsistencies += n
-			}
-			startAt[im.CoreID] = im.Committed
-		}
-		out.ConsistentAfterEach = append(out.ConsistentAfterEach, consistent)
-		// Recovery complete: invalidate the consumed checkpoint before
-		// resuming, exactly as the recovery firmware would.
-		sys.Device().ClearCheckpoint()
-
-		resumed, berr := build()
-		if berr != nil {
-			return nil, berr
-		}
-		sys = resumed
+		out.CheckpointBytes += v.checkpointBytes
+		out.TotalInconsistencies += v.inconsistencies
+		out.ConsistentAfterEach = append(out.ConsistentAfterEach,
+			v.inconsistencies == 0 && v.archConsistent && v.oracleErr == nil)
 	}
+	return nil, fmt.Errorf("ppa: failure schedule did not terminate")
 }

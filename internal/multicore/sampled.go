@@ -156,7 +156,7 @@ func (s *SampledSystem) RunWindow() error {
 	}
 
 	// Detailed simulation until every core quiesces at its stop.
-	bound := uint64(windowInsts)*4000 + 1_000_000
+	bound := CycleBudget(windowInsts)
 	if err := sys.Run(bound); err != nil {
 		return err
 	}

@@ -87,7 +87,7 @@ func TestSampledVsFullEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Run(uint64(insts)*4000 + 1_000_000); err != nil {
+			if err := sys.Run(CycleBudget(insts)); err != nil {
 				t.Fatalf("full run: %v", err)
 			}
 			full := sys.Collect()

@@ -227,6 +227,9 @@ func (s *System) refreshDone() {
 // Cycle returns the current simulation cycle.
 func (s *System) Cycle() uint64 { return s.cycle }
 
+// Config returns the configuration the machine was built from.
+func (s *System) Config() Config { return s.cfg }
+
 // Cores exposes the per-core pipelines.
 func (s *System) Cores() []*pipeline.Core { return s.cores }
 
@@ -310,6 +313,11 @@ func (s *System) checkOracleFinal() error {
 	}
 	return s.oracle.CheckFinal(s.dev.Image())
 }
+
+// CycleBudget bounds a run of insts dynamic instructions per thread. The
+// bound is generous, since no sane run needs 4000 cycles per instruction: a
+// machine still running past it is deadlocked or grossly miscalibrated.
+func CycleBudget(insts int) uint64 { return uint64(insts)*4000 + 1_000_000 }
 
 // Run executes until completion or maxCycles, returning an error on
 // timeout (which indicates a deadlock or a grossly miscalibrated model).
@@ -645,8 +653,7 @@ func Run(p workload.Profile, scheme persist.Config, instsPerThread int) (*Result
 	if err != nil {
 		return nil, err
 	}
-	// Generous bound: no sane run needs 4000 cycles per instruction.
-	if err := sys.Run(uint64(instsPerThread)*4000 + 1_000_000); err != nil {
+	if err := sys.Run(CycleBudget(instsPerThread)); err != nil {
 		return nil, err
 	}
 	return sys.Collect(), nil

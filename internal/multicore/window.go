@@ -244,7 +244,7 @@ func RestoreWindow(cfg Config, w *workload.Workload, ws *WindowSnapshot) (*Resul
 	for i := range ws.Positions {
 		windowInsts += ws.Stops[i] - ws.Positions[i]
 	}
-	bound := uint64(windowInsts)*4000 + 1_000_000
+	bound := CycleBudget(windowInsts)
 	if err := sys.Run(bound); err != nil {
 		return nil, err
 	}

@@ -227,11 +227,51 @@ func (rc RunConfig) resolve() (workload.Profile, persist.Config, int, error) {
 		}
 		sch = cfg
 	}
-	insts := rc.InstsPerThread
-	if insts <= 0 {
-		insts = DefaultInsts
+	return prof, sch, rc.insts(), nil
+}
+
+// insts is the run's per-thread dynamic instruction count.
+func (rc RunConfig) insts() int {
+	if rc.InstsPerThread <= 0 {
+		return DefaultInsts
 	}
-	return prof, sch, insts, nil
+	return rc.InstsPerThread
+}
+
+// hub is the run's observability hub: its own, else DefaultObs.
+func (rc RunConfig) hub() *obs.Hub {
+	if rc.Obs != nil {
+		return rc.Obs
+	}
+	return DefaultObs
+}
+
+// machineConfig is machine assembly's config step: the Table 2 machine for
+// n cores under sch, with the run's knobs and Customize hook applied.
+func (rc RunConfig) machineConfig(n int, sch persist.Config) multicore.Config {
+	cfg := multicore.DefaultConfig(n, sch)
+	cfg.Pipeline.SampleFreeRegs = rc.SampleFreeRegs
+	cfg.Lockstep = rc.Lockstep
+	cfg.Obs = rc.hub()
+	if rc.Customize != nil {
+		rc.Customize(&cfg)
+	}
+	return cfg
+}
+
+// assemble is the one machine assembly: it resolves rc into the workload
+// and the configuration of the machine that runs it. Full, sampled,
+// crashed and resumed runs all build their machines from it.
+func assemble(rc RunConfig) (multicore.Config, *workload.Workload, error) {
+	prof, sch, insts, err := rc.resolve()
+	if err != nil {
+		return multicore.Config{}, nil, err
+	}
+	w, err := workload.New(prof, insts)
+	if err != nil {
+		return multicore.Config{}, nil, err
+	}
+	return rc.machineConfig(len(w.Threads), sch), w, nil
 }
 
 // Result is the outcome of a completed run.
@@ -247,47 +287,24 @@ func Apps() []string {
 	return out
 }
 
-// defaultMachine assembles the Table 2 machine configuration.
-func defaultMachine(n int, sch persist.Config) multicore.Config {
-	return multicore.DefaultConfig(n, sch)
-}
-
 // NewSystem assembles (but does not run) the simulated machine for a
 // configuration, for callers that need fine-grained control (crash
 // injection, stepping, invariant checks).
 func NewSystem(rc RunConfig) (*multicore.System, error) {
-	prof, sch, insts, err := rc.resolve()
+	cfg, w, err := assemble(rc)
 	if err != nil {
 		return nil, err
-	}
-	w, err := workload.New(prof, insts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := multicore.DefaultConfig(len(w.Threads), sch)
-	cfg.Pipeline.SampleFreeRegs = rc.SampleFreeRegs
-	cfg.Lockstep = rc.Lockstep
-	cfg.Obs = rc.Obs
-	if cfg.Obs == nil {
-		cfg.Obs = DefaultObs
-	}
-	if rc.Customize != nil {
-		rc.Customize(&cfg)
 	}
 	return multicore.NewSystem(cfg, w)
 }
 
 // Run executes one simulation to completion.
 func Run(rc RunConfig) (*Result, error) {
-	_, _, insts, err := rc.resolve()
-	if err != nil {
-		return nil, err
-	}
 	sys, err := NewSystem(rc)
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Run(uint64(insts)*4000 + 1_000_000); err != nil {
+	if err := sys.Run(multicore.CycleBudget(rc.insts())); err != nil {
 		return nil, err
 	}
 	return sys.Collect(), nil
@@ -333,170 +350,39 @@ type FailureOutcome struct {
 
 // RunWithFailure runs a simulation, cuts power at failCycle, JIT-checkpoints
 // (for schemes that support it), recovers, verifies crash consistency, and
-// resumes the interrupted programs to completion.
+// resumes the interrupted programs to completion on the same machine
+// configuration. A checkpoint that recovery refuses surfaces as the error.
 func RunWithFailure(rc RunConfig, failCycle uint64) (*FailureOutcome, error) {
-	prof, sch, insts, err := rc.resolve()
+	r, err := newCrashRun(rc)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := NewSystem(rc)
+	v, err := r.cut(TorturePoint{Cycle: failCycle}, true)
 	if err != nil {
 		return nil, err
 	}
-	out := &FailureOutcome{FailCycle: failCycle}
-	done, err := sys.RunUntil(failCycle)
-	if err != nil {
-		return nil, err
-	}
-	if done {
-		out.CompletedBeforeFailure = true
-		out.Consistent = true
+	out := &FailureOutcome{FailCycle: failCycle, CompletedBeforeFailure: v.completed, Consistent: true}
+	if v.completed {
 		return out, nil
 	}
-
-	// Power failure: checkpoint and lose all volatile state. Recovery reads
-	// the images back from the NVM checkpoint area — the only state that
-	// actually survives an outage — validating framing and checksums on the
-	// way in.
-	sys.Crash()
-	out.FlushedBytes = sys.LastCrashFlushBytes()
-	dev := sys.Device()
-	images, err := recovery.LoadImages(dev)
-	if err != nil {
+	if v.detected != nil {
+		return nil, v.detected
+	}
+	out.PerCore = v.perCore
+	out.Consistent = v.inconsistencies == 0
+	out.ArchConsistent = v.archConsistent
+	out.Inconsistencies = v.inconsistencies
+	out.CheckpointBytes = v.checkpointBytes
+	out.FlushedBytes = v.flushedBytes
+	out.OracleChecked = v.oracleChecked
+	if v.oracleErr != nil {
+		out.OracleViolation = v.oracleErr.Error()
+	}
+	if err := r.sys.Run(multicore.CycleBudget(rc.insts())); err != nil {
 		return nil, err
 	}
-	for _, im := range images {
-		out.CheckpointBytes += len(im.Encode())
-	}
-
-	// Recovery dispatches on the scheme's contract. Checkpoint-replay
-	// schemes replay each core's CSQ from the JIT dump; transaction schemes
-	// validate the dump (a torn checkpoint must still surface as a
-	// detection) but reconstruct the image from their own durable log,
-	// rolling back or replaying to each core's last region-commit marker.
-	hub := rc.Obs
-	if hub == nil {
-		hub = DefaultObs
-	}
-	scheme := persist.SchemeFor(sch)
-	contract := scheme.Contract()
-	committed := make([]int, len(images))
-	for i, im := range images {
-		committed[i] = im.Committed
-	}
-	// resume is where each core restarts: the committed prefix for
-	// checkpoint-replay schemes, the last marker for transaction schemes.
-	resume := committed
-	if contract == persist.RecoverTxnBoundary {
-		for _, im := range images {
-			if verr := recovery.ValidateImage(im); verr != nil {
-				return nil, verr
-			}
-		}
-		points, rerr := scheme.Recover(dev, len(images))
-		if rerr != nil {
-			return nil, rerr
-		}
-		resume = points
-		for i, im := range images {
-			prog := sys.Cores()[i].Program()
-			o := &recovery.Outcome{CoreID: im.CoreID, ResumeIndex: points[i]}
-			if points[i] > 0 && points[i] <= prog.Len() {
-				o.ResumePC = prog.Insts[points[i]-1].PC + 4
-			}
-			out.PerCore = append(out.PerCore, o)
-		}
-	} else {
-		for i, im := range images {
-			prog := sys.Cores()[i].Program()
-			o, rerr := recovery.RecoverObserved(dev, im, prog, hub, sys.Cycle())
-			if rerr != nil {
-				return nil, rerr
-			}
-			out.PerCore = append(out.PerCore, o)
-		}
-	}
-	out.Consistent = true
-	out.ArchConsistent = true
-	for i := range images {
-		prog := sys.Cores()[i].Program()
-		if n := recovery.CountInconsistencies(dev, prog, resume[i]); n > 0 {
-			out.Consistent = false
-			out.Inconsistencies += n
-		}
-	}
-
-	// For schemes that checkpoint the CRT (PPA with an index CSQ), the
-	// recovered committed register state must equal the golden in-order
-	// state too.
-	if scheme.VerifiesArchState() {
-		mc := multicore.DefaultConfig(len(images), sch)
-		if rc.Customize != nil {
-			rc.Customize(&mc)
-		}
-		for i, im := range images {
-			ren, rerr := recovery.RestoreRenamer(mc.Pipeline.Rename, im)
-			if rerr != nil {
-				return nil, rerr
-			}
-			if verr := recovery.VerifyArchState(ren, sys.Cores()[i].Program(), committed[i]); verr != nil {
-				out.ArchConsistent = false
-			}
-		}
-	}
-
-	// The oracle's second opinion on recovery: for committed-prefix schemes
-	// the recovered NVM image must equal the golden model's memory at each
-	// core's committed prefix; for transaction schemes, at each core's own
-	// recovery point. Schemes with no contract (baseline, DRAM-only,
-	// ReplayCache) are run to measure how badly they miss it, so the oracle
-	// does not judge them.
-	if m := sys.Oracle(); m != nil {
-		switch contract {
-		case persist.RecoverCommittedPrefix:
-			out.OracleChecked = true
-			if oerr := m.CheckRecovered(dev.Image(), committed); oerr != nil {
-				out.OracleViolation = oerr.Error()
-			}
-		case persist.RecoverTxnBoundary:
-			out.OracleChecked = true
-			if oerr := m.CheckRecoveredAt(dev.Image(), resume); oerr != nil {
-				out.OracleViolation = oerr.Error()
-			}
-		}
-	}
-
-	// Recovery is complete: invalidate the checkpoint area so a later
-	// outage cannot be confused with this one, then resume each interrupted
-	// program right after its LCPC on a fresh machine state (the caches are
-	// cold, as after a real outage).
-	dev.ClearCheckpoint()
-	resumed, err := resumeAfterFailure(prof, sch, insts, sys, resume, rc.Lockstep)
-	if err != nil {
-		return nil, err
-	}
-	out.ResumedResult = resumed
+	out.ResumedResult = r.sys.Collect()
 	return out, nil
-}
-
-// resumeAfterFailure rebuilds the machine around the surviving NVM device
-// and continues every thread from its committed prefix.
-func resumeAfterFailure(prof workload.Profile, sch persist.Config, insts int,
-	crashed *multicore.System, committed []int, lockstep bool) (*Result, error) {
-	w, err := workload.New(prof, insts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := multicore.DefaultConfig(len(w.Threads), sch)
-	cfg.Lockstep = lockstep
-	sys, err := multicore.NewSystemResumed(cfg, w, crashed.Device(), committed)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Run(uint64(insts)*4000 + 1_000_000); err != nil {
-		return nil, err
-	}
-	return sys.Collect(), nil
 }
 
 // CheckpointImage captures a live core's JIT-checkpoint image (exposed for

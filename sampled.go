@@ -7,7 +7,6 @@ import (
 	"ppa/internal/isa"
 	"ppa/internal/multicore"
 	"ppa/internal/obs"
-	"ppa/internal/workload"
 )
 
 // SampleConfig sets the SMARTS-style sampling regime: each period of
@@ -19,30 +18,6 @@ type SampleConfig = multicore.SampleConfig
 // from the detailed windows.
 type SampledResult = multicore.SampledResult
 
-// assembleSampled resolves a RunConfig into the machine configuration and
-// workload a sampled run needs, mirroring NewSystem's assembly.
-func assembleSampled(rc RunConfig) (multicore.Config, *workload.Workload, error) {
-	prof, sch, insts, err := rc.resolve()
-	if err != nil {
-		return multicore.Config{}, nil, err
-	}
-	w, err := workload.New(prof, insts)
-	if err != nil {
-		return multicore.Config{}, nil, err
-	}
-	cfg := defaultMachine(len(w.Threads), sch)
-	cfg.Pipeline.SampleFreeRegs = rc.SampleFreeRegs
-	cfg.Lockstep = rc.Lockstep
-	cfg.Obs = rc.Obs
-	if cfg.Obs == nil {
-		cfg.Obs = DefaultObs
-	}
-	if rc.Customize != nil {
-		rc.Customize(&cfg)
-	}
-	return cfg, w, nil
-}
-
 // RunSampled executes one simulation in sampled mode: detailed out-of-order
 // windows alternating with oracle fast-forward, per sc. Architectural state
 // (registers, memory, NVM image) is exact — every instruction executes
@@ -50,7 +25,7 @@ func assembleSampled(rc RunConfig) (multicore.Config, *workload.Workload, error)
 // samples carry the sampled flag. Validate accuracy for a new configuration
 // with SampleAudit before trusting the timing.
 func RunSampled(rc RunConfig, sc SampleConfig) (*SampledResult, error) {
-	cfg, w, err := assembleSampled(rc)
+	cfg, w, err := assemble(rc)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +133,7 @@ func SampleAudit(rc RunConfig, sc SampleConfig) (*SampleAuditReport, error) {
 	// Sampled run of the same trajectory.
 	sampledRC := rc
 	sampledRC.Obs = obs.NewHub(1)
-	cfg, w, err := assembleSampled(sampledRC)
+	cfg, w, err := assemble(sampledRC)
 	if err != nil {
 		return nil, err
 	}

@@ -28,6 +28,12 @@ import (
 //   - Leg 3 (implicit in Leg 2): the resumed run re-attaches the lockstep
 //     oracle from the resume point, so post-recovery divergence surfaces as
 //     an error from RunWithFailure.
+//
+//   - Leg 4: a multi-failure schedule, power failing every quarter of the
+//     clean run, oracle attached. Contract-carrying schemes must complete
+//     with every recovery consistent. Contract-free schemes must converge
+//     and complete; their verdicts count lost words only, since the oracle
+//     does not judge them.
 func TestSchemeConformanceMatrix(t *testing.T) {
 	for _, s := range Schemes() {
 		s := s
@@ -95,6 +101,27 @@ func TestSchemeConformanceMatrix(t *testing.T) {
 			}
 			if crashed == 0 {
 				t.Fatal("every crash point fell after workload completion; matrix exercised nothing")
+			}
+
+			// Leg 4: repeated failures through the schedule runner.
+			sched, err := RunWithFailureSchedule(rc, FailEvery(res.Cycles/4, res.Cycles/8))
+			if err != nil {
+				t.Fatalf("failure schedule: %v", err)
+			}
+			if !sched.Completed || sched.Failures < 2 {
+				t.Fatalf("failure schedule: completed=%v after %d failures", sched.Completed, sched.Failures)
+			}
+			switch contract {
+			case persist.RecoverNone:
+				if sched.Consistent() != (sched.TotalInconsistencies == 0) {
+					t.Fatalf("failure schedule: verdicts %v judged beyond lost words (%d)",
+						sched.ConsistentAfterEach, sched.TotalInconsistencies)
+				}
+			default:
+				if !sched.Consistent() {
+					t.Fatalf("failure schedule: lost %d words, verdicts %v",
+						sched.TotalInconsistencies, sched.ConsistentAfterEach)
+				}
 			}
 		})
 	}

@@ -2,19 +2,11 @@ package ppa
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 
-	"ppa/internal/checkpoint"
 	"ppa/internal/fault"
-	"ppa/internal/forensics"
-	"ppa/internal/multicore"
 	"ppa/internal/obs"
-	"ppa/internal/oracle"
-	"ppa/internal/persist"
-	"ppa/internal/recovery"
 	"ppa/internal/sweep"
 )
 
@@ -140,281 +132,41 @@ func TorturePoints(seed int64, n int, minCycle, maxCycle uint64) []TorturePoint 
 	return points
 }
 
-// tornEnergyUJ converts a TornCheckpoint Param (permille of the full
-// dump's energy demand, reduced mod 1000 so the dump always tears) into an
-// absolute reservoir capacity for CrashOptions.
-func tornEnergyUJ(param uint64, fullBytes int) float64 {
-	permille := param % 1000
-	uj := float64(fullBytes) * checkpoint.EnergyPerByteNJ / 1e3 * float64(permille) / 1000
-	if uj <= 0 {
-		// A zero reservoir still "exists": hand CrashWithOptions a budget
-		// too small for a single byte rather than disabling injection.
-		return checkpoint.EnergyPerByteNJ / 2e3
-	}
-	return uj
-}
-
 // RunTorturePoint executes one torture point on a fresh machine and
-// returns its verdict. Simulation-level failures (config errors, model
-// bugs) surface as the error; contract breaches surface in
+// returns its verdict; the machine does not resume after recovery.
+// Simulation-level failures (config errors, model bugs) surface as the
+// error; contract breaches, lockstep divergences included, surface in
 // Outcome.Violation.
 func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
-	_, sch, _, err := rc.resolve()
+	r, err := newCrashRun(rc)
 	if err != nil {
 		return nil, err
 	}
-	scheme := persist.SchemeFor(sch)
-	// Transaction schemes recover from their own durable log, not the
-	// checkpointed CSQ, and their contract point is the last region-commit
-	// marker rather than the committed prefix.
-	txn := scheme.Contract() == persist.RecoverTxnBoundary
-	sys, err := NewSystem(rc)
-	if err != nil {
+	v, err := r.cut(p, false)
+	if v == nil {
 		return nil, err
 	}
-	hub := rc.Obs
-	if hub == nil {
-		hub = DefaultObs
+	out := &TortureOutcome{
+		Point:                  p,
+		CompletedBeforeFailure: v.completed,
+		Injected:               v.injected,
+		Detected:               v.detected != nil,
+		Recovered:              v.recovered,
+		RecoveryAttempts:       v.attempts,
+		Inconsistencies:        v.inconsistencies,
+		Violation:              v.violation,
 	}
-	inj := fault.NewInjector(hub)
-	out := &TortureOutcome{Point: p}
-
-	// Flight recorder: tee the NVM accept stream into a bounded tail and, at
-	// the instant a violation fires, snapshot it together with the trace
-	// ring, the metrics registry, and the oracle's divergence report.
-	var ftail *forensics.AcceptTail
-	if rc.Forensics != nil {
-		ftail = forensics.NewAcceptTail(forensics.DefaultAcceptTail)
-		sys.Device().AddAcceptObserver(ftail.Observe)
+	if v.detected != nil {
+		out.DetectedAs = v.detected.Error()
 	}
-	capture := func(kind string, divergence json.RawMessage) {
-		if rc.Forensics == nil || out.Violation == "" {
-			return
-		}
-		b := &forensics.Bundle{
-			Meta: forensics.Meta{
-				Kind:         kind,
-				Reason:       out.Violation,
-				App:          rc.App,
-				Scheme:       string(rc.Scheme),
-				Point:        p.String(),
-				CaptureCycle: sys.Cycle(),
-			},
-			Divergence: divergence,
-		}
-		forensics.Snapshot(hub, ftail, b)
-		_ = rc.Forensics.Capture(b)
-	}
-
-	done, err := sys.RunUntil(p.Cycle)
-	if err != nil {
-		// A lockstep divergence is a verdict about the machine, not a
-		// harness failure: report it as the point's violation so an
-		// oracle-checked sweep keeps going and aggregates it.
-		var de *oracle.DivergenceError
-		if errors.As(err, &de) {
-			out.Violation = err.Error()
-			div, _ := json.Marshal(de.Report)
-			capture(forensics.KindLockstepDivergence, div)
-			return out, nil
-		}
-		return nil, err
-	}
-	if done {
-		out.CompletedBeforeFailure = true
-		return out, nil
-	}
-
-	// Cut power. A torn-checkpoint fault maps its permille parameter onto
-	// an undersized residual-energy reservoir; sizing uses a pre-crash
-	// capture of the same state the dump FSM will stream.
-	var opt multicore.CrashOptions
-	if p.Fault.Kind == fault.TornCheckpoint {
-		full := 0
-		for i, c := range sys.Cores() {
-			im := checkpoint.Capture(c)
-			im.CoreID = i
-			full += len(im.Encode())
-		}
-		opt.CheckpointEnergyUJ = tornEnergyUJ(p.Fault.Param, full)
-	}
-	rep := sys.CrashWithOptions(opt)
-	dev := sys.Device()
-	if rep.Torn {
-		out.Injected = true
-		inj.Injected(p.Fault, p.Cycle)
-	}
-
-	// NVM-level damage to the persisted checkpoint region.
-	if p.Fault.ByteLevel() {
-		if dev.MutateCheckpoint(p.Fault.Mutate) {
-			out.Injected = true
-			inj.Injected(p.Fault, p.Cycle)
-		}
-	}
-
-	// Recovery, re-entered from the top after each nested outage. The
-	// protocol must converge: either a completed recovery or a typed
-	// refusal of a damaged checkpoint.
-	nestedLeft := 0
-	if p.Fault.Kind == fault.NestedOutage {
-		nestedLeft = p.Depth
-		if nestedLeft <= 0 {
-			nestedLeft = 1
-		}
-	}
-	var images []*checkpoint.Image
-	var points []int
-	for {
-		out.RecoveryAttempts++
-		if out.RecoveryAttempts > nestedLeft+4 {
-			out.Violation = "recovery did not converge"
-			capture(forensics.KindTortureViolation, nil)
-			return out, nil
-		}
-		var lerr error
-		images, lerr = recovery.LoadImages(dev)
-		if lerr != nil {
-			out.Detected = true
-			out.DetectedAs = lerr.Error()
-			if !recoveryErrTyped(lerr) {
-				out.Violation = fmt.Sprintf("untyped recovery error: %v", lerr)
-			}
-			break
-		}
-		if nestedLeft > 0 {
-			nestedLeft--
-			out.Injected = true
-			inj.Injected(p.Fault, p.Cycle)
-			if txn {
-				// Power fails again mid-recovery: log recovery is idempotent
-				// (truncate then roll back or replay), so the interrupted pass
-				// leaves a log the re-entered protocol handles from the top.
-				if _, rerr := scheme.Recover(dev, len(sys.Cores())); rerr != nil {
-					out.Detected = true
-					out.DetectedAs = rerr.Error()
-				}
-			} else {
-				// Power fails again mid-replay: apply only the first Param
-				// entries of each CSQ, then lose the machine and re-enter.
-				for _, im := range images {
-					n := 0
-					if len(im.CSQ) > 0 {
-						n = int(p.Fault.Param % uint64(len(im.CSQ)+1))
-					}
-					if _, rerr := recovery.ReplayN(dev, im, n); rerr != nil {
-						out.Detected = true
-						out.DetectedAs = rerr.Error()
-						break
-					}
-				}
-			}
-			if out.Detected {
-				break
-			}
-			continue
-		}
-		var rerr error
-		if txn {
-			// Validate the JIT dump (damage must surface as a detection) but
-			// reconstruct the image from the scheme's own durable log.
-			for _, im := range images {
-				if rerr = recovery.ValidateImage(im); rerr != nil {
-					break
-				}
-			}
-			if rerr == nil {
-				points, rerr = scheme.Recover(dev, len(sys.Cores()))
-			}
-		} else {
-			for _, im := range images {
-				prog := sys.Cores()[im.CoreID].Program()
-				if _, rerr = recovery.Recover(dev, im, prog); rerr != nil {
-					break
-				}
-			}
-		}
-		if rerr != nil {
-			out.Detected = true
-			out.DetectedAs = rerr.Error()
-			if !recoveryErrTyped(rerr) {
-				out.Violation = fmt.Sprintf("untyped recovery error: %v", rerr)
-			}
-			break
-		}
-		out.Recovered = true
-		break
-	}
-
-	if out.Detected {
-		inj.Detected(p.Fault, p.Cycle)
-	}
-	var recoveryDiv json.RawMessage
-	switch {
-	case out.Violation != "":
-		// Already established (non-convergence or untyped error).
-	case out.Detected && !out.Injected:
-		out.Violation = fmt.Sprintf("spurious detection of an intact checkpoint: %s", out.DetectedAs)
-	case out.Recovered && out.Injected && p.Fault.Corrupting():
-		out.Violation = "silently recovered a corrupt checkpoint"
-	case out.Recovered:
-		// Verify the recovery contract for every core: NVM must hold the
-		// golden state at the committed prefix (checkpoint-replay schemes)
-		// or at the last region-commit marker (transaction schemes).
-		checkAt := make([]int, len(sys.Cores()))
-		for _, im := range images {
-			checkAt[im.CoreID] = im.Committed
-		}
-		if txn && points != nil {
-			checkAt = points
-		}
-		for id, at := range checkAt {
-			prog := sys.Cores()[id].Program()
-			out.Inconsistencies += recovery.CountInconsistencies(dev, prog, at)
-		}
-		if out.Inconsistencies > 0 {
-			out.Violation = fmt.Sprintf("committed-prefix violation: %d words lost", out.Inconsistencies)
-			break
-		}
-		// The oracle's independent verdict on the same recovery: the NVM
-		// image must equal the golden model's memory at each core's contract
-		// point, and the recovery points must be prefixes the oracle checked.
-		if m := sys.Oracle(); m != nil {
-			var oerr error
-			if txn {
-				oerr = m.CheckRecoveredAt(dev.Image(), checkAt)
-			} else {
-				oerr = m.CheckRecovered(dev.Image(), checkAt)
-			}
-			if oerr != nil {
-				out.Violation = oerr.Error()
-				var de *oracle.DivergenceError
-				if errors.As(oerr, &de) {
-					recoveryDiv, _ = json.Marshal(de.Report)
-				}
-				break
-			}
-		}
-		dev.ClearCheckpoint()
-	}
-	capture(forensics.KindTortureViolation, recoveryDiv)
 	return out, nil
-}
-
-// recoveryErrTyped reports whether err belongs to recovery's typed
-// detection taxonomy.
-func recoveryErrTyped(err error) bool {
-	return recovery.IsDetection(err)
 }
 
 // RunTorture sweeps every point on fresh machines, invoking onPoint (if
 // non-nil) after each verdict, and aggregates the report. Counters
 // "torture.points" and "torture.violations" accumulate on the run's hub.
 func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcome)) (*TortureReport, error) {
-	hub := rc.Obs
-	if hub == nil {
-		hub = DefaultObs
-	}
+	hub := rc.hub()
 	rep := &TortureReport{ByKind: make(map[string]int)}
 	for _, p := range points {
 		out, err := RunTorturePoint(rc, p)
@@ -445,10 +197,7 @@ func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint
 	if workers <= 1 || len(points) <= 1 {
 		return RunTorture(rc, points, onPoint)
 	}
-	hub := rc.Obs
-	if hub == nil {
-		hub = DefaultObs
-	}
+	hub := rc.hub()
 	whs := make([]*obs.Hub, workers)
 	hubs := make(chan *obs.Hub, workers)
 	for i := range whs {

@@ -7,6 +7,7 @@ import (
 	"ppa/internal/cache"
 	"ppa/internal/inorder"
 	"ppa/internal/isa"
+	"ppa/internal/multicore"
 	"ppa/internal/nvm"
 	"ppa/internal/persist"
 	"ppa/internal/workload"
@@ -69,7 +70,7 @@ func RunInOrder(app string, insts int) (*InOrderResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		limit := uint64(insts)*4000 + 1_000_000
+		limit := multicore.CycleBudget(insts)
 		for cyc := uint64(0); !core.Done(); cyc++ {
 			if cyc >= limit {
 				return nil, fmt.Errorf("ppa: in-order run exceeded %d cycles", limit)
