@@ -93,3 +93,41 @@ func TestFailureScheduleNoFailures(t *testing.T) {
 		t.Fatal("must complete")
 	}
 }
+
+func TestFailureScheduleResumeKeepsOneOracleLogObserver(t *testing.T) {
+	// Every resume builds a lockstep machine with a fresh oracle around the
+	// surviving device. The oracle of an earlier power-on period must stop
+	// observing the device's log appends: the device ends with exactly one
+	// log observer, the live oracle's.
+	r, err := newCrashRun(RunConfig{App: "mcf", Scheme: SchemeUndoLog, InstsPerThread: 4000, Lockstep: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule := FailEvery(4000, 3000)
+	var global uint64
+	resumes := 0
+	for resumes < 3 {
+		next, ok := schedule.Next(global)
+		if !ok {
+			t.Fatal("periodic schedule ran out")
+		}
+		v, err := r.cut(TorturePoint{Cycle: next - global}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.completed {
+			break
+		}
+		if !v.recovered {
+			t.Fatalf("outage %d not recovered: %v", resumes+1, v.detected)
+		}
+		global += v.cycle
+		resumes++
+	}
+	if resumes < 2 {
+		t.Fatalf("only %d resumes before the run completed", resumes)
+	}
+	if n := r.sys.Device().LogObservers(); n != 1 {
+		t.Fatalf("after %d resumes the device has %d log observers, want 1", resumes, n)
+	}
+}
