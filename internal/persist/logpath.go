@@ -1,31 +1,39 @@
 package persist
 
-// LogPath models the transaction schemes' persist-log machinery: per-core
-// bounded log buffers feeding one shared path, mirroring RedoPath's shape,
-// plus the region-commit marker protocol and crash recovery over the
-// device's durable log area (nvm.LogRecord).
+// LogPath is every scheme's dedicated persist backend: per-core bounded
+// buffers feeding one shared drain path to NVM, plus the log discipline's
+// commit protocol (what a store logs, what a region boundary does when it
+// arms, whether it waits for the drain, what it does at close) and crash
+// recovery over the device's durable log area (nvm.LogRecord).
 //
-// Three disciplines share the structure:
+// Four modes share the structure:
+//
+//   - LogModeBattery (Capri): a battery-backed redo buffer. The store's new
+//     value goes straight into the image at TryAccept and the entry queues
+//     on the shared path; there is no log record and no marker. Capri's
+//     fixed-region barrier waits for the core's entries to drain (plus its
+//     bookkeeping bubble); its sync boundaries do not wait.
 //
 //   - LogModeUndo (UndoLog): write-ahead pre-images. A record is durable at
 //     TryAccept; the shared path models the log-write bandwidth the region
 //     boundary waits out. In-place data goes through the async persist
-//     path; recovery rolls the image back to the last marker by
-//     reverse-applying the pre-images logged after it.
+//     path; the marker is appended at close, once the region is durable;
+//     recovery rolls the image back to the last marker by reverse-applying
+//     the pre-images logged after it.
 //
 //   - LogModeRedo (RedoTxn): write-ahead new values. A record is durable at
 //     TryAccept, but its image application is authorized only by the
-//     region's commit marker and then drains lazily in the background
-//     (Marathe-style cheap commit, lazy replay). The boundary does not
-//     wait; a crash discards the in-flight applications and recovery
-//     replays the log up to the last marker.
+//     region's commit marker, appended when the boundary arms, and then
+//     drains lazily in the background (Marathe-style cheap commit, lazy
+//     replay). The boundary does not wait; a crash discards the in-flight
+//     applications and recovery replays the log up to the last marker.
 //
 //   - LogModeStaged (HTPM): records buffer in a volatile hardware
-//     transaction log and flush to the durable log only at the boundary
-//     (Giles-style back-end log flush on transaction commit), ahead of the
-//     data burst; the boundary waits for the flush to drain. Unflushed
-//     records die with the power failure — their transaction never
-//     committed.
+//     transaction log and flush to the durable log, followed by the marker,
+//     when the boundary arms (Giles-style back-end log flush on transaction
+//     commit), ahead of the data burst; the boundary waits for the flush to
+//     drain. Unflushed records die with the power failure — their
+//     transaction never committed.
 
 import (
 	"ppa/internal/isa"
@@ -40,9 +48,10 @@ const (
 	LogModeUndo LogMode = iota
 	LogModeRedo
 	LogModeStaged
+	LogModeBattery
 )
 
-// LogPath is the shared persist-log machinery for all cores.
+// LogPath is the shared persist machinery for all cores.
 type LogPath struct {
 	perCoreCap int // records per core
 	drainCyc   int // shared-path cycles per 8-byte record
@@ -50,7 +59,7 @@ type LogPath struct {
 	dev        *nvm.Device
 
 	queue    []uint8           // FIFO of core ids on the shared path
-	pending  []int             // per-core records on the shared path
+	pending  []int             // per-core records (battery: entries) on the shared path
 	unauth   []int             // per-core records logged but not yet marker-authorized (redo)
 	applied  []int             // per-core log positions already applied to the image (redo)
 	buf      [][]nvm.LogRecord // per-core volatile transaction buffers (staged)
@@ -108,7 +117,7 @@ func (l *LogPath) outstanding(core int) int {
 
 // TryAccept offers one committed store's log record; false means the
 // core's buffer is full and commit must stall. In the write-ahead modes
-// the record is durable on return.
+// the record is durable on return; in battery mode the value is.
 func (l *LogPath) TryAccept(core int, addr, val uint64) bool {
 	if l.outstanding(core) >= l.perCoreCap {
 		l.Rejects++
@@ -116,6 +125,9 @@ func (l *LogPath) TryAccept(core int, addr, val uint64) bool {
 	}
 	rec := nvm.LogRecord{Addr: addr, Val: val}
 	switch l.mode {
+	case LogModeBattery:
+		l.dev.Image().WriteWord(isa.WordAlign(addr), val)
+		l.enqueue(core)
 	case LogModeStaged:
 		l.buf[core] = append(l.buf[core], rec)
 	case LogModeRedo:
@@ -127,6 +139,45 @@ func (l *LogPath) TryAccept(core int, addr, val uint64) bool {
 	}
 	l.Accepts++
 	return true
+}
+
+// LogsPreImage reports whether a store's record carries the word's
+// pre-image (undo) rather than its new value (every other mode).
+func (l *LogPath) LogsPreImage() bool { return l.mode == LogModeUndo }
+
+// ArmBoundary is the discipline's transaction commit when a core's region
+// boundary arms with committed instructions retired: HTPM first flushes
+// its staged buffer to the durable log, then the redo disciplines append
+// the region-commit marker, which for RedoTxn authorizes the region's
+// records for lazy background image application. Undo and battery do
+// nothing here.
+func (l *LogPath) ArmBoundary(core, committed int) {
+	if l.mode == LogModeStaged {
+		l.FlushBuffered(core)
+	}
+	if l.mode == LogModeRedo || l.mode == LogModeStaged {
+		l.AppendMarker(core, committed)
+	}
+}
+
+// BoundaryWaits reports whether a core's armed boundary must keep waiting
+// for its records to drain the shared path. The undo and staged
+// disciplines wait out the log-write bandwidth; RedoTxn deliberately does
+// not (its commit is cheap, the replay drains in the background), and
+// neither do Capri's sync boundaries (its fixed-region barrier waits on
+// PendingOf itself).
+func (l *LogPath) BoundaryWaits(core int) bool {
+	return (l.mode == LogModeUndo || l.mode == LogModeStaged) && l.pending[core] > 0
+}
+
+// CloseBoundary is the discipline's part of a completed region close:
+// undo logging appends its region-commit marker only now, after the
+// region's in-place stores and pre-image log writes are all durable — the
+// marker asserts the pre-images ahead of it are dead.
+func (l *LogPath) CloseBoundary(core, committed int) {
+	if l.mode == LogModeUndo {
+		l.AppendMarker(core, committed)
+	}
 }
 
 // FlushBuffered moves a core's staged transaction buffer to the durable
@@ -165,7 +216,8 @@ func (l *LogPath) enqueue(core int) {
 func (l *LogPath) Full(core int) bool { return l.outstanding(core) >= l.perCoreCap }
 
 // PendingOf returns a core's undrained shared-path record count — the
-// boundary wait target for the undo and staged disciplines.
+// boundary wait target for the undo and staged disciplines and for
+// Capri's fixed-region barrier.
 func (l *LogPath) PendingOf(core int) int { return l.pending[core] }
 
 // Tick drains the shared path at its bandwidth. In redo mode each drained
@@ -210,7 +262,8 @@ func (l *LogPath) applyOne(core int) {
 
 // PowerFail models the outage: the shared path's in-flight applications
 // and the staged volatile buffers are lost; the durable log area survives
-// for recovery.
+// for recovery, and battery-backed entries were already reflected in the
+// image at accept.
 func (l *LogPath) PowerFail() {
 	l.queue = nil
 	for i := range l.pending {

@@ -21,7 +21,6 @@ package persist
 import (
 	"fmt"
 
-	"ppa/internal/isa"
 	"ppa/internal/nvm"
 )
 
@@ -317,6 +316,11 @@ func (c Config) Persistent() bool {
 	}
 }
 
+// NeedsBackend reports whether the scheme persists committed stores
+// through a dedicated backend (Capri's redo buffer, the log schemes' log
+// path), without which a core cannot be built.
+func (c Config) NeedsBackend() bool { return c.UseRedoPath || c.UndoLogStores || c.RedoLogStores }
+
 // Validate reports configuration inconsistencies.
 func (c Config) Validate() error {
 	if c.DynamicRegions && c.FixedRegionLen > 0 {
@@ -330,6 +334,9 @@ func (c Config) Validate() error {
 	}
 	if c.AsyncPersist && c.UseRedoPath {
 		return fmt.Errorf("persist: choose one persist path")
+	}
+	if c.Barrier == BarrierStoreGate && !c.UseRedoPath {
+		return fmt.Errorf("persist: the store-gate barrier waits on the redo path")
 	}
 	if c.GateStoreBuffer && !c.ValueCSQ {
 		return fmt.Errorf("persist: store-buffer gating requires value-bearing entries")
@@ -361,90 +368,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// RedoPath models Capri's redo-logging persist machinery: per-core
-// battery-backed redo buffers (54 KB each) feeding one shared persist path
-// to NVM with a fixed bandwidth (the paper sets it to a realistic 4 GB/s).
-// The buffers are battery-backed, so a store is durable at accept; but
-// Capri's region protocol moves each region's stores from the buffer to
-// NVM through the shared path and stalls the next region on that drain —
-// the cost the paper attributes to Capri's 11x-shorter regions.
-type RedoPath struct {
-	perCoreCap int // entries (8 bytes each) per core
-	drainCyc   int // shared-path cycles per 8-byte entry (4 GB/s = 4)
-	dev        *nvm.Device
+// RedoPath is Capri's battery-backed redo buffer: a LogPath in
+// LogModeBattery, with per-core 54 KB buffers feeding one shared persist
+// path at a realistic 4 GB/s. A store is durable at accept, but Capri's
+// region barrier stalls the next region until the core's entries drain —
+// the cost the paper attributes to Capri's 11x-shorter regions. The named
+// type lets callers tell Capri's backend from the log schemes'.
+type RedoPath struct{ LogPath }
 
-	queue    []uint8 // FIFO of core ids on the shared path
-	pending  []int   // per-core outstanding entries
-	busyTill uint64
-
-	Accepts  uint64
-	Rejects  uint64
-	MaxDepth int
-}
-
-// NewRedoPath builds the shared redo machinery for n cores: bufBytes of
-// buffer per core, one shared path draining an 8-byte entry every
-// drainCycles.
+// NewRedoPath builds the redo buffers for n cores: bufBytes of buffer per
+// core, one shared path draining an 8-byte entry every drainCycles.
 func NewRedoPath(cores, bufBytes, drainCycles int, dev *nvm.Device) *RedoPath {
-	if cores < 1 {
-		cores = 1
-	}
-	cap := bufBytes / isa.WordSize
-	if cap < 1 {
-		cap = 1
-	}
-	if drainCycles < 1 {
-		drainCycles = 1
-	}
-	return &RedoPath{
-		perCoreCap: cap,
-		drainCyc:   drainCycles,
-		dev:        dev,
-		pending:    make([]int, cores),
-	}
-}
-
-// TryAccept offers one committed store from a core; on success the value
-// is durable (battery-backed buffer) and queued for the shared path.
-func (r *RedoPath) TryAccept(core int, addr, val uint64) bool {
-	if r.pending[core] >= r.perCoreCap {
-		r.Rejects++
-		return false
-	}
-	r.pending[core]++
-	r.queue = append(r.queue, uint8(core))
-	if len(r.queue) > r.MaxDepth {
-		r.MaxDepth = len(r.queue)
-	}
-	r.dev.Image().WriteWord(isa.WordAlign(addr), val)
-	r.Accepts++
-	return true
-}
-
-// Full reports whether a core's buffer cannot accept a store.
-func (r *RedoPath) Full(core int) bool { return r.pending[core] >= r.perCoreCap }
-
-// PendingOf returns a core's undrained entry count — Capri's region
-// boundary waits for this to reach zero.
-func (r *RedoPath) PendingOf(core int) int { return r.pending[core] }
-
-// Tick drains the shared path at its bandwidth.
-func (r *RedoPath) Tick(cycle uint64) {
-	if len(r.queue) == 0 || r.busyTill > cycle {
-		return
-	}
-	core := r.queue[0]
-	r.queue = r.queue[1:]
-	r.pending[core]--
-	r.busyTill = cycle + uint64(r.drainCyc)
-}
-
-// PowerFail models the outage: battery-backed contents flush to NVM (they
-// were already reflected in the image at accept), so the buffers empty.
-func (r *RedoPath) PowerFail() {
-	r.queue = nil
-	for i := range r.pending {
-		r.pending[i] = 0
-	}
-	r.busyTill = 0
+	return &RedoPath{*NewLogPath(cores, bufBytes, drainCycles, LogModeBattery, dev)}
 }

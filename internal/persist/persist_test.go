@@ -40,6 +40,11 @@ func TestValidateRejectsContradictions(t *testing.T) {
 	if c.Validate() == nil {
 		t.Fatal("two persist paths must be rejected")
 	}
+	c = ReplayCacheDefault()
+	c.Barrier = BarrierStoreGate
+	if c.Validate() == nil {
+		t.Fatal("store-gate barrier without a redo path must be rejected")
+	}
 }
 
 func TestPersistentClassification(t *testing.T) {

@@ -67,9 +67,10 @@ func (r RecoveryContract) String() string {
 }
 
 // Backend is a scheme's dedicated persist machinery beyond the cache
-// hierarchy's write path: Capri's battery-backed redo buffers and the
-// transaction schemes' log paths implement it. The machine ticks it every
-// cycle and fails it on power loss; the pipeline offers committed stores.
+// hierarchy's write path: the log path implements it, in Capri's battery
+// mode (RedoPath) or one of the transaction schemes' log disciplines. The
+// machine ticks it every cycle and fails it on power loss; the pipeline
+// offers committed stores.
 type Backend interface {
 	// TryAccept offers one committed store (word-aligned address and the
 	// scheme's logged value); false means the backend is full and commit

@@ -244,9 +244,14 @@ type Core struct {
 	cfg  Config
 	prog *isa.Program
 	hier *cache.Hierarchy
-	redo *persist.RedoPath // non-nil for Capri
-	plog *persist.LogPath  // non-nil for the log-based transaction schemes
 	ren  *rename.Renamer
+
+	// backend is the scheme's persist backend (nil when the cache
+	// hierarchy's write path is the whole persist path); backendFull is
+	// the stall counter a full backend charges: RedoFullStalls for Capri's
+	// redo buffer, LogFullStalls for a log path.
+	backend     *persist.LogPath
+	backendFull *uint64
 
 	rob     []robEntry
 	robHead int
@@ -333,7 +338,7 @@ type Core struct {
 // scheme's dedicated persist machinery (persist.Scheme.NewBackend), nil when
 // the cache hierarchy's write path is the whole persist path. The core
 // resolves the backend's concrete type once here so the cycle loop works on
-// devirtualized pointers and stays allocation-free.
+// a devirtualized pointer and stays allocation-free.
 func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.Backend) (*Core, error) {
 	if err := cfg.Scheme.Validate(); err != nil {
 		return nil, err
@@ -341,22 +346,19 @@ func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.B
 	if cfg.Width <= 0 || cfg.ROBSize <= 0 {
 		return nil, fmt.Errorf("pipeline: width and ROB size must be positive")
 	}
-	var redo *persist.RedoPath
-	var plog *persist.LogPath
+	var lp *persist.LogPath
+	redo := false
 	switch b := backend.(type) {
 	case nil:
 	case *persist.RedoPath:
-		redo = b
+		lp, redo = &b.LogPath, true
 	case *persist.LogPath:
-		plog = b
+		lp = b
 	default:
 		return nil, fmt.Errorf("pipeline: unknown persist backend %T", backend)
 	}
-	if cfg.Scheme.UseRedoPath && redo == nil {
-		return nil, fmt.Errorf("pipeline: scheme %s requires a redo path", cfg.Scheme.Kind)
-	}
-	if (cfg.Scheme.UndoLogStores || cfg.Scheme.RedoLogStores) && plog == nil {
-		return nil, fmt.Errorf("pipeline: scheme %s requires a log path", cfg.Scheme.Kind)
+	if cfg.Scheme.NeedsBackend() && lp == nil {
+		return nil, fmt.Errorf("pipeline: scheme %s requires a persist backend", cfg.Scheme.Kind)
 	}
 	csqCap := cfg.Scheme.CSQEntries
 	if csqCap <= 0 {
@@ -366,8 +368,7 @@ func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.B
 		cfg:        cfg,
 		prog:       prog,
 		hier:       hier,
-		redo:       redo,
-		plog:       plog,
+		backend:    lp,
 		ren:        rename.New(cfg.Rename),
 		rob:        make([]robEntry, cfg.ROBSize),
 		sqReleases: make([]uint64, 0, cfg.SQSize),
@@ -375,6 +376,10 @@ func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.B
 		csq:        make([]CSQEntry, 0, csqCap),
 		next:       cfg.StartAt,
 		rngState:   uint64(cfg.CoreID)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
+	}
+	c.backendFull = &c.st.LogFullStalls
+	if redo {
+		c.backendFull = &c.st.RedoFullStalls
 	}
 	c.committed = cfg.StartAt
 	c.stop = prog.Len()
@@ -576,14 +581,9 @@ func (c *Core) commitStore(e *robEntry, cycle uint64) bool {
 	if sc.GateStoreBuffer {
 		// Redo-logging transaction schemes write the new value ahead to the
 		// persist log at commit (durable for RedoTxn, staged in the volatile
-		// hardware transaction buffer for HTPM); a full log buffer stalls
-		// commit like a full redo buffer.
-		if sc.RedoLogStores && !e.logEnqueued {
-			if !c.plog.TryAccept(c.cfg.CoreID, isa.WordAlign(e.addr), e.storeVal) {
-				c.st.LogFullStalls++
-				return false
-			}
-			e.logEnqueued = true
+		// hardware transaction buffer for HTPM).
+		if !c.logStore(e) {
+			return false
 		}
 		c.csq = append(c.csq, CSQEntry{
 			Addr:         isa.WordAlign(e.addr),
@@ -599,12 +599,9 @@ func (c *Core) commitStore(e *robEntry, cycle uint64) bool {
 
 	// Undo logging: the pre-image must be durable in the log before the
 	// in-place store may enter the persist path (write-ahead discipline).
-	if sc.UndoLogStores && !e.logEnqueued {
-		if !c.plog.TryAccept(c.cfg.CoreID, isa.WordAlign(e.addr), e.preVal) {
-			c.st.LogFullStalls++
-			return false
-		}
-		e.logEnqueued = true
+	// Capri's battery-backed redo buffer makes the store durable here.
+	if !c.logStore(e) {
+		return false
 	}
 
 	// The persist path must accept the store before it can retire.
@@ -627,12 +624,6 @@ func (c *Core) commitStore(e *robEntry, cycle uint64) bool {
 		// No-async ablation: wait for durability before retiring.
 		c.noteRegionStall(cycle)
 		return false
-	}
-	if sc.UseRedoPath {
-		if !c.redo.TryAccept(c.cfg.CoreID, e.addr, e.storeVal) {
-			c.st.RedoFullStalls++
-			return false
-		}
 	}
 
 	// Merge into L1D: functional value plus drain timing.
@@ -682,6 +673,25 @@ func (c *Core) commitStore(e *robEntry, cycle uint64) bool {
 	return true
 }
 
+// logStore offers a committed store to the scheme's persist backend, once,
+// with the value its log discipline records. False means the backend is
+// full and commit must stall.
+func (c *Core) logStore(e *robEntry) bool {
+	if c.backend == nil || e.logEnqueued {
+		return true
+	}
+	val := e.storeVal
+	if c.backend.LogsPreImage() {
+		val = e.preVal
+	}
+	if !c.backend.TryAccept(c.cfg.CoreID, isa.WordAlign(e.addr), val) {
+		*c.backendFull++
+		return false
+	}
+	e.logEnqueued = true
+	return true
+}
+
 // noteCSQDepth tracks the committed store queue's high-water mark and
 // traces each new maximum (low-frequency: at most CSQEntries events/run).
 func (c *Core) noteCSQDepth(cycle uint64) {
@@ -720,23 +730,14 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 		c.epochArmed = true
 		c.epochArmedAt = cycle
 		c.epochCSQMark = len(c.csq)
-		if c.plog != nil {
-			// Transaction commit on the log path. HTPM first flushes the
-			// staged volatile transaction buffer to the durable log
-			// (back-end log flush); the redo disciplines then append the
-			// region-commit marker, which for RedoTxn authorizes the
-			// region's logged values for lazy background image application.
-			// The marker is consistent by log order: stores log at commit
-			// and commit in program order, so the records ahead of the
-			// marker are exactly the stores committed before this instant —
+		if c.backend != nil {
+			// Transaction commit on the log path (see ArmBoundary). A
+			// marker appended here is consistent by log order: stores log
+			// at commit and commit in program order, so the records ahead
+			// of it are exactly the stores committed before this instant —
 			// c.committed. Stores retiring during the wait log after it and
 			// roll back (or replay in the next region) at recovery.
-			if c.cfg.Scheme.LogFlushAtBoundary {
-				c.plog.FlushBuffered(c.cfg.CoreID)
-			}
-			if c.cfg.Scheme.RedoLogStores {
-				c.plog.AppendMarker(c.cfg.CoreID, c.committed)
-			}
+			c.backend.ArmBoundary(c.cfg.CoreID, c.committed)
 		}
 		if c.cfg.Scheme.GateStoreBuffer {
 			// The gated stores of the closing region merge into L1D and
@@ -785,12 +786,9 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 		c.noteDrainWait(cycle)
 		return false
 	}
-	// The undo and staged disciplines wait out the log-write bandwidth: the
-	// boundary holds until the core's log records have drained the shared
-	// path. RedoTxn deliberately does not wait — its commit is cheap and the
-	// image application drains lazily in the background.
-	if (c.cfg.Scheme.UndoLogStores || c.cfg.Scheme.LogFlushAtBoundary) &&
-		c.plog.PendingOf(c.cfg.CoreID) > 0 {
+	// The log discipline may hold the boundary until the core's records
+	// have drained the shared path (the log-write bandwidth).
+	if c.backend != nil && c.backend.BoundaryWaits(c.cfg.CoreID) {
 		c.noteDrainWait(cycle)
 		return false
 	}
@@ -821,13 +819,12 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 	c.keepScratch = keep
 	c.csq = append(c.csq[:0], survivors...)
 
-	// Undo logging appends its region-commit marker only now, after the
-	// region's in-place stores and pre-image log writes are all durable:
-	// the marker asserts the pre-images ahead of it are dead. Undo
-	// boundaries are commit-side (Validate rejects DynamicRegions), so
-	// c.committed is exact — nothing committed during the wait.
-	if c.cfg.Scheme.UndoLogStores {
-		c.plog.AppendMarker(c.cfg.CoreID, c.committed)
+	// Undo logging appends its region-commit marker only now (see
+	// CloseBoundary). Undo boundaries are commit-side (Validate rejects
+	// DynamicRegions), so c.committed is exact — nothing committed during
+	// the wait.
+	if c.backend != nil {
+		c.backend.CloseBoundary(c.cfg.CoreID, c.committed)
 	}
 
 	c.closeRegionStats(cycle, cause, cycle-c.epochArmedAt)
@@ -929,11 +926,11 @@ func (c *Core) emitRegion(cycle uint64, cause BoundaryCause, stall uint64) {
 // waits (sfence-like) for every prior clwb to reach the WPQ.
 func (c *Core) fixedBarrierDone(cycle uint64) bool {
 	sc := &c.cfg.Scheme
-	if sc.UseRedoPath {
+	if sc.Barrier == persist.BarrierStoreGate {
 		if c.boundaryReadyAt == 0 {
 			c.boundaryReadyAt = cycle + uint64(sc.BoundaryBubble)
 		}
-		if cycle < c.boundaryReadyAt || c.redo.PendingOf(c.cfg.CoreID) > 0 {
+		if cycle < c.boundaryReadyAt || c.backend.PendingOf(c.cfg.CoreID) > 0 {
 			c.noteDrainWait(cycle)
 			return false
 		}
@@ -1111,13 +1108,14 @@ func (c *Core) dispatch(in *isa.Inst, phys rename.PhysRef, src1, src2 rename.Phy
 		complete = ready + uint64(in.Op.ExecLatency())
 	}
 
-	// Advance the program-order functional oracle. Undo logging captures the
-	// store's pre-image first: the golden memory at dispatch of instruction
-	// i holds exactly the state before i (dispatch is program-order), which
-	// neither the hierarchy nor the device can supply at commit time.
+	// Advance the program-order functional oracle. A backend that logs
+	// pre-images (undo) has the store's pre-image captured first: the golden
+	// memory at dispatch of instruction i holds exactly the state before i
+	// (dispatch is program-order), which neither the hierarchy nor the
+	// device can supply at commit time.
 	idx := c.next
 	var storeVal, preVal uint64
-	if c.cfg.Scheme.UndoLogStores && in.Op.IsStore() {
+	if in.Op.IsStore() && c.backend != nil && c.backend.LogsPreImage() {
 		preVal = c.front.Mem.ReadWord(isa.WordAlign(in.Addr))
 	}
 	nStores := len(c.front.StoreLog)
