@@ -53,13 +53,15 @@ func BenchmarkCoreStep(b *testing.B) {
 
 // TestCoreStepAllocCeiling is the allocation regression gate for the cycle
 // loop. It fails when a warm system's per-cycle allocation average exceeds
-// the committed ceiling, for PPA and for every scheme with a persist
-// backend (Capri's redo buffer, the log schemes' log path).
+// the committed ceiling, for PPA, for every scheme with a persist backend
+// (Capri's redo buffer, the log schemes' log path), for sb-gate's boundary
+// burst and for ReplayCache's clwb-held store-queue release.
 func TestCoreStepAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")
 	}
-	for _, s := range []Scheme{SchemePPA, SchemeCapri, SchemeUndoLog, SchemeRedoTxn, SchemeHTPM} {
+	for _, s := range []Scheme{SchemePPA, SchemeCapri, SchemeUndoLog, SchemeRedoTxn, SchemeHTPM,
+		SchemeSBGate, SchemeReplayCache} {
 		t.Run(string(s), func(t *testing.T) {
 			sys, err := NewSystem(RunConfig{App: "gcc", Scheme: s, InstsPerThread: 500_000})
 			if err != nil {

@@ -97,3 +97,38 @@ func TestFailureScheduleHonoursLockstep(t *testing.T) {
 		t.Fatalf("schedule under a seeded rename bug returned %v, want an *OracleError", err)
 	}
 }
+
+// TestGatedBurstWaitsForWriteBuffer: a gated scheme's boundary burst retires
+// its stores through the same write-buffer step as commit, so a full write
+// buffer holds the boundary instead of dropping a store's persist. With a
+// two-entry buffer the burst must stall (WBFullStalls > 0), the oracle must
+// see every barrier complete with its region durable, and a power cut must
+// recover to the committed prefix.
+func TestGatedBurstWaitsForWriteBuffer(t *testing.T) {
+	for _, s := range []Scheme{SchemeSBGate, SchemeHTPM} {
+		s := s
+		t.Run(string(s), func(t *testing.T) {
+			t.Parallel()
+			rc := RunConfig{App: "mcf", Scheme: s, InstsPerThread: 4_000, Lockstep: true,
+				Customize: func(cfg *MachineConfig) { cfg.Hierarchy.WBEntries = 2 }}
+			res, err := Run(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stalls uint64
+			for _, st := range res.PerCore {
+				stalls += st.WBFullStalls
+			}
+			if stalls == 0 {
+				t.Fatal("a two-entry write buffer never filled: the burst did not go through it")
+			}
+			out, err := RunWithFailure(rc, 3_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Consistent {
+				t.Fatalf("recovery lost %d committed words", out.Inconsistencies)
+			}
+		})
+	}
+}

@@ -177,8 +177,11 @@ func (c *Core) Step(cycle uint64) {
 			}
 		}
 
-		// Issue when sources are ready; blocking completion.
-		if c.ready(in.Src1) > cycle || c.ready(in.Src2) > cycle {
+		// Issue when sources are ready; blocking completion. A store also
+		// waits for room in the write buffer: it may not retire without its
+		// persist enqueued.
+		if c.ready(in.Src1) > cycle || c.ready(in.Src2) > cycle ||
+			(in.Op.IsStore() && c.hier.WBFull(c.cfg.CoreID)) {
 			break
 		}
 
@@ -196,14 +199,12 @@ func (c *Core) Step(cycle uint64) {
 
 		// Functional commit through the program-order oracle.
 		idx := c.next
-		nStores := len(c.front.StoreLog)
 		isa.StepGolden(c.front, in, idx)
 		if in.DefinesReg() {
 			c.setReady(in.Dst, complete)
 		}
 		if in.Op.IsStore() {
 			val := c.front.StoreLog[len(c.front.StoreLog)-1].Val
-			_ = nStores
 			c.hier.StoreData(in.Addr, val)
 			c.hier.Access(c.cfg.CoreID, in.Addr, true, cycle)
 			if sc.AsyncPersist {
@@ -241,12 +242,10 @@ func (c *Core) tryEndRegion(cycle uint64) bool {
 	if !c.epochArmed {
 		c.epochArmed = true
 		c.epochCSQMark = len(c.csq)
-		if c.cfg.Scheme.AsyncPersist {
-			c.epochSnapSeq = c.hier.CurrentPersistSeq(c.cfg.CoreID)
-			c.hier.FlushWB(c.cfg.CoreID, cycle)
-		}
+		c.epochSnapSeq = c.hier.CurrentPersistSeq(c.cfg.CoreID)
+		c.hier.FlushWB(c.cfg.CoreID, cycle)
 	}
-	if c.cfg.Scheme.AsyncPersist && !c.hier.PersistedThrough(c.cfg.CoreID, c.epochSnapSeq) {
+	if !c.hier.PersistedThrough(c.cfg.CoreID, c.epochSnapSeq) {
 		return false
 	}
 	c.csq = append(c.csq[:0], c.csq[c.epochCSQMark:]...)

@@ -142,25 +142,32 @@ func TestInOrderCrashSweep(t *testing.T) {
 	p, _ := workload.ByName("lbm")
 	prog := workload.GenerateThread(p, 8000, 0)
 	for _, fail := range []uint64{500, 3_000, 12_000, 30_000} {
-		dev := nvm.NewDevice(nvm.DefaultConfig())
-		hier := cache.New(cache.DefaultParams(1), dev, workload.WarmResident, workload.L2Resident)
-		core, err := New(DefaultConfig(PPAScheme()), prog, hier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cyc := uint64(0); !core.Done() && cyc < fail; cyc++ {
-			hier.Tick(cyc)
-			core.Step(cyc)
-		}
-		im := core.Checkpoint()
-		hier.PowerFail()
-		if _, err := recovery.Replay(dev, im); err != nil {
-			t.Fatalf("fail@%d: %v", fail, err)
-		}
-		if err := recovery.VerifyConsistency(dev, prog, im.Committed); err != nil {
+		if err := cutAndRecover(prog, cache.DefaultParams(1), fail); err != nil {
 			t.Fatalf("fail@%d: %v", fail, err)
 		}
 	}
+}
+
+// cutAndRecover runs the in-order PPA core over prog on a hierarchy built
+// from params, cuts power at cycle fail, replays the checkpoint and
+// verifies the committed prefix is in NVM.
+func cutAndRecover(prog *isa.Program, params cache.Params, fail uint64) error {
+	dev := nvm.NewDevice(nvm.DefaultConfig())
+	hier := cache.New(params, dev, workload.WarmResident, workload.L2Resident)
+	core, err := New(DefaultConfig(PPAScheme()), prog, hier)
+	if err != nil {
+		return err
+	}
+	for cyc := uint64(0); !core.Done() && cyc < fail; cyc++ {
+		hier.Tick(cyc)
+		core.Step(cyc)
+	}
+	im := core.Checkpoint()
+	hier.PowerFail()
+	if _, err := recovery.Replay(dev, im); err != nil {
+		return err
+	}
+	return recovery.VerifyConsistency(dev, prog, im.Committed)
 }
 
 func TestInOrderPPAOverheadModest(t *testing.T) {
@@ -179,3 +186,24 @@ func TestInOrderPPAOverheadModest(t *testing.T) {
 
 // recoveryDecode parses an encoded checkpoint blob.
 func recoveryDecode(blob []byte) (*checkpoint.Image, error) { return checkpoint.Decode(blob) }
+
+// TestInOrderFullWriteBufferCrashConsistent: a store must not retire past a
+// full write buffer. With a two-entry buffer, a store that dropped its
+// persist would leave a region closed but not durable, and a power cut would
+// recover to an image missing committed words.
+func TestInOrderFullWriteBufferCrashConsistent(t *testing.T) {
+	for _, app := range []string{"mcf", "lbm", "xz"} {
+		p, err := workload.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := workload.GenerateThread(p, 8000, 0)
+		params := cache.DefaultParams(1)
+		params.WBEntries = 2
+		for _, fail := range []uint64{12_000, 30_000} {
+			if err := cutAndRecover(prog, params, fail); err != nil {
+				t.Fatalf("%s fail@%d: %v", app, fail, err)
+			}
+		}
+	}
+}

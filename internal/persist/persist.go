@@ -135,7 +135,7 @@ type Config struct {
 	// GateStoreBuffer holds retired stores in the store buffer — neither
 	// merged into L1D nor written back — until the region boundary, where
 	// they flush and persist in one burst (the Section 6 alternative).
-	// Requires ValueCSQ (the gated data is the recovery log).
+	// Requires a value-bearing CSQ (the gated data is the recovery log).
 	GateStoreBuffer bool
 
 	// AsyncPersist routes committed stores through the L1D write buffer to
@@ -338,8 +338,8 @@ func (c Config) Validate() error {
 	if c.Barrier == BarrierStoreGate && !c.UseRedoPath {
 		return fmt.Errorf("persist: the store-gate barrier waits on the redo path")
 	}
-	if c.GateStoreBuffer && !c.ValueCSQ {
-		return fmt.Errorf("persist: store-buffer gating requires value-bearing entries")
+	if c.GateStoreBuffer && (!c.ValueCSQ || c.CSQEntries <= 0) {
+		return fmt.Errorf("persist: store-buffer gating holds its stores in a value-bearing CSQ")
 	}
 	if c.GateStoreBuffer && !c.AsyncPersist && !c.RedoLogStores {
 		return fmt.Errorf("persist: store-buffer gating flushes through the async persist path")

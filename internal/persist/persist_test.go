@@ -45,6 +45,11 @@ func TestValidateRejectsContradictions(t *testing.T) {
 	if c.Validate() == nil {
 		t.Fatal("store-gate barrier without a redo path must be rejected")
 	}
+	c = SBGateDefault()
+	c.CSQEntries = 0
+	if c.Validate() == nil {
+		t.Fatal("store-buffer gating without a CSQ to hold the gated stores must be rejected")
+	}
 }
 
 func TestPersistentClassification(t *testing.T) {

@@ -106,10 +106,6 @@ type Scheme interface {
 	// durable image's only write path during a run — the precondition for
 	// the oracle's end-of-run image cross-check.
 	ImageFromAcceptStream() bool
-	// ReplaysCheckpoint reports whether recovery replays the JIT
-	// checkpoint's CSQ into the image. Transaction schemes must not: the
-	// checkpointed CSQ holds gated stores of an uncommitted region.
-	ReplaysCheckpoint() bool
 	// VerifiesArchState reports whether recovered committed register state
 	// can be checked against the golden model (PPA's PRF-indexed CSQ).
 	VerifiesArchState() bool
@@ -135,7 +131,6 @@ func (b base) FlushOnFailure() bool                          { return false }
 func (b base) ImageFromAcceptStream() bool {
 	return b.cfg.AsyncPersist && !b.cfg.UseRedoPath
 }
-func (b base) ReplaysCheckpoint() bool { return false }
 func (b base) VerifiesArchState() bool { return false }
 func (b base) Contract() RecoveryContract {
 	return RecoverNone
@@ -158,13 +153,11 @@ type replayCacheScheme struct{ base }
 
 type ppaScheme struct{ base }
 
-func (ppaScheme) ReplaysCheckpoint() bool    { return true }
 func (p ppaScheme) VerifiesArchState() bool  { return !p.cfg.ValueCSQ }
 func (ppaScheme) Contract() RecoveryContract { return RecoverCommittedPrefix }
 
 type sbGateScheme struct{ base }
 
-func (sbGateScheme) ReplaysCheckpoint() bool    { return true }
 func (sbGateScheme) Contract() RecoveryContract { return RecoverCommittedPrefix }
 
 type capriScheme struct{ base }

@@ -447,14 +447,6 @@ func (c *Core) Committed() int { return c.committed }
 // Program returns the trace this core executes.
 func (c *Core) Program() *isa.Program { return c.prog }
 
-// PersistPending returns the outstanding asynchronous persist count.
-func (c *Core) PersistPending() int {
-	if !c.cfg.Scheme.AsyncPersist {
-		return 0
-	}
-	return c.hier.PersistPending(c.cfg.CoreID)
-}
-
 // Step advances the core one cycle. The caller ticks the hierarchy first.
 func (c *Core) Step(cycle uint64) {
 	if c.done {
@@ -573,67 +565,44 @@ func (c *Core) commitStore(e *robEntry, cycle uint64) bool {
 		}
 	}
 
-	// Store-buffer gating (Section 6 alternative): the store neither
-	// merges into L1D nor writes back now — it sits in the gated SB (the
-	// value-bearing CSQ) until the region boundary flushes it. The SQ
-	// entry stays occupied the whole time: the pressure the paper warns
-	// about.
-	if sc.GateStoreBuffer {
-		// Redo-logging transaction schemes write the new value ahead to the
-		// persist log at commit (durable for RedoTxn, staged in the volatile
-		// hardware transaction buffer for HTPM).
-		if !c.logStore(e) {
-			return false
-		}
-		c.csq = append(c.csq, CSQEntry{
-			Addr:         isa.WordAlign(e.addr),
-			Val:          e.storeVal,
-			Seq:          e.idx,
-			ValueBearing: true,
-		})
-		c.noteCSQDepth(cycle)
-		c.gatedSQ++
-		c.storesInROB--
-		return true
-	}
-
 	// Undo logging: the pre-image must be durable in the log before the
 	// in-place store may enter the persist path (write-ahead discipline).
-	// Capri's battery-backed redo buffer makes the store durable here.
+	// Capri's battery-backed redo buffer makes the store durable here, and
+	// redo-logging transaction schemes write the new value ahead (durable
+	// for RedoTxn, staged in the volatile hardware log for HTPM).
 	if !c.logStore(e) {
 		return false
 	}
 
-	// The persist path must accept the store before it can retire.
-	if sc.AsyncPersist && !e.persistEnqueued {
-		tok, ok := c.hier.PersistStore(c.cfg.CoreID, e.addr, e.storeVal, cycle)
-		if !ok {
-			c.st.WBFullStalls++
+	if sc.GateStoreBuffer {
+		// Store-buffer gating (Section 6 alternative): the store neither
+		// merges into L1D nor writes back now — it sits in the gated SB (the
+		// value-bearing CSQ) until the region boundary retires it. The SQ
+		// entry stays occupied the whole time: the pressure the paper warns
+		// about.
+		c.gatedSQ++
+	} else {
+		// The persist path must accept the store before it can retire.
+		if sc.AsyncPersist && !e.persistEnqueued {
+			tok, ok := c.persistStore(e.addr, e.storeVal, cycle)
+			if !ok {
+				return false
+			}
+			e.persistEnqueued = true
+			e.persistTok = tok
+			if sc.SyncStorePersist {
+				// No-async ablation: this store's writeback must not linger
+				// in the coalescing window — it is about to be waited on.
+				c.hier.FlushWB(c.cfg.CoreID, cycle)
+			}
+		}
+		if sc.SyncStorePersist && e.persistEnqueued &&
+			!c.hier.PersistAcked(c.cfg.CoreID, e.persistTok) {
+			// No-async ablation: wait for durability before retiring.
+			c.noteRegionStall(cycle)
 			return false
 		}
-		e.persistEnqueued = true
-		e.persistTok = tok
-		if sc.SyncStorePersist {
-			// No-async ablation: this store's writeback must not linger in
-			// the coalescing window — it is about to be waited on.
-			c.hier.FlushWB(c.cfg.CoreID, cycle)
-		}
-	}
-	if sc.SyncStorePersist && e.persistEnqueued &&
-		!c.hier.PersistAcked(c.cfg.CoreID, e.persistTok) {
-		// No-async ablation: wait for durability before retiring.
-		c.noteRegionStall(cycle)
-		return false
-	}
-
-	// Merge into L1D: functional value plus drain timing.
-	c.hier.StoreData(e.addr, e.storeVal)
-	drainDone := c.hier.Access(c.cfg.CoreID, e.addr, true, cycle)
-	if sc.ClwbPerStore {
-		// clwb occupies the SQ entry until the persist acknowledges.
-		c.sqAckToks = append(c.sqAckToks, e.persistTok)
-	} else {
-		c.sqReleases = append(c.sqReleases, drainDone)
+		c.mergeStore(e.addr, e.storeVal, e.persistTok, cycle)
 	}
 	c.storesInROB--
 
@@ -671,6 +640,30 @@ func (c *Core) commitStore(e *robEntry, cycle uint64) bool {
 		}
 	}
 	return true
+}
+
+// persistStore offers a retiring store to the core's write buffer. False
+// means the buffer is full: the store must wait, and the cycle counts as a
+// write-buffer-full stall.
+func (c *Core) persistStore(addr, val, cycle uint64) (int64, bool) {
+	tok, ok := c.hier.PersistStore(c.cfg.CoreID, addr, val, cycle)
+	if !ok {
+		c.st.WBFullStalls++
+	}
+	return tok, ok
+}
+
+// mergeStore merges a retiring store into L1D — its functional value plus
+// the drain timing — and schedules the release of its SQ entry: at the
+// persist acknowledgment of tok under clwb, at the drain otherwise.
+func (c *Core) mergeStore(addr, val uint64, tok int64, cycle uint64) {
+	c.hier.StoreData(addr, val)
+	drainDone := c.hier.Access(c.cfg.CoreID, addr, true, cycle)
+	if c.cfg.Scheme.ClwbPerStore {
+		c.sqAckToks = append(c.sqAckToks, tok)
+	} else {
+		c.sqReleases = append(c.sqReleases, drainDone)
+	}
 }
 
 // logStore offers a committed store to the scheme's persist backend, once,
@@ -717,7 +710,7 @@ func (c *Core) regionDirty() bool {
 	if len(c.csq) > 0 || c.regionStores > 0 {
 		return true
 	}
-	return c.PersistPending() > 0
+	return c.hier.PersistPending(c.cfg.CoreID) > 0
 }
 
 // tryEndRegion attempts to close the current region: every persist
@@ -726,7 +719,8 @@ func (c *Core) regionDirty() bool {
 // opened the next region) and the region's CSQ entries clear
 // (Section 4.2). Returns false if the boundary must keep waiting.
 func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
-	if !c.epochArmed {
+	arming := !c.epochArmed
+	if arming {
 		c.epochArmed = true
 		c.epochArmedAt = cycle
 		c.epochCSQMark = len(c.csq)
@@ -739,47 +733,54 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 			// roll back (or replay in the next region) at recovery.
 			c.backend.ArmBoundary(c.cfg.CoreID, c.committed)
 		}
-		if c.cfg.Scheme.GateStoreBuffer {
-			// The gated stores of the closing region merge into L1D and
-			// enter the persist path now, in one burst — the cost of
-			// gating: no background persistence overlapped the region.
-			// Schemes whose durable image is written by log replay rather
-			// than the accept stream (RedoTxn) skip the persist enqueue.
-			for i := 0; i < c.epochCSQMark; i++ {
-				en := &c.csq[i]
-				c.hier.StoreData(en.Addr, en.Val)
-				drainDone := c.hier.Access(c.cfg.CoreID, en.Addr, true, cycle)
-				if c.cfg.Scheme.AsyncPersist {
-					c.hier.PersistStore(c.cfg.CoreID, en.Addr, en.Val, cycle)
-				}
-				c.sqReleases = append(c.sqReleases, drainDone)
-				c.gatedSQ--
-			}
-		}
-		if c.cfg.Scheme.AsyncPersist {
-			snapCore := c.cfg.CoreID
-			if c.cfg.Threads > 1 && mutation.Is(mutation.PipelineBarrierSnapshotCrossCore) {
-				// Seeded bug PipelineBarrierSnapshotCrossCore: the boundary
-				// snapshots the *next* core's persist counter, so it waits
-				// on the wrong queue — instantly released when that queue
-				// is idle, leaving this core's region not yet durable.
-				snapCore = (c.cfg.CoreID + 1) % c.cfg.Threads
-			}
-			c.epochSnapSeq = c.hier.CurrentPersistSeq(snapCore)
-			if mutation.Is(mutation.PipelineBarrierSnapshotOffByOne) {
-				// Seeded bug: the snapshot misses the newest write-buffer
-				// entry, so the barrier stops waiting one entry early.
-				c.epochSnapSeq--
-			}
-			// The boundary needs the region durable as soon as possible:
-			// cancel the lazy-coalescing lag of pending writebacks.
-			c.hier.FlushWB(c.cfg.CoreID, cycle)
-			if c.sink != nil {
-				c.sink.ObserveBarrierArm(c.cfg.CoreID, cycle)
-			}
+		if c.sink != nil && c.cfg.Scheme.AsyncPersist {
+			c.sink.ObserveBarrierArm(c.cfg.CoreID, cycle)
 		}
 	}
-	if c.cfg.Scheme.AsyncPersist && !c.hier.PersistedThrough(c.cfg.CoreID, c.epochSnapSeq) &&
+	// Store-buffer gating: the closing region's gated stores merge into L1D
+	// and enter the persist path now, in one burst — the cost of gating: no
+	// background persistence overlapped the region. They retire through
+	// commit's own write-buffer step, so a full buffer holds the boundary
+	// and the burst resumes at the oldest store still gated (the unretired
+	// gated stores are always the CSQ's last gatedSQ entries). Schemes whose
+	// durable image is written by log replay (RedoTxn) skip the enqueue.
+	if next := len(c.csq) - c.gatedSQ; next < c.epochCSQMark {
+		for ; next < c.epochCSQMark; next++ {
+			en := &c.csq[next]
+			var tok int64
+			if c.cfg.Scheme.AsyncPersist {
+				var ok bool
+				if tok, ok = c.persistStore(en.Addr, en.Val, cycle); !ok {
+					c.noteDrainWait(cycle)
+					return false
+				}
+			}
+			c.mergeStore(en.Addr, en.Val, tok, cycle)
+			c.gatedSQ--
+		}
+		arming = true // snapshot after the burst's last enqueue
+	}
+	if arming {
+		snapCore := c.cfg.CoreID
+		if c.cfg.Threads > 1 && mutation.Is(mutation.PipelineBarrierSnapshotCrossCore) {
+			// Seeded bug PipelineBarrierSnapshotCrossCore: the boundary
+			// snapshots the *next* core's persist counter, so it waits on
+			// the wrong queue — instantly released when that queue is
+			// idle, leaving this core's region not yet durable.
+			snapCore = (c.cfg.CoreID + 1) % c.cfg.Threads
+		}
+		c.epochSnapSeq = c.hier.CurrentPersistSeq(snapCore)
+		if mutation.Is(mutation.PipelineBarrierSnapshotOffByOne) {
+			// Seeded bug: the snapshot misses the newest write-buffer
+			// entry, so the barrier stops waiting one entry early.
+			c.epochSnapSeq--
+		}
+		// The boundary needs the region durable as soon as possible: cancel
+		// the lazy-coalescing lag of pending writebacks. Once per boundary:
+		// a second flush would subtract the lag again.
+		c.hier.FlushWB(c.cfg.CoreID, cycle)
+	}
+	if !c.hier.PersistedThrough(c.cfg.CoreID, c.epochSnapSeq) &&
 		!mutation.Is(mutation.PipelineBarrierEarlyRelease) {
 		// The mutation guard is seeded bug PipelineBarrierEarlyRelease:
 		// the barrier releases without waiting for the snapshot to drain.
@@ -798,10 +799,7 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 	// boundaries (CSQ-full, sync) cannot drain below their own blocked
 	// instruction, so the frontend freeze is their whole strictness.
 	if c.cfg.Scheme.Barrier == persist.BarrierFullDrain && cause == BoundaryPRF {
-		if c.robLen > 0 {
-			return false
-		}
-		if c.cfg.Scheme.AsyncPersist && c.hier.PersistPending(c.cfg.CoreID) > 0 {
+		if c.robLen > 0 || c.hier.PersistPending(c.cfg.CoreID) > 0 {
 			return false
 		}
 	}
@@ -1230,7 +1228,7 @@ func (c *Core) CheckStructural() error {
 	if n := c.cfg.Scheme.CSQEntries; n > 0 && len(c.csq) > n {
 		return fmt.Errorf("pipeline: CSQ %d exceeds %d", len(c.csq), n)
 	}
-	if c.cfg.Scheme.AsyncPersist && c.hier.PersistPending(c.cfg.CoreID) < 0 {
+	if c.hier.PersistPending(c.cfg.CoreID) < 0 {
 		return fmt.Errorf("pipeline: negative persist counter")
 	}
 	return nil
