@@ -27,7 +27,7 @@ type Config struct {
 	CoreID int
 	// Width is the issue width (default 2).
 	Width int
-	// Scheme must be the baseline or a value-CSQ persistence scheme.
+	// Scheme must retire merge-only or async, with no persist backend.
 	Scheme persist.Config
 	// SyncBaseCost prices synchronization primitives.
 	SyncBaseCost int
@@ -84,8 +84,9 @@ type Core struct {
 	intReady [isa.NumIntRegs]uint64
 	fpReady  [isa.NumFPRegs]uint64
 
-	csq  []pipeline.CSQEntry
-	lcpc uint64
+	csq   []pipeline.CSQEntry
+	lcpc  uint64
+	async bool // RetireAsync: stores also enter the write buffer's persist path
 
 	// Boundary wait state.
 	epochArmed   bool
@@ -108,10 +109,13 @@ func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy) (*Core, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Core{cfg: cfg, prog: prog, hier: hier, next: cfg.StartAt}
-	c.front = isa.RunGolden(prog, cfg.StartAt)
-	c.st.Insts = 0
-	return c, nil
+	r := sc.Retire()
+	syncPersist, eagerFlush := sc.AsyncAblations()
+	if (r != persist.RetireMerge && r != persist.RetireAsync) || syncPersist || eagerFlush || sc.NeedsBackend() {
+		return nil, fmt.Errorf("inorder: the in-order core does not model scheme %s's store retire or persist backend", sc.Kind)
+	}
+	front := isa.RunGolden(prog, cfg.StartAt)
+	return &Core{cfg: cfg, prog: prog, hier: hier, front: front, next: cfg.StartAt, async: r == persist.RetireAsync}, nil
 }
 
 // Done reports whether the trace completed.
@@ -122,9 +126,6 @@ func (c *Core) Stats() *Stats { return &c.st }
 
 // CSQ exposes the live committed store queue.
 func (c *Core) CSQ() []pipeline.CSQEntry { return c.csq }
-
-// LCPC returns the last committed program counter.
-func (c *Core) LCPC() uint64 { return c.lcpc }
 
 // Committed returns the committed instruction count.
 func (c *Core) Committed() int { return c.next }
@@ -207,7 +208,7 @@ func (c *Core) Step(cycle uint64) {
 			val := c.front.StoreLog[len(c.front.StoreLog)-1].Val
 			c.hier.StoreData(in.Addr, val)
 			c.hier.Access(c.cfg.CoreID, in.Addr, true, cycle)
-			if sc.AsyncPersist {
+			if c.async {
 				c.hier.PersistStore(c.cfg.CoreID, in.Addr, val, cycle)
 			}
 			if sc.CSQEntries > 0 {

@@ -88,6 +88,46 @@ func TestInOrderRejectsIndexCSQ(t *testing.T) {
 	}
 }
 
+// TestInOrderSchemeSupport pins which schemes the in-order core models:
+// merge-only and async store retire without a persist backend. Everything
+// else (gating, logging, clwb, a backend, the async ablations) must be
+// rejected, not silently dropped.
+func TestInOrderSchemeSupport(t *testing.T) {
+	p, _ := workload.ByName("gcc")
+	prog := workload.GenerateThread(p, 100, 0)
+	hier := cache.New(cache.DefaultParams(1), nvm.NewDevice(nvm.DefaultConfig()), nil, nil)
+	sync := PPAScheme()
+	sync.SyncStorePersist = true
+	eager := PPAScheme()
+	eager.EagerFlush = true
+	for _, tc := range []struct {
+		name string
+		cfg  persist.Config
+		ok   bool
+	}{
+		{"baseline", persist.BaselineDefault(), true},
+		{"dram-only", persist.DRAMOnlyDefault(), true},
+		{"eadr", persist.EADRDefault(), true},
+		{"in-order ppa", PPAScheme(), true},
+		{"sb-gate", persist.SBGateDefault(), false},
+		{"undolog", persist.UndoLogDefault(), false},
+		{"replaycache", persist.ReplayCacheDefault(), false},
+		{"capri", persist.CapriDefault(), false},
+		{"htpm", persist.HTPMDefault(), false},
+		{"redotxn", persist.RedoTxnDefault(), false},
+		{"sync-persist", sync, false},
+		{"eager-flush", eager, false},
+	} {
+		_, err := New(DefaultConfig(tc.cfg), prog, hier)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: the in-order core must reject it", tc.name)
+		}
+	}
+}
+
 func TestInOrderFunctionalEquivalence(t *testing.T) {
 	p, _ := workload.ByName("xz")
 	prog := workload.GenerateThread(p, 6000, 0)

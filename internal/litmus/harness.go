@@ -25,15 +25,13 @@ type RunOptions struct {
 	// MaxCycles bounds each schedule's run and drain (default 50_000).
 	MaxCycles uint64
 	// Scheme, when non-nil, runs every schedule under this persistence
-	// scheme instead of the default PPA configuration. The harness adapts
-	// its observation point to the scheme's durability carrier: schemes
-	// whose image is fed by the NVM accept stream are checked there, while
-	// redo-logging schemes (whose accept path is silent) are checked on the
-	// durable log stream. Gated schemes may legally finish the trace with an
-	// open region whose stores are still volatile, so their full-drain check
-	// relaxes from the final-outcome set to the allowed set; their crash
-	// legs additionally recover through the scheme's own protocol and
-	// require the recovered image to be an allowed state.
+	// scheme instead of the default PPA configuration. Its retire policy
+	// picks the durability carrier the harness checks: the durable log
+	// stream for RetireGatedLog, the accept stream otherwise, where a gated
+	// scheme's open tail may legally stay volatile, so the full-drain check
+	// relaxes to the allowed set. Transaction schemes' crash legs also
+	// recover through the scheme's own protocol and require the recovered
+	// image to be an allowed state.
 	Scheme *persist.Config
 	// Lockstep additionally runs every schedule under the differential
 	// oracle (slower; used when replaying regression corpora through the
@@ -401,13 +399,8 @@ func runSchedule(c *Compiled, sched int, opt RunOptions) (*recorder, error) {
 		sch = *opt.Scheme
 	}
 	scheme := persist.SchemeFor(sch)
-	// The durability carrier: redo-logging schemes with a silent accept path
-	// are observed on the durable log stream instead.
-	logCarried := sch.RedoLogStores && !sch.AsyncPersist
-	// Gated schemes may legally end the trace with an open region whose
-	// stores are still volatile (staged or gated in the store buffer), so
-	// the full-drain state is a legal intermediate, not a final outcome.
-	openTail := sch.GateStoreBuffer
+	// The durability carrier (RunOptions.Scheme).
+	logCarried := sch.Retire() == persist.RetireGatedLog
 	cfg := multicore.DefaultConfig(n, sch)
 	// Short persist latencies keep 50-schedule sweeps fast while leaving
 	// a window the accept-timing jitter can actually reorder within.
@@ -497,9 +490,9 @@ func runSchedule(c *Compiled, sched int, opt RunOptions) (*recorder, error) {
 			fmt.Sprintf("%d NVM eviction writebacks in a litmus-sized footprint", wb))
 	}
 	key := px86.Key(rec.overlay)
-	if openTail && !logCarried {
-		// The open gated tail is legally volatile; the drained state need
-		// only be allowed, not all-stores-persisted.
+	if sch.Retire() == persist.RetireGated {
+		// The open gated tail is legally volatile on the accept stream; the
+		// drained state need only be allowed, not all-stores-persisted.
 		if !c.Model.MemberKey(key) {
 			rec.fail("forbidden-state", sys.Cycle(), key,
 				"fully-drained NVM state is outside the model's allowed set")
@@ -534,9 +527,6 @@ type CorpusReport struct {
 	// Coverage is observed distinct allowed outcomes / allowed outcomes.
 	Coverage float64 `json:"coverage"`
 }
-
-// Clean reports whether no forbidden outcome was observed anywhere.
-func (r *CorpusReport) Clean() bool { return r.TotalForbidden == 0 }
 
 // RunCorpus runs every test and aggregates soundness and coverage.
 // progress (optional) fires after each test.

@@ -164,6 +164,10 @@ func newSystem(cfg Config, w *workload.Workload, dev *nvm.Device, startAt []int)
 	}
 
 	s := &System{cfg: cfg, w: w, dev: dev, hier: hier, scheme: persist.SchemeFor(cfg.Scheme)}
+	backend := s.scheme.NewBackend(len(w.Threads), dev)
+	if backend != nil {
+		s.backends = append(s.backends, backend)
+	}
 	if cfg.Lockstep {
 		if cfg.engine != nil {
 			s.oracle = cfg.engine
@@ -171,17 +175,15 @@ func newSystem(cfg Config, w *workload.Workload, dev *nvm.Device, startAt []int)
 			s.oracle = oracle.New(w.Threads, startAt)
 		}
 		dev.SetAcceptObserver(s.oracle.ObserveAccept)
-		if cfg.Scheme.UndoLogStores || cfg.Scheme.RedoLogStores {
-			undo := cfg.Scheme.UndoLogStores
+		// A log scheme's records reach the oracle as the device logs them
+		// (Capri's battery-mode RedoPath logs none).
+		if lp, ok := backend.(*persist.LogPath); ok {
+			undo := lp.LogsPreImage()
 			orc := s.oracle
 			dev.SetLogObserver(func(core int, rec nvm.LogRecord) {
 				orc.ObserveLogAppend(core, rec, undo)
 			})
 		}
-	}
-	backend := s.scheme.NewBackend(len(w.Threads), dev)
-	if backend != nil {
-		s.backends = append(s.backends, backend)
 	}
 	for i, prog := range w.Threads {
 		pcfg := cfg.Pipeline

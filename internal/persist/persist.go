@@ -19,6 +19,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 
 	"ppa/internal/nvm"
@@ -125,25 +126,25 @@ type Config struct {
 	// ValueCSQ stores data values in the CSQ instead of PRF indexes (the
 	// Section 6 in-order-core variant).
 	ValueCSQ bool
-	// SyncStorePersist is the no-async-writeback ablation: a committed
-	// store stalls commit until its persist is accepted.
+
+	// The retire flags say how a committed store leaves the core; only the
+	// retire derivation (Retire, AsyncAblations, Validate) reads them.
+	// SyncStorePersist, an ablation of RetireAsync: commit waits for each
+	// store's persist to be accepted.
 	SyncStorePersist bool
-	// EagerFlush starts flushing the write buffer when the CSQ is
-	// three-quarters full, hiding the boundary tail — an extension beyond
-	// the paper's design, off by default.
+	// EagerFlush, an ablation of RetireAsync beyond the paper (off by
+	// default): the write buffer flushes once the CSQ is 3/4 full.
 	EagerFlush bool
 	// GateStoreBuffer holds retired stores in the store buffer — neither
 	// merged into L1D nor written back — until the region boundary, where
-	// they flush and persist in one burst (the Section 6 alternative).
-	// Requires a value-bearing CSQ (the gated data is the recovery log).
+	// they retire in one burst (RetireGated, RetireGatedLog). Requires a
+	// value-bearing CSQ (the gated data is the recovery log).
 	GateStoreBuffer bool
-
 	// AsyncPersist routes committed stores through the L1D write buffer to
-	// the WPQ (PPA and ReplayCache's clwb path).
+	// the WPQ (RetireAsync, RetireClwb, RetireGated).
 	AsyncPersist bool
-	// ClwbPerStore models ReplayCache's clwb: each store occupies an extra
-	// rename slot and holds its store-queue entry until the persist is
-	// accepted.
+	// ClwbPerStore adds ReplayCache's clwb (RetireClwb): an extra rename
+	// slot, and the store-queue entry held until the persist is accepted.
 	ClwbPerStore bool
 
 	// UseRedoPath routes committed stores through a dedicated
@@ -157,14 +158,13 @@ type Config struct {
 
 	// UndoLogStores writes each committed store's pre-image to the durable
 	// per-core persist log before the in-place persist (UndoLog). Requires
-	// the async persist path for the in-place updates and commit-side
-	// (fixed/sync) boundaries so the region-commit marker is exact.
+	// RetireAsync for the in-place updates and commit-side (fixed/sync)
+	// boundaries so the region-commit marker is exact.
 	UndoLogStores bool
 	// RedoLogStores appends each committed store's new value to the durable
 	// per-core persist log; the image learns the values from log replay
-	// authorized at the region-commit marker (RedoTxn, HTPM). Requires
-	// store-buffer gating: uncommitted transaction data must never reach
-	// the caches or the image.
+	// authorized at the region-commit marker (RedoTxn, HTPM). It is a retire
+	// flag too: uncommitted transaction data must stay gated.
 	RedoLogStores bool
 	// LogFlushAtBoundary stages log records in a volatile hardware
 	// transaction buffer and flushes them to the durable log only at the
@@ -321,51 +321,79 @@ func (c Config) Persistent() bool {
 // path), without which a core cannot be built.
 func (c Config) NeedsBackend() bool { return c.UseRedoPath || c.UndoLogStores || c.RedoLogStores }
 
-// Validate reports configuration inconsistencies.
+// Retire is how a committed store leaves the core (Config.Retire).
+type Retire int
+
+const (
+	RetireMerge    Retire = iota // merge into L1D only (baseline, dram-only, eadr, capri)
+	RetireAsync                  // persist through the L1D write buffer, then merge (ppa, undolog)
+	RetireClwb                   // RetireAsync, the SQ entry held until the persist ack (replaycache)
+	RetireGated                  // gated until the boundary, then a write-buffer burst (sb-gate, htpm)
+	RetireGatedLog               // gated, then a merge-only burst; log replay persists (redotxn)
+)
+
+// WriteBuffer reports whether stores persist through the L1D write buffer.
+func (r Retire) WriteBuffer() bool { return r != RetireMerge && r != RetireGatedLog }
+
+// Retire derives the store-retire policy from the retire flags; Validate
+// rejects every combination no policy describes.
+func (c Config) Retire() Retire {
+	switch {
+	case c.GateStoreBuffer && c.AsyncPersist:
+		return RetireGated
+	case c.GateStoreBuffer:
+		return RetireGatedLog
+	case c.ClwbPerStore && c.AsyncPersist:
+		return RetireClwb
+	case c.AsyncPersist:
+		return RetireAsync
+	}
+	return RetireMerge
+}
+
+// AsyncAblations returns RetireAsync's two ablations: SyncStorePersist, EagerFlush.
+func (c Config) AsyncAblations() (bool, bool) { return c.SyncStorePersist, c.EagerFlush }
+
+// Validate reports configuration inconsistencies, among them retire flags
+// that no Retire value describes.
 func (c Config) Validate() error {
-	if c.DynamicRegions && c.FixedRegionLen > 0 {
-		return fmt.Errorf("persist: dynamic and fixed regions are mutually exclusive")
+	r := c.Retire()
+	var bad string
+	switch {
+	case c.DynamicRegions && c.FixedRegionLen > 0:
+		bad = "dynamic and fixed regions are mutually exclusive"
+	case c.Kind == PPA && c.CSQEntries <= 0:
+		bad = "PPA requires a CSQ"
+	case c.UseRedoPath && c.RedoBufBytes <= 0:
+		bad = "redo path requires a buffer size"
+	case c.UseRedoPath && r != RetireMerge:
+		bad = "choose one persist path"
+	case c.Barrier == BarrierStoreGate && !c.UseRedoPath:
+		bad = "the store-gate barrier waits on the redo path"
+	case (r == RetireGated || r == RetireGatedLog) && (!c.ValueCSQ || c.CSQEntries <= 0):
+		bad = "store-buffer gating holds its stores in a value-bearing CSQ"
+	case r == RetireGatedLog && !c.RedoLogStores:
+		bad = "store-buffer gating flushes through the async persist path"
+	case c.ClwbPerStore && r != RetireClwb:
+		bad = "a clwb per store retires ungated through the async persist path"
+	case (c.SyncStorePersist || c.EagerFlush) && r != RetireAsync:
+		bad = "sync-persist and eager-flush are ablations of async retire only"
+	case c.UndoLogStores && c.RedoLogStores:
+		bad = "choose one log discipline"
+	case (c.UndoLogStores || c.RedoLogStores) && c.LogBufBytes <= 0:
+		bad = "persist log requires a buffer size"
+	case c.LogFlushAtBoundary && !c.RedoLogStores:
+		bad = "boundary log flush requires redo logging"
+	case c.UndoLogStores && r != RetireAsync:
+		bad = "undo logging persists stores in place through the async path"
+	case c.UndoLogStores && c.DynamicRegions:
+		bad = "undo logging requires commit-side (fixed or sync) boundaries"
+	case c.RedoLogStores && r != RetireGated && r != RetireGatedLog:
+		bad = "redo logging gates stores until the commit marker"
+	default:
+		return nil
 	}
-	if c.Kind == PPA && c.CSQEntries <= 0 {
-		return fmt.Errorf("persist: PPA requires a CSQ")
-	}
-	if c.UseRedoPath && c.RedoBufBytes <= 0 {
-		return fmt.Errorf("persist: redo path requires a buffer size")
-	}
-	if c.AsyncPersist && c.UseRedoPath {
-		return fmt.Errorf("persist: choose one persist path")
-	}
-	if c.Barrier == BarrierStoreGate && !c.UseRedoPath {
-		return fmt.Errorf("persist: the store-gate barrier waits on the redo path")
-	}
-	if c.GateStoreBuffer && (!c.ValueCSQ || c.CSQEntries <= 0) {
-		return fmt.Errorf("persist: store-buffer gating holds its stores in a value-bearing CSQ")
-	}
-	if c.GateStoreBuffer && !c.AsyncPersist && !c.RedoLogStores {
-		return fmt.Errorf("persist: store-buffer gating flushes through the async persist path")
-	}
-	if c.UndoLogStores && c.RedoLogStores {
-		return fmt.Errorf("persist: choose one log discipline")
-	}
-	if (c.UndoLogStores || c.RedoLogStores) && c.LogBufBytes <= 0 {
-		return fmt.Errorf("persist: persist log requires a buffer size")
-	}
-	if c.LogFlushAtBoundary && !c.RedoLogStores {
-		return fmt.Errorf("persist: boundary log flush requires redo logging")
-	}
-	if c.UndoLogStores && !c.AsyncPersist {
-		return fmt.Errorf("persist: undo logging persists stores in place through the async path")
-	}
-	if c.UndoLogStores && c.GateStoreBuffer {
-		return fmt.Errorf("persist: undo logging updates in place; store gating contradicts it")
-	}
-	if c.UndoLogStores && c.DynamicRegions {
-		return fmt.Errorf("persist: undo logging requires commit-side (fixed or sync) boundaries")
-	}
-	if c.RedoLogStores && !c.GateStoreBuffer {
-		return fmt.Errorf("persist: redo logging gates stores until the commit marker")
-	}
-	return nil
+	return errors.New("persist: " + bad)
 }
 
 // RedoPath is Capri's battery-backed redo buffer: a LogPath in

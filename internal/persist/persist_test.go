@@ -50,6 +50,70 @@ func TestValidateRejectsContradictions(t *testing.T) {
 	if c.Validate() == nil {
 		t.Fatal("store-buffer gating without a CSQ to hold the gated stores must be rejected")
 	}
+
+	// Retire knobs no store-retire policy describes: a clwb without the
+	// async persist path (it hangs the machine), a clwb on gated stores, and
+	// the async ablations anywhere but RetireAsync (they do nothing there).
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		set  func(*Config)
+	}{
+		{"clwb on capri", CapriDefault(), func(c *Config) { c.ClwbPerStore = true }},
+		{"clwb on redotxn", RedoTxnDefault(), func(c *Config) { c.ClwbPerStore = true }},
+		{"clwb on baseline", BaselineDefault(), func(c *Config) { c.ClwbPerStore = true }},
+		{"clwb on sb-gate", SBGateDefault(), func(c *Config) { c.ClwbPerStore = true }},
+		{"clwb on htpm", HTPMDefault(), func(c *Config) { c.ClwbPerStore = true }},
+		{"sync-persist on sb-gate", SBGateDefault(), func(c *Config) { c.SyncStorePersist = true }},
+		{"sync-persist on htpm", HTPMDefault(), func(c *Config) { c.SyncStorePersist = true }},
+		{"sync-persist on redotxn", RedoTxnDefault(), func(c *Config) { c.SyncStorePersist = true }},
+		{"sync-persist on capri", CapriDefault(), func(c *Config) { c.SyncStorePersist = true }},
+		{"eager-flush on sb-gate", SBGateDefault(), func(c *Config) { c.EagerFlush = true }},
+		{"eager-flush on htpm", HTPMDefault(), func(c *Config) { c.EagerFlush = true }},
+		{"eager-flush on redotxn", RedoTxnDefault(), func(c *Config) { c.EagerFlush = true }},
+		{"eager-flush on capri", CapriDefault(), func(c *Config) { c.EagerFlush = true }},
+	} {
+		c := tc.cfg
+		tc.set(&c)
+		if c.Validate() == nil {
+			t.Errorf("%s must be rejected", tc.name)
+		}
+	}
+}
+
+func TestRetirePolicies(t *testing.T) {
+	sync := PPADefault()
+	sync.SyncStorePersist = true
+	eager := PPADefault()
+	eager.EagerFlush = true
+	for _, tc := range []struct {
+		cfg  Config
+		want Retire
+	}{
+		{BaselineDefault(), RetireMerge},
+		{DRAMOnlyDefault(), RetireMerge},
+		{EADRDefault(), RetireMerge},
+		{CapriDefault(), RetireMerge},
+		{PPADefault(), RetireAsync},
+		{UndoLogDefault(), RetireAsync},
+		{sync, RetireAsync},
+		{eager, RetireAsync},
+		{ReplayCacheDefault(), RetireClwb},
+		{SBGateDefault(), RetireGated},
+		{HTPMDefault(), RetireGated},
+		{RedoTxnDefault(), RetireGatedLog},
+	} {
+		if err := tc.cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.cfg.Kind, err)
+		}
+		r := tc.cfg.Retire()
+		if r != tc.want {
+			t.Errorf("%s retires as %d, want %d", tc.cfg.Kind, r, tc.want)
+		}
+		if r.WriteBuffer() != tc.cfg.AsyncPersist {
+			t.Errorf("%s: WriteBuffer() = %v with AsyncPersist %v", tc.cfg.Kind, r.WriteBuffer(), tc.cfg.AsyncPersist)
+		}
+	}
 }
 
 func TestPersistentClassification(t *testing.T) {

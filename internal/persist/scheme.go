@@ -4,10 +4,11 @@ package persist
 // of the machine used to decide with scattered flag and Kind conditionals
 // — hierarchy tuning, persist-backend construction, crash-time flushing,
 // which checks the durable image admits, and how recovery reconstructs it —
-// asked of the scheme itself. One implementation per Kind; SchemeFor is the
-// single dispatch point. Adding a scheme means adding a Kind, a default
-// Config, and one implementation here; the lockstep, torture, mutation and
-// litmus gates pick it up through the interface.
+// asked of the scheme itself; how a store retires is its Config's Retire.
+// SchemeFor is the single dispatch point from Kind to implementation.
+// Adding a scheme means adding a Kind, a default Config, and its answers
+// here; the lockstep, torture, mutation and litmus gates pick it up
+// through the interface.
 
 import "ppa/internal/nvm"
 
@@ -124,20 +125,14 @@ type base struct{ cfg Config }
 func (b base) Kind() Kind     { return b.cfg.Kind }
 func (b base) Config() Config { return b.cfg }
 func (b base) Tuning() HierarchyTuning {
-	return HierarchyTuning{SlowPersistAck: b.cfg.ClwbPerStore}
+	return HierarchyTuning{SlowPersistAck: b.cfg.Retire() == RetireClwb}
 }
-func (b base) NewBackend(cores int, dev *nvm.Device) Backend { return nil }
-func (b base) FlushOnFailure() bool                          { return false }
-func (b base) ImageFromAcceptStream() bool {
-	return b.cfg.AsyncPersist && !b.cfg.UseRedoPath
-}
-func (b base) VerifiesArchState() bool { return false }
-func (b base) Contract() RecoveryContract {
-	return RecoverNone
-}
+func (b base) NewBackend(cores int, dev *nvm.Device) Backend     { return nil }
+func (b base) FlushOnFailure() bool                              { return false }
+func (b base) ImageFromAcceptStream() bool                       { return b.cfg.Retire().WriteBuffer() }
+func (b base) VerifiesArchState() bool                           { return false }
+func (b base) Contract() RecoveryContract                        { return RecoverNone }
 func (b base) Recover(dev *nvm.Device, cores int) ([]int, error) { return nil, nil }
-
-type baselineScheme struct{ base }
 
 type dramOnlyScheme struct{ base }
 
@@ -148,8 +143,6 @@ type eadrScheme struct{ base }
 func (eadrScheme) Tuning() HierarchyTuning    { return HierarchyTuning{Mode: MemAppDirect} }
 func (eadrScheme) FlushOnFailure() bool       { return true }
 func (eadrScheme) Contract() RecoveryContract { return RecoverCommittedPrefix }
-
-type replayCacheScheme struct{ base }
 
 type ppaScheme struct{ base }
 
@@ -167,34 +160,19 @@ func (c capriScheme) NewBackend(cores int, dev *nvm.Device) Backend {
 }
 func (capriScheme) Contract() RecoveryContract { return RecoverCommittedPrefix }
 
-type undoLogScheme struct{ base }
-
-func (u undoLogScheme) NewBackend(cores int, dev *nvm.Device) Backend {
-	return NewLogPath(cores, u.cfg.LogBufBytes, u.cfg.LogDrainCycles, LogModeUndo, dev)
-}
-func (undoLogScheme) Contract() RecoveryContract { return RecoverTxnBoundary }
-func (u undoLogScheme) Recover(dev *nvm.Device, cores int) ([]int, error) {
-	return RecoverLog(u.cfg, dev, cores)
+// logScheme is the transaction schemes (undolog, redotxn, htpm): a log
+// path in the scheme's discipline, recovered to the last commit marker.
+type logScheme struct {
+	base
+	mode LogMode
 }
 
-type redoTxnScheme struct{ base }
-
-func (r redoTxnScheme) NewBackend(cores int, dev *nvm.Device) Backend {
-	return NewLogPath(cores, r.cfg.LogBufBytes, r.cfg.LogDrainCycles, LogModeRedo, dev)
+func (l logScheme) NewBackend(cores int, dev *nvm.Device) Backend {
+	return NewLogPath(cores, l.cfg.LogBufBytes, l.cfg.LogDrainCycles, l.mode, dev)
 }
-func (redoTxnScheme) Contract() RecoveryContract { return RecoverTxnBoundary }
-func (r redoTxnScheme) Recover(dev *nvm.Device, cores int) ([]int, error) {
-	return RecoverLog(r.cfg, dev, cores)
-}
-
-type htpmScheme struct{ base }
-
-func (h htpmScheme) NewBackend(cores int, dev *nvm.Device) Backend {
-	return NewLogPath(cores, h.cfg.LogBufBytes, h.cfg.LogDrainCycles, LogModeStaged, dev)
-}
-func (htpmScheme) Contract() RecoveryContract { return RecoverTxnBoundary }
-func (h htpmScheme) Recover(dev *nvm.Device, cores int) ([]int, error) {
-	return RecoverLog(h.cfg, dev, cores)
+func (logScheme) Contract() RecoveryContract { return RecoverTxnBoundary }
+func (l logScheme) Recover(dev *nvm.Device, cores int) ([]int, error) {
+	return RecoverLog(l.cfg, dev, cores)
 }
 
 // SchemeFor wraps a validated Config in its Kind's Scheme implementation.
@@ -203,8 +181,6 @@ func SchemeFor(cfg Config) Scheme {
 	switch cfg.Kind {
 	case PPA:
 		return ppaScheme{b}
-	case ReplayCache:
-		return replayCacheScheme{b}
 	case Capri:
 		return capriScheme{b}
 	case EADR:
@@ -214,12 +190,12 @@ func SchemeFor(cfg Config) Scheme {
 	case SBGate:
 		return sbGateScheme{b}
 	case UndoLog:
-		return undoLogScheme{b}
+		return logScheme{b, LogModeUndo}
 	case RedoTxn:
-		return redoTxnScheme{b}
+		return logScheme{b, LogModeRedo}
 	case HTPM:
-		return htpmScheme{b}
-	default:
-		return baselineScheme{b}
+		return logScheme{b, LogModeStaged}
+	default: // baseline and replaycache take base's answers
+		return b
 	}
 }

@@ -252,6 +252,7 @@ type Core struct {
 	// redo buffer, LogFullStalls for a log path.
 	backend     *persist.LogPath
 	backendFull *uint64
+	retire      persist.Retire // the scheme's store-retire policy
 
 	rob     []robEntry
 	robHead int
@@ -381,6 +382,7 @@ func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.B
 	if redo {
 		c.backendFull = &c.st.RedoFullStalls
 	}
+	c.retire = cfg.Scheme.Retire()
 	c.committed = cfg.StartAt
 	c.stop = prog.Len()
 	if cfg.StopAt > 0 && cfg.StopAt < prog.Len() {
@@ -556,6 +558,7 @@ func (c *Core) commitStage(cycle uint64) {
 // commit stage must stall this cycle.
 func (c *Core) commitStore(e *robEntry, cycle uint64) bool {
 	sc := &c.cfg.Scheme
+	syncPersist, eagerFlush := sc.AsyncAblations()
 
 	// A full CSQ is an implicit region boundary (Section 4.2).
 	if sc.CSQEntries > 0 && len(c.csq) >= sc.CSQEntries {
@@ -574,30 +577,32 @@ func (c *Core) commitStore(e *robEntry, cycle uint64) bool {
 		return false
 	}
 
-	if sc.GateStoreBuffer {
+	switch c.retire {
+	case persist.RetireGated, persist.RetireGatedLog:
 		// Store-buffer gating (Section 6 alternative): the store neither
 		// merges into L1D nor writes back now — it sits in the gated SB (the
 		// value-bearing CSQ) until the region boundary retires it. The SQ
 		// entry stays occupied the whole time: the pressure the paper warns
 		// about.
 		c.gatedSQ++
-	} else {
-		// The persist path must accept the store before it can retire.
-		if sc.AsyncPersist && !e.persistEnqueued {
+	case persist.RetireMerge:
+		c.mergeStore(e.addr, e.storeVal, 0, cycle)
+	default:
+		// The write buffer must accept the store before it can retire.
+		if !e.persistEnqueued {
 			tok, ok := c.persistStore(e.addr, e.storeVal, cycle)
 			if !ok {
 				return false
 			}
 			e.persistEnqueued = true
 			e.persistTok = tok
-			if sc.SyncStorePersist {
+			if syncPersist {
 				// No-async ablation: this store's writeback must not linger
 				// in the coalescing window — it is about to be waited on.
 				c.hier.FlushWB(c.cfg.CoreID, cycle)
 			}
 		}
-		if sc.SyncStorePersist && e.persistEnqueued &&
-			!c.hier.PersistAcked(c.cfg.CoreID, e.persistTok) {
+		if syncPersist && !c.hier.PersistAcked(c.cfg.CoreID, e.persistTok) {
 			// No-async ablation: wait for durability before retiring.
 			c.noteRegionStall(cycle)
 			return false
@@ -634,7 +639,7 @@ func (c *Core) commitStore(e *robEntry, cycle uint64) bool {
 		// lazily coalescing and push the pending writebacks toward the WPQ
 		// now, overlapping their persistence with the region's remaining
 		// execution.
-		if sc.EagerFlush && sc.AsyncPersist && !c.eagerFlushed && len(c.csq) >= sc.CSQEntries*3/4 {
+		if eagerFlush && !c.eagerFlushed && len(c.csq) >= sc.CSQEntries*3/4 {
 			c.hier.FlushWB(c.cfg.CoreID, cycle)
 			c.eagerFlushed = true
 		}
@@ -659,7 +664,7 @@ func (c *Core) persistStore(addr, val, cycle uint64) (int64, bool) {
 func (c *Core) mergeStore(addr, val uint64, tok int64, cycle uint64) {
 	c.hier.StoreData(addr, val)
 	drainDone := c.hier.Access(c.cfg.CoreID, addr, true, cycle)
-	if c.cfg.Scheme.ClwbPerStore {
+	if c.retire == persist.RetireClwb {
 		c.sqAckToks = append(c.sqAckToks, tok)
 	} else {
 		c.sqReleases = append(c.sqReleases, drainDone)
@@ -733,7 +738,7 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 			// roll back (or replay in the next region) at recovery.
 			c.backend.ArmBoundary(c.cfg.CoreID, c.committed)
 		}
-		if c.sink != nil && c.cfg.Scheme.AsyncPersist {
+		if c.sink != nil && c.retire.WriteBuffer() {
 			c.sink.ObserveBarrierArm(c.cfg.CoreID, cycle)
 		}
 	}
@@ -742,13 +747,13 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 	// background persistence overlapped the region. They retire through
 	// commit's own write-buffer step, so a full buffer holds the boundary
 	// and the burst resumes at the oldest store still gated (the unretired
-	// gated stores are always the CSQ's last gatedSQ entries). Schemes whose
-	// durable image is written by log replay (RedoTxn) skip the enqueue.
+	// gated stores are always the CSQ's last gatedSQ entries). RetireGatedLog
+	// skips the enqueue: log replay writes its durable image.
 	if next := len(c.csq) - c.gatedSQ; next < c.epochCSQMark {
 		for ; next < c.epochCSQMark; next++ {
 			en := &c.csq[next]
 			var tok int64
-			if c.cfg.Scheme.AsyncPersist {
+			if c.retire == persist.RetireGated {
 				var ok bool
 				if tok, ok = c.persistStore(en.Addr, en.Val, cycle); !ok {
 					c.noteDrainWait(cycle)
@@ -828,7 +833,7 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 	c.closeRegionStats(cycle, cause, cycle-c.epochArmedAt)
 	c.epochArmed = false
 	c.eagerFlushed = false
-	if c.sink != nil && c.cfg.Scheme.AsyncPersist {
+	if c.sink != nil && c.retire.WriteBuffer() {
 		c.sink.ObserveBarrierComplete(c.cfg.CoreID, cycle, cause)
 	}
 	return true
@@ -1002,7 +1007,7 @@ func (c *Core) renameStage(cycle uint64) {
 			c.st.SQFullStalls++
 			// Under store-buffer gating, a store queue full of gated
 			// entries can only clear through a region boundary.
-			if c.cfg.Scheme.GateStoreBuffer && c.gatedSQ > 0 {
+			if c.gatedSQ > 0 {
 				c.boundaryPending = true
 				c.boundaryCause = BoundaryCSQ
 				if !c.resolveBoundary(cycle) {
@@ -1050,7 +1055,7 @@ func (c *Core) renameStage(cycle uint64) {
 		}
 		c.sinceBoundary++
 		w--
-		if c.cfg.Scheme.ClwbPerStore && in.Op.IsStore() {
+		if c.retire == persist.RetireClwb && in.Op.IsStore() {
 			// The injected clwb consumes a pipeline slot too.
 			w--
 		}

@@ -37,10 +37,10 @@ type CommitEvent struct {
 }
 
 // CommitSink receives the core's commit stream and its region-barrier
-// lifecycle. Barrier events fire only for asynchronous-persist schemes
-// (where the boundary actually waits on a persist snapshot); they bracket
-// one epoch: Arm when the boundary snapshots its persist horizon, Complete
-// when it releases.
+// lifecycle. Barrier events fire only under the write-buffer retire
+// policies (persist.RetireAsync, RetireClwb, RetireGated), whose boundary
+// waits on a persist snapshot; they bracket one epoch: Arm when the
+// boundary snapshots its persist horizon, Complete when it releases.
 //
 // The sink is called synchronously from the cycle loop; implementations
 // must not retain the *CommitEvent, which is reused across calls.

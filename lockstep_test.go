@@ -3,6 +3,8 @@ package ppa
 import (
 	"encoding/json"
 	"testing"
+
+	"ppa/internal/persist"
 )
 
 // TestLockstepCleanAllWorkloads runs every workload profile under the
@@ -64,6 +66,42 @@ func TestLockstepCrashRecovery(t *testing.T) {
 	}
 	if out.ResumedResult == nil {
 		t.Fatal("no resumed result")
+	}
+}
+
+// TestEagerFlushAblation covers PPA's eager pre-boundary flush, the one
+// retire knob nothing else turns on: it must change timing, keep the
+// lockstep oracle clean, and keep a crashed run's recovery consistent.
+func TestEagerFlushAblation(t *testing.T) {
+	eager := persist.PPADefault()
+	eager.EagerFlush = true
+	for _, app := range []string{"sjeng", "water-ns"} {
+		app := app
+		t.Run(app, func(t *testing.T) {
+			t.Parallel()
+			base, err := Run(RunConfig{App: app, Scheme: SchemePPA, InstsPerThread: 8000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc := RunConfig{App: app, SchemeOverride: &eager, InstsPerThread: 8000, Lockstep: true}
+			res, err := Run(rc)
+			if err != nil {
+				t.Fatalf("lockstep with eager flush: %v", err)
+			}
+			if res.Cycles == base.Cycles {
+				t.Fatalf("eager flush left cycles unchanged at %d", res.Cycles)
+			}
+			out, err := RunWithFailure(rc, res.Cycles/2)
+			if err != nil {
+				t.Fatalf("run with failure: %v", err)
+			}
+			if out.CompletedBeforeFailure {
+				t.Fatal("failure never struck")
+			}
+			if !out.Consistent || !out.ArchConsistent || out.OracleViolation != "" {
+				t.Fatalf("eager-flush recovery inconsistent: %+v", out)
+			}
+		})
 	}
 }
 

@@ -229,6 +229,20 @@ func TestCharacterize(t *testing.T) {
 	}
 }
 
+// TestCustomizerRejectsUnsupportedRetire: a JSON override that gives a
+// scheme a retire knob no store-retire policy describes must fail at
+// assembly. A clwb per store on Capri, which has no async persist path,
+// used to be accepted and then hang the machine.
+func TestCustomizerRejectsUnsupportedRetire(t *testing.T) {
+	customize, err := MachineCustomizer([]byte(`{"Scheme":{"ClwbPerStore":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSystem(RunConfig{App: "mcf", Scheme: SchemeCapri, InstsPerThread: 4000, Customize: customize}); err == nil {
+		t.Fatal("capri with a clwb per store must be rejected")
+	}
+}
+
 func TestMachineConfigJSON(t *testing.T) {
 	tmpl, err := DefaultMachineConfigJSON(8, SchemePPA)
 	if err != nil {
