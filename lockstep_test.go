@@ -1,6 +1,8 @@
 package ppa
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -105,9 +107,16 @@ func TestEagerFlushAblation(t *testing.T) {
 	}
 }
 
+// mutationGateReportSHA256 is the SHA-256 of the default campaign's JSON
+// report. The report quotes every catching check's message (each oracle
+// Divergence.String() included), so the pin holds the divergence text
+// byte-identical end to end, not just between two runs of one binary.
+const mutationGateReportSHA256 = "9dd30cb44caec69ec6c99b746f3fd602021fd6c268c44c172244c5a062af9de0"
+
 // TestMutationGate is the CI oracle gate: every seeded single-site bug must
 // be caught by the lockstep oracle or the crash-consistency checks, with no
-// false alarms on the unmutated simulator.
+// false alarms on the unmutated simulator, and the report must match the
+// pinned digest.
 func TestMutationGate(t *testing.T) {
 	rep, err := RunMutationCampaign(MutationCampaignConfig{Seed: 1})
 	if err != nil {
@@ -123,6 +132,14 @@ func TestMutationGate(t *testing.T) {
 	}
 	if !rep.AllCaught() {
 		t.Fatalf("%s", rep.String())
+	}
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != mutationGateReportSHA256 {
+		t.Fatalf("campaign report digest %s, want %s:\n%s", got, mutationGateReportSHA256, b)
 	}
 }
 
