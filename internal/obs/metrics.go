@@ -576,7 +576,8 @@ type Hub struct {
 }
 
 // NewHub returns a hub with a fresh registry and a tracer of the given ring
-// capacity (DefaultTraceCapacity when <= 0). The registry carries a live
+// capacity (DefaultTraceCapacity when <= 0); the ring grows on demand up to
+// that capacity, so an idle hub is cheap. The registry carries a live
 // "trace.dropped" gauge over the tracer's overwrite count, so a truncated
 // trace ring is visible in every metrics view instead of failing silently.
 func NewHub(traceCapacity int) *Hub {

@@ -85,28 +85,31 @@ type Event struct {
 	Args [MaxEventArgs]Arg
 }
 
-// Tracer records events into a fixed-capacity ring buffer: when full, the
-// oldest events are overwritten, so the buffer always holds the most recent
-// window. A nil Tracer discards every Emit with only a nil check — the
-// disabled fast path the simulator's hot loops rely on.
+// Tracer records events into a ring buffer that grows on demand up to its
+// capacity: when full, the oldest events are overwritten, so the buffer
+// always holds the most recent window. A nil Tracer discards every Emit
+// with only a nil check — the disabled fast path the simulator's hot loops
+// rely on.
 type Tracer struct {
 	mu    sync.Mutex
 	buf   []Event
+	size  int  // capacity: buf grows on demand up to size events
 	next  int  // next write position
 	wrap  bool // buffer has wrapped at least once
 	total uint64
 }
 
-// DefaultTraceCapacity is the ring capacity NewHub uses: large enough to
-// hold every event of a typical quickstart-scale run.
+// DefaultTraceCapacity is the ring capacity NewHub uses: a bound, not a
+// preallocation, large enough to hold every event of a quickstart-scale run.
 const DefaultTraceCapacity = 1 << 20
 
-// NewTracer creates a tracer whose ring holds capacity events (minimum 1).
+// NewTracer creates a tracer whose ring holds up to capacity events
+// (minimum 1); the ring starts empty and grows on demand up to capacity.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{buf: make([]Event, 0, capacity)}
+	return &Tracer{size: capacity}
 }
 
 // Enabled reports whether the tracer records events.
@@ -118,13 +121,16 @@ func (t *Tracer) Emit(ev Event) {
 		return
 	}
 	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
+	if len(t.buf) < t.size {
+		if len(t.buf) == cap(t.buf) { // double, but never past the bound
+			t.buf = append(make([]Event, 0, min(max(2*cap(t.buf), 64), t.size)), t.buf...)
+		}
 		t.buf = append(t.buf, ev)
 	} else {
 		t.buf[t.next] = ev
 		t.wrap = true
 	}
-	t.next = (t.next + 1) % cap(t.buf)
+	t.next = (t.next + 1) % t.size
 	t.total++
 	t.mu.Unlock()
 }

@@ -261,27 +261,30 @@ func (m *Machine) checkCommit(ev *pipeline.CommitEvent) {
 		}
 	}
 
-	coreDelta := describeCommit(ev)
-	oracleDelta := describeGolden(in, wantDst, wantStoreAddr, wantStoreVal, isStore)
+	// Find the mismatch first; describe the commit only on a divergence.
+	var field string
+	var got, want uint64
 	switch {
 	case ev.PC != in.PC:
-		fail("pc", ev.PC, in.PC, coreDelta, oracleDelta)
+		field, got, want = "pc", ev.PC, in.PC
 	case ev.LCPC != in.PC:
-		fail("lcpc", ev.LCPC, in.PC, coreDelta, oracleDelta)
+		field, got, want = "lcpc", ev.LCPC, in.PC
 	case ev.DstValid != in.DefinesReg():
-		fail("dst-valid", boolWord(ev.DstValid), boolWord(in.DefinesReg()), coreDelta, oracleDelta)
+		field, got, want = "dst-valid", boolWord(ev.DstValid), boolWord(in.DefinesReg())
 	case ev.DstValid && ev.DstVal != wantDst:
-		fail("dst-value", ev.DstVal, wantDst, coreDelta, oracleDelta)
+		field, got, want = "dst-value", ev.DstVal, wantDst
 	case ev.DstValid && ev.CRTVal != wantDst:
-		fail("crt-value", ev.CRTVal, wantDst, coreDelta, oracleDelta)
+		field, got, want = "crt-value", ev.CRTVal, wantDst
 	case ev.IsStore != isStore:
-		fail("store-valid", boolWord(ev.IsStore), boolWord(isStore), coreDelta, oracleDelta)
+		field, got, want = "store-valid", boolWord(ev.IsStore), boolWord(isStore)
 	case isStore && ev.StoreAddr != wantStoreAddr:
-		fail("store-addr", ev.StoreAddr, wantStoreAddr, coreDelta, oracleDelta)
+		field, got, want = "store-addr", ev.StoreAddr, wantStoreAddr
 	case isStore && ev.StoreVal != wantStoreVal:
-		fail("store-value", ev.StoreVal, wantStoreVal, coreDelta, oracleDelta)
+		field, got, want = "store-value", ev.StoreVal, wantStoreVal
 	}
-	if m.div != nil {
+	if field != "" {
+		fail(field, got, want, describeCommit(ev),
+			describeGolden(in, wantDst, wantStoreAddr, wantStoreVal, isStore))
 		return
 	}
 

@@ -151,7 +151,8 @@ const DefaultInsts = 60_000
 // NewObsHub builds an observability hub (metrics registry + event tracer)
 // for RunConfig.Obs or DefaultObs. traceCapacity bounds the trace ring
 // buffer in events; <= 0 selects the default (2^20 events, keeping the most
-// recent window). The hub lives in an internal package, so this constructor
+// recent window). The ring grows on demand up to that bound instead of
+// being allocated up front. The hub lives in an internal package, so this constructor
 // and the Write* helpers below are the public handle: callers hold the
 // returned value opaquely and chain its methods.
 func NewObsHub(traceCapacity int) *obs.Hub {

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"sync/atomic"
 	"testing"
+
+	"ppa/internal/forensics"
+	"ppa/internal/mutation"
 )
 
 // TestParallelTortureSweepMatchesSequential pins the parallel sweep
@@ -12,15 +15,33 @@ import (
 // produce a byte-identical report (violations, detection counts,
 // reproducers, kind coverage — everything RunTorture aggregates) to the
 // sequential sweep, and onPoint must still fire once per point in sweep
-// order. Run under -race this also proves the per-worker obs hubs keep the
-// engine data-race-free.
+// order. The lockstep cases cover the oracle-checked sweep under PPA and a
+// log scheme (the settings of the crash-sweep benchmark). Run under -race
+// this also proves the per-worker obs hubs keep the engine data-race-free.
 func TestParallelTortureSweepMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture sweep is slow")
 	}
-	rc := RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: 1000}
-	points := TorturePoints(7, 24, 200, 2500)
+	cases := []struct {
+		name   string
+		rc     RunConfig
+		points []TorturePoint
+	}{
+		{"ppa", RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: 1000},
+			TorturePoints(7, 24, 200, 2500)},
+		{"ppa-lockstep", RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: 1000, Lockstep: true},
+			TorturePoints(7, 8, 200, 2500)},
+		{"undolog-lockstep", RunConfig{App: "mcf", Scheme: SchemeUndoLog, InstsPerThread: 1000, Lockstep: true},
+			TorturePoints(7, 8, 200, 2500)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			checkParallelMatchesSequential(t, c.rc, c.points)
+		})
+	}
+}
 
+func checkParallelMatchesSequential(t *testing.T, rc RunConfig, points []TorturePoint) {
 	seq, err := RunTorture(rc, points, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +75,32 @@ func TestParallelTortureSweepMatchesSequential(t *testing.T) {
 	if string(seqJSON) != string(parJSON) {
 		t.Fatalf("parallel sweep diverged from sequential:\nseq: %s\npar: %s",
 			seqJSON, parJSON)
+	}
+}
+
+// TestParallelTortureForensicsCarryTrace: every violation bundle a parallel
+// sweep captures carries the divergence report and the tail of its
+// worker's trace ring — the evidence a per-worker hub without a ring would
+// lose. Not parallel: the seeded-bug registry is process-global.
+func TestParallelTortureForensicsCarryTrace(t *testing.T) {
+	mutation.Enable(mutation.RenameCRTStaleTag)
+	defer mutation.Disable()
+	rec := NewForensicsRecorder(t.TempDir(), 0)
+	rc := RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: 1000, Lockstep: true, Forensics: rec}
+	if _, err := RunTortureParallel(context.Background(), rc, TorturePoints(7, 4, 200, 2500), 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	bundles := rec.Bundles()
+	if len(bundles) == 0 {
+		t.Fatal("seeded rename bug captured no bundle")
+	}
+	for i, b := range bundles {
+		if len(b.Divergence) == 0 {
+			t.Fatalf("bundle %d (%s) has no divergence report", i, b.Meta.Reason)
+		}
+		if n := len(b.Trace); n == 0 || n > forensics.DefaultTraceTail {
+			t.Fatalf("bundle %d carries %d trace events, want 1..%d", i, n, forensics.DefaultTraceTail)
+		}
 	}
 }
 
