@@ -4,8 +4,8 @@ package ppa
 // Core.Step+Hierarchy.Tick (the quantity the allocation-free refactor
 // targets), and the torture sweep's sequential-vs-parallel wall clock.
 // TestCoreStepAllocCeiling is the CI gate that keeps the cycle loop
-// allocation-free; BENCH_PR3.json (see cmd/ppabench -benchjson) commits the
-// measured trajectory.
+// allocation-free. End-to-end throughput is measured and gated with
+// perfbench (perfbench/README.md, .github/perf-gate.sh).
 
 import (
 	"context"

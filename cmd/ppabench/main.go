@@ -8,7 +8,6 @@
 //	ppabench -zoo                  # full scheme-zoo slowdown comparison
 //	ppabench -all                  # everything
 //	ppabench -fig 8 -insts 100000  # higher resolution
-//	ppabench -benchjson BENCH_PR3.json  # machine-readable benchmark trajectory
 //
 // Output is the paper's row/series structure: per-application bars with
 // the geometric-mean summary the corresponding figure reports.
@@ -42,7 +41,6 @@ func main() {
 	all := flag.Bool("all", false, "regenerate everything")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of every simulated run (open in chrome://tracing or Perfetto)")
 	metricsPath := flag.String("metrics", "", "write the aggregated metrics registry as JSON Lines")
-	benchJSON := flag.String("benchjson", "", "re-run the hot-loop/throughput/sweep benchmarks and write the trajectory JSON to this path")
 	serveAddr := flag.String("serve", "", "serve live observability over HTTP for the duration of the campaign (endpoints /metrics, /snapshot.json, /trace)")
 	flag.Parse()
 
@@ -64,8 +62,6 @@ func main() {
 	}
 
 	switch {
-	case *benchJSON != "":
-		runBenchJSON(*benchJSON)
 	case *all:
 		for _, f := range []int{1, 5, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19} {
 			runFig(f)

@@ -1,14 +1,12 @@
-// ppareport diff: cross-run regression gate. It loads two performance
-// snapshots — benchmark trajectories (`ppabench -benchjson`), metric
-// registry snapshots (`/snapshot.json` or `ppasim -metrics` JSON Lines) —
-// flattens each into a comparable key→value series, and reports every
-// drift beyond the threshold. Keys are classified lower-is-better or
-// higher-is-better by regexp; a gated key that moves in its bad direction
-// by more than -threshold-pct is a regression and the command exits 1, so
-// CI can diff a fresh run against the committed baseline.
+// ppareport diff: cross-run regression gate. It loads two metric registry
+// snapshots (`/snapshot.json` arrays or `-metrics` JSON Lines), flattens
+// each into a comparable key→value series, and reports every drift beyond
+// the threshold. Keys are classified lower-is-better or higher-is-better by
+// regexp; a gated key that moves in its bad direction by more than
+// -threshold-pct is a regression and the command exits 1.
 //
-//	ppareport diff BENCH_PR3.json bench-now.json
 //	ppareport diff -threshold-pct 50 -out diff.json old-metrics.jsonl new-metrics.jsonl
+//	ppareport diff -two-sided -threshold-pct 3 audit/full.json audit/sampled.json
 package main
 
 import (
@@ -27,9 +25,7 @@ import (
 )
 
 // Default direction classifiers. Keys matching neither are informational:
-// shown when they drift, never gated. The *_gain_pct keys compare against a
-// fixed historical baseline rather than the old run, so they stay
-// informational.
+// shown when they drift, never gated.
 const (
 	defaultLowerBetter  = `ns_per|allocs_per|bytes_per|_ms$|/p50$|/p95$|/p99$|stall|reject|violation|drain-wait|commit-to-durable`
 	defaultHigherBetter = `per_sec$|/speedup$`
@@ -67,8 +63,8 @@ func runDiff(args []string) int {
 	quiet := fs.Bool("q", false, "print regressions only")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ppareport diff [flags] <old> <new>\n\n"+
-			"Compares two snapshots (ppabench -benchjson output, /snapshot.json,\n"+
-			"or -metrics JSON Lines; formats are auto-detected and may be mixed)\n"+
+			"Compares two metric snapshots (/snapshot.json arrays or -metrics\n"+
+			"JSON Lines; formats are auto-detected and may be mixed)\n"+
 			"and exits 1 when a gated key regresses past the threshold.\n\n")
 		fs.PrintDefaults()
 	}
@@ -227,9 +223,8 @@ func writeDiffJSON(path string, rep *diffReport) error {
 }
 
 // loadSeries reads one snapshot file and flattens it into key→value pairs.
-// Three formats are auto-detected: a ppa-bench/v1 benchmark trajectory
-// (JSON object with a schema field), a metric snapshot array
-// (/snapshot.json), and metric JSON Lines (-metrics output).
+// Two formats are auto-detected: a metric snapshot array (/snapshot.json)
+// and metric JSON Lines (-metrics output), one named sample per line.
 func loadSeries(path string) (map[string]float64, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -245,17 +240,6 @@ func loadSeries(path string) (map[string]float64, error) {
 			return nil, fmt.Errorf("parse snapshot array: %w", err)
 		}
 		return flattenSamples(samples), nil
-	}
-	// Object: a bench trajectory is one JSON document with a schema field;
-	// metrics JSONL is one sample object per line.
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(trimmed, &probe); err == nil && probe.Schema != "" {
-		if !strings.HasPrefix(probe.Schema, "ppa-bench/") {
-			return nil, fmt.Errorf("unsupported schema %q", probe.Schema)
-		}
-		return flattenBench(trimmed)
 	}
 	var samples []obs.Sample
 	sc := bufio.NewScanner(bytes.NewReader(trimmed))
@@ -298,46 +282,4 @@ func flattenSamples(samples []obs.Sample) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// flattenBench walks a ppa-bench/v1 document as generic JSON, so new fields
-// in future bench schemas are picked up without a code change. Numeric
-// leaves become keys like core_step/gcc/ns_per_cycle; host metadata and
-// strings are skipped.
-func flattenBench(blob []byte) (map[string]float64, error) {
-	var doc map[string]interface{}
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		return nil, fmt.Errorf("parse bench JSON: %w", err)
-	}
-	out := map[string]float64{}
-	for k, v := range doc {
-		if k == "host" || k == "schema" {
-			continue
-		}
-		flattenJSON(k, v, out)
-	}
-	return out, nil
-}
-
-func flattenJSON(prefix string, v interface{}, out map[string]float64) {
-	switch x := v.(type) {
-	case float64:
-		out[prefix] = x
-	case map[string]interface{}:
-		for k, child := range x {
-			flattenJSON(prefix+"/"+k, child, out)
-		}
-	case []interface{}:
-		for i, child := range x {
-			// Label array elements by their "app" field when present, so
-			// core_step rows diff across runs even if reordered.
-			label := fmt.Sprintf("%d", i)
-			if m, ok := child.(map[string]interface{}); ok {
-				if app, ok := m["app"].(string); ok && app != "" {
-					label = app
-				}
-			}
-			flattenJSON(prefix+"/"+label, child, out)
-		}
-	}
 }

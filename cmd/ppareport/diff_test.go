@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -16,33 +17,25 @@ func writeFile(t *testing.T, name, content string) string {
 	return path
 }
 
-const benchOld = `{
-  "schema": "ppa-bench/v1",
-  "host": {"num_cpu": 1},
-  "core_step": [
-    {"app": "gcc", "ns_per_cycle": 100, "allocs_per_cycle": 0.1, "cycles_per_sec": 1e7},
-    {"app": "mcf", "ns_per_cycle": 80, "allocs_per_cycle": 0.1, "cycles_per_sec": 1.25e7}
-  ],
-  "simulator_throughput": {"ns_per_run": 1.5e7, "allocs_per_run": 4000},
-  "torture_sweep": {"parallel_ms": 500, "speedup": 2.0}
-}`
+const snapOld = `[
+  {"name": "torture.points", "kind": "counter", "value": 100},
+  {"name": "store.commit-to-durable-cycles", "kind": "histogram", "value": 0,
+   "count": 4, "sum": 160, "min": 20, "max": 80,
+   "p50": 30, "p95": 60, "p99": 80}
+]`
 
-// benchRegressed doubles gcc's per-cycle cost: a 100% regression on a
+// snapRegressed doubles the commit-to-durable p99: a 100% regression on a
 // lower-is-better key, past any reasonable threshold.
-const benchRegressed = `{
-  "schema": "ppa-bench/v1",
-  "host": {"num_cpu": 1},
-  "core_step": [
-    {"app": "gcc", "ns_per_cycle": 200, "allocs_per_cycle": 0.1, "cycles_per_sec": 5e6},
-    {"app": "mcf", "ns_per_cycle": 80, "allocs_per_cycle": 0.1, "cycles_per_sec": 1.25e7}
-  ],
-  "simulator_throughput": {"ns_per_run": 1.5e7, "allocs_per_run": 4000},
-  "torture_sweep": {"parallel_ms": 500, "speedup": 2.0}
-}`
+const snapRegressed = `[
+  {"name": "torture.points", "kind": "counter", "value": 100},
+  {"name": "store.commit-to-durable-cycles", "kind": "histogram", "value": 0,
+   "count": 4, "sum": 160, "min": 20, "max": 80,
+   "p50": 30, "p95": 60, "p99": 160}
+]`
 
 func TestDiffDetectsInjectedRegression(t *testing.T) {
-	old := writeFile(t, "old.json", benchOld)
-	bad := writeFile(t, "new.json", benchRegressed)
+	old := writeFile(t, "old.json", snapOld)
+	bad := writeFile(t, "new.json", snapRegressed)
 	out := filepath.Join(t.TempDir(), "diff.json")
 
 	if code := runDiff([]string{"-threshold-pct", "50", "-out", out, old, bad}); code != 1 {
@@ -179,19 +172,18 @@ func TestLoadSeriesFormats(t *testing.T) {
 		t.Errorf("jsonl flatten = %v", s)
 	}
 
-	bench := writeFile(t, "bench.json", benchOld)
-	s, err = loadSeries(bench)
-	if err != nil {
-		t.Fatal(err)
+	// The retired benchmark trajectory format is an error, not an empty
+	// series that would diff clean.
+	trajectory := `{
+  "schema": "ppa-bench/v1",
+  "core_step": [{"app": "gcc", "ns_per_cycle": 100, "allocs_per_cycle": 0}]
+}`
+	if _, err := loadSeries(writeFile(t, "bench.json", trajectory)); err == nil {
+		t.Error("benchmark trajectory accepted")
 	}
-	if s["core_step/gcc/ns_per_cycle"] != 100 {
-		t.Errorf("bench flatten missing core_step/gcc/ns_per_cycle: %v", s)
-	}
-	if s["simulator_throughput/allocs_per_run"] != 4000 {
-		t.Errorf("bench flatten missing simulator_throughput/allocs_per_run: %v", s)
-	}
-	if _, ok := s["host/num_cpu"]; ok {
-		t.Error("host metadata must not be diffed")
+	oneLine := strings.Join(strings.Fields(trajectory), " ")
+	if _, err := loadSeries(writeFile(t, "bench1.json", oneLine)); err == nil {
+		t.Error("single-line benchmark trajectory accepted")
 	}
 
 	if _, err := loadSeries(writeFile(t, "bad.json", `{"schema": "other/v9"}`)); err == nil {

@@ -11,11 +11,11 @@
 //	ppasim -app mcf -scheme ppa -trace out.json
 //	ppareport -trace out.json
 //
-// The diff subcommand compares two performance snapshots (benchmark
-// trajectories, metric snapshots, or metric JSON Lines) and exits non-zero
-// when a gated key regresses past the threshold:
+// The diff subcommand compares two metric snapshots (/snapshot.json arrays
+// or -metrics JSON Lines) and exits non-zero when a gated key regresses past
+// the threshold:
 //
-//	ppareport diff -threshold-pct 50 BENCH_PR3.json bench-now.json
+//	ppareport diff -threshold-pct 50 old-metrics.jsonl new-metrics.jsonl
 //
 // The forensics subcommand renders a violation flight-recorder bundle
 // (written by ppatorture/ppalitmus -forensics, or collected by a ppafabric
