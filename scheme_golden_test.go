@@ -57,26 +57,7 @@ func TestSchemeOutputGoldenDigests(t *testing.T) {
 			key := run.app + "/" + string(s)
 			t.Run(key, func(t *testing.T) {
 				t.Parallel()
-				sys, err := NewSystem(RunConfig{
-					App: run.app, Scheme: s, InstsPerThread: run.insts,
-					Customize: func(c *multicore.Config) { c.Pipeline.TraceRegions = true },
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sys.Run(multicore.CycleBudget(run.insts)); err != nil {
-					t.Fatal(err)
-				}
-				res := sys.Collect()
-				if res.Cores != run.threads {
-					t.Fatalf("%s ran %d cores, want %d", run.app, res.Cores, run.threads)
-				}
-				for i, st := range res.PerCore {
-					if uint64(len(st.RegionTrace)) != st.Regions {
-						t.Fatalf("core %d traced %d regions of %d", i, len(st.RegionTrace), st.Regions)
-					}
-				}
-				got := [2]string{jsonDigest(t, res), jsonDigest(t, sys.Device().Image().Snapshot())}
+				got := goldenRunDigests(t, RunConfig{App: run.app, Scheme: s, InstsPerThread: run.insts}, run.threads, nil)
 				t.Logf("%q: {%q, %q},", key, got[0], got[1])
 				if want := goldenSchemeDigests[key]; got != want {
 					t.Errorf("%s digests %v, golden %v", key, got, want)
@@ -84,4 +65,74 @@ func TestSchemeOutputGoldenDigests(t *testing.T) {
 			})
 		}
 	}
+}
+
+// goldenOrgRuns pin hierarchy organizations the default-hierarchy goldens
+// above never build: the Figure 14 private-L2 + shared-L3 hierarchy, and a
+// two-entry write buffer whose back-pressure stalls stores. water-ns runs
+// 5000 instructions per thread because at 2000 its L3 run still matches the
+// default hierarchy cycle for cycle.
+var goldenOrgRuns = []struct {
+	name    string
+	rc      RunConfig
+	threads int
+	org     func(c *multicore.Config)
+	digests [2]string
+}{
+	{"gcc/ppa/l3", RunConfig{App: "gcc", Scheme: SchemePPA, InstsPerThread: 4000}, 1,
+		func(c *multicore.Config) { c.Hierarchy.UseL3 = true },
+		[2]string{"2721f7c4e8e56859d66160568de6137aea22b253946edede3865630ce95e795a",
+			"98ba2631a8ab587147aa818dfaa6bc1e6382240b9bc914f805098ec99053ccb3"}},
+	{"water-ns/ppa/l3", RunConfig{App: "water-ns", Scheme: SchemePPA, InstsPerThread: 5000}, 8,
+		func(c *multicore.Config) { c.Hierarchy.UseL3 = true },
+		[2]string{"47487a39f48c6ba6c77c8a61d979fc4831968cb0d856edea1f8c8453f211b5b1",
+			"960a702a6d14bb4f274cedf725e4bc51e4efade7d2d50745b4b5a0ae1cdf7e0b"}},
+	{"mcf/sb-gate/wb2", RunConfig{App: "mcf", Scheme: SchemeSBGate, InstsPerThread: 4000}, 1,
+		func(c *multicore.Config) { c.Hierarchy.WBEntries = 2 },
+		[2]string{"bc3c1d233cfe0668e90c3e21ebaa7adab40ac7c43bb1975f18fe7a99667bb567",
+			"9e286d74105ef699e0b9b4d62a36e816da6276a282f78626d237d61d789f0b13"}},
+}
+
+func TestHierarchyOrganizationGoldenDigests(t *testing.T) {
+	for _, run := range goldenOrgRuns {
+		run := run
+		t.Run(run.name, func(t *testing.T) {
+			t.Parallel()
+			got := goldenRunDigests(t, run.rc, run.threads, run.org)
+			t.Logf("%q: {%q, %q},", run.name, got[0], got[1])
+			if got != run.digests {
+				t.Errorf("%s digests %v, golden %v", run.name, got, run.digests)
+			}
+		})
+	}
+}
+
+// goldenRunDigests runs rc to completion with region tracing on (plus org's
+// hierarchy changes) and returns the digests of its Result and final NVM
+// image.
+func goldenRunDigests(t *testing.T, rc RunConfig, threads int, org func(*multicore.Config)) [2]string {
+	t.Helper()
+	rc.Customize = func(c *multicore.Config) {
+		c.Pipeline.TraceRegions = true
+		if org != nil {
+			org(c)
+		}
+	}
+	sys, err := NewSystem(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(multicore.CycleBudget(rc.InstsPerThread)); err != nil {
+		t.Fatal(err)
+	}
+	res := sys.Collect()
+	if res.Cores != threads {
+		t.Fatalf("%s ran %d cores, want %d", rc.App, res.Cores, threads)
+	}
+	for i, st := range res.PerCore {
+		if uint64(len(st.RegionTrace)) != st.Regions {
+			t.Fatalf("core %d traced %d regions of %d", i, len(st.RegionTrace), st.Regions)
+		}
+	}
+	return [2]string{jsonDigest(t, res), jsonDigest(t, sys.Device().Image().Snapshot())}
 }
