@@ -4,12 +4,17 @@ package ppa
 // Core.Step+Hierarchy.Tick (the quantity the allocation-free refactor
 // targets), and the torture sweep's sequential-vs-parallel wall clock.
 // TestCoreStepAllocCeiling is the CI gate that keeps the cycle loop
-// allocation-free. End-to-end throughput is measured and gated with
+// allocation-free, and TestHierarchyAssemblyBytes the one that keeps
+// building and power-failing a cache hierarchy cheap. End-to-end throughput is measured and gated with
 // perfbench (perfbench/README.md, .github/perf-gate.sh).
 
 import (
 	"context"
+	"runtime"
 	"testing"
+
+	"ppa/internal/cache"
+	"ppa/internal/nvm"
 )
 
 // coreStepAllocCeiling is the committed allocs-per-cycle budget for a warm
@@ -82,6 +87,43 @@ func TestCoreStepAllocCeiling(t *testing.T) {
 					avg, coreStepAllocCeiling)
 			}
 		})
+	}
+}
+
+// assemblyBytesCeiling bounds the bytes that building a Table 2 hierarchy,
+// or power-failing one, may allocate. Tag-array pages and write-buffer
+// slots are allocated on first touch, so both cost their page tables and
+// maps (tens of KiB); zeroing the whole 16 MiB L2's tag array and a full
+// write-buffer ring per core cost about 4.5 MiB each.
+const assemblyBytesCeiling = 256 << 10
+
+// TestHierarchyAssemblyBytes is the gate on machine spin-up: cache.New for
+// four cores, and one PowerFail of that hierarchy, must each allocate less
+// than assemblyBytesCeiling. The smallest of three measurements is taken,
+// so a stray background allocation cannot fail it.
+func TestHierarchyAssemblyBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	allocated := func(f func()) uint64 {
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	dev := nvm.NewDevice(nvm.DefaultConfig())
+	var h *cache.Hierarchy
+	build := allocated(func() { h = cache.New(cache.DefaultParams(4), dev, nil, nil) })
+	fail := allocated(h.PowerFail)
+	t.Logf("cache.New %d B, PowerFail %d B", build, fail)
+	if build >= assemblyBytesCeiling || fail >= assemblyBytesCeiling {
+		t.Fatalf("cache.New allocates %d B and PowerFail %d B, ceiling %d B — "+
+			"a hierarchy structure is allocated up front again", build, fail, assemblyBytesCeiling)
 	}
 }
 

@@ -30,12 +30,21 @@ type saWay struct {
 	dirty bool
 }
 
+// setsPerPage is the number of sets in one tag-array page. A page is
+// allocated on the first install into any of its sets, so building (or
+// power-failing) a hierarchy costs only the page tables, and a run pays for
+// the sets it touches. The value was chosen by measuring 1, 4, 16 and 64 on
+// the crash-sweep and litmus benchmarks.
+const setsPerPage = 16
+
 // setAssoc is an LRU set-associative tag array.
 type setAssoc struct {
 	ways    int
 	setMask uint64
-	w       []saWay
-	clock   uint32
+	// pages[p] holds the ways of sets p*setsPerPage onward, set-major; a
+	// nil page reads as all-invalid, exactly like a zeroed one.
+	pages [][]saWay
+	clock uint32
 
 	Hits   uint64
 	Misses uint64
@@ -55,35 +64,49 @@ func newSetAssoc(sizeBytes uint64, ways int) *setAssoc {
 		p *= 2
 	}
 	sets = p
-	n := int(sets) * ways
 	return &setAssoc{
 		ways:    ways,
 		setMask: sets - 1,
-		w:       make([]saWay, n),
+		pages:   make([][]saWay, (sets+setsPerPage-1)/setsPerPage),
 	}
 }
 
-func (c *setAssoc) setBase(line uint64) int {
-	return int((line/isa.LineSize)&c.setMask) * c.ways
+// set returns the ways of line's set, or nil when no install has touched
+// its page yet.
+func (c *setAssoc) set(line uint64) []saWay {
+	s := (line / isa.LineSize) & c.setMask
+	pg := c.pages[s/setsPerPage]
+	if pg == nil {
+		return nil
+	}
+	base := int(s%setsPerPage) * c.ways
+	return pg[base : base+c.ways]
 }
 
-// lookup probes the array without changing state; returns the way slot
-// index or -1.
-func (c *setAssoc) lookup(line uint64) int {
-	base := c.setBase(line)
-	for w := 0; w < c.ways; w++ {
-		if e := &c.w[base+w]; e.valid && e.tag == line {
-			return base + w
+// newPage allocates the all-invalid page holding line's set and returns
+// that set.
+func (c *setAssoc) newPage(line uint64) []saWay {
+	s := (line / isa.LineSize) & c.setMask
+	c.pages[s/setsPerPage] = make([]saWay, min(c.setMask+1, setsPerPage)*uint64(c.ways))
+	return c.set(line)
+}
+
+// lookup probes the array without changing state; returns the line's way
+// or nil.
+func (c *setAssoc) lookup(line uint64) *saWay {
+	set := c.set(line)
+	for w := range set {
+		if e := &set[w]; e.valid && e.tag == line {
+			return e
 		}
 	}
-	return -1
+	return nil
 }
 
 // access probes and updates LRU; returns hit.
 func (c *setAssoc) access(line uint64, write bool) bool {
 	c.clock++
-	if slot := c.lookup(line); slot >= 0 {
-		e := &c.w[slot]
+	if e := c.lookup(line); e != nil {
 		e.lru = c.clock
 		if write {
 			e.dirty = true
@@ -99,34 +122,36 @@ func (c *setAssoc) access(line uint64, write bool) bool {
 // was dirty. ok=false means no eviction was necessary.
 func (c *setAssoc) install(line uint64, write bool) (victim uint64, victimDirty, evicted bool) {
 	c.clock++
-	base := c.setBase(line)
+	set := c.set(line)
+	if set == nil {
+		set = c.newPage(line)
+	}
 	// Prefer an invalid way.
 	slot := -1
-	for w := 0; w < c.ways; w++ {
-		if !c.w[base+w].valid {
-			slot = base + w
+	for w := range set {
+		if !set[w].valid {
+			slot = w
 			break
 		}
 	}
 	if slot < 0 {
 		// Evict LRU.
-		slot = base
-		for w := 1; w < c.ways; w++ {
-			if c.w[base+w].lru < c.w[slot].lru {
-				slot = base + w
+		slot = 0
+		for w := 1; w < len(set); w++ {
+			if set[w].lru < set[slot].lru {
+				slot = w
 			}
 		}
-		victim, victimDirty, evicted = c.w[slot].tag, c.w[slot].dirty, true
+		victim, victimDirty, evicted = set[slot].tag, set[slot].dirty, true
 	}
-	c.w[slot] = saWay{tag: line, lru: c.clock, valid: true, dirty: write}
+	set[slot] = saWay{tag: line, lru: c.clock, valid: true, dirty: write}
 	return victim, victimDirty, evicted
 }
 
 // invalidate removes a line (back-invalidation), reporting whether it was
 // present and dirty.
 func (c *setAssoc) invalidate(line uint64) (present, dirty bool) {
-	if slot := c.lookup(line); slot >= 0 {
-		e := &c.w[slot]
+	if e := c.lookup(line); e != nil {
 		e.valid = false
 		return true, e.dirty
 	}
@@ -135,8 +160,8 @@ func (c *setAssoc) invalidate(line uint64) (present, dirty bool) {
 
 // markDirty sets the dirty bit if present.
 func (c *setAssoc) markDirty(line uint64) {
-	if slot := c.lookup(line); slot >= 0 {
-		c.w[slot].dirty = true
+	if e := c.lookup(line); e != nil {
+		e.dirty = true
 	}
 }
 

@@ -237,7 +237,7 @@ func TestCoherenceInvalidation(t *testing.T) {
 		t.Fatal("bogus completion")
 	}
 	// Core 0 must re-miss now.
-	if h.l1[0].lookup(line) >= 0 {
+	if h.l1[0].lookup(line) != nil {
 		t.Fatal("core 0 still holds an invalidated line")
 	}
 }
@@ -353,14 +353,16 @@ func TestWBFullBackpressure(t *testing.T) {
 func TestWriteBufferRingReleasesPoppedEntries(t *testing.T) {
 	// Regression: the old reslice-FIFO (entries = entries[1:]) kept every
 	// popped entry — and its per-line word map — reachable through the
-	// backing array for the run's lifetime. The ring must keep a fixed
-	// backing array and zero a slot the moment the WPQ accepts its entry.
+	// backing array for the run's lifetime. Once the ring has reached its
+	// capacity it must keep its backing array and zero a slot the moment
+	// the WPQ accepts its entry. (The ring grows from its first enqueue;
+	// with 4 entries, below the minimum ring, that first growth is final.)
 	p := DefaultParams(1)
 	p.WBEntries = 4
 	p.PersistLag = 0
 	h := New(p, nvm.NewDevice(nvm.DefaultConfig()), nil, nil)
 	wb := h.wbs[0]
-	storage := &wb.buf[0]
+	var storage *wbEntry
 
 	// Push and drain three times the ring's capacity so head wraps.
 	cycle := uint64(0)
@@ -368,6 +370,9 @@ func TestWriteBufferRingReleasesPoppedEntries(t *testing.T) {
 		addr := uint64(i) * isa.LineSize // distinct lines: no coalescing
 		if _, ok := h.PersistStore(0, addr, uint64(i+1), cycle); !ok {
 			t.Fatalf("enqueue %d failed", i)
+		}
+		if storage == nil {
+			storage = &wb.buf[0]
 		}
 		h.FlushWB(0, cycle)
 		for c := cycle; c < cycle+10_000 && h.PersistPending(0) > 0; c++ {
@@ -395,6 +400,83 @@ func TestWriteBufferRingReleasesPoppedEntries(t *testing.T) {
 	}
 	if len(wb.index) != 0 {
 		t.Fatalf("coalesce index retains %d lines", len(wb.index))
+	}
+}
+
+func TestWriteBufferGrowsInOrder(t *testing.T) {
+	// The ring starts empty and doubles when full; a growth with head != 0
+	// must move the live entries to the front in FIFO order without moving
+	// any token, and a later store must still coalesce into a moved entry.
+	const capacity = 64
+	wb := newWriteBuffer(capacity, true, false)
+	if len(wb.buf) != 0 {
+		t.Fatalf("fresh ring holds %d slots", len(wb.buf))
+	}
+	line := func(i int) uint64 { return uint64(i) * isa.LineSize }
+	enqueue := func(i int) {
+		t.Helper()
+		tok, ok := wb.add(line(i), line(i), uint64(i), 0, 0)
+		if !ok || tok != int64(i) {
+			t.Fatalf("enqueue %d: token %d ok %v", i, tok, ok)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		enqueue(i)
+	}
+	if len(wb.buf) != minWBRing {
+		t.Fatalf("first ring %d slots, want %d", len(wb.buf), minWBRing)
+	}
+	for i := 0; i < 6; i++ {
+		wb.pop()
+	}
+	// Refill the wrapped ring, then one more entry forces growth at head 6.
+	for i := 10; i < 6+minWBRing; i++ {
+		enqueue(i)
+	}
+	if wb.head == 0 || wb.depth() != len(wb.buf) {
+		t.Fatalf("head %d depth %d ring %d: growth would not move a wrapped ring",
+			wb.head, wb.depth(), len(wb.buf))
+	}
+	enqueue(6 + minWBRing)
+	if len(wb.buf) != 2*minWBRing || wb.head != 0 {
+		t.Fatalf("after growth: ring %d slots, head %d", len(wb.buf), wb.head)
+	}
+	for tok := int64(0); tok < 6+minWBRing+1; tok++ {
+		if got, want := wb.acked(tok), tok < 6; got != want {
+			t.Fatalf("acked(%d) = %v after growth", tok, got)
+		}
+	}
+	// Coalesce into entry 7, which the growth moved from slot 7 to slot 1.
+	if tok, ok := wb.add(line(7), line(7)+8, 77, 0, 0); !ok || tok != 7 {
+		t.Fatalf("coalescing store: token %d ok %v", tok, ok)
+	}
+	if e := wb.at(7); e.line != line(7) || e.stores != 2 {
+		t.Fatalf("moved entry %+v", e)
+	} else if v, ok := e.words.Get(line(7) + 8); !ok || v != 77 {
+		t.Fatalf("coalesced word %d %v", v, ok)
+	}
+	// Fill to the bound: the ring stops at capacity and back-pressures.
+	for i := 6 + minWBRing + 1; i < 6+capacity; i++ {
+		enqueue(i)
+	}
+	if len(wb.buf) != capacity || !wb.full() {
+		t.Fatalf("ring %d slots full %v at the bound", len(wb.buf), wb.full())
+	}
+	if _, ok := wb.add(line(1000), line(1000), 1, 0, 0); ok {
+		t.Fatal("enqueue past the bound succeeded")
+	}
+	for seq := int64(6); seq < 6+capacity; seq++ {
+		e := wb.front()
+		if e.seq != seq || e.line != line(int(seq)) {
+			t.Fatalf("pop %d: entry seq %d line %#x", seq, e.seq, e.line)
+		}
+		wb.pop()
+		if !wb.acked(seq) || wb.acked(seq+1) {
+			t.Fatalf("acked tokens wrong after popping %d", seq)
+		}
+	}
+	if wb.depth() != 0 || len(wb.index) != 0 {
+		t.Fatalf("depth %d index %d after draining", wb.depth(), len(wb.index))
 	}
 }
 

@@ -133,12 +133,14 @@ type wbEntry struct {
 // queue deepens, residency grows, and coalescing rises, which is exactly
 // the self-limiting behaviour persist coalescing provides.
 //
-// The FIFO is a fixed ring: buf never grows past its capacity and a popped
-// slot is zeroed immediately, so a long simulation retains no storage for
+// The FIFO is a ring that grows on demand up to its capacity (see grow):
+// a machine that never persists a store allocates no ring. A popped slot
+// is zeroed immediately, so a long simulation retains no storage for
 // entries the WPQ already accepted (the old reslice-FIFO kept every popped
 // entry reachable through the backing array for the run's lifetime).
 type writeBuffer struct {
-	buf      []wbEntry        // fixed ring storage, len(buf) == capacity
+	buf      []wbEntry        // ring storage, len(buf) <= size
+	size     int              // capacity bound: the buffer is full at size entries
 	head     int              // ring index of the front (oldest) entry
 	n        int              // live entries
 	index    map[uint64]int64 // line -> entry seq (when coalescing)
@@ -157,14 +159,28 @@ type writeBuffer struct {
 	MaxDepth        int
 }
 
+// minWBRing is the ring length of a write buffer's first allocation.
+const minWBRing = 16
+
 func newWriteBuffer(capEntries int, coalesce, multi bool) *writeBuffer {
 	if capEntries <= 0 {
 		capEntries = 1
 	}
-	return &writeBuffer{buf: make([]wbEntry, capEntries), coalesce: coalesce, multi: multi, index: make(map[uint64]int64)}
+	return &writeBuffer{size: capEntries, coalesce: coalesce, multi: multi, index: make(map[uint64]int64)}
 }
 
-func (w *writeBuffer) full() bool { return w.n >= len(w.buf) }
+func (w *writeBuffer) full() bool { return w.n >= w.size }
+
+// grow doubles the ring (at least minWBRing, at most size slots), copying
+// the live entries to the front of the new ring in FIFO order. Tokens are
+// sequences, not ring indices, so no outstanding token moves.
+func (w *writeBuffer) grow() {
+	buf := make([]wbEntry, min(max(2*len(w.buf), minWBRing), w.size))
+	for i := 0; i < w.n; i++ {
+		buf[i] = w.buf[(w.head+i)%len(w.buf)]
+	}
+	w.buf, w.head = buf, 0
+}
 
 func (w *writeBuffer) depth() int { return w.n }
 
@@ -216,6 +232,9 @@ func (w *writeBuffer) add(line, addr, val uint64, ready, commit uint64) (token i
 	}
 	if w.full() {
 		return 0, false
+	}
+	if w.n == len(w.buf) {
+		w.grow()
 	}
 	seq := w.appended
 	w.appended++
