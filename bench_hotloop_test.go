@@ -4,9 +4,11 @@ package ppa
 // Core.Step+Hierarchy.Tick (the quantity the allocation-free refactor
 // targets), and the torture sweep's sequential-vs-parallel wall clock.
 // TestCoreStepAllocCeiling is the CI gate that keeps the cycle loop
-// allocation-free, and TestHierarchyAssemblyBytes the one that keeps
-// building and power-failing a cache hierarchy cheap. End-to-end throughput is measured and gated with
-// perfbench (perfbench/README.md, .github/perf-gate.sh).
+// allocation-free, TestHierarchyAssemblyBytes the one that keeps building
+// and power-failing a cache hierarchy cheap, and TestTortureSweepAllocBytes
+// the one that keeps a torture point's footprint small. End-to-end
+// throughput is measured and gated with perfbench (perfbench/README.md,
+// .github/perf-gate.sh).
 
 import (
 	"context"
@@ -90,17 +92,24 @@ func TestCoreStepAllocCeiling(t *testing.T) {
 	}
 }
 
-// assemblyBytesCeiling bounds the bytes that building a Table 2 hierarchy,
-// or power-failing one, may allocate. Tag-array pages and write-buffer
-// slots are allocated on first touch, so both cost their page tables and
-// maps (tens of KiB); zeroing the whole 16 MiB L2's tag array and a full
-// write-buffer ring per core cost about 4.5 MiB each.
+// assemblyBytesCeiling bounds the bytes that building a Table 2 hierarchy
+// may allocate. Tag-array storage and write-buffer slots are allocated on
+// first touch, so building costs the tag index and maps (tens of KiB);
+// zeroing the whole 16 MiB L2's tag array and a full write-buffer ring per
+// core cost about 4.5 MiB.
 const assemblyBytesCeiling = 256 << 10
 
+// powerFailBytesCeiling bounds the bytes one PowerFail may allocate. The
+// tag arrays are emptied in place and keep their storage, so a power
+// failure costs the write buffers' and the DRAM cache's small headers;
+// rebuilding the tag indexes cost about 29 KiB.
+const powerFailBytesCeiling = 4 << 10
+
 // TestHierarchyAssemblyBytes is the gate on machine spin-up: cache.New for
-// four cores, and one PowerFail of that hierarchy, must each allocate less
-// than assemblyBytesCeiling. The smallest of three measurements is taken,
-// so a stray background allocation cannot fail it.
+// four cores must allocate less than assemblyBytesCeiling, and one
+// PowerFail of that hierarchy at most powerFailBytesCeiling. The smallest
+// of three measurements is taken, so a stray background allocation cannot
+// fail it.
 func TestHierarchyAssemblyBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")
@@ -121,9 +130,53 @@ func TestHierarchyAssemblyBytes(t *testing.T) {
 	build := allocated(func() { h = cache.New(cache.DefaultParams(4), dev, nil, nil) })
 	fail := allocated(h.PowerFail)
 	t.Logf("cache.New %d B, PowerFail %d B", build, fail)
-	if build >= assemblyBytesCeiling || fail >= assemblyBytesCeiling {
-		t.Fatalf("cache.New allocates %d B and PowerFail %d B, ceiling %d B — "+
-			"a hierarchy structure is allocated up front again", build, fail, assemblyBytesCeiling)
+	if build >= assemblyBytesCeiling {
+		t.Errorf("cache.New allocates %d B, ceiling %d B — "+
+			"a hierarchy structure is allocated up front again", build, assemblyBytesCeiling)
+	}
+	if fail > powerFailBytesCeiling {
+		t.Errorf("PowerFail allocates %d B, ceiling %d B — "+
+			"a power failure rebuilds a structure instead of emptying it", fail, powerFailBytesCeiling)
+	}
+}
+
+// torturePointBytesCeiling bounds the bytes one point of a sequential mcf
+// lockstep torture sweep may allocate. A point builds a machine whose tag
+// arrays store only the sets it touches, over the sweep's one shared
+// workload, and allocates about 280 KiB. Paging the L2's tags in 16-set
+// pages and regenerating the workload at every point cost about 850 KiB;
+// regenerating the workload alone costs about 70 KiB a point.
+const torturePointBytesCeiling = 450 << 10
+
+// TestTortureSweepAllocBytes is the gate on a torture point's footprint: a
+// sequential 100-point mcf lockstep sweep under ppa and under undolog must
+// allocate less than torturePointBytesCeiling per point.
+func TestTortureSweepAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	points := TorturePoints(1, 100, 200, 8000)
+	for _, s := range []Scheme{SchemePPA, SchemeUndoLog} {
+		t.Run(string(s), func(t *testing.T) {
+			rc := RunConfig{App: "mcf", Scheme: s, InstsPerThread: 2000, Lockstep: true}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rep, err := RunTorture(rc, points, nil)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Points != len(points) {
+				t.Fatalf("swept %d of %d points", rep.Points, len(points))
+			}
+			per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(points))
+			t.Logf("%d B per point", per)
+			if per >= torturePointBytesCeiling {
+				t.Fatalf("a torture point allocates %d B, ceiling %d B — "+
+					"a machine allocates tag storage it does not touch again",
+					per, torturePointBytesCeiling)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"ppa/internal/oracle"
 	"ppa/internal/persist"
 	"ppa/internal/recovery"
+	"ppa/internal/workload"
 )
 
 // This file is the crash driver: the one place that cuts power, damages
@@ -20,19 +21,27 @@ import (
 // RunWithFailureSchedule and RunTorturePoint are parameterizations of it.
 
 // crashRun is a machine under test plus what the driver carries across its
-// outages: the run's configuration and the flight recorder's accept tap.
+// outages: the run's configuration, its workload and the flight recorder's
+// accept tap.
 type crashRun struct {
 	rc    RunConfig
+	w     *workload.Workload
 	sys   *multicore.System
 	ftail *forensics.AcceptTail
 }
 
-func newCrashRun(rc RunConfig) (*crashRun, error) {
-	sys, err := NewSystem(rc)
+// newCrashRun builds the machine under test for rc on w, rc's workload
+// generated earlier, or on a workload it generates when w is nil.
+func newCrashRun(rc RunConfig, w *workload.Workload) (*crashRun, error) {
+	cfg, w, err := assemble(rc, w)
 	if err != nil {
 		return nil, err
 	}
-	r := &crashRun{rc: rc}
+	sys, err := multicore.NewSystem(cfg, w)
+	if err != nil {
+		return nil, err
+	}
+	r := &crashRun{rc: rc, w: w}
 	r.attach(sys)
 	return r, nil
 }
@@ -202,7 +211,7 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 	// cold, as after a real outage).
 	dev.ClearCheckpoint()
 	if resume {
-		cfg, w, err := assemble(r.rc)
+		cfg, w, err := assemble(r.rc, r.w)
 		if err != nil {
 			return nil, err
 		}

@@ -72,7 +72,7 @@ func (o *ScheduleOutcome) Consistent() bool {
 // thread at its contract point — until the workload completes or the
 // schedule runs out of failures (after which the run completes undisturbed).
 func RunWithFailureSchedule(rc RunConfig, schedule FailureSchedule) (*ScheduleOutcome, error) {
-	r, err := newCrashRun(rc)
+	r, err := newCrashRun(rc, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,9 @@
 package cache
 
 import (
+	"math"
+	"math/bits"
+
 	"ppa/internal/isa"
 )
 
@@ -30,21 +33,48 @@ type saWay struct {
 	dirty bool
 }
 
-// setsPerPage is the number of sets in one tag-array page. A page is
-// allocated on the first install into any of its sets, so building (or
-// power-failing) a hierarchy costs only the page tables, and a run pays for
-// the sets it touches. The value was chosen by measuring 1, 4, 16 and 64 on
-// the crash-sweep and litmus benchmarks.
-const setsPerPage = 16
+// A tag array stores a set's ways only once an install touches it. The
+// sets are indexed in groups of 2^shift, and a group's storage is one unit:
+// idx maps each group to the 1-based ordinal of its unit, and 0 marks an
+// untouched group, which reads as all-invalid exactly like a zeroed one.
+// Ordinals are handed out in install order, and unit i lives in chunk
+// chunkOf(i). Chunk k holds 4·2^k units, up to 256, and is never copied or
+// moved once allocated, so a run pays for the sets it touches and a power
+// failure reuses the chunks. idx holds no pointers, so the collector never
+// scans it. The chunk sizes were chosen by measuring the crash-sweep and
+// litmus benchmarks: fixed 64-set chunks slow litmus down, and one doubling
+// slab spends crash-sweep's time copying.
+const (
+	firstChunkLog = 2 // chunk 0 holds 1<<firstChunkLog units
+	maxChunkLog   = 8 // no chunk holds more than 1<<maxChunkLog units
+	// smallChunks is the number of chunks that double in size, and
+	// smallUnits the units they hold together (4+8+...+128).
+	smallChunks = maxChunkLog - firstChunkLog
+	smallUnits  = 1<<maxChunkLog - 1<<firstChunkLog
+)
+
+// chunkOf locates storage unit i (0-based): its chunk and its offset in
+// units within that chunk.
+func chunkOf(i int) (k, off int) {
+	if i < smallUnits {
+		k = bits.Len(uint(i+1<<firstChunkLog)) - firstChunkLog - 1
+		return k, i + 1<<firstChunkLog - 1<<(firstChunkLog+k)
+	}
+	i -= smallUnits
+	return smallChunks + i>>maxChunkLog, i & (1<<maxChunkLog - 1)
+}
 
 // setAssoc is an LRU set-associative tag array.
 type setAssoc struct {
 	ways    int
 	setMask uint64
-	// pages[p] holds the ways of sets p*setsPerPage onward, set-major; a
-	// nil page reads as all-invalid, exactly like a zeroed one.
-	pages [][]saWay
-	clock uint32
+	// shift is log2 of the sets per storage unit: the smallest that lets a
+	// uint16 ordinal number every unit. It is 0 for every Table 2 array.
+	shift  uint
+	idx    []uint16  // per group of sets: 1-based unit ordinal, 0 = untouched
+	chunks [][]saWay // unit storage, set-major within a unit
+	used   int       // units handed out since construction or reset
+	clock  uint32
 
 	Hits   uint64
 	Misses uint64
@@ -64,30 +94,52 @@ func newSetAssoc(sizeBytes uint64, ways int) *setAssoc {
 		p *= 2
 	}
 	sets = p
+	shift := uint(0)
+	for sets>>shift > math.MaxUint16 {
+		shift++
+	}
 	return &setAssoc{
 		ways:    ways,
 		setMask: sets - 1,
-		pages:   make([][]saWay, (sets+setsPerPage-1)/setsPerPage),
+		shift:   shift,
+		idx:     make([]uint16, sets>>shift),
 	}
+}
+
+// reset empties the array in place, exactly as a fresh one starts, keeping
+// its chunks for reuse.
+func (c *setAssoc) reset() {
+	clear(c.idx)
+	c.used, c.clock, c.Hits, c.Misses = 0, 0, 0, 0
 }
 
 // set returns the ways of line's set, or nil when no install has touched
-// its page yet.
+// its group yet.
 func (c *setAssoc) set(line uint64) []saWay {
 	s := (line / isa.LineSize) & c.setMask
-	pg := c.pages[s/setsPerPage]
-	if pg == nil {
+	o := c.idx[s>>c.shift]
+	if o == 0 {
 		return nil
 	}
-	base := int(s%setsPerPage) * c.ways
-	return pg[base : base+c.ways]
+	k, off := chunkOf(int(o) - 1)
+	base := (off<<c.shift | int(s&(1<<c.shift-1))) * c.ways
+	return c.chunks[k][base : base+c.ways]
 }
 
-// newPage allocates the all-invalid page holding line's set and returns
-// that set.
-func (c *setAssoc) newPage(line uint64) []saWay {
-	s := (line / isa.LineSize) & c.setMask
-	c.pages[s/setsPerPage] = make([]saWay, min(c.setMask+1, setsPerPage)*uint64(c.ways))
+// claim gives line's untouched group the next storage unit, all-invalid,
+// and returns line's set. A chunk is allocated when its first unit is
+// claimed, and holds no more units than the array has left to hand out.
+func (c *setAssoc) claim(line uint64) []saWay {
+	i := c.used
+	c.used++
+	k, off := chunkOf(i)
+	unit := c.ways << c.shift
+	if k == len(c.chunks) {
+		n := min(1<<(firstChunkLog+min(k, smallChunks)), len(c.idx)-i)
+		c.chunks = append(c.chunks, make([]saWay, n*unit))
+	}
+	clear(c.chunks[k][off*unit : (off+1)*unit])
+	c.idx[((line/isa.LineSize)&c.setMask)>>c.shift] = uint16(c.used)
 	return c.set(line)
 }
 
@@ -124,7 +176,7 @@ func (c *setAssoc) install(line uint64, write bool) (victim uint64, victimDirty,
 	c.clock++
 	set := c.set(line)
 	if set == nil {
-		set = c.newPage(line)
+		set = c.claim(line)
 	}
 	// Prefer an invalid way.
 	slot := -1

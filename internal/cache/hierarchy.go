@@ -981,16 +981,16 @@ func (h *Hierarchy) FlushAllDirty() int {
 // cache, write buffers, and the memory-controller eviction buffer. The NVM
 // image (including WPQ contents, which are in the ADR domain) survives.
 func (h *Hierarchy) PowerFail() {
-	for i := range h.l1 {
-		h.l1[i] = newSetAssoc(h.p.L1DSize, h.p.L1DWays)
+	for _, c := range h.l1 {
+		c.reset()
+	}
+	for _, c := range h.l2p {
+		c.reset()
 	}
 	if h.p.UseL3 {
-		for i := range h.l2p {
-			h.l2p[i] = newSetAssoc(h.p.L2PrivSz, h.p.L2Ways)
-		}
-		h.l3 = newSetAssoc(h.p.L2Size, h.p.L2Ways)
+		h.l3.reset()
 	} else {
-		h.l2 = newSetAssoc(h.p.L2Size, h.p.L2Ways)
+		h.l2.reset()
 	}
 	if h.p.Mode == MemoryMode {
 		h.dramc = newDRAMCache(h.p.DRAMCacheSize)

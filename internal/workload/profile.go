@@ -13,7 +13,11 @@
 // demand) emerge in the simulator.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Profile describes the statistical shape of one application.
 type Profile struct {
@@ -167,8 +171,14 @@ func base(name, suite string, seed int64) Profile {
 }
 
 // Profiles returns the 41 application profiles used throughout the
-// evaluation, in suite order as the paper's figures list them.
-func Profiles() []Profile {
+// evaluation, in suite order as the paper's figures list them. The slice is
+// the caller's own copy, free to edit.
+func Profiles() []Profile { return slices.Clone(profileTable()) }
+
+// profileTable is the profile table, built on first use and never edited.
+var profileTable = sync.OnceValue(buildProfiles)
+
+func buildProfiles() []Profile {
 	var ps []Profile
 	add := func(p Profile) { ps = append(ps, p) }
 
@@ -576,7 +586,7 @@ func Profiles() []Profile {
 
 // ByName returns the named profile or an error listing valid names.
 func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
+	for _, p := range profileTable() {
 		if p.Name == name {
 			return p, nil
 		}
@@ -592,7 +602,7 @@ func Suites() []string {
 // BySuite returns the profiles belonging to one suite.
 func BySuite(suite string) []Profile {
 	var out []Profile
-	for _, p := range Profiles() {
+	for _, p := range profileTable() {
 		if p.Suite == suite {
 			out = append(out, p)
 		}
@@ -604,7 +614,7 @@ func BySuite(suite string) []Profile {
 // (SPLASH3, STAMP, WHISPER) — the population of Figure 19.
 func MultiThreaded() []Profile {
 	var out []Profile
-	for _, p := range Profiles() {
+	for _, p := range profileTable() {
 		if p.Threads > 1 {
 			out = append(out, p)
 		}
@@ -624,7 +634,7 @@ func MemoryIntensive() []Profile {
 		"lulesh": true, "xsbench": true,
 	}
 	var out []Profile
-	for _, p := range Profiles() {
+	for _, p := range profileTable() {
 		if names[p.Name] {
 			out = append(out, p)
 		}

@@ -51,6 +51,22 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestProfilesReturnsACopy checks that editing the slice Profiles returns,
+// as Figure 19's sweep does, leaves the table ByName and later Profiles
+// calls read untouched.
+func TestProfilesReturnsACopy(t *testing.T) {
+	ps := Profiles()
+	want := ps[0]
+	ps[0].FootprintBytes *= 2
+	ps[0].Threads = 99
+	if p, err := ByName(want.Name); err != nil || p != want {
+		t.Fatalf("ByName(%q) after editing a Profiles copy: %+v, %v", want.Name, p, err)
+	}
+	if p := Profiles()[0]; p != want {
+		t.Fatalf("a second Profiles call sees the edit: %+v", p)
+	}
+}
+
 func TestMultiThreadedSelection(t *testing.T) {
 	for _, p := range MultiThreaded() {
 		if p.Threads <= 1 {

@@ -262,15 +262,18 @@ func (rc RunConfig) machineConfig(n int, sch persist.Config) multicore.Config {
 
 // assemble is the one machine assembly: it resolves rc into the workload
 // and the configuration of the machine that runs it. Full, sampled,
-// crashed and resumed runs all build their machines from it.
-func assemble(rc RunConfig) (multicore.Config, *workload.Workload, error) {
+// crashed and resumed runs all build their machines from it. A non-nil w
+// is rc's workload, generated earlier: a machine only reads its workload,
+// so a torture sweep generates it once and shares it across its points.
+func assemble(rc RunConfig, w *workload.Workload) (multicore.Config, *workload.Workload, error) {
 	prof, sch, insts, err := rc.resolve()
 	if err != nil {
 		return multicore.Config{}, nil, err
 	}
-	w, err := workload.New(prof, insts)
-	if err != nil {
-		return multicore.Config{}, nil, err
+	if w == nil {
+		if w, err = workload.New(prof, insts); err != nil {
+			return multicore.Config{}, nil, err
+		}
 	}
 	return rc.machineConfig(len(w.Threads), sch), w, nil
 }
@@ -292,7 +295,7 @@ func Apps() []string {
 // configuration, for callers that need fine-grained control (crash
 // injection, stepping, invariant checks).
 func NewSystem(rc RunConfig) (*multicore.System, error) {
-	cfg, w, err := assemble(rc)
+	cfg, w, err := assemble(rc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +357,7 @@ type FailureOutcome struct {
 // resumes the interrupted programs to completion on the same machine
 // configuration. A checkpoint that recovery refuses surfaces as the error.
 func RunWithFailure(rc RunConfig, failCycle uint64) (*FailureOutcome, error) {
-	r, err := newCrashRun(rc)
+	r, err := newCrashRun(rc, nil)
 	if err != nil {
 		return nil, err
 	}

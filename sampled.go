@@ -25,7 +25,7 @@ type SampledResult = multicore.SampledResult
 // samples carry the sampled flag. Validate accuracy for a new configuration
 // with SampleAudit before trusting the timing.
 func RunSampled(rc RunConfig, sc SampleConfig) (*SampledResult, error) {
-	cfg, w, err := assemble(rc)
+	cfg, w, err := assemble(rc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func SampleAudit(rc RunConfig, sc SampleConfig) (*SampleAuditReport, error) {
 	// Sampled run of the same trajectory.
 	sampledRC := rc
 	sampledRC.Obs = obs.NewHub(1)
-	cfg, w, err := assemble(sampledRC)
+	cfg, w, err := assemble(sampledRC, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package ppa
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ func TestSharedWorkloadReadOnly(t *testing.T) {
 	for _, app := range []string{"mcf", "rb"} {
 		t.Run(app, func(t *testing.T) {
 			base := RunConfig{App: app, InstsPerThread: 3000, Lockstep: true}
-			_, shared, err := assemble(base)
+			_, shared, err := assemble(base, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,6 +68,54 @@ func TestSharedWorkloadReadOnly(t *testing.T) {
 				if string(got[i]) != string(want) {
 					t.Errorf("%s: Result on the shared workload differs from a private-workload Run", s)
 				}
+			}
+		})
+	}
+}
+
+// TestTortureSweepSharesWorkload checks that a parallel sweep, whose
+// workers share one workload, reaches the verdicts of points that each
+// generate their own: for mcf under ppa and undolog, RunTortureParallel on
+// two workers must report exactly what AggregateTortureOutcomes makes of
+// per-point RunTorturePoint calls. Under -race it is the evidence that the
+// shared workload stays read-only across a sweep.
+func TestTortureSweepSharesWorkload(t *testing.T) {
+	points := TorturePoints(5, 40, 200, 8000)
+	for _, s := range []Scheme{SchemePPA, SchemeUndoLog} {
+		t.Run(string(s), func(t *testing.T) {
+			rc := RunConfig{App: "mcf", Scheme: s, InstsPerThread: 2000, Lockstep: true}
+			var verdicts []*TortureOutcome
+			par, err := RunTortureParallel(context.Background(), rc, points, 2, func(o *TortureOutcome) {
+				verdicts = append(verdicts, o)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs := make([]*TortureOutcome, len(points))
+			for i, p := range points {
+				if outs[i], err = RunTorturePoint(rc, p); err != nil {
+					t.Fatalf("point %v: %v", p, err)
+				}
+			}
+			own, err := AggregateTortureOutcomes(nil, points, outs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The report is blind to passing points' details, so every
+			// verdict is compared too.
+			got, err := json.Marshal([]any{par, verdicts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal([]any{own, outs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("shared-workload sweep differs from per-point workloads:\n%s\n%s", got, want)
+			}
+			if par.Recovered == 0 {
+				t.Fatal("no point recovered: the sweep never reached recovery")
 			}
 		})
 	}

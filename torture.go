@@ -8,6 +8,7 @@ import (
 	"ppa/internal/fault"
 	"ppa/internal/obs"
 	"ppa/internal/sweep"
+	"ppa/internal/workload"
 )
 
 // This file implements the crash-consistency torture harness: an
@@ -138,7 +139,14 @@ func TorturePoints(seed int64, n int, minCycle, maxCycle uint64) []TorturePoint 
 // error; contract breaches, lockstep divergences included, surface in
 // Outcome.Violation.
 func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
-	r, err := newCrashRun(rc)
+	return runTorturePoint(rc, nil, p)
+}
+
+// runTorturePoint is RunTorturePoint on w, rc's workload generated earlier
+// and shared with the sweep's other points, or on a workload of its own
+// when w is nil.
+func runTorturePoint(rc RunConfig, w *workload.Workload, p TorturePoint) (*TortureOutcome, error) {
+	r, err := newCrashRun(rc, w)
 	if err != nil {
 		return nil, err
 	}
@@ -163,13 +171,18 @@ func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
 }
 
 // RunTorture sweeps every point on fresh machines, invoking onPoint (if
-// non-nil) after each verdict, and aggregates the report. Counters
+// non-nil) after each verdict, and aggregates the report. The workload is
+// generated once and shared by every point's machine. Counters
 // "torture.points" and "torture.violations" accumulate on the run's hub.
 func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcome)) (*TortureReport, error) {
 	hub := rc.hub()
 	rep := &TortureReport{ByKind: make(map[string]int)}
+	_, w, err := assemble(rc, nil)
+	if err != nil {
+		return rep, err
+	}
 	for _, p := range points {
-		out, err := RunTorturePoint(rc, p)
+		out, err := runTorturePoint(rc, w, p)
 		if err != nil {
 			return rep, fmt.Errorf("torture point %v: %w", p, err)
 		}
@@ -179,11 +192,12 @@ func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcom
 }
 
 // RunTortureParallel is RunTorture over a bounded worker pool. Every point
-// runs on a fresh private machine, so points parallelize freely; each
-// worker gets its own observability hub (RunConfig.Obs must not be shared
-// across goroutines), and verdicts are aggregated in point order after the
-// sweep — the report is byte-identical to RunTorture's for the same points,
-// and onPoint still fires in sweep order. The main hub's "torture.points"
+// runs on a fresh private machine over the sweep's one read-only workload,
+// so points parallelize freely; each worker gets its own observability hub
+// (RunConfig.Obs must not be shared across goroutines), and verdicts are
+// aggregated in point order after the sweep — the report is byte-identical
+// to RunTorture's for the same points, and onPoint still fires in sweep
+// order. The main hub's "torture.points"
 // and "torture.violations" counters tick live as workers finish points (so
 // a served /metrics endpoint shows sweep progress), and when the sweep ends
 // the per-worker hubs merge into the main hub in creation order — counter
@@ -196,6 +210,10 @@ func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint
 	workers = sweep.Workers(workers)
 	if workers <= 1 || len(points) <= 1 {
 		return RunTorture(rc, points, onPoint)
+	}
+	_, w, err := assemble(rc, nil)
+	if err != nil {
+		return &TortureReport{ByKind: make(map[string]int)}, err
 	}
 	hub := rc.hub()
 	whs := make([]*obs.Hub, workers)
@@ -211,7 +229,7 @@ func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint
 		defer func() { hubs <- wh }()
 		prc := rc
 		prc.Obs = wh
-		out, perr := RunTorturePoint(prc, points[i])
+		out, perr := runTorturePoint(prc, w, points[i])
 		if perr != nil {
 			return nil, fmt.Errorf("torture point %v: %w", points[i], perr)
 		}
@@ -312,8 +330,12 @@ func (rep *TortureReport) aggregate(hub *obs.Hub, p TorturePoint, out *TortureOu
 // failure. The returned point is the minimal reproducer (the original if
 // the violation never reproduces, e.g. a flaky model bug).
 func ShrinkTorturePoint(rc RunConfig, p TorturePoint, minCycle uint64) (TorturePoint, error) {
+	_, w, err := assemble(rc, nil)
+	if err != nil {
+		return p, err
+	}
 	still := func(c TorturePoint) (bool, error) {
-		out, err := RunTorturePoint(rc, c)
+		out, err := runTorturePoint(rc, w, c)
 		if err != nil {
 			return false, err
 		}
