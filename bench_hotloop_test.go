@@ -6,9 +6,9 @@ package ppa
 // TestCoreStepAllocCeiling is the CI gate that keeps the cycle loop
 // allocation-free, TestHierarchyAssemblyBytes the one that keeps building
 // and power-failing a cache hierarchy cheap, and TestTortureSweepAllocBytes
-// the one that keeps a torture point's footprint small. End-to-end
-// throughput is measured and gated with perfbench (perfbench/README.md,
-// .github/perf-gate.sh).
+// and TestLitmusScheduleAllocBytes the ones that keep a torture point's and
+// a litmus schedule's footprints small. End-to-end throughput is measured
+// and gated with perfbench (perfbench/README.md, .github/perf-gate.sh).
 
 import (
 	"context"
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"ppa/internal/cache"
+	"ppa/internal/litmus"
 	"ppa/internal/nvm"
 )
 
@@ -99,10 +100,9 @@ func TestCoreStepAllocCeiling(t *testing.T) {
 // core cost about 4.5 MiB.
 const assemblyBytesCeiling = 256 << 10
 
-// powerFailBytesCeiling bounds the bytes one PowerFail may allocate. The
-// tag arrays are emptied in place and keep their storage, so a power
-// failure costs the write buffers' and the DRAM cache's small headers;
-// rebuilding the tag indexes cost about 29 KiB.
+// powerFailBytesCeiling bounds the bytes one PowerFail may allocate. Every
+// volatile structure is emptied in place and keeps its storage, so a power
+// failure allocates nothing; rebuilding the tag indexes cost about 29 KiB.
 const powerFailBytesCeiling = 4 << 10
 
 // TestHierarchyAssemblyBytes is the gate on machine spin-up: cache.New for
@@ -175,6 +175,50 @@ func TestTortureSweepAllocBytes(t *testing.T) {
 				t.Fatalf("a torture point allocates %d B, ceiling %d B — "+
 					"a machine allocates tag storage it does not touch again",
 					per, torturePointBytesCeiling)
+			}
+		})
+	}
+}
+
+// litmusScheduleBytesCeiling bounds the bytes one litmus schedule may
+// allocate. The harness keeps one machine per core count and resets it in
+// place between schedules, so a schedule pays for its recorder, its
+// golden fronts and what its run touches: about 9 KiB. Building a fresh
+// machine per schedule cost 150–190 KB.
+const litmusScheduleBytesCeiling = 40 << 10
+
+// TestLitmusScheduleAllocBytes is the gate on a litmus schedule's
+// footprint: a generated 16-test corpus at 8 schedules per test under ppa
+// and under undolog must allocate less than litmusScheduleBytesCeiling per
+// schedule.
+func TestLitmusScheduleAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	tests := litmus.Generate(litmus.GenOptions{Seed: 3, Count: 16})
+	for _, s := range []Scheme{SchemePPA, SchemeUndoLog} {
+		t.Run(string(s), func(t *testing.T) {
+			cfg, err := SchemeConfig(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := litmus.RunOptions{Schedules: 8, Seed: 3, Scheme: &cfg}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rep, err := litmus.RunCorpus(tests, opt, nil)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.TotalSchedules != len(tests)*opt.Schedules {
+				t.Fatalf("ran %d of %d schedules", rep.TotalSchedules, len(tests)*opt.Schedules)
+			}
+			per := (after.TotalAlloc - before.TotalAlloc) / uint64(rep.TotalSchedules)
+			t.Logf("%d B per schedule", per)
+			if per >= litmusScheduleBytesCeiling {
+				t.Fatalf("a litmus schedule allocates %d B, ceiling %d B — "+
+					"the harness builds a machine per schedule again",
+					per, litmusScheduleBytesCeiling)
 			}
 		})
 	}

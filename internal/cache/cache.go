@@ -251,6 +251,12 @@ func newDRAMCache(sizeBytes uint64) *dramCache {
 	return &dramCache{setMask: p - 1, sets: make(map[uint64]dmEntry)}
 }
 
+// reset empties the cache in place, keeping its map's storage.
+func (d *dramCache) reset() {
+	clear(d.sets)
+	d.Hits, d.Misses = 0, 0
+}
+
 func (d *dramCache) setIndex(line uint64) uint64 { return (line / isa.LineSize) & d.setMask }
 
 // access probes; on hit (write) marks dirty.

@@ -169,6 +169,14 @@ func newWriteBuffer(capEntries int, coalesce, multi bool) *writeBuffer {
 	return &writeBuffer{size: capEntries, coalesce: coalesce, multi: multi, index: make(map[uint64]int64)}
 }
 
+// reset empties the buffer as newWriteBuffer builds it, keeping its ring
+// and index for reuse. Stale ring slots are never read: add writes a whole
+// entry before it counts as live.
+func (w *writeBuffer) reset() {
+	clear(w.index)
+	*w = writeBuffer{buf: w.buf, size: w.size, index: w.index, coalesce: w.coalesce, multi: w.multi}
+}
+
 func (w *writeBuffer) full() bool { return w.n >= w.size }
 
 // grow doubles the ring (at least minWBRing, at most size slots), copying
@@ -271,7 +279,8 @@ func (w *writeBuffer) acked(token int64) bool { return token < w.popped }
 // evictionBuf is the memory-controller-side queue of dirty lines on their
 // way to NVM. It is volatile: a power failure drops it. The slice is
 // reused: the head index advances on pop and the storage resets to the
-// front once drained, so steady-state eviction traffic stops allocating.
+// front once drained or reset, so steady-state eviction traffic stops
+// allocating.
 type evictionBuf struct {
 	entries []evictEntry
 	head    int
@@ -300,7 +309,7 @@ func (b *evictionBuf) pop() {
 }
 
 func (b *evictionBuf) reset() {
-	b.entries = nil
+	b.entries = b.entries[:0]
 	b.head = 0
 }
 
@@ -376,7 +385,7 @@ func (d *dirtyStore) deleteLine(base uint64) {
 }
 
 func (d *dirtyStore) reset() {
-	d.lines = make(map[uint64]*isa.LineWords)
+	clear(d.lines)
 	d.words = 0
 	d.last = nil
 }
@@ -460,7 +469,63 @@ func New(p Params, dev *nvm.Device, warmResident, l2Resident func(uint64) bool) 
 	for i := range h.wbs {
 		h.wbs[i] = newWriteBuffer(p.WBEntries, p.CoalesceWB, p.Cores > 1)
 	}
+	h.Reset()
 	return h
+}
+
+// Reset returns the hierarchy to the state New builds over the same device:
+// empty caches, write buffers and eviction queue, zero statistics and no
+// persist perturbation. It keeps every structure's storage and the obs
+// handles SetObs bound. The device is not touched; nvm.Device.Reset
+// rewinds it.
+func (h *Hierarchy) Reset() {
+	*h = Hierarchy{
+		p:               h.p,
+		dev:             h.dev,
+		l1:              h.l1,
+		l2:              h.l2,
+		l2p:             h.l2p,
+		l3:              h.l3,
+		dramc:           h.dramc,
+		dirty:           h.dirty,
+		wbs:             h.wbs,
+		evictq:          h.evictq,
+		channels:        h.channels,
+		warmResident:    h.warmResident,
+		l2Resident:      h.l2Resident,
+		tr:              h.tr,
+		ackedStores:     h.ackedStores,
+		drainedLines:    h.drainedLines,
+		commitToDurable: h.commitToDurable,
+		drainBatch:      h.drainBatch,
+	}
+	h.clearVolatile()
+}
+
+// clearVolatile empties, in place, everything a power failure loses: the
+// SRAM tag arrays, the DRAM cache, the write buffers, the memory
+// controller's eviction queue and the dirty-word layer.
+func (h *Hierarchy) clearVolatile() {
+	for _, c := range h.l1 {
+		c.reset()
+	}
+	for _, c := range h.l2p {
+		c.reset()
+	}
+	if h.l2 != nil {
+		h.l2.reset()
+	}
+	if h.l3 != nil {
+		h.l3.reset()
+	}
+	if h.dramc != nil {
+		h.dramc.reset()
+	}
+	for _, wb := range h.wbs {
+		wb.reset()
+	}
+	h.evictq.reset()
+	h.dirty.reset()
 }
 
 // Params returns the hierarchy configuration.
@@ -981,25 +1046,7 @@ func (h *Hierarchy) FlushAllDirty() int {
 // cache, write buffers, and the memory-controller eviction buffer. The NVM
 // image (including WPQ contents, which are in the ADR domain) survives.
 func (h *Hierarchy) PowerFail() {
-	for _, c := range h.l1 {
-		c.reset()
-	}
-	for _, c := range h.l2p {
-		c.reset()
-	}
-	if h.p.UseL3 {
-		h.l3.reset()
-	} else {
-		h.l2.reset()
-	}
-	if h.p.Mode == MemoryMode {
-		h.dramc = newDRAMCache(h.p.DRAMCacheSize)
-	}
-	for i := range h.wbs {
-		h.wbs[i] = newWriteBuffer(h.p.WBEntries, h.p.CoalesceWB, h.p.Cores > 1)
-	}
-	h.evictq.reset()
-	h.dirty.reset()
+	h.clearVolatile()
 	h.dev.PowerFail()
 }
 

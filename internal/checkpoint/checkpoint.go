@@ -267,14 +267,6 @@ func (im *Image) SectionSizes() []int {
 	return out
 }
 
-// SectionName names the i-th entry of SectionSizes (0 is the header).
-func SectionName(i int) string {
-	if i == 0 {
-		return "header"
-	}
-	return section(i - 1).String()
-}
-
 // EncodeAll concatenates the per-core images into the single blob the
 // checkpoint controller streams to the designated NVM area. The v2 header's
 // length field makes the concatenation self-framing for DecodeAll.

@@ -105,11 +105,77 @@ const maxForbiddenPerTest = 8
 // accept-timing jitter, and periodic crash points), checking every
 // observation against the axiomatic model.
 func RunTest(t *Test, opt RunOptions) (*TestResult, error) {
+	return newRunner(opt).runTest(t)
+}
+
+// runner runs schedules on one machine per core count, built on first use
+// and reset in place for every later schedule, of this test or the next.
+type runner struct {
+	opt RunOptions
+	sch persist.Config
+	// logCarried selects the durability carrier (RunOptions.Scheme).
+	logCarried bool
+	machines   map[int]*multicore.System
+	// sseed is the running schedule's seed; the machines' persist
+	// perturbation reads it.
+	sseed uint64
+}
+
+func newRunner(opt RunOptions) *runner {
+	r := &runner{opt: opt.normalized(), sch: persist.PPADefault(), machines: make(map[int]*multicore.System)}
+	if opt.Scheme != nil {
+		r.sch = *opt.Scheme
+	}
+	r.logCarried = r.sch.Retire() == persist.RetireGatedLog
+	return r
+}
+
+// machine returns the machine for w's core count, bound to w at schedule
+// seed sseed.
+func (r *runner) machine(w *workload.Workload, sseed uint64) (*multicore.System, error) {
+	r.sseed = sseed
+	n := len(w.Threads)
+	if sys := r.machines[n]; sys != nil {
+		return sys, sys.Reset(w, sseed|1)
+	}
+	cfg := multicore.DefaultConfig(n, r.sch)
+	// Short persist latencies keep 50-schedule sweeps fast while leaving
+	// a window the accept-timing jitter can actually reorder within.
+	cfg.Hierarchy.PersistTransit = 24
+	cfg.Hierarchy.PersistLag = 60
+	cfg.StepSeed = sseed | 1
+	cfg.PersistPerturb = r.perturb
+	cfg.Lockstep = r.opt.Lockstep
+	sys, err := multicore.NewSystem(cfg, w)
+	if err != nil {
+		return nil, err
+	}
+	r.machines[n] = sys
+	return sys, nil
+}
+
+// perturb defers ~25% of (core, cycle) accept slots: enough jitter to
+// shuffle cross-core accept interleavings, low enough that every entry
+// still drains promptly.
+func (r *runner) perturb(core int, cycle uint64) bool {
+	return mix(r.sseed, 0xACC, cycle, uint64(core))&3 == 0
+}
+
+func (r *runner) runTest(t *Test) (*TestResult, error) {
 	c, err := Compile(t)
 	if err != nil {
 		return nil, err
 	}
-	opt = opt.normalized()
+	opt := r.opt
+	w := &workload.Workload{
+		Profile: workload.Profile{
+			Name:           "litmus",
+			DepDistance:    1,
+			Threads:        len(c.Progs),
+			SyncContention: 1,
+		},
+		Threads: c.Progs,
+	}
 	res := &TestResult{
 		Name:         t.Name,
 		Cores:        len(t.Cores),
@@ -119,7 +185,7 @@ func RunTest(t *Test, opt RunOptions) (*TestResult, error) {
 		Observed:     make(map[string]int),
 	}
 	for s := 0; s < opt.Schedules; s++ {
-		rec, err := runSchedule(c, s, opt)
+		rec, err := r.runSchedule(c, w, s)
 		if err != nil {
 			return nil, err
 		}
@@ -381,46 +447,19 @@ func (r *recorder) ObserveBarrierComplete(core int, cycle uint64, cause pipeline
 	}
 }
 
-// runSchedule executes one perturbed schedule of a compiled test.
-func runSchedule(c *Compiled, sched int, opt RunOptions) (*recorder, error) {
+// runSchedule executes one perturbed schedule of a compiled test on w.
+func (r *runner) runSchedule(c *Compiled, w *workload.Workload, sched int) (*recorder, error) {
+	opt := r.opt
 	sseed := mix(opt.Seed, hashName(c.Test.Name), uint64(sched))
 	n := len(c.Progs)
-	w := &workload.Workload{
-		Profile: workload.Profile{
-			Name:           "litmus",
-			DepDistance:    1,
-			Threads:        n,
-			SyncContention: 1,
-		},
-		Threads: c.Progs,
-	}
-	sch := persist.PPADefault()
-	if opt.Scheme != nil {
-		sch = *opt.Scheme
-	}
-	scheme := persist.SchemeFor(sch)
-	// The durability carrier (RunOptions.Scheme).
-	logCarried := sch.Retire() == persist.RetireGatedLog
-	cfg := multicore.DefaultConfig(n, sch)
-	// Short persist latencies keep 50-schedule sweeps fast while leaving
-	// a window the accept-timing jitter can actually reorder within.
-	cfg.Hierarchy.PersistTransit = 24
-	cfg.Hierarchy.PersistLag = 60
-	cfg.StepSeed = sseed | 1
-	cfg.PersistPerturb = func(core int, cycle uint64) bool {
-		// Defer ~25% of (core, cycle) accept slots: enough jitter to
-		// shuffle cross-core accept interleavings, low enough that every
-		// entry still drains promptly.
-		return mix(sseed, 0xACC, cycle, uint64(core))&3 == 0
-	}
-	cfg.Lockstep = opt.Lockstep
-	sys, err := multicore.NewSystem(cfg, w)
+	sys, err := r.machine(w, sseed)
 	if err != nil {
 		return nil, err
 	}
+	scheme := sys.Scheme()
 	rec := newRecorder(c, sched)
 	rec.dev = sys.Device().Image()
-	if logCarried {
+	if r.logCarried {
 		sys.Device().AddLogObserver(func(core int, lr nvm.LogRecord) {
 			if lr.Marker {
 				return
@@ -490,7 +529,7 @@ func runSchedule(c *Compiled, sched int, opt RunOptions) (*recorder, error) {
 			fmt.Sprintf("%d NVM eviction writebacks in a litmus-sized footprint", wb))
 	}
 	key := px86.Key(rec.overlay)
-	if sch.Retire() == persist.RetireGated {
+	if r.sch.Retire() == persist.RetireGated {
 		// The open gated tail is legally volatile on the accept stream; the
 		// drained state need only be allowed, not all-stores-persisted.
 		if !c.Model.MemberKey(key) {
@@ -532,8 +571,9 @@ type CorpusReport struct {
 // progress (optional) fires after each test.
 func RunCorpus(tests []*Test, opt RunOptions, progress func(*TestResult)) (*CorpusReport, error) {
 	rep := &CorpusReport{TotalTests: len(tests)}
+	r := newRunner(opt)
 	for _, t := range tests {
-		res, err := RunTest(t, opt)
+		res, err := r.runTest(t)
 		if err != nil {
 			return nil, err
 		}

@@ -125,9 +125,6 @@ func (s *SampledSystem) Done() bool {
 // architectural memory after every completed window+skip.
 func (s *SampledSystem) Device() *nvm.Device { return s.dev }
 
-// Engine exposes the run-long functional engine.
-func (s *SampledSystem) Engine() *oracle.Machine { return s.engine }
-
 // Windows returns how many detailed windows have run.
 func (s *SampledSystem) Windows() int { return s.win }
 

@@ -122,6 +122,10 @@ type System struct {
 
 	// oracle is the lockstep checker (nil unless Config.Lockstep).
 	oracle *oracle.Machine
+
+	// resumed marks a machine built around a surviving device (a resumed
+	// machine or a sampled window): Reset has no fresh state to return to.
+	resumed bool
 }
 
 // NewSystemResumed builds a machine around a surviving NVM device (post
@@ -153,6 +157,7 @@ func newSystem(cfg Config, w *workload.Workload, dev *nvm.Device, startAt []int)
 	}
 	cfg.Hierarchy.Cores = len(w.Threads)
 
+	resumed := dev != nil
 	if dev == nil {
 		dev = nvm.NewDevice(cfg.NVM)
 	}
@@ -163,10 +168,105 @@ func newSystem(cfg Config, w *workload.Workload, dev *nvm.Device, startAt []int)
 		cfg.Pipeline.Obs = cfg.Obs
 	}
 
-	s := &System{cfg: cfg, w: w, dev: dev, hier: hier, scheme: persist.SchemeFor(cfg.Scheme)}
+	s := &System{dev: dev, hier: hier, scheme: persist.SchemeFor(cfg.Scheme), resumed: resumed}
 	backend := s.scheme.NewBackend(len(w.Threads), dev)
 	if backend != nil {
 		s.backends = append(s.backends, backend)
+	}
+	for i, prog := range w.Threads {
+		core, err := pipeline.New(coreConfig(cfg, w, i, startAt), prog, hier, backend)
+		if err != nil {
+			return nil, err
+		}
+		s.cores = append(s.cores, core)
+	}
+	s.reset(cfg, w, startAt)
+	return s, nil
+}
+
+// Reset turns the machine into the one NewSystem would build from its
+// build configuration with StepSeed replaced by stepSeed and bound to w,
+// keeping the storage every layer already holds: the NVM device's queues,
+// the cache tag chunks and write-buffer rings, the persist backend's
+// buffers, and each core's ROB, queues and register files. Observers and
+// commit sinks attached since the machine was built are dropped; a lockstep
+// oracle is rebuilt for w and hooked up again.
+//
+// Slices read from the machine before a Reset, such as a core's CSQ, share
+// storage the machine goes on to reuse; copy what must outlive the reset.
+// Results from Collect are copies, and the device's image is replaced, not
+// reused.
+//
+// w must have one thread per core. A machine built by NewSystemResumed, or
+// a sampled window, cannot be reset: it starts from a surviving device, not
+// from a fresh machine. Reset refuses both, and a workload of another
+// thread count, before changing anything. After any other error the
+// machine is unusable until a Reset succeeds.
+func (s *System) Reset(w *workload.Workload, stepSeed uint64) error {
+	switch {
+	case s.cfg.engine != nil:
+		return fmt.Errorf("multicore: a sampled window cannot be reset")
+	case s.resumed:
+		return fmt.Errorf("multicore: a resumed machine cannot be reset")
+	case len(w.Threads) != len(s.cores):
+		return fmt.Errorf("multicore: reset onto %d threads, machine has %d cores", len(w.Threads), len(s.cores))
+	}
+	cfg := s.cfg
+	cfg.StepSeed = stepSeed
+	s.dev.Reset()
+	s.hier.Reset()
+	for _, b := range s.backends {
+		b.Reset()
+	}
+	for i, c := range s.cores {
+		if err := c.Reset(coreConfig(cfg, w, i, nil), w.Threads[i]); err != nil {
+			return err
+		}
+	}
+	s.reset(cfg, w, nil)
+	return nil
+}
+
+// coreConfig is core i's pipeline configuration under cfg for w.
+func coreConfig(cfg Config, w *workload.Workload, i int, startAt []int) pipeline.Config {
+	pcfg := cfg.Pipeline
+	pcfg.CoreID = i
+	pcfg.Scheme = cfg.Scheme
+	pcfg.Threads = len(w.Threads)
+	pcfg.SyncContention = w.Profile.SyncContention
+	if startAt != nil {
+		pcfg.StartAt = startAt[i]
+	}
+	if cfg.fronts != nil {
+		pcfg.Front = cfg.fronts[i]
+	}
+	if cfg.stops != nil {
+		pcfg.StopAt = cfg.stops[i]
+	}
+	return pcfg
+}
+
+// reset sets the machine's own state to its just-built value over layers
+// that are already built or reset: cycle zero, the step order, the persist
+// perturbation, and the lockstep oracle with its hookups. It carries over
+// only the layers, the scheme and the step-order storage.
+func (s *System) reset(cfg Config, w *workload.Workload, startAt []int) {
+	order := s.stepOrder
+	if cfg.StepSeed == 0 || len(s.cores) < 2 {
+		order = nil
+	} else if order == nil {
+		order = make([]int, len(s.cores))
+	}
+	*s = System{
+		cfg:       cfg,
+		w:         w,
+		dev:       s.dev,
+		hier:      s.hier,
+		cores:     s.cores,
+		scheme:    s.scheme,
+		backends:  s.backends,
+		stepOrder: order,
+		resumed:   s.resumed,
 	}
 	if cfg.Lockstep {
 		if cfg.engine != nil {
@@ -174,49 +274,26 @@ func newSystem(cfg Config, w *workload.Workload, dev *nvm.Device, startAt []int)
 		} else {
 			s.oracle = oracle.New(w.Threads, startAt)
 		}
-		dev.SetAcceptObserver(s.oracle.ObserveAccept)
+		s.dev.SetAcceptObserver(s.oracle.ObserveAccept)
 		// A log scheme's records reach the oracle as the device logs them
 		// (Capri's battery-mode RedoPath logs none).
-		if lp, ok := backend.(*persist.LogPath); ok {
-			undo := lp.LogsPreImage()
-			orc := s.oracle
-			dev.SetLogObserver(func(core int, rec nvm.LogRecord) {
-				orc.ObserveLogAppend(core, rec, undo)
-			})
+		for _, b := range s.backends {
+			if lp, ok := b.(*persist.LogPath); ok {
+				undo := lp.LogsPreImage()
+				orc := s.oracle
+				s.dev.SetLogObserver(func(core int, rec nvm.LogRecord) {
+					orc.ObserveLogAppend(core, rec, undo)
+				})
+			}
 		}
-	}
-	for i, prog := range w.Threads {
-		pcfg := cfg.Pipeline
-		pcfg.CoreID = i
-		pcfg.Scheme = cfg.Scheme
-		pcfg.Threads = len(w.Threads)
-		pcfg.SyncContention = w.Profile.SyncContention
-		if startAt != nil {
-			pcfg.StartAt = startAt[i]
+		for _, c := range s.cores {
+			c.SetCommitSink(s.oracle)
 		}
-		if cfg.fronts != nil {
-			pcfg.Front = cfg.fronts[i]
-		}
-		if cfg.stops != nil {
-			pcfg.StopAt = cfg.stops[i]
-		}
-		core, err := pipeline.New(pcfg, prog, hier, backend)
-		if err != nil {
-			return nil, err
-		}
-		if s.oracle != nil {
-			core.SetCommitSink(s.oracle)
-		}
-		s.cores = append(s.cores, core)
-	}
-	if cfg.StepSeed != 0 && len(s.cores) > 1 {
-		s.stepOrder = make([]int, len(s.cores))
 	}
 	if cfg.PersistPerturb != nil {
-		hier.SetPersistPerturb(cfg.PersistPerturb)
+		s.hier.SetPersistPerturb(cfg.PersistPerturb)
 	}
 	s.refreshDone() // a resumed system can start with every trace retired
-	return s, nil
 }
 
 // refreshDone recomputes the cached all-cores-done flag from scratch.
@@ -576,8 +653,8 @@ func (s *System) Collect() *Result {
 		Cycles:   s.cycle,
 	}
 	for _, c := range s.cores {
-		st := c.Stats()
-		r.PerCore = append(r.PerCore, st)
+		st := *c.Stats() // a copy: a later Reset rewrites the core's stats
+		r.PerCore = append(r.PerCore, &st)
 		r.Insts += st.Insts
 	}
 	r.L2MissRate = s.hier.L2MissRate()

@@ -6,6 +6,7 @@ import (
 
 	"ppa/internal/checkpoint"
 	"ppa/internal/isa"
+	"ppa/internal/oracle"
 	"ppa/internal/persist"
 	"ppa/internal/recovery"
 	"ppa/internal/workload"
@@ -205,6 +206,61 @@ func TestNewSystemResumed(t *testing.T) {
 	if _, err := NewSystemResumed(DefaultConfig(1, persist.PPADefault()), w2,
 		sys.Device(), []int{1, 2}); err == nil {
 		t.Fatal("wrong resume-point count must error")
+	}
+}
+
+// TestResetPreconditions: Reset refuses a workload of another thread
+// count, a resumed machine and a sampled window, without touching the
+// machine, and a Result collected before a Reset keeps its figures.
+func TestResetPreconditions(t *testing.T) {
+	w, _ := workload.New(mustProfile(t, "gcc"), 2000)
+	cfg := DefaultConfig(1, persist.PPADefault())
+	sys, err := NewSystem(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(CycleBudget(2000)); err != nil {
+		t.Fatal(err)
+	}
+	res := sys.Collect()
+	w8, _ := workload.New(mustProfile(t, "water-ns"), 100)
+	if err := sys.Reset(w8, 0); err == nil {
+		t.Fatal("reset onto 8 threads of a 1-core machine must error")
+	}
+	if sys.Cycle() != res.Cycles || !sys.Done() {
+		t.Fatal("a refused reset changed the machine")
+	}
+	if err := sys.Reset(w, 7); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Cycle() != 0 || sys.Done() || sys.Config().StepSeed != 7 {
+		t.Fatalf("reset machine at cycle %d, done %v, step seed %d", sys.Cycle(), sys.Done(), sys.Config().StepSeed)
+	}
+	if res.PerCore[0].Insts != 2000 {
+		t.Fatalf("a reset rewrote a collected Result: %d insts", res.PerCore[0].Insts)
+	}
+
+	sys.RunUntil(3000)
+	images := sys.Crash()
+	if _, err := recovery.Replay(sys.Device(), images[0]); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := NewSystemResumed(cfg, w, sys.Device(), []int{images[0].Committed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Reset(w, 0); err == nil {
+		t.Fatal("a resumed machine must refuse a reset")
+	}
+
+	wcfg := cfg
+	wcfg.engine = oracle.New(w.Threads, nil)
+	window, err := NewSystem(wcfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := window.Reset(w, 0); err == nil {
+		t.Fatal("a sampled window must refuse a reset")
 	}
 }
 

@@ -72,24 +72,6 @@ func (d *Device) LogRecords(core int) []LogRecord {
 	return d.plog[core]
 }
 
-// LogCores returns how many per-core logs the area holds.
-func (d *Device) LogCores() int { return len(d.plog) }
-
-// DropLogPrefix discards the first n records of a core's log — the
-// region-close truncation that retires a fully persisted region's records.
-// The retained suffix is copied down so the durable area does not pin the
-// dropped prefix.
-func (d *Device) DropLogPrefix(core, n int) {
-	if core >= len(d.plog) || n <= 0 {
-		return
-	}
-	if n >= len(d.plog[core]) {
-		d.plog[core] = d.plog[core][:0]
-		return
-	}
-	d.plog[core] = append(d.plog[core][:0], d.plog[core][n:]...)
-}
-
 // TruncateLog keeps only the first n records of a core's log, discarding
 // the suffix — recovery's disposal of rolled-back or uncommitted records.
 // It fires no observers.
@@ -98,21 +80,4 @@ func (d *Device) TruncateLog(core, n int) {
 		return
 	}
 	d.plog[core] = d.plog[core][:n]
-}
-
-// ClearLogs erases every core's log (after a successful recovery, mirroring
-// ClearCheckpoint).
-func (d *Device) ClearLogs() {
-	for i := range d.plog {
-		d.plog[i] = d.plog[i][:0]
-	}
-}
-
-// LogLen returns the total record count across all cores (observability).
-func (d *Device) LogLen() int {
-	n := 0
-	for i := range d.plog {
-		n += len(d.plog[i])
-	}
-	return n
 }

@@ -136,6 +136,15 @@ func (b *wcbBuf) init(capacity int) {
 	b.head, b.tail = -1, -1
 }
 
+// empty evicts every resident line. Which node holds a line is invisible
+// outside the buffer, so an emptied buffer behaves exactly like a newly
+// initialized one, and emptying costs the lines it held, not its capacity.
+func (b *wcbBuf) empty() {
+	for b.n > 0 {
+		b.evictOldest()
+	}
+}
+
 func (b *wcbBuf) unlink(i int32) {
 	nd := &b.nodes[i]
 	if nd.prev >= 0 {
@@ -279,19 +288,34 @@ func NewDevice(cfg Config) *Device {
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
 	}
-	d := &Device{
-		cfg:   cfg,
-		image: isa.NewMapMemory(),
-		chans: make([]channel, cfg.Channels),
+	d := &Device{cfg: cfg, chans: make([]channel, cfg.Channels)}
+	d.Reset()
+	return d
+}
+
+// Reset returns the device to the state NewDevice builds: an empty image,
+// log area and checkpoint area, fresh wear state and statistics, empty
+// queues and no accept or log observers. It keeps the channels' WPQ rings
+// and write-combining buffers for reuse, and the obs handles SetObs bound.
+func (d *Device) Reset() {
+	for i := range d.chans {
+		d.chans[i].reset()
 	}
-	if cfg.WearLeveling {
-		n := cfg.WearRegionLines
+	*d = Device{
+		cfg:        d.cfg,
+		image:      isa.NewMapMemory(),
+		chans:      d.chans,
+		tr:         d.tr,
+		wpqRejects: d.wpqRejects,
+		wpqAtWrite: d.wpqAtWrite,
+	}
+	if d.cfg.WearLeveling {
+		n := d.cfg.WearRegionLines
 		if n == 0 {
 			n = 1 << 16
 		}
-		d.sg = NewStartGap(n, cfg.WearPsi)
+		d.sg = NewStartGap(n, d.cfg.WearPsi)
 	}
-	return d
 }
 
 // wearKey maps a line to the media slot whose wear it consumes: the line
@@ -347,6 +371,15 @@ func (d *Device) ReadAccess(line uint64, cycle uint64) uint64 {
 	}
 	d.Reads++
 	return start + uint64(d.cfg.ReadLatency)
+}
+
+// reset empties the channel, keeping its WPQ ring and its write-combining
+// buffer's storage.
+func (ch *channel) reset() {
+	if ch.wcb.nodes != nil {
+		ch.wcb.empty()
+	}
+	*ch = channel{wpq: ch.wpq, wcb: ch.wcb}
 }
 
 // wpqAt returns the i-th queued entry (0 = front) of the channel's ring.
@@ -595,7 +628,7 @@ func (d *Device) MutateCheckpoint(fn func([]byte) []byte) bool {
 // flushed by ADR during the outage.
 func (d *Device) PowerFail() {
 	for i := range d.chans {
-		d.chans[i] = channel{}
+		d.chans[i].reset()
 	}
 }
 

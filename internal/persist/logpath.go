@@ -87,7 +87,6 @@ func NewLogPath(cores, bufBytes, drainCycles int, mode LogMode, dev *nvm.Device)
 	if drainCycles < 1 {
 		drainCycles = 1
 	}
-	dev.EnsureLogArea(cores)
 	l := &LogPath{
 		perCoreCap: cap,
 		drainCyc:   drainCycles,
@@ -97,13 +96,38 @@ func NewLogPath(cores, bufBytes, drainCycles int, mode LogMode, dev *nvm.Device)
 		unauth:     make([]int, cores),
 		applied:    make([]int, cores),
 	}
-	for i := range l.applied {
-		l.applied[i] = len(dev.LogRecords(i))
-	}
 	if mode == LogModeStaged {
 		l.buf = make([][]nvm.LogRecord, cores)
 	}
+	l.Reset()
 	return l
+}
+
+// Reset returns the path to the state NewLogPath builds over its device:
+// nothing queued, buffered or awaiting authorization, zero statistics, and
+// every record already in the device's log area (none, once the device is
+// reset) counted as applied. It keeps the per-core counters and buffers.
+func (l *LogPath) Reset() {
+	l.dev.EnsureLogArea(len(l.pending))
+	clear(l.pending)
+	clear(l.unauth)
+	for i := range l.applied {
+		l.applied[i] = len(l.dev.LogRecords(i))
+	}
+	for i := range l.buf {
+		l.buf[i] = l.buf[i][:0]
+	}
+	*l = LogPath{
+		perCoreCap: l.perCoreCap,
+		drainCyc:   l.drainCyc,
+		mode:       l.mode,
+		dev:        l.dev,
+		queue:      l.queue[:0],
+		pending:    l.pending,
+		unauth:     l.unauth,
+		applied:    l.applied,
+		buf:        l.buf,
+	}
 }
 
 // outstanding is a core's records not yet retired from the path: buffered,

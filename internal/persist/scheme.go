@@ -84,6 +84,9 @@ type Backend interface {
 	// PowerFail models the outage: volatile backend state is lost,
 	// battery-backed or durable state survives.
 	PowerFail()
+	// Reset returns the backend to the state NewBackend builds over its
+	// device, keeping its storage.
+	Reset()
 }
 
 // Scheme is the pluggable persistence scheme: region formation policy and

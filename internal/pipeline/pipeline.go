@@ -15,6 +15,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"ppa/internal/cache"
@@ -341,11 +342,8 @@ type Core struct {
 // resolves the backend's concrete type once here so the cycle loop works on
 // a devirtualized pointer and stays allocation-free.
 func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.Backend) (*Core, error) {
-	if err := cfg.Scheme.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Width <= 0 || cfg.ROBSize <= 0 {
-		return nil, fmt.Errorf("pipeline: width and ROB size must be positive")
+	if cfg.ROBSize <= 0 {
+		return nil, errGeometry
 	}
 	var lp *persist.LogPath
 	redo := false
@@ -358,16 +356,11 @@ func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.B
 	default:
 		return nil, fmt.Errorf("pipeline: unknown persist backend %T", backend)
 	}
-	if cfg.Scheme.NeedsBackend() && lp == nil {
-		return nil, fmt.Errorf("pipeline: scheme %s requires a persist backend", cfg.Scheme.Kind)
-	}
 	csqCap := cfg.Scheme.CSQEntries
 	if csqCap <= 0 {
 		csqCap = 64
 	}
 	c := &Core{
-		cfg:        cfg,
-		prog:       prog,
 		hier:       hier,
 		backend:    lp,
 		ren:        rename.New(cfg.Rename),
@@ -375,34 +368,13 @@ func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.B
 		sqReleases: make([]uint64, 0, cfg.SQSize),
 		sqAckToks:  make([]int64, 0, cfg.SQSize),
 		csq:        make([]CSQEntry, 0, csqCap),
-		next:       cfg.StartAt,
-		rngState:   uint64(cfg.CoreID)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
 	}
 	c.backendFull = &c.st.LogFullStalls
 	if redo {
 		c.backendFull = &c.st.RedoFullStalls
 	}
-	c.retire = cfg.Scheme.Retire()
-	c.committed = cfg.StartAt
-	c.stop = prog.Len()
-	if cfg.StopAt > 0 && cfg.StopAt < prog.Len() {
-		c.stop = cfg.StopAt
-	}
-	if c.stop < cfg.StartAt {
-		return nil, fmt.Errorf("pipeline: stop %d before start %d", c.stop, cfg.StartAt)
-	}
-	if cfg.Front != nil {
-		if cfg.Front.Executed != cfg.StartAt {
-			return nil, fmt.Errorf("pipeline: injected front at instruction %d, core starts at %d",
-				cfg.Front.Executed, cfg.StartAt)
-		}
-		c.front = cfg.Front
-	} else {
-		c.front = isa.RunGolden(prog, cfg.StartAt)
-	}
-	if cfg.SampleFreeRegs {
-		c.st.FreeInt = stats.NewCDF()
-		c.st.FreeFP = stats.NewCDF()
+	if err := c.reset(cfg, prog); err != nil {
+		return nil, err
 	}
 	c.tr = cfg.Obs.Tracer()
 	if reg := cfg.Obs.Registry(); reg != nil {
@@ -426,6 +398,86 @@ func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.B
 		c.pressure = rename.NewBoundaryPressure(reg)
 	}
 	return c, nil
+}
+
+// Reset returns the core to the state New builds for cfg and prog over the
+// hierarchy and backend it was built with, keeping its ROB, queues and
+// register files and the obs handles New bound. The caller resets the
+// hierarchy and the backend. cfg must keep the core's index, ROB and
+// register-file sizes and obs hub: New sized storage and bound metrics for
+// them. A commit sink attached since New is dropped.
+func (c *Core) Reset(cfg Config, prog *isa.Program) error {
+	if cfg.CoreID != c.cfg.CoreID || cfg.ROBSize != c.cfg.ROBSize ||
+		cfg.Rename != c.cfg.Rename || cfg.Obs != c.cfg.Obs {
+		return fmt.Errorf("pipeline: reset cannot change core %d's index, ROB or register-file size, or obs hub", c.cfg.CoreID)
+	}
+	return c.reset(cfg, prog)
+}
+
+var errGeometry = errors.New("pipeline: width and ROB size must be positive")
+
+// reset sets every field to its just-built value for cfg and prog. It
+// carries over only storage, the hierarchy and backend, and obs handles;
+// a field not listed returns to zero. ROB slots keep stale contents:
+// dispatch writes every field of a slot before it becomes live.
+func (c *Core) reset(cfg Config, prog *isa.Program) error {
+	if err := cfg.Scheme.Validate(); err != nil {
+		return err
+	}
+	if cfg.Width <= 0 {
+		return errGeometry
+	}
+	if cfg.Scheme.NeedsBackend() && c.backend == nil {
+		return fmt.Errorf("pipeline: scheme %s requires a persist backend", cfg.Scheme.Kind)
+	}
+	stop := prog.Len()
+	if cfg.StopAt > 0 && cfg.StopAt < prog.Len() {
+		stop = cfg.StopAt
+	}
+	if stop < cfg.StartAt {
+		return fmt.Errorf("pipeline: stop %d before start %d", stop, cfg.StartAt)
+	}
+	front := cfg.Front
+	if front == nil {
+		front = isa.RunGolden(prog, cfg.StartAt)
+	} else if front.Executed != cfg.StartAt {
+		return fmt.Errorf("pipeline: injected front at instruction %d, core starts at %d",
+			front.Executed, cfg.StartAt)
+	}
+	c.ren.Reset()
+	*c = Core{
+		cfg:         cfg,
+		prog:        prog,
+		hier:        c.hier,
+		ren:         c.ren,
+		backend:     c.backend,
+		backendFull: c.backendFull, // points into c.st, which stays put
+		retire:      cfg.Scheme.Retire(),
+		rob:         c.rob,
+		sqReleases:  c.sqReleases[:0],
+		sqAckToks:   c.sqAckToks[:0],
+		keepScratch: c.keepScratch[:0],
+		next:        cfg.StartAt,
+		csq:         c.csq[:0],
+		committed:   cfg.StartAt,
+		stop:        stop,
+		front:       front,
+
+		tr:              c.tr,
+		obsRegionInsts:  c.obsRegionInsts,
+		obsRegionStores: c.obsRegionStores,
+		obsBarrierStall: c.obsBarrierStall,
+		obsDrainWait:    c.obsDrainWait,
+		obsBarrier:      c.obsBarrier,
+		pressure:        c.pressure,
+
+		rngState: uint64(cfg.CoreID)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
+	}
+	if cfg.SampleFreeRegs {
+		c.st.FreeInt = stats.NewCDF()
+		c.st.FreeFP = stats.NewCDF()
+	}
+	return nil
 }
 
 // Done reports whether every instruction has committed.

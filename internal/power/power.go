@@ -108,9 +108,6 @@ func (b CheckpointBudget) ByteBudget() int {
 	return int(b.CapacityUJ * 1e3 / b.EnergyPerByteNJ)
 }
 
-// Covers reports whether a dump of n bytes completes within the budget.
-func (b CheckpointBudget) Covers(n int) bool { return n <= b.ByteBudget() }
-
 // StructuresCovered returns how many leading dump units — the image header
 // plus the five checkpointed structures, in stream order, sized by the
 // caller — are fully durable within budgetBytes. This is the per-structure

@@ -49,26 +49,44 @@ func newFile(class isa.RegClass, physRegs, archRegs int) *file {
 	if physRegs < archRegs+1 {
 		physRegs = archRegs + 1
 	}
-	f := &file{
+	return &file{
 		class:    class,
 		archRegs: archRegs,
 		vals:     make([]uint64, physRegs),
 		readyAt:  make([]uint64, physRegs),
 		masked:   make([]bool, physRegs),
+		free:     make([]uint16, 0, physRegs-archRegs),
 		rat:      make([]uint16, archRegs),
 		crt:      make([]uint16, archRegs),
 	}
-	// Reset state: arch reg i maps to phys i in both tables; the rest of
-	// the file is free.
-	for i := 0; i < archRegs; i++ {
+}
+
+// reset puts the file in its reset state, keeping its storage: every
+// register zero, ready and unmasked, arch reg i mapped to phys i in both
+// tables, and the rest of the file free.
+func (f *file) reset() {
+	clear(f.vals)
+	clear(f.readyAt)
+	clear(f.masked)
+	for i := 0; i < f.archRegs; i++ {
 		f.rat[i] = uint16(i)
 		f.crt[i] = uint16(i)
 	}
-	f.free = make([]uint16, 0, physRegs-archRegs)
-	for i := physRegs - 1; i >= archRegs; i-- {
-		f.free = append(f.free, uint16(i))
+	free := f.free[:0]
+	for i := len(f.vals) - 1; i >= f.archRegs; i-- {
+		free = append(free, uint16(i))
 	}
-	return f
+	*f = file{
+		class:    f.class,
+		archRegs: f.archRegs,
+		vals:     f.vals,
+		readyAt:  f.readyAt,
+		masked:   f.masked,
+		free:     free,
+		deferred: f.deferred[:0],
+		rat:      f.rat,
+		crt:      f.crt,
+	}
 }
 
 func (f *file) freeCount() int { return len(f.free) }
@@ -98,10 +116,20 @@ func DefaultConfig() Config { return Config{IntPhysRegs: 180, FPPhysRegs: 168} }
 
 // New creates a renamer with reset mappings.
 func New(cfg Config) *Renamer {
-	return &Renamer{
+	r := &Renamer{
 		intF: newFile(isa.ClassInt, cfg.IntPhysRegs, isa.NumIntRegs),
 		fpF:  newFile(isa.ClassFP, cfg.FPPhysRegs, isa.NumFPRegs),
 	}
+	r.Reset()
+	return r
+}
+
+// Reset returns the renamer to the state New builds, keeping its register
+// files: reset mappings, a full free list, no masks and zero counters.
+func (r *Renamer) Reset() {
+	r.intF.reset()
+	r.fpF.reset()
+	*r = Renamer{intF: r.intF, fpF: r.fpF}
 }
 
 func (r *Renamer) fileOf(class isa.RegClass) *file {
@@ -334,10 +362,6 @@ func (r *Renamer) CommittedArchValue(a isa.Reg) uint64 {
 	f := r.fileOf(a.Class)
 	return f.vals[f.crt[a.Index]]
 }
-
-// PhysRegs returns the file size for a class (used by MaskReg sizing and
-// hardware-cost models).
-func (r *Renamer) PhysRegs(class isa.RegClass) int { return len(r.fileOf(class).vals) }
 
 // InUse returns the number of non-free physical registers of a class.
 func (r *Renamer) InUse(class isa.RegClass) int {

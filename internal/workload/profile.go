@@ -100,9 +100,6 @@ type Profile struct {
 	Seed int64
 }
 
-// MemRatio returns the fraction of instructions that access memory.
-func (p *Profile) MemRatio() float64 { return p.LoadRatio + p.StoreRatio }
-
 // Validate reports an error if the profile's ratios are inconsistent.
 func (p *Profile) Validate() error {
 	if p.Name == "" {

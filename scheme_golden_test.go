@@ -112,16 +112,28 @@ func TestHierarchyOrganizationGoldenDigests(t *testing.T) {
 // image.
 func goldenRunDigests(t *testing.T, rc RunConfig, threads int, org func(*multicore.Config)) [2]string {
 	t.Helper()
+	sys, err := NewSystem(goldenConfig(rc, org))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runDigests(t, sys, rc, threads)
+}
+
+// goldenConfig is rc with region tracing on and org's hierarchy changes.
+func goldenConfig(rc RunConfig, org func(*multicore.Config)) RunConfig {
 	rc.Customize = func(c *multicore.Config) {
 		c.Pipeline.TraceRegions = true
 		if org != nil {
 			org(c)
 		}
 	}
-	sys, err := NewSystem(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return rc
+}
+
+// runDigests runs sys, a machine for rc, to completion and returns the
+// digests of its Result and final NVM image.
+func runDigests(t *testing.T, sys *multicore.System, rc RunConfig, threads int) [2]string {
+	t.Helper()
 	if err := sys.Run(multicore.CycleBudget(rc.InstsPerThread)); err != nil {
 		t.Fatal(err)
 	}
