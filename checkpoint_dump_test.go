@@ -8,8 +8,8 @@ import (
 // The JIT checkpoint dump's two public faces are pinned here: Table 5's
 // analytical rows (the §7.13 size, time and energy) and the torn dump a
 // TornCheckpoint fault leaves behind, read off the trace. Regenerate only
-// for an intended behaviour change: run the tests with -v and copy the
-// printed values.
+// for an intended behaviour change: run the tests and copy the values a
+// failure prints.
 
 // goldenTable5Digest is the SHA-256 of Table5()'s JSON: the three hwcost
 // rows, the 1834-byte worst case, its read and flush times and the
@@ -38,8 +38,8 @@ type tornDumpCase struct {
 	param uint64
 }
 
-// tornDumpParams sweep the reservoir from empty to one byte short: 0 and
-// 999 are the ends and 1500 wraps to 500. The cut cycles are chosen so
+// tornDumpParams sweep the reservoir from empty (0) to 999 permille, and
+// 1500 wraps to 500. The cut cycles are chosen so
 // that some of these put full×permille on a multiple of 1000, where the
 // budget's float arithmetic floors a byte below the exact quotient.
 var tornDumpParams = []uint64{0, 1, 125, 200, 250, 333, 500, 750, 875, 999, 1500}

@@ -108,18 +108,12 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 		return v, nil
 	}
 
-	// Cut power. A torn-checkpoint fault maps its permille parameter onto
-	// an undersized residual-energy reservoir; sizing uses a pre-crash
-	// capture of the same state the dump FSM will stream.
+	// Cut power. A torn-checkpoint fault's Param is the reservoir's share
+	// of the dump's energy demand in permille, reduced mod 1000 so the
+	// dump always tears.
 	var opt multicore.CrashOptions
 	if p.Fault.Kind == fault.TornCheckpoint {
-		full := 0
-		for i, c := range sys.Cores() {
-			im := checkpoint.Capture(c)
-			im.CoreID = i
-			full += len(im.Encode())
-		}
-		opt.CheckpointEnergyUJ = tornEnergyUJ(p.Fault.Param, full)
+		opt.ShortfallPermille = 1000 - int(p.Fault.Param%1000)
 	}
 	inj := fault.NewInjector(hub)
 	if sys.CrashWithOptions(opt).Torn {
@@ -222,20 +216,6 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 		r.attach(next)
 	}
 	return v, nil
-}
-
-// tornEnergyUJ converts a TornCheckpoint Param (permille of the full
-// dump's energy demand, reduced mod 1000 so the dump always tears) into an
-// absolute reservoir capacity for CrashOptions.
-func tornEnergyUJ(param uint64, fullBytes int) float64 {
-	permille := param % 1000
-	uj := float64(fullBytes) * checkpoint.EnergyPerByteNJ / 1e3 * float64(permille) / 1000
-	if uj <= 0 {
-		// A zero reservoir still "exists": hand CrashWithOptions a budget
-		// too small for a single byte rather than disabling injection.
-		return checkpoint.EnergyPerByteNJ / 2e3
-	}
-	return uj
 }
 
 // recoverByContract runs the scheme's recovery over decoded images and

@@ -4,7 +4,9 @@
 // CRT, MaskReg, and the physical registers referenced by the CSQ or CRT.
 // The package provides the checkpoint image, a byte encoding (what the
 // controller streams over the non-temporal path at 8 bytes per cycle), and
-// the timing/energy model of Section 7.13.
+// CostModel, the one timing/energy model of that dump (Section 7.13). The
+// controller itself is not simulated cycle by cycle: a crash encodes every
+// image at once, and a torn dump is that stream cut short.
 package checkpoint
 
 import (
@@ -255,8 +257,7 @@ func (im *Image) Encode() []byte {
 
 // SectionSizes returns the encoded byte size of the header followed by each
 // framed section (meta, CSQ, CRT, MaskReg, PRF), in stream order. The sum
-// equals len(Encode()). The capacitor-budget model uses this to report
-// which structures a torn dump fully covered.
+// equals len(Encode()).
 func (im *Image) SectionSizes() []int {
 	sections := im.encodeSections()
 	out := make([]int, 0, 1+numSections)
@@ -267,9 +268,23 @@ func (im *Image) SectionSizes() []int {
 	return out
 }
 
-// EncodeAll concatenates the per-core images into the single blob the
-// checkpoint controller streams to the designated NVM area. The v2 header's
-// length field makes the concatenation self-framing for DecodeAll.
+// StructuresCovered returns how many leading dump units of the image — the
+// header, then its sections in stream order — are fully durable when a
+// brownout cuts its stream after n bytes. This is the per-structure
+// granularity of a torn dump: a brownout after the CSQ section leaves the
+// CSQ recoverable even though the register file never made it.
+func (im *Image) StructuresCovered(n int) int {
+	covered := 0
+	for _, sz := range im.SectionSizes() {
+		if n < sz {
+			break
+		}
+		n -= sz
+		covered++
+	}
+	return covered
+}
+
 // AppendSection exposes the checkpoint wire framing — [len u32 | payload |
 // crc32c u32], CRC covering length and payload — for sibling snapshot
 // formats (the sampled runner's window snapshots) so every persistent blob
@@ -295,6 +310,9 @@ func NextSection(b []byte) (payload, rest []byte, err error) {
 	return b[4:end], b[end+4:], nil
 }
 
+// EncodeAll concatenates the per-core images into the single blob the
+// checkpoint controller streams to the designated NVM area. The v2 header's
+// length field makes the concatenation self-framing for DecodeAll.
 func EncodeAll(images []*Image) []byte {
 	var b []byte
 	for _, im := range images {

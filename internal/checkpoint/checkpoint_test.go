@@ -153,70 +153,6 @@ func TestHardwareBytesAccounting(t *testing.T) {
 	}
 }
 
-func TestControllerFSM(t *testing.T) {
-	c := NewController(DefaultCostModel())
-	if c.State() != FSMIdle {
-		t.Fatal("must start Idle")
-	}
-	c.PowerFail(64) // 8 entries
-	if c.State() != FSMStopPipeline {
-		t.Fatal("Power_Fail must stop the pipeline")
-	}
-	cycles := c.Run()
-	if c.State() != FSMIdle {
-		t.Fatal("must return to Idle at Ckpt_All")
-	}
-	// 1 stop + 8 read/write pairs = 17 cycles.
-	if cycles != 17 {
-		t.Fatalf("FSM took %d cycles, want 17", cycles)
-	}
-	if c.EnergyUJ() <= 0 {
-		t.Fatal("energy must be positive")
-	}
-}
-
-func TestControllerFSMStatesVisit(t *testing.T) {
-	c := NewController(DefaultCostModel())
-	c.PowerFail(16)
-	seen := map[FSMState]bool{}
-	seen[c.State()] = true
-	for c.Step() {
-		seen[c.State()] = true
-	}
-	seen[c.State()] = true // final Idle after Ckpt_All
-	for _, s := range []FSMState{FSMStopPipeline, FSMRead, FSMWrite, FSMIdle} {
-		if !seen[s] {
-			t.Errorf("state %v never visited", s)
-		}
-	}
-}
-
-func TestCapacitorBudget(t *testing.T) {
-	m := DefaultCostModel()
-	// A 25 uJ capacitor covers the worst case; a 10 uJ one does not.
-	big := Capacitor{CapacityUJ: 25}
-	small := Capacitor{CapacityUJ: 10}
-	bytes := m.WorstCaseBytes(40, 16, 32, 180, 168)
-	if !big.CanCheckpoint(m, bytes) {
-		t.Fatal("25 uJ must suffice")
-	}
-	if small.CanCheckpoint(m, bytes) {
-		t.Fatal("10 uJ must not suffice")
-	}
-}
-
-func TestBackupVolumes(t *testing.T) {
-	// Table 5: PPA needs ~0.06 mm^3 supercap / ~0.0006 mm^3 Li-thin.
-	sc := SupercapVolumeMM3(21.7)
-	if math.Abs(sc-0.06) > 0.01 {
-		t.Fatalf("supercap volume %.4f mm^3", sc)
-	}
-	li := LiThinVolumeMM3(21.7)
-	if math.Abs(li-0.0006) > 0.0002 {
-		t.Fatalf("li-thin volume %.5f mm^3", li)
-	}
-}
-
 func TestEncodeDeterministic(t *testing.T) {
 	core := liveCore(t, "xz", 8000, 8000)
 	im := Capture(core)
@@ -244,58 +180,5 @@ func TestRegLookup(t *testing.T) {
 	m := im.RegLookup()
 	if m[rename.PhysRef{Class: isa.ClassInt, Idx: 5}] != 42 {
 		t.Fatal("lookup lost a register")
-	}
-}
-
-func TestSIGNAGWalk(t *testing.T) {
-	core := liveCore(t, "gcc", 10000, 8000)
-	im := Capture(core)
-	const base = uint64(0xCC00_0000)
-	walk := Walk(im, base)
-	if len(walk) == 0 {
-		t.Fatal("empty walk")
-	}
-	// Addresses are sequential 8-byte slots starting at the base.
-	for i, e := range walk {
-		if e.NVMAddr != base+uint64(i)*8 {
-			t.Fatalf("entry %d at %#x, want %#x", i, e.NVMAddr, base+uint64(i)*8)
-		}
-	}
-	// All five structures are visited, in controller order.
-	seen := map[StructureID]bool{}
-	prev := StructureID(-1)
-	for _, e := range walk {
-		seen[e.Struct] = true
-		if e.Struct < prev {
-			t.Fatal("walk revisited an earlier structure")
-		}
-		prev = e.Struct
-	}
-	for s := StructureID(0); s < numStructures; s++ {
-		if s == StructCSQ && len(im.CSQ) == 0 {
-			continue
-		}
-		if !seen[s] {
-			t.Fatalf("structure %v never visited", s)
-		}
-	}
-	// The walk's byte total equals the hardware cost accounting.
-	if got, want := WalkBytes(im), DefaultCostModel().HardwareBytes(im); got != want {
-		t.Fatalf("walk transfers %d bytes, cost model says %d", got, want)
-	}
-}
-
-func TestSIGNAGMatchesControllerCycles(t *testing.T) {
-	core := liveCore(t, "mcf", 10000, 10000)
-	im := Capture(core)
-	bytes := WalkBytes(im)
-	c := NewController(DefaultCostModel())
-	c.PowerFail(bytes)
-	cycles := c.Run()
-	// One stop cycle + one read and one write cycle per 8-byte entry.
-	want := uint64(1 + 2*len(Walk(im, 0)))
-	if cycles != want {
-		t.Fatalf("controller took %d cycles for %d entries, want %d",
-			cycles, len(Walk(im, 0)), want)
 	}
 }

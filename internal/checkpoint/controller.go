@@ -3,8 +3,9 @@ package checkpoint
 // The Section 7.13 accounting constants.
 const (
 	// EnergyPerByteNJ is the measured energy to read one byte from SRAM
-	// and move it from core to NVM (11.839 nJ/byte, per BBB's methodology).
-	EnergyPerByteNJ = 11.839
+	// and move it from core to NVM, per BBB's methodology. It is the one
+	// definition of this figure: hwcost's Table 5 rows read it too.
+	EnergyPerByteNJ = 11.839 // nJ/byte
 	// BytesPerCycle is the controller's streaming rate over the
 	// non-temporal path (8 bytes per cycle, Section 4.5).
 	BytesPerCycle = 8
@@ -79,124 +80,7 @@ func (m CostModel) FlushTimeUS(bytes int) float64 {
 	return float64(bytes) / (m.WriteBandwidthGBs * 1e3) // bytes / (GB/s) in us: B / (GB/s)=ns ; /1e3 = us
 }
 
-// EnergyUJ returns the checkpoint energy in microjoules at 11.839 nJ/byte.
+// EnergyUJ returns the checkpoint energy in microjoules at EnergyPerByteNJ.
 func (m CostModel) EnergyUJ(bytes int) float64 {
 	return float64(bytes) * EnergyPerByteNJ / 1e3
 }
-
-// FSMState enumerates the controller's states (Figure 7).
-type FSMState int
-
-const (
-	FSMIdle FSMState = iota
-	FSMStopPipeline
-	FSMRead
-	FSMWrite
-)
-
-func (s FSMState) String() string {
-	switch s {
-	case FSMIdle:
-		return "Idle"
-	case FSMStopPipeline:
-		return "Stop_Pipeline"
-	case FSMRead:
-		return "Read"
-	case FSMWrite:
-		return "Write"
-	default:
-		return "?"
-	}
-}
-
-// Controller simulates the checkpointing FSM cycle by cycle: on Power_Fail
-// it stops the pipeline, then alternates Read/Write one 8-byte entry at a
-// time across the five structures until Ckpt_All, tracking elapsed cycles
-// and consumed energy — which must fit in the capacitor budget.
-type Controller struct {
-	model CostModel
-
-	state      FSMState
-	remaining  int // 8-byte entries left
-	cycles     uint64
-	totalBytes int
-}
-
-// NewController builds a controller with the given cost model.
-func NewController(model CostModel) *Controller {
-	return &Controller{model: model, state: FSMIdle}
-}
-
-// PowerFail arms the controller for an image of the given encoded size.
-func (c *Controller) PowerFail(bytes int) {
-	c.totalBytes = bytes
-	c.remaining = (bytes + BytesPerCycle - 1) / BytesPerCycle
-	c.state = FSMStopPipeline
-	c.cycles = 0
-}
-
-// State returns the current FSM state.
-func (c *Controller) State() FSMState { return c.state }
-
-// Step advances the FSM one cycle; it returns true while work remains.
-func (c *Controller) Step() bool {
-	c.cycles++
-	switch c.state {
-	case FSMIdle:
-		return false
-	case FSMStopPipeline:
-		c.state = FSMRead
-		return true
-	case FSMRead:
-		c.state = FSMWrite
-		return true
-	case FSMWrite:
-		c.remaining--
-		if c.remaining <= 0 {
-			c.state = FSMIdle // Ckpt_All
-			return false
-		}
-		c.state = FSMRead
-		return true
-	}
-	return false
-}
-
-// Run drives the FSM to completion, returning elapsed controller cycles.
-func (c *Controller) Run() uint64 {
-	for c.Step() {
-	}
-	return c.cycles
-}
-
-// EnergyUJ returns the energy consumed for the armed image.
-func (c *Controller) EnergyUJ() float64 { return c.model.EnergyUJ(c.totalBytes) }
-
-// Capacitor models the residual-energy reservoir that powers JIT
-// checkpointing (Section 7.13). Energies are in microjoules.
-type Capacitor struct {
-	CapacityUJ float64
-}
-
-// CanCheckpoint reports whether the capacitor holds enough energy for a
-// checkpoint of the given byte size under the cost model.
-func (cap Capacitor) CanCheckpoint(m CostModel, bytes int) bool {
-	return m.EnergyUJ(bytes) <= cap.CapacityUJ
-}
-
-// SupercapVolumeMM3 returns the supercapacitor volume needed for an energy
-// budget, at the 1e-4 Wh/cm^3 density the paper cites.
-func SupercapVolumeMM3(energyUJ float64) float64 {
-	// 1e-4 Wh/cm^3 = 0.36 J/cm^3 = 0.36e-3 J/mm^3 = 360 uJ/mm^3.
-	return energyUJ / 360.0
-}
-
-// LiThinVolumeMM3 returns the Li-thin-battery volume for an energy budget,
-// at 1e-2 Wh/cm^3 (100x denser than the supercapacitor).
-func LiThinVolumeMM3(energyUJ float64) float64 {
-	return energyUJ / 36000.0
-}
-
-// CoreAreaMM2 is the Intel Xeon server core area the paper normalizes
-// against (11.85 mm^2 excluding shared L2).
-const CoreAreaMM2 = 11.85

@@ -23,7 +23,7 @@ const (
 	None Kind = iota
 	// TornCheckpoint models the residual-energy reservoir running dry mid
 	// JIT dump. Param is the reservoir's capacity in permille of the full
-	// dump's energy demand; at 1000+ the dump completes and nothing tears.
+	// dump's energy demand, reduced mod 1000, so the dump always tears.
 	TornCheckpoint
 	// NestedOutage models power failing again during recovery: Param is
 	// how many CSQ entries replay before the second outage. Recovery

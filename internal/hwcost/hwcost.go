@@ -11,7 +11,11 @@
 // published cells are reproduced to within a few percent.
 package hwcost
 
-import "math"
+import (
+	"math"
+
+	"ppa/internal/checkpoint"
+)
 
 // Node22nm holds the fitted constants for the 22 nm process the paper uses.
 var Node22nm = Process{
@@ -22,7 +26,7 @@ var Node22nm = Process{
 	EnergyBasePJ:     0.00040,
 	EnergySlopePJ:    0.0000133,
 	CoreAreaMM2:      11.85, // Intel Xeon server core, excluding shared L2
-	SRAMMoveNJPerB:   11.839,
+	SRAMMoveNJPerB:   checkpoint.EnergyPerByteNJ,
 	SupercapUJPerMM3: 360.0,   // 1e-4 Wh/cm^3
 	LiThinUJPerMM3:   36000.0, // 1e-2 Wh/cm^3
 }

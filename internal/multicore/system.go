@@ -18,7 +18,6 @@ import (
 	"ppa/internal/oracle"
 	"ppa/internal/persist"
 	"ppa/internal/pipeline"
-	"ppa/internal/power"
 	"ppa/internal/stats"
 	"ppa/internal/workload"
 )
@@ -479,12 +478,13 @@ func (s *System) totalInsts() int { return s.w.TotalInsts() }
 
 // CrashOptions controls fault injection at power-failure time.
 type CrashOptions struct {
-	// CheckpointEnergyUJ, when > 0, is the capacitor's residual energy at
-	// Power_Fail: the JIT dump costs checkpoint.EnergyPerByteNJ per byte
-	// and is cut at the byte where the reservoir runs dry, leaving a torn
-	// image in the NVM checkpoint area. <= 0 models a correctly sized
-	// reservoir (the dump always completes).
-	CheckpointEnergyUJ float64
+	// ShortfallPermille is how far the residual-energy reservoir at
+	// Power_Fail falls short of the JIT dump's energy demand, in permille
+	// of that demand. The dump is cut at the byte where the reservoir runs
+	// dry, leaving a torn image in the NVM checkpoint area; 1000 (or more)
+	// is an empty reservoir. <= 0 models a correctly sized reservoir (the
+	// dump always completes).
+	ShortfallPermille int
 }
 
 // CrashReport describes what one power failure managed to persist.
@@ -495,7 +495,7 @@ type CrashReport struct {
 	CheckpointBytes int
 	// FullBytes is the encoded dump size absent any brownout.
 	FullBytes int
-	// Torn reports that the capacitor ran dry mid-dump.
+	// Torn reports that the reservoir ran dry mid-dump.
 	Torn bool
 	// StructuresCovered counts the leading dump units (header + five
 	// structures) of the image the cut landed in that are fully durable;
@@ -512,8 +512,8 @@ func (s *System) Crash() []*checkpoint.Image {
 	return s.CrashWithOptions(CrashOptions{}).Images
 }
 
-// CrashWithOptions is Crash with fault injection: an undersized capacitor
-// budget truncates the dump at the brownout byte, modeling
+// CrashWithOptions is Crash with fault injection: an undersized reservoir
+// truncates the dump at the brownout byte, modeling
 // failure-during-checkpoint. For the eADR/BBB scheme the defining
 // behaviour happens first: the battery flushes every dirty byte from the
 // volatile hierarchy to NVM — the energy-hungry alternative PPA's 2 KB
@@ -573,17 +573,20 @@ func (s *System) CrashWithOptions(opt CrashOptions) *CrashReport {
 			ckptBytes.Observe(float64(sz))
 		}
 	}
-	if opt.CheckpointEnergyUJ > 0 {
-		budget := power.CheckpointBudget{
-			CapacityUJ:      opt.CheckpointEnergyUJ,
-			EnergyPerByteNJ: checkpoint.EnergyPerByteNJ,
-		}.ByteBudget()
+	if short := min(opt.ShortfallPermille, 1000); short > 0 {
+		// The reservoir holds 1000-short permille of the dump's energy and
+		// streams bytes at checkpoint.EnergyPerByteNJ until it runs dry.
+		// The budget is priced in energy, as the hardware spends it: the
+		// exact byte quotient full×permille/1000 is a byte higher on some
+		// dump sizes.
+		uj := checkpoint.DefaultCostModel().EnergyUJ(len(blob)) * float64(1000-short) / 1000
+		budget := int(uj * 1e3 / checkpoint.EnergyPerByteNJ)
 		if budget < len(blob) {
 			rep.Torn = true
 			cut := budget
 			for i, sz := range sizes {
 				if cut < sz {
-					rep.StructuresCovered = power.StructuresCovered(cut, images[i].SectionSizes())
+					rep.StructuresCovered = images[i].StructuresCovered(cut)
 					break
 				}
 				cut -= sz

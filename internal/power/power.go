@@ -1,6 +1,5 @@
-// Package power provides deterministic power-failure injection schedules
-// and the capacitor energy-budget check that gates JIT checkpointing. The
-// paper's evaluation assumes failures can strike at any cycle; these
+// Package power provides deterministic power-failure injection schedules.
+// The paper's evaluation assumes failures can strike at any cycle; these
 // schedules let tests and examples sweep failure points reproducibly.
 package power
 
@@ -85,42 +84,3 @@ type None struct{}
 
 // Next implements Schedule.
 func (None) Next(uint64) (uint64, bool) { return 0, false }
-
-// CheckpointBudget models the residual-energy reservoir that must power the
-// JIT checkpoint dump (Section 7.13): CapacityUJ microjoules available, at
-// EnergyPerByteNJ nanojoules per streamed byte. A reservoir sized below the
-// dump's demand browns out mid-stream and tears the checkpoint image — the
-// failure-during-checkpoint fault class the torture harness sweeps.
-type CheckpointBudget struct {
-	// CapacityUJ is the energy available at Power_Fail, in microjoules.
-	CapacityUJ float64
-	// EnergyPerByteNJ is the cost to read one byte from SRAM and push it to
-	// NVM, in nanojoules (the paper measures 11.839).
-	EnergyPerByteNJ float64
-}
-
-// ByteBudget returns how many whole bytes the reservoir can stream before
-// brownout (zero for non-positive capacity or rate).
-func (b CheckpointBudget) ByteBudget() int {
-	if b.CapacityUJ <= 0 || b.EnergyPerByteNJ <= 0 {
-		return 0
-	}
-	return int(b.CapacityUJ * 1e3 / b.EnergyPerByteNJ)
-}
-
-// StructuresCovered returns how many leading dump units — the image header
-// plus the five checkpointed structures, in stream order, sized by the
-// caller — are fully durable within budgetBytes. This is the per-structure
-// granularity of a torn dump: a brownout after the CSQ section leaves the
-// CSQ recoverable even though the register file never made it.
-func StructuresCovered(budgetBytes int, sizes []int) int {
-	n := 0
-	for _, sz := range sizes {
-		if budgetBytes < sz {
-			break
-		}
-		budgetBytes -= sz
-		n++
-	}
-	return n
-}
