@@ -140,17 +140,25 @@ func TestHierarchyAssemblyBytes(t *testing.T) {
 	}
 }
 
-// torturePointBytesCeiling bounds the bytes one point of a sequential mcf
-// lockstep torture sweep may allocate. A point builds a machine whose tag
-// arrays store only the sets it touches, over the sweep's one shared
-// workload, and allocates about 280 KiB. Paging the L2's tags in 16-set
-// pages and regenerating the workload at every point cost about 850 KiB;
-// regenerating the workload alone costs about 70 KiB a point.
-const torturePointBytesCeiling = 450 << 10
+// torturePointBytesCeiling bounds the bytes one point of an mcf lockstep
+// torture sweep may allocate, sequential or on two workers. A worker keeps
+// one machine for all its points and resets it in place, over the sweep's
+// one shared workload, so a point pays for its run, its crash and its
+// recovery: about 57 KiB under ppa and 48 KiB under undolog. Building a
+// machine per point cost about 280 KiB; giving each of two workers a hub
+// that nothing reads cost about 30 KiB more.
+const torturePointBytesCeiling = 128 << 10
+
+// parallelTortureSlackBytes bounds what a two-worker sweep may allocate per
+// point beyond the sequential sweep: the worker pool's bookkeeping, not a
+// machine or a hub.
+const parallelTortureSlackBytes = 8 << 10
 
 // TestTortureSweepAllocBytes is the gate on a torture point's footprint: a
-// sequential 100-point mcf lockstep sweep under ppa and under undolog must
-// allocate less than torturePointBytesCeiling per point.
+// 100-point mcf lockstep sweep under ppa and under undolog must allocate
+// less than torturePointBytesCeiling per point, both sequentially and on
+// two workers, and the two-worker sweep at most parallelTortureSlackBytes
+// per point more than the sequential one.
 func TestTortureSweepAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")
@@ -159,25 +167,44 @@ func TestTortureSweepAllocBytes(t *testing.T) {
 	for _, s := range []Scheme{SchemePPA, SchemeUndoLog} {
 		t.Run(string(s), func(t *testing.T) {
 			rc := RunConfig{App: "mcf", Scheme: s, InstsPerThread: 2000, Lockstep: true}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			rep, err := RunTorture(rc, points, nil)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Points != len(points) {
-				t.Fatalf("swept %d of %d points", rep.Points, len(points))
-			}
-			per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(points))
-			t.Logf("%d B per point", per)
-			if per >= torturePointBytesCeiling {
-				t.Fatalf("a torture point allocates %d B, ceiling %d B — "+
-					"a machine allocates tag storage it does not touch again",
-					per, torturePointBytesCeiling)
-			}
+			seq := tortureBytesPerPoint(t, points, func() (*TortureReport, error) {
+				return RunTorture(rc, points, nil)
+			})
+			t.Run("2-workers", func(t *testing.T) {
+				par := tortureBytesPerPoint(t, points, func() (*TortureReport, error) {
+					return RunTortureParallel(context.Background(), rc, points, 2, nil)
+				})
+				if par > seq+parallelTortureSlackBytes {
+					t.Errorf("a point of a two-worker sweep allocates %d B, %d B more than sequentially, slack %d B — "+
+						"a worker builds what it does not use", par, par-seq, parallelTortureSlackBytes)
+				}
+			})
 		})
 	}
+}
+
+// tortureBytesPerPoint runs a sweep over points and returns the bytes it
+// allocated per point, failing t if that reaches torturePointBytesCeiling.
+func tortureBytesPerPoint(t *testing.T, points []TorturePoint, sweep func() (*TortureReport, error)) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := sweep()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Points != len(points) {
+		t.Fatalf("swept %d of %d points", rep.Points, len(points))
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(points))
+	t.Logf("%d B per point", per)
+	if per >= torturePointBytesCeiling {
+		t.Errorf("a torture point allocates %d B, ceiling %d B — "+
+			"a point builds a machine or allocates tag storage it does not touch again",
+			per, torturePointBytesCeiling)
+	}
+	return per
 }
 
 // litmusScheduleBytesCeiling bounds the bytes one litmus schedule may

@@ -22,7 +22,9 @@ import (
 
 // crashRun is a machine under test plus what the driver carries across its
 // outages: the run's configuration, its workload and the flight recorder's
-// accept tap.
+// accept tap. A single crash or a failure schedule builds one for its run;
+// a torture worker keeps one for all its points and resets it in place
+// between them.
 type crashRun struct {
 	rc    RunConfig
 	w     *workload.Workload
@@ -33,17 +35,36 @@ type crashRun struct {
 // newCrashRun builds the machine under test for rc on w, rc's workload
 // generated earlier, or on a workload it generates when w is nil.
 func newCrashRun(rc RunConfig, w *workload.Workload) (*crashRun, error) {
-	cfg, w, err := assemble(rc, w)
-	if err != nil {
+	r := &crashRun{rc: rc, w: w}
+	if err := r.ready(); err != nil {
 		return nil, err
+	}
+	return r, nil
+}
+
+// ready puts the machine under test at cycle zero: it builds the machine
+// on first use, over r.w or a workload it generates, and resets it in
+// place on every later call, so a torture worker builds one machine for
+// all its points. Either way a fresh accept tail taps it (see attach).
+func (r *crashRun) ready() error {
+	if r.sys != nil {
+		if err := r.sys.Reset(r.w, r.sys.Config().StepSeed); err != nil {
+			return err
+		}
+		r.attach(r.sys)
+		return nil
+	}
+	cfg, w, err := assemble(r.rc, r.w)
+	if err != nil {
+		return err
 	}
 	sys, err := multicore.NewSystem(cfg, w)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &crashRun{rc: rc, w: w}
+	r.w = w
 	r.attach(sys)
-	return r, nil
+	return nil
 }
 
 // attach makes sys the machine under test. With a flight recorder, a fresh

@@ -8,7 +8,6 @@ import (
 	"ppa/internal/fault"
 	"ppa/internal/obs"
 	"ppa/internal/sweep"
-	"ppa/internal/workload"
 )
 
 // This file implements the crash-consistency torture harness: an
@@ -139,15 +138,15 @@ func TorturePoints(seed int64, n int, minCycle, maxCycle uint64) []TorturePoint 
 // error; contract breaches, lockstep divergences included, surface in
 // Outcome.Violation.
 func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
-	return runTorturePoint(rc, nil, p)
+	return (&crashRun{rc: rc}).torture(p)
 }
 
-// runTorturePoint is RunTorturePoint on w, rc's workload generated earlier
-// and shared with the sweep's other points, or on a workload of its own
-// when w is nil.
-func runTorturePoint(rc RunConfig, w *workload.Workload, p TorturePoint) (*TortureOutcome, error) {
-	r, err := newCrashRun(rc, w)
-	if err != nil {
+// torture runs p from cycle zero on the machine under test, which ready
+// builds for the first point and resets for every later one, and turns the
+// crash verdict into p's outcome. The machine does not resume after
+// recovery, so it stays resettable.
+func (r *crashRun) torture(p TorturePoint) (*TortureOutcome, error) {
+	if err := r.ready(); err != nil {
 		return nil, err
 	}
 	v, err := r.cut(p, false)
@@ -170,9 +169,10 @@ func runTorturePoint(rc RunConfig, w *workload.Workload, p TorturePoint) (*Tortu
 	return out, nil
 }
 
-// RunTorture sweeps every point on fresh machines, invoking onPoint (if
-// non-nil) after each verdict, and aggregates the report. The workload is
-// generated once and shared by every point's machine. Counters
+// RunTorture sweeps every point on one machine, reset in place between
+// points, invoking onPoint (if non-nil) after each verdict, and aggregates
+// the report. The workload is generated once and shared by every point.
+// Each verdict equals RunTorturePoint's on a fresh machine. Counters
 // "torture.points" and "torture.violations" accumulate on the run's hub.
 func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcome)) (*TortureReport, error) {
 	hub := rc.hub()
@@ -181,8 +181,9 @@ func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcom
 	if err != nil {
 		return rep, err
 	}
+	r := &crashRun{rc: rc, w: w}
 	for _, p := range points {
-		out, err := runTorturePoint(rc, w, p)
+		out, err := r.torture(p)
 		if err != nil {
 			return rep, fmt.Errorf("torture point %v: %w", p, err)
 		}
@@ -191,21 +192,24 @@ func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcom
 	return rep, nil
 }
 
-// RunTortureParallel is RunTorture over a bounded worker pool. Every point
-// runs on a fresh private machine over the sweep's one read-only workload,
-// so points parallelize freely; each worker gets its own observability hub
-// (RunConfig.Obs must not be shared across goroutines), and verdicts are
-// aggregated in point order after the sweep — the report is byte-identical
-// to RunTorture's for the same points, and onPoint still fires in sweep
-// order. The main hub's "torture.points"
+// RunTortureParallel is RunTorture over a bounded worker pool. Each worker
+// owns one machine over the sweep's one read-only workload, built on its
+// first point and reset in place for every later one, so points
+// parallelize freely and each verdict equals RunTorturePoint's on a fresh
+// machine. Verdicts are aggregated in point order after the sweep — the
+// report is byte-identical to RunTorture's for the same points, and
+// onPoint still fires in sweep order. The main hub's "torture.points"
 // and "torture.violations" counters tick live as workers finish points (so
-// a served /metrics endpoint shows sweep progress), and when the sweep ends
-// the per-worker hubs merge into the main hub in creation order — counter
-// and histogram merging is commutative, so the merged totals are
-// deterministic no matter which worker ran which point. workers <= 0 means
-// GOMAXPROCS; workers == 1 is exactly the sequential sweep (including
-// rc.Obs use, so trace-carrying hubs keep working). Cancelling ctx abandons
-// the sweep.
+// a served /metrics endpoint shows sweep progress). A worker gets an
+// observability hub of its own (RunConfig.Obs must not be shared across
+// goroutines) only when something reads it: the run's hub, into which the
+// worker hubs merge in creation order when the sweep ends — counter and
+// histogram merging is commutative, so the merged totals are deterministic
+// no matter which worker ran which point — or the flight recorder, whose
+// bundles carry the worker's trace ring. Otherwise workers run without
+// one, as the sequential sweep does. workers <= 0 means GOMAXPROCS;
+// workers == 1 is exactly the sequential sweep (including rc.Obs use, so
+// trace-carrying hubs keep working). Cancelling ctx abandons the sweep.
 func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint, workers int, onPoint func(*TortureOutcome)) (*TortureReport, error) {
 	workers = sweep.Workers(workers)
 	if workers <= 1 || len(points) <= 1 {
@@ -216,20 +220,21 @@ func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint
 		return &TortureReport{ByKind: make(map[string]int)}, err
 	}
 	hub := rc.hub()
-	whs := make([]*obs.Hub, workers)
-	hubs := make(chan *obs.Hub, workers)
-	for i := range whs {
-		whs[i] = NewObsHub(0)
-		hubs <- whs[i]
+	runs := make([]*crashRun, workers)
+	free := make(chan *crashRun, workers)
+	for i := range runs {
+		runs[i] = &crashRun{rc: rc, w: w}
+		if hub != nil || rc.Forensics != nil {
+			runs[i].rc.Obs = NewObsHub(0)
+		}
+		free <- runs[i]
 	}
 	livePoints := hub.Registry().Counter("torture.points")
 	liveViolations := hub.Registry().Counter("torture.violations")
 	outs, err := sweep.Map(ctx, workers, len(points), func(_ context.Context, i int) (*TortureOutcome, error) {
-		wh := <-hubs
-		defer func() { hubs <- wh }()
-		prc := rc
-		prc.Obs = wh
-		out, perr := runTorturePoint(prc, w, points[i])
+		r := <-free
+		defer func() { free <- r }()
+		out, perr := r.torture(points[i])
 		if perr != nil {
 			return nil, fmt.Errorf("torture point %v: %w", points[i], perr)
 		}
@@ -242,8 +247,8 @@ func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint
 	// Fold the workers' simulator metrics (persist latency histograms,
 	// region attribution, ...) into the main hub even when the sweep
 	// aborted: a served registry should show whatever progress was made.
-	for _, wh := range whs {
-		hub.Merge(wh)
+	for _, r := range runs {
+		hub.Merge(r.rc.Obs)
 	}
 	rep := &TortureReport{ByKind: make(map[string]int)}
 	if err != nil {
@@ -328,14 +333,16 @@ func (rep *TortureReport) aggregate(hub *obs.Hub, p TorturePoint, out *TortureOu
 // tries smaller failure cycles, parameters, and nesting depths, keeping
 // any candidate that still violates, until no reduction reproduces the
 // failure. The returned point is the minimal reproducer (the original if
-// the violation never reproduces, e.g. a flaky model bug).
+// the violation never reproduces, e.g. a flaky model bug). Candidates run
+// one after another on one machine, reset in place between them.
 func ShrinkTorturePoint(rc RunConfig, p TorturePoint, minCycle uint64) (TorturePoint, error) {
 	_, w, err := assemble(rc, nil)
 	if err != nil {
 		return p, err
 	}
+	r := &crashRun{rc: rc, w: w}
 	still := func(c TorturePoint) (bool, error) {
-		out, err := runTorturePoint(rc, w, c)
+		out, err := r.torture(c)
 		if err != nil {
 			return false, err
 		}

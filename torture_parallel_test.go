@@ -17,7 +17,8 @@ import (
 // sequential sweep, and onPoint must still fire once per point in sweep
 // order. The lockstep cases cover the oracle-checked sweep under PPA and a
 // log scheme (the settings of the crash-sweep benchmark). Run under -race
-// this also proves the per-worker obs hubs keep the engine data-race-free.
+// this also proves the workers, each on a machine of its own, share no
+// simulator state.
 func TestParallelTortureSweepMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture sweep is slow")
