@@ -11,6 +11,7 @@ import (
 	"ppa/internal/multicore"
 	"ppa/internal/mutation"
 	"ppa/internal/persist"
+	"ppa/internal/workload"
 )
 
 // TestSharedWorkloadReadOnly checks that a machine only reads the workload
@@ -77,6 +78,46 @@ func TestSharedWorkloadReadOnly(t *testing.T) {
 	}
 }
 
+// TestRunAllSharesWorkloads checks the figure harness's job matrix, whose
+// jobs share one workload per profile and instruction count: two apps, one
+// of them 8-threaded, under three schemes, with a customized job and one
+// at another instruction count between them, must each collect the Result
+// a Run of their own collects. Under -race it is the evidence that the
+// jobs of a group only read the workload they share.
+func TestRunAllSharesWorkloads(t *testing.T) {
+	var jobs []runJob
+	schemes := []persist.Config{persist.BaselineDefault(), persist.PPADefault(), persist.UndoLogDefault()}
+	for _, app := range []string{"mcf", "water-ns"} {
+		p, err := workload.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range schemes {
+			jobs = append(jobs, runJob{prof: p, scheme: s, insts: 2000})
+		}
+		if app == "mcf" {
+			jobs = append(jobs,
+				runJob{prof: p, scheme: persist.SBGateDefault(), insts: 2000,
+					customize: func(c *multicore.Config) { c.Hierarchy.WBEntries = 2 }},
+				runJob{prof: p, scheme: persist.PPADefault(), insts: 1500})
+		}
+	}
+	got, err := runAll(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		want, err := Run(RunConfig{Profile: &j.prof, SchemeOverride: &j.scheme, InstsPerThread: j.insts,
+			Customize: j.customize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := jsonDigest(t, got[i]), jsonDigest(t, want); g != w {
+			t.Errorf("job %d (%s/%s, %d insts): runAll's Result differs from its own Run's", i, j.prof.Name, j.scheme.Kind, j.insts)
+		}
+	}
+}
+
 // TestTortureSweepSharesWorkload checks that a parallel sweep, whose
 // workers share one workload, reaches the verdicts of points that each
 // generate their own: for mcf under ppa and undolog, RunTortureParallel on
@@ -107,7 +148,9 @@ func TestTortureSweepSharesWorkload(t *testing.T) {
 // scheme has a recovery contract) and the L3 and two-entry write-buffer
 // organizations, over points that reach every fault kind, torn dumps and
 // nested depths 1 to 3, with some point following a detected or
-// unrecovered one on the same machine. Two flight-recorder cases, one per
+// unrecovered one on the same machine. Point by point, a reset machine must
+// also leave a fresh machine's crash state, not only its verdict. Two
+// flight-recorder cases, one per
 // seeded bug, check that each point's bundle, accept tail included, is the
 // one a fresh machine captures: the tail must be tapped afresh after each
 // reset.
@@ -148,6 +191,7 @@ func TestTortureWorkerResetMatchesFresh(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			checkResetPointsMatchFresh(t, c.rc, points)
 			outs := checkSweepsMatchFresh(t, c.rc, points)
 			torn, after := false, false
 			for i, o := range outs {
@@ -168,6 +212,41 @@ func TestTortureWorkerResetMatchesFresh(t *testing.T) {
 			defer mutation.Disable()
 			checkSweepBundlesMatchFresh(t, RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: 2000, Lockstep: true}, points)
 		})
+	}
+}
+
+// checkResetPointsMatchFresh runs every point on one crashRun, reset in
+// place between points as a sweep worker's is, and on a fresh machine,
+// and requires both to leave the same crash state: the clock at the cut,
+// the dump and flush sizes, each core's recovery outcome and a digest of
+// the NVM image recovery left. Verdicts alone can agree on machines that
+// stepped differently; these figures move with every cycle.
+func checkResetPointsMatchFresh(t *testing.T, rc RunConfig, points []TorturePoint) {
+	t.Helper()
+	_, w, err := assemble(rc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func(r *crashRun, p TorturePoint) string {
+		v, err := r.cut(p, false)
+		if v == nil {
+			t.Fatalf("point %v: %v", p, err)
+		}
+		return jsonDigest(t, []any{v.cycle, v.checkpointBytes, v.flushedBytes, v.perCore,
+			r.sys.Device().Image().Snapshot()})
+	}
+	reused := &crashRun{rc: rc, w: w}
+	for _, p := range points {
+		if err := reused.ready(); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := newCrashRun(rc, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := state(reused, p), state(fresh, p); got != want {
+			t.Fatalf("point %v: the reset machine's crash state %s differs from a fresh machine's %s", p, got, want)
+		}
 	}
 }
 
