@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"ppa/internal/multicore"
 	"ppa/internal/persist"
@@ -51,19 +53,77 @@ type runJob struct {
 
 // runAll executes jobs on the shared bounded worker pool (one worker per
 // CPU) and returns results in job order; the first failure cancels the
-// remaining jobs and surfaces from the lowest failing index. Each job runs
-// through Run, which attaches DefaultObs: jobs run in parallel, so that hub
-// sees concurrent emitters (the obs layer is race-tested for exactly this).
+// remaining jobs and surfaces from the earliest failing job in dispatch
+// order. Jobs of the same profile and instruction count run on one
+// workload: the pool takes them group by group, in order of each group's
+// first job, and a group's workload is generated by the first of its jobs
+// to start and freed after the last one, so about one workload per worker
+// is live at a time. Each job assembles its machine through assemble and
+// attaches DefaultObs: jobs run in parallel, so that hub sees concurrent
+// emitters (the obs layer is race-tested for exactly this).
 func runAll(jobs []runJob) ([]*multicore.Result, error) {
-	return sweep.Map(context.Background(), 0, len(jobs), func(_ context.Context, i int) (*multicore.Result, error) {
-		j := jobs[i]
-		r, err := Run(RunConfig{Profile: &j.prof, SchemeOverride: &j.scheme, InstsPerThread: j.insts,
-			Customize: j.customize, SampleFreeRegs: j.sample})
+	type key struct {
+		prof  workload.Profile
+		insts int
+	}
+	groups := map[key]*sharedWorkload{}
+	var keys []key
+	members := map[key][]int{}
+	for i, j := range jobs {
+		k := key{j.prof, j.insts}
+		if groups[k] == nil {
+			groups[k] = &sharedWorkload{}
+			keys = append(keys, k)
+		}
+		groups[k].left.Add(1)
+		members[k] = append(members[k], i)
+	}
+	order := make([]int, 0, len(jobs))
+	for _, k := range keys {
+		order = append(order, members[k]...)
+	}
+	results, err := sweep.Map(context.Background(), 0, len(order), func(_ context.Context, n int) (*multicore.Result, error) {
+		j := jobs[order[n]]
+		rc := RunConfig{Profile: &j.prof, SchemeOverride: &j.scheme, InstsPerThread: j.insts,
+			Customize: j.customize, SampleFreeRegs: j.sample}
+		g := groups[key{j.prof, j.insts}]
+		r, err := g.run(rc)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", j.prof.Name, j.scheme.Kind, err)
 		}
 		return r, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*multicore.Result, len(jobs))
+	for n, i := range order {
+		out[i] = results[n]
+	}
+	return out, nil
+}
+
+// sharedWorkload is the one workload of a group of runAll jobs.
+type sharedWorkload struct {
+	once sync.Once
+	w    *workload.Workload
+	err  error
+	left atomic.Int32 // jobs of the group yet to start
+}
+
+// run runs one job of the group on the group's workload, which the first
+// job to start generates. The last job to start drops the group's
+// reference, so the workload is freed once the jobs running on it finish.
+func (g *sharedWorkload) run(rc RunConfig) (*multicore.Result, error) {
+	g.once.Do(func() { _, g.w, g.err = assemble(rc, nil) })
+	w, err := g.w, g.err
+	if g.left.Add(-1) == 0 {
+		g.w = nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return run(rc, w)
 }
 
 // slowdownSeries runs every profile under the baseline and each scheme,

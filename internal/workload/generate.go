@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ppa/internal/isa"
 )
@@ -29,11 +28,8 @@ func (w *Workload) TotalInsts() int {
 // New generates a workload with instsPerThread dynamic instructions per
 // thread. Single-threaded profiles produce exactly one program.
 func New(p Profile, instsPerThread int) (*Workload, error) {
-	if err := p.Validate(); err != nil {
+	if err := check(p, instsPerThread); err != nil {
 		return nil, err
-	}
-	if instsPerThread <= 0 {
-		return nil, fmt.Errorf("workload %s: non-positive instruction count %d", p.Name, instsPerThread)
 	}
 	threads := p.Threads
 	if threads <= 1 {
@@ -48,10 +44,21 @@ func New(p Profile, instsPerThread int) (*Workload, error) {
 
 // Generate produces the single-thread trace of a profile (thread 0).
 func Generate(p Profile, n int) (*isa.Program, error) {
-	if err := p.Validate(); err != nil {
+	if err := check(p, n); err != nil {
 		return nil, err
 	}
 	return GenerateThread(p, n, 0), nil
+}
+
+// check rejects an invalid profile or a non-positive instruction count.
+func check(p Profile, n int) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if n <= 0 {
+		return fmt.Errorf("workload %s: non-positive instruction count %d", p.Name, n)
+	}
+	return nil
 }
 
 // Address-space layout per thread. Threads are spaced far apart so their
@@ -76,10 +83,9 @@ const (
 // GenerateThread produces the dynamic trace of one thread deterministically
 // from the profile seed and the thread id.
 func GenerateThread(p Profile, n int, tid int) *isa.Program {
-	rng := rand.New(rand.NewSource(p.Seed*7919 + int64(tid)*104729 + 13))
 	g := &generator{
 		p:        p,
-		rng:      rng,
+		rng:      newStream(p.Seed*7919 + int64(tid)*104729 + 13),
 		heapBase: uint64(tid+1)*threadSpacing + uint64(tid)*heapSkew,
 		pcBase:   0x400000 + uint64(tid)<<32,
 	}
@@ -94,7 +100,7 @@ func GenerateThread(p Profile, n int, tid int) *isa.Program {
 // generator holds the evolving state of one thread's trace synthesis.
 type generator struct {
 	p        Profile
-	rng      *rand.Rand
+	rng      *stream
 	heapBase uint64
 	pcBase   uint64
 
@@ -149,7 +155,7 @@ func (r *ring) push(reg isa.Reg) {
 
 // pick returns a register defined approximately `dist` definitions ago,
 // clamped to what the ring holds.
-func (r *ring) pick(rng *rand.Rand, dist int) isa.Reg {
+func (r *ring) pick(rng *stream, dist int) isa.Reg {
 	if r.n == 0 {
 		return isa.NoReg
 	}

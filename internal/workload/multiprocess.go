@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ppa/internal/isa"
 )
@@ -31,7 +30,7 @@ func GenerateMultiProcess(profiles []Profile, quantum, totalInsts int, seed int6
 		return nil, fmt.Errorf("workload: non-positive instruction count")
 	}
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := newStream(seed)
 	gens := make([]*generator, len(profiles))
 	locals := make([]int, len(profiles))
 	for pid, p := range profiles {
@@ -42,7 +41,7 @@ func GenerateMultiProcess(profiles []Profile, quantum, totalInsts int, seed int6
 		// spacing doubles as per-process spacing on one hardware thread).
 		g := &generator{
 			p:        p,
-			rng:      rand.New(rand.NewSource(p.Seed*7919 + int64(pid)*104729 + 13)),
+			rng:      newStream(p.Seed*7919 + int64(pid)*104729 + 13),
 			heapBase: uint64(pid+1)*threadSpacing + uint64(pid)*heapSkew,
 			pcBase:   0x400000,
 		}

@@ -299,6 +299,14 @@ func TestGenerateRejectsInvalid(t *testing.T) {
 	if _, err := Generate(p, 10); err == nil {
 		t.Fatal("empty profile must error")
 	}
+	p, _ = ByName("gcc")
+	for _, n := range []int{0, -1} {
+		_, err := Generate(p, n)
+		_, want := New(p, n)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("Generate(gcc, %d) = %v, want New's error %v", n, err, want)
+		}
+	}
 }
 
 func TestPCsMonotone(t *testing.T) {

@@ -304,7 +304,17 @@ func NewSystem(rc RunConfig) (*multicore.System, error) {
 
 // Run executes one simulation to completion.
 func Run(rc RunConfig) (*Result, error) {
-	sys, err := NewSystem(rc)
+	return run(rc, nil)
+}
+
+// run is Run on w, rc's workload generated earlier, or on a workload it
+// generates when w is nil.
+func run(rc RunConfig, w *workload.Workload) (*Result, error) {
+	cfg, w, err := assemble(rc, w)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := multicore.NewSystem(cfg, w)
 	if err != nil {
 		return nil, err
 	}
