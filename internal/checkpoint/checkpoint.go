@@ -286,9 +286,9 @@ func (im *Image) StructuresCovered(n int) int {
 }
 
 // AppendSection exposes the checkpoint wire framing — [len u32 | payload |
-// crc32c u32], CRC covering length and payload — for sibling snapshot
-// formats (the sampled runner's window snapshots) so every persistent blob
-// in the tree shares one integrity convention.
+// crc32c u32], CRC covering length and payload — for sibling formats (the
+// forensics bundles) so every persistent blob in the tree shares one
+// integrity convention.
 func AppendSection(b, payload []byte) []byte { return appendSection(b, payload) }
 
 // NextSection parses one AppendSection frame from the front of b,

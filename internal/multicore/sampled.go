@@ -159,19 +159,27 @@ func (s *SampledSystem) RunWindow() error {
 	}
 	windowCycles := sys.Cycle()
 
-	// Window exit: drain the persist paths so every committed store is
-	// durable, flush residual volatile dirt into the image (making it
-	// architecturally complete for the skip), check the drained image
-	// against the accept stream where the scheme admits it, and reset
-	// persist tracking and the device clock for the regime change.
-	if err := sys.drainAll(bound); err != nil {
+	// Window exit. The cores stopped inside open regions that no boundary
+	// will close, so the exit does a boundary's part first: it releases the
+	// stores a gated retire still holds, and cuts the write buffers'
+	// lazy-coalescing lag short, which would otherwise charge the drained
+	// tail latencies no continuing run sees. Then it drains the persist
+	// paths so every committed store is durable, flushes residual volatile
+	// dirt into the image (making it architecturally complete for the skip),
+	// checks the oracle, and resets persist tracking and the device clock
+	// for the regime change.
+	if err := sys.releaseGated(bound); err != nil {
+		return err
+	}
+	for i := range sys.cores {
+		sys.hier.FlushWB(i, sys.cycle)
+	}
+	if err := sys.DrainPersists(bound); err != nil {
 		return err
 	}
 	sys.hier.FlushAllDirty()
-	if cfg.Lockstep && sys.scheme.ImageFromAcceptStream() {
-		if err := s.engine.CheckFinal(s.dev.Image()); err != nil {
-			return err
-		}
+	if err := sys.checkOracleFinal(); err != nil {
+		return err
 	}
 	s.engine.ResetPersistTracking()
 	s.dev.ResetClock()
@@ -245,11 +253,26 @@ func RunSampled(cfg Config, w *workload.Workload, sc SampleConfig) (*SampledResu
 	return s.Result(), nil
 }
 
-// drainAll ticks the memory system and the scheme backends (cores idle)
-// until the write buffers, eviction queue, WPQ, and backend buffers are all
-// empty, so a Capri or log-scheme window cannot exit with undrained entries.
-func (s *System) drainAll(budget uint64) error {
-	return s.DrainPersists(budget)
+// releaseGated ticks the memory system and the scheme backends until every
+// core has closed its region that still holds gated stores (see
+// pipeline.Core.ReleaseGated). budget bounds the extra cycles.
+func (s *System) releaseGated(budget uint64) error {
+	deadline := s.cycle + budget
+	for {
+		released := true
+		for _, c := range s.cores {
+			released = c.ReleaseGated(s.cycle) && released
+		}
+		if released {
+			return nil
+		}
+		if s.cycle >= deadline {
+			return fmt.Errorf("multicore: gated stores not released within %d cycles", budget)
+		}
+		if err := s.tickIdle(); err != nil {
+			return err
+		}
+	}
 }
 
 func minInt(a, b int) int {

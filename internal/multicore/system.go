@@ -196,15 +196,13 @@ func newSystem(cfg Config, w *workload.Workload, dev *nvm.Device, startAt []int)
 // Results from Collect are copies, and the device's image is replaced, not
 // reused.
 //
-// w must have one thread per core. A machine built by NewSystemResumed, or
-// a sampled window, cannot be reset: it starts from a surviving device, not
-// from a fresh machine. Reset refuses both, and a workload of another
-// thread count, before changing anything. After any other error the
-// machine is unusable until a Reset succeeds.
+// w must have one thread per core. A machine built by NewSystemResumed
+// cannot be reset: it starts from a surviving device, not from a fresh
+// machine. Reset refuses it, and a workload of another thread count, before
+// changing anything. After any other error the machine is unusable until a
+// Reset succeeds.
 func (s *System) Reset(w *workload.Workload, stepSeed uint64) error {
 	switch {
-	case s.cfg.engine != nil:
-		return fmt.Errorf("multicore: a sampled window cannot be reset")
 	case s.resumed:
 		return fmt.Errorf("multicore: a resumed machine cannot be reset")
 	case len(w.Threads) != len(s.cores):
@@ -386,10 +384,15 @@ func (r *stepRng) next() uint64 {
 
 // checkOracleFinal runs the end-of-run durable-image cross-check for
 // schemes whose only image-write path is the observed WPQ accept stream
-// (asynchronous persistence without a redo or log-replay path).
+// (asynchronous persistence without a redo or log-replay path). For the
+// other schemes it reports what the oracle latched since the last step,
+// such as a redo log record drained after the cores stopped.
 func (s *System) checkOracleFinal() error {
-	if s.oracle == nil || !s.scheme.ImageFromAcceptStream() {
+	switch {
+	case s.oracle == nil:
 		return nil
+	case !s.scheme.ImageFromAcceptStream():
+		return s.oracle.Err()
 	}
 	return s.oracle.CheckFinal(s.dev.Image())
 }
@@ -456,14 +459,23 @@ func (s *System) DrainPersists(budget uint64) error {
 			return fmt.Errorf("multicore: persist backlog of %d entries not drained within %d cycles",
 				s.hier.PersistBacklog(), budget)
 		}
-		if err := s.hier.Tick(s.cycle); err != nil {
+		if err := s.tickIdle(); err != nil {
 			return err
 		}
-		for _, b := range s.backends {
-			b.Tick(s.cycle)
-		}
-		s.cycle++
 	}
+}
+
+// tickIdle advances the memory system and the scheme backends one cycle
+// with the cores idle.
+func (s *System) tickIdle() error {
+	if err := s.hier.Tick(s.cycle); err != nil {
+		return err
+	}
+	for _, b := range s.backends {
+		b.Tick(s.cycle)
+	}
+	s.cycle++
+	return nil
 }
 
 func (s *System) committedInsts() int {

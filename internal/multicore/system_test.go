@@ -6,6 +6,7 @@ import (
 
 	"ppa/internal/checkpoint"
 	"ppa/internal/isa"
+	"ppa/internal/nvm"
 	"ppa/internal/oracle"
 	"ppa/internal/persist"
 	"ppa/internal/recovery"
@@ -253,9 +254,11 @@ func TestResetPreconditions(t *testing.T) {
 		t.Fatal("a resumed machine must refuse a reset")
 	}
 
+	// A sampled window is built as RunWindow builds it: around the run's
+	// surviving device, so the resumed-machine refusal covers it.
 	wcfg := cfg
 	wcfg.engine = oracle.New(w.Threads, nil)
-	window, err := NewSystem(wcfg, w)
+	window, err := newSystem(wcfg, w, nvm.NewDevice(cfg.NVM), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}

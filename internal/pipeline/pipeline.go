@@ -483,6 +483,20 @@ func (c *Core) reset(cfg Config, prog *isa.Program) error {
 // Done reports whether every instruction has committed.
 func (c *Core) Done() bool { return c.done }
 
+// ReleaseGated closes the open region of a core that a gated retire policy
+// (persist.RetireGated, RetireGatedLog) still holds stores in, as a region
+// boundary would: the gated stores retire in their burst and the log
+// discipline commits the transaction. A core quiesced at its StopAt calls
+// for it, since no boundary will come. The close counts as a CSQ boundary,
+// like the one a store queue full of gated entries forces. False means the
+// boundary still waits: tick the hierarchy and backend and call again.
+func (c *Core) ReleaseGated(cycle uint64) bool {
+	if c.gatedSQ == 0 && !c.epochArmed {
+		return true
+	}
+	return c.tryEndRegion(cycle, BoundaryCSQ)
+}
+
 // Stats returns the core's measurements (valid any time; final when Done).
 func (c *Core) Stats() *Stats { return &c.st }
 
