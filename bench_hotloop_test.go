@@ -68,10 +68,23 @@ func TestCoreStepAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")
 	}
-	for _, s := range []Scheme{SchemePPA, SchemeCapri, SchemeUndoLog, SchemeRedoTxn, SchemeHTPM,
-		SchemeSBGate, SchemeReplayCache} {
-		t.Run(string(s), func(t *testing.T) {
-			sys, err := NewSystem(RunConfig{App: "gcc", Scheme: s, InstsPerThread: 500_000})
+	for _, c := range []struct {
+		name string
+		rc   RunConfig
+	}{
+		{"ppa", RunConfig{Scheme: SchemePPA}},
+		{"capri", RunConfig{Scheme: SchemeCapri}},
+		{"undolog", RunConfig{Scheme: SchemeUndoLog}},
+		{"redotxn", RunConfig{Scheme: SchemeRedoTxn}},
+		{"htpm", RunConfig{Scheme: SchemeHTPM}},
+		{"sb-gate", RunConfig{Scheme: SchemeSBGate}},
+		{"replaycache", RunConfig{Scheme: SchemeReplayCache}},
+		{"inorder-ppa", RunConfig{Scheme: SchemePPA, Customize: inOrderPPA}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rc := c.rc
+			rc.App, rc.InstsPerThread = "gcc", 500_000
+			sys, err := NewSystem(rc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,7 +56,10 @@ func Characterize(app string, insts int) (*Characterization, error) {
 	}
 
 	// Static mix from thread 0's trace.
-	prog := workload.GenerateThread(prof, insts, 0)
+	prog, err := workload.GenerateThread(prof, insts, 0)
+	if err != nil {
+		return nil, err
+	}
 	var loads, stores, branches, syncs int
 	for i := range prog.Insts {
 		switch op := prog.Insts[i].Op; {

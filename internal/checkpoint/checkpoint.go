@@ -42,19 +42,31 @@ type Image struct {
 	Regs    []RegValue
 }
 
+// Core is what a JIT checkpoint reads from a core: the CSQ, the LCPC, the
+// commit count and the renamer, which is nil on a core that renames
+// nothing (Section 6's in-order core).
+type Core interface {
+	CSQ() []pipeline.CSQEntry
+	LCPC() uint64
+	Committed() int
+	Renamer() *rename.Renamer
+}
+
 // Capture snapshots a core's architectural recovery state, exactly the five
 // structures of Figure 7: only registers marked by CRT or CSQ entries are
-// saved — free and uncommitted registers are not (Section 4.5).
-func Capture(core *pipeline.Core) *Image {
-	ren := core.Renamer()
-	im := &Image{
-		LCPC:      core.LCPC(),
-		Committed: core.Committed(),
-		CRT:       ren.CRTSnapshot(),
-		MaskInt:   ren.MaskSnapshot(isa.ClassInt),
-		MaskFP:    ren.MaskSnapshot(isa.ClassFP),
-	}
+// saved — free and uncommitted registers are not (Section 4.5). Without a
+// renamer the image is the value-bearing CSQ, the LCPC and the commit
+// count.
+func Capture(core Core) *Image {
+	im := &Image{LCPC: core.LCPC(), Committed: core.Committed()}
 	im.CSQ = append(im.CSQ, core.CSQ()...)
+	ren := core.Renamer()
+	if ren == nil {
+		return im
+	}
+	im.CRT = ren.CRTSnapshot()
+	im.MaskInt = ren.MaskSnapshot(isa.ClassInt)
+	im.MaskFP = ren.MaskSnapshot(isa.ClassFP)
 
 	// Collect the referenced physical registers: CSQ sources first, then
 	// CRT mappings, de-duplicated.

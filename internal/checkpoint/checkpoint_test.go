@@ -21,7 +21,10 @@ func liveCore(t *testing.T, app string, insts int, stopAt uint64) *pipeline.Core
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := workload.GenerateThread(p, insts, 0)
+	prog, err := workload.GenerateThread(p, insts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dev := nvm.NewDevice(nvm.DefaultConfig())
 	hier := cache.New(cache.DefaultParams(1), dev, workload.WarmResident, workload.L2Resident)
 	core, err := pipeline.New(pipeline.DefaultConfig(persist.PPADefault()), prog, hier, nil)

@@ -16,116 +16,108 @@ import (
 	"fmt"
 
 	"ppa/internal/cache"
-	"ppa/internal/checkpoint"
 	"ppa/internal/isa"
 	"ppa/internal/persist"
 	"ppa/internal/pipeline"
+	"ppa/internal/rename"
 )
-
-// Config parameterizes the in-order core.
-type Config struct {
-	CoreID int
-	// Width is the issue width (default 2).
-	Width int
-	// Scheme must retire merge-only or async, with no persist backend.
-	Scheme persist.Config
-	// SyncBaseCost prices synchronization primitives.
-	SyncBaseCost int
-	// StartAt resumes at a dynamic instruction index.
-	StartAt int
-}
-
-// DefaultConfig returns a dual-issue in-order core under the given scheme.
-func DefaultConfig(scheme persist.Config) Config {
-	return Config{Width: 2, Scheme: scheme, SyncBaseCost: 30}
-}
 
 // PPAScheme returns the in-order PPA variant: a value-bearing CSQ with
 // asynchronous persistence; regions end at CSQ-full and sync primitives.
 func PPAScheme() persist.Config {
-	return persist.Config{
-		Kind:           persist.PPA,
-		Barrier:        persist.BarrierRelaxed,
-		CSQEntries:     40,
-		ValueCSQ:       true,
-		AsyncPersist:   true,
-		SyncIsBoundary: true,
-	}
+	sc := persist.PPADefault()
+	sc.DynamicRegions, sc.ValueCSQ = false, true
+	return sc
 }
 
-// Stats aggregates the core's measurements.
-type Stats struct {
-	Cycles          uint64
-	Insts           uint64
-	Stores          uint64
-	Regions         uint64
-	RegionEndStalls uint64
-}
-
-// IPC returns committed instructions per cycle.
-func (s *Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Insts) / float64(s.Cycles)
-}
-
-// Core is one in-order hardware thread.
+// Core is one in-order hardware thread. It runs from the out-of-order
+// core's pipeline.Config, reading its CoreID, Width, Scheme, SyncBaseCost,
+// StartAt and TraceRegions, and reports into a pipeline.Stats.
 type Core struct {
-	cfg  Config
+	cfg  pipeline.Config
 	prog *isa.Program
 	hier *cache.Hierarchy
 
 	front *isa.GoldenResult
 	next  int
 
-	// Scoreboard: cycle at which each architectural register's value is
-	// available to consumers.
-	intReady [isa.NumIntRegs]uint64
-	fpReady  [isa.NumFPRegs]uint64
+	// ready is the scoreboard: the cycle at which each architectural
+	// register's value is available to consumers.
+	ready isa.ArchState
 
 	csq   []pipeline.CSQEntry
 	lcpc  uint64
 	async bool // RetireAsync: stores also enter the write buffer's persist path
 
-	// Boundary wait state.
+	// Boundary wait state; regionFrom is the open region's first
+	// instruction.
 	epochArmed   bool
+	epochArmedAt uint64
 	epochSnapSeq int64
-	epochCSQMark int
+	regionFrom   int
 
-	st   Stats
+	st   pipeline.Stats
 	done bool
+
+	// sink receives the commit stream and barrier lifecycle for lockstep
+	// checking (nil when no oracle is attached); sinkEv is reused.
+	sink   pipeline.CommitSink
+	sinkEv pipeline.CommitEvent
 }
 
 // New builds an in-order core over a shared hierarchy.
-func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy) (*Core, error) {
-	if cfg.Width <= 0 {
-		cfg.Width = 2
+func New(cfg pipeline.Config, prog *isa.Program, hier *cache.Hierarchy) (*Core, error) {
+	c := &Core{hier: hier}
+	if err := c.Reset(cfg, prog); err != nil {
+		return nil, err
 	}
+	return c, nil
+}
+
+// Reset returns the core to the state New builds for cfg and prog over its
+// hierarchy, which the caller resets, keeping only the CSQ's storage. A
+// commit sink attached since is dropped.
+func (c *Core) Reset(cfg pipeline.Config, prog *isa.Program) error {
 	sc := cfg.Scheme
-	if sc.CSQEntries > 0 && !sc.ValueCSQ {
-		return nil, fmt.Errorf("inorder: an in-order core has no PRF; the CSQ must carry values")
+	if cfg.Width <= 0 || sc.CSQEntries > 0 && !sc.ValueCSQ {
+		return fmt.Errorf("inorder: the core needs a positive width, and a CSQ that carries values: it has no PRF")
 	}
 	if err := sc.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	r := sc.Retire()
 	syncPersist, eagerFlush := sc.AsyncAblations()
 	if (r != persist.RetireMerge && r != persist.RetireAsync) || syncPersist || eagerFlush || sc.NeedsBackend() {
-		return nil, fmt.Errorf("inorder: the in-order core does not model scheme %s's store retire or persist backend", sc.Kind)
+		return fmt.Errorf("inorder: the in-order core does not model scheme %s's store retire or persist backend", sc.Kind)
 	}
-	front := isa.RunGolden(prog, cfg.StartAt)
-	return &Core{cfg: cfg, prog: prog, hier: hier, front: front, next: cfg.StartAt, async: r == persist.RetireAsync}, nil
+	*c = Core{
+		cfg:        cfg,
+		prog:       prog,
+		hier:       c.hier,
+		front:      isa.RunGolden(prog, cfg.StartAt),
+		next:       cfg.StartAt,
+		csq:        c.csq[:0],
+		async:      r == persist.RetireAsync,
+		regionFrom: cfg.StartAt,
+	}
+	return nil
 }
 
 // Done reports whether the trace completed.
 func (c *Core) Done() bool { return c.done }
 
 // Stats returns the measurements.
-func (c *Core) Stats() *Stats { return &c.st }
+func (c *Core) Stats() *pipeline.Stats { return &c.st }
+
+// Renamer returns nil: an in-order core renames nothing, so its checkpoint
+// carries no CRT, MaskReg or registers.
+func (c *Core) Renamer() *rename.Renamer { return nil }
 
 // CSQ exposes the live committed store queue.
 func (c *Core) CSQ() []pipeline.CSQEntry { return c.csq }
+
+// LCPC returns the last committed program counter.
+func (c *Core) LCPC() uint64 { return c.lcpc }
 
 // Committed returns the committed instruction count.
 func (c *Core) Committed() int { return c.next }
@@ -133,25 +125,8 @@ func (c *Core) Committed() int { return c.next }
 // Program returns the bound trace.
 func (c *Core) Program() *isa.Program { return c.prog }
 
-func (c *Core) ready(r isa.Reg) uint64 {
-	switch r.Class {
-	case isa.ClassInt:
-		return c.intReady[r.Index]
-	case isa.ClassFP:
-		return c.fpReady[r.Index]
-	default:
-		return 0
-	}
-}
-
-func (c *Core) setReady(r isa.Reg, at uint64) {
-	switch r.Class {
-	case isa.ClassInt:
-		c.intReady[r.Index] = at
-	case isa.ClassFP:
-		c.fpReady[r.Index] = at
-	}
-}
+// SetCommitSink attaches a commit observer (nil detaches it).
+func (c *Core) SetCommitSink(s pipeline.CommitSink) { c.sink = s }
 
 // Step commits up to Width instructions at the given cycle. In-order,
 // non-speculative: an instruction issues when its sources are ready, and
@@ -162,7 +137,6 @@ func (c *Core) Step(cycle uint64) {
 	}
 	for w := 0; w < c.cfg.Width; w++ {
 		if c.next >= c.prog.Len() {
-			c.done = true
 			break
 		}
 		in := &c.prog.Insts[c.next]
@@ -170,9 +144,12 @@ func (c *Core) Step(cycle uint64) {
 		// Region boundary before a sync primitive or on a full CSQ.
 		sc := &c.cfg.Scheme
 		if sc.CSQEntries > 0 {
-			needBoundary := (in.Op.IsSyncPrimitive() && sc.SyncIsBoundary && len(c.csq) > 0) ||
-				(in.Op.IsStore() && len(c.csq) >= sc.CSQEntries)
-			if needBoundary && !c.tryEndRegion(cycle) {
+			sync := in.Op.IsSyncPrimitive() && sc.SyncIsBoundary && len(c.csq) > 0
+			cause := pipeline.BoundaryCSQ
+			if sync {
+				cause = pipeline.BoundarySync
+			}
+			if (sync || in.Op.IsStore() && len(c.csq) >= sc.CSQEntries) && !c.tryEndRegion(cycle, cause) {
 				c.st.RegionEndStalls++
 				break
 			}
@@ -181,7 +158,7 @@ func (c *Core) Step(cycle uint64) {
 		// Issue when sources are ready; blocking completion. A store also
 		// waits for room in the write buffer: it may not retire without its
 		// persist enqueued.
-		if c.ready(in.Src1) > cycle || c.ready(in.Src2) > cycle ||
+		if c.ready.Read(in.Src1) > cycle || c.ready.Read(in.Src2) > cycle ||
 			(in.Op.IsStore() && c.hier.WBFull(c.cfg.CoreID)) {
 			break
 		}
@@ -201,11 +178,10 @@ func (c *Core) Step(cycle uint64) {
 		// Functional commit through the program-order oracle.
 		idx := c.next
 		isa.StepGolden(c.front, in, idx)
-		if in.DefinesReg() {
-			c.setReady(in.Dst, complete)
-		}
+		c.ready.Write(in.Dst, complete)
+		var val uint64
 		if in.Op.IsStore() {
-			val := c.front.StoreLog[len(c.front.StoreLog)-1].Val
+			val = c.front.StoreLog[len(c.front.StoreLog)-1].Val
 			c.hier.StoreData(in.Addr, val)
 			c.hier.Access(c.cfg.CoreID, in.Addr, true, cycle)
 			if c.async {
@@ -224,6 +200,9 @@ func (c *Core) Step(cycle uint64) {
 		c.lcpc = in.PC
 		c.next++
 		c.st.Insts++
+		if c.sink != nil {
+			c.emitCommit(in, idx, val, cycle)
+		}
 
 		// Long-latency instructions block the in-order pipeline: stop
 		// issuing more this cycle if this one has not completed.
@@ -237,32 +216,61 @@ func (c *Core) Step(cycle uint64) {
 	}
 }
 
+// emitCommit hands the sink the architectural effects of instruction idx,
+// committed at cycle; val is a store's value.
+func (c *Core) emitCommit(in *isa.Inst, idx int, val, cycle uint64) {
+	ev := &c.sinkEv
+	*ev = pipeline.CommitEvent{
+		Core:     c.cfg.CoreID,
+		Cycle:    cycle,
+		Seq:      idx,
+		PC:       in.PC,
+		Op:       in.Op,
+		DstValid: in.DefinesReg(),
+		Dst:      in.Dst,
+		IsStore:  in.Op.IsStore(),
+		LCPC:     c.lcpc,
+	}
+	if ev.DstValid {
+		ev.DstVal = c.front.Regs.Read(in.Dst)
+		ev.CRTVal = ev.DstVal
+	}
+	if ev.IsStore {
+		ev.StoreAddr, ev.StoreVal = isa.WordAlign(in.Addr), val
+	}
+	c.sink.ObserveCommit(ev)
+}
+
 // tryEndRegion closes the current region once every persist enqueued up to
-// the boundary snapshot is durable, then clears the CSQ.
-func (c *Core) tryEndRegion(cycle uint64) bool {
+// the boundary snapshot is durable, then clears the CSQ: nothing commits
+// while a boundary waits, so the CSQ holds exactly the region's stores.
+// Under RetireAsync the sink sees the barrier arm and complete, as on the
+// out-of-order core.
+func (c *Core) tryEndRegion(cycle uint64, cause pipeline.BoundaryCause) bool {
 	if !c.epochArmed {
 		c.epochArmed = true
-		c.epochCSQMark = len(c.csq)
+		c.epochArmedAt = cycle
+		if c.sink != nil && c.async {
+			c.sink.ObserveBarrierArm(c.cfg.CoreID, cycle)
+		}
 		c.epochSnapSeq = c.hier.CurrentPersistSeq(c.cfg.CoreID)
 		c.hier.FlushWB(c.cfg.CoreID, cycle)
 	}
 	if !c.hier.PersistedThrough(c.cfg.CoreID, c.epochSnapSeq) {
 		return false
 	}
-	c.csq = append(c.csq[:0], c.csq[c.epochCSQMark:]...)
-	c.st.Regions++
+	c.st.CloseRegion(pipeline.RegionRecord{
+		EndCycle:    cycle,
+		Cause:       cause,
+		Insts:       c.next - c.regionFrom,
+		Stores:      len(c.csq),
+		StallCycles: cycle - c.epochArmedAt,
+	}, c.cfg.TraceRegions)
+	c.csq = c.csq[:0]
+	c.regionFrom = c.next
 	c.epochArmed = false
-	return true
-}
-
-// Checkpoint captures the in-order core's recovery image: the value-bearing
-// CSQ, the LCPC, and the commit count. No CRT, MaskReg, or PRF exists.
-func (c *Core) Checkpoint() *checkpoint.Image {
-	im := &checkpoint.Image{
-		CoreID:    c.cfg.CoreID,
-		LCPC:      c.lcpc,
-		Committed: c.next,
+	if c.sink != nil && c.async {
+		c.sink.ObserveBarrierComplete(c.cfg.CoreID, cycle, cause)
 	}
-	im.CSQ = append(im.CSQ, c.csq...)
-	return im
+	return true
 }

@@ -16,6 +16,7 @@ import (
 	"ppa/internal/isa"
 	"ppa/internal/nvm"
 	"ppa/internal/oracle"
+	"ppa/internal/pipeline"
 	"ppa/internal/stats"
 	"ppa/internal/workload"
 )
@@ -94,6 +95,9 @@ func NewSampled(cfg Config, w *workload.Workload, sc SampleConfig) (*SampledSyst
 	}
 	if err := cfg.Scheme.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.InOrder {
+		return nil, fmt.Errorf("multicore: sampled simulation models only out-of-order cores")
 	}
 	s := &SampledSystem{
 		cfg:    cfg,
@@ -255,13 +259,14 @@ func RunSampled(cfg Config, w *workload.Workload, sc SampleConfig) (*SampledResu
 
 // releaseGated ticks the memory system and the scheme backends until every
 // core has closed its region that still holds gated stores (see
-// pipeline.Core.ReleaseGated). budget bounds the extra cycles.
+// pipeline.Core.ReleaseGated). budget bounds the extra cycles. A sampled
+// machine's cores are out-of-order (NewSampled refuses Config.InOrder).
 func (s *System) releaseGated(budget uint64) error {
 	deadline := s.cycle + budget
 	for {
 		released := true
 		for _, c := range s.cores {
-			released = c.ReleaseGated(s.cycle) && released
+			released = c.(*pipeline.Core).ReleaseGated(s.cycle) && released
 		}
 		if released {
 			return nil

@@ -1,5 +1,6 @@
-// Package multicore assembles the full simulated machine: N out-of-order
-// cores over a shared cache hierarchy, a shared NVM device with its WPQ,
+// Package multicore assembles the full simulated machine: N cores, all
+// out-of-order or all Section 6 in-order (Config.InOrder), over a shared
+// cache hierarchy, a shared NVM device with its WPQ,
 // the scheme's persist backend (a persist.LogPath: Capri's battery-backed
 // redo buffers or the log schemes' persist logs), and the power-failure /
 // checkpoint / recovery orchestration. Section 6's multi-core recovery
@@ -12,6 +13,7 @@ import (
 
 	"ppa/internal/cache"
 	"ppa/internal/checkpoint"
+	"ppa/internal/inorder"
 	"ppa/internal/isa"
 	"ppa/internal/nvm"
 	"ppa/internal/obs"
@@ -28,6 +30,11 @@ type Config struct {
 	NVM       nvm.Config
 	Pipeline  pipeline.Config // template; CoreID/Threads are set per core
 	Scheme    persist.Config
+
+	// InOrder builds Section 6's in-order cores (internal/inorder), which
+	// read the Pipeline template's Width, SyncBaseCost and TraceRegions.
+	// NewSystem refuses a scheme they do not model.
+	InOrder bool `json:",omitempty"`
 
 	// Obs is the optional observability hub, propagated to every component
 	// of the machine. Excluded from JSON so machine configs stay
@@ -95,13 +102,25 @@ func DefaultConfig(n int, scheme persist.Config) Config {
 	}
 }
 
+// Core is one hardware thread of the machine: a *pipeline.Core, or an
+// *inorder.Core when Config.InOrder is set.
+type Core interface {
+	checkpoint.Core
+	Step(cycle uint64)
+	Done() bool
+	Program() *isa.Program
+	Stats() *pipeline.Stats
+	Reset(cfg pipeline.Config, prog *isa.Program) error
+	SetCommitSink(s pipeline.CommitSink)
+}
+
 // System is one simulated machine bound to a workload.
 type System struct {
 	cfg    Config
 	w      *workload.Workload
 	dev    *nvm.Device
 	hier   *cache.Hierarchy
-	cores  []*pipeline.Core
+	cores  []Core
 	scheme persist.Scheme
 	// backends holds the scheme's persist backend (the log path, in
 	// Capri's battery mode or a log discipline) when it has one; the
@@ -134,11 +153,7 @@ func NewSystemResumed(cfg Config, w *workload.Workload, dev *nvm.Device, startAt
 	if len(startAt) != len(w.Threads) {
 		return nil, fmt.Errorf("multicore: %d resume points for %d threads", len(startAt), len(w.Threads))
 	}
-	s, err := newSystem(cfg, w, dev, startAt)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return newSystem(cfg, w, dev, startAt)
 }
 
 // NewSystem builds the machine and binds each thread of the workload to a
@@ -173,7 +188,13 @@ func newSystem(cfg Config, w *workload.Workload, dev *nvm.Device, startAt []int)
 		s.backends = append(s.backends, backend)
 	}
 	for i, prog := range w.Threads {
-		core, err := pipeline.New(coreConfig(cfg, w, i, startAt), prog, hier, backend)
+		var core Core
+		var err error
+		if pcfg := coreConfig(cfg, w, i, startAt); cfg.InOrder {
+			core, err = inorder.New(pcfg, prog, hier)
+		} else {
+			core, err = pipeline.New(pcfg, prog, hier, backend)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -309,7 +330,7 @@ func (s *System) Cycle() uint64 { return s.cycle }
 func (s *System) Config() Config { return s.cfg }
 
 // Cores exposes the per-core pipelines.
-func (s *System) Cores() []*pipeline.Core { return s.cores }
+func (s *System) Cores() []Core { return s.cores }
 
 // Hierarchy exposes the memory system.
 func (s *System) Hierarchy() *cache.Hierarchy { return s.hier }

@@ -210,6 +210,18 @@ func (s *Stats) IPC() float64 {
 	return float64(s.Insts) / float64(s.Cycles)
 }
 
+// CloseRegion counts the region rec describes, keeping rec when trace is
+// set. Both core models close their regions through it.
+func (s *Stats) CloseRegion(rec RegionRecord, trace bool) {
+	s.Regions++
+	s.BoundaryCounts[rec.Cause]++
+	s.RegionOther.Add(int64(rec.Insts - rec.Stores))
+	s.RegionStores.Add(int64(rec.Stores))
+	if trace {
+		s.RegionTrace = append(s.RegionTrace, rec)
+	}
+}
+
 // AvgRegionLen returns the mean instructions per region (stores + others).
 func (s *Stats) AvgRegionLen() float64 { return s.RegionOther.Mean() + s.RegionStores.Mean() }
 
@@ -912,19 +924,13 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 // (tryEndRegion) and fixed-region closes (endFixedRegion), so the persist
 // schemes cannot silently diverge in what they record.
 func (c *Core) closeRegionStats(cycle uint64, cause BoundaryCause, stall uint64) {
-	c.st.Regions++
-	c.st.BoundaryCounts[cause]++
-	c.st.RegionOther.Add(int64(c.regionInsts - c.regionStores))
-	c.st.RegionStores.Add(int64(c.regionStores))
-	if c.cfg.TraceRegions {
-		c.st.RegionTrace = append(c.st.RegionTrace, RegionRecord{
-			EndCycle:    cycle,
-			Cause:       cause,
-			Insts:       c.regionInsts,
-			Stores:      c.regionStores,
-			StallCycles: stall,
-		})
-	}
+	c.st.CloseRegion(RegionRecord{
+		EndCycle:    cycle,
+		Cause:       cause,
+		Insts:       c.regionInsts,
+		Stores:      c.regionStores,
+		StallCycles: stall,
+	}, c.cfg.TraceRegions)
 	if c.obsRegionInsts != nil {
 		c.obsRegionInsts.Observe(float64(c.regionInsts))
 		c.obsRegionStores.Observe(float64(c.regionStores))

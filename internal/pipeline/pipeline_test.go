@@ -56,7 +56,11 @@ func smallProg(name string, n int) *isa.Program {
 	if err != nil {
 		panic(err)
 	}
-	return workload.GenerateThread(p, n, 0)
+	prog, err := workload.GenerateThread(p, n, 0)
+	if err != nil {
+		panic(err)
+	}
+	return prog
 }
 
 func TestBaselineCompletes(t *testing.T) {

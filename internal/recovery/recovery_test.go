@@ -28,7 +28,10 @@ func crashAt(t *testing.T, app string, insts int, failCycle uint64) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := workload.GenerateThread(p, insts, 0)
+	prog, err := workload.GenerateThread(p, insts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dev := nvm.NewDevice(nvm.DefaultConfig())
 	hier := cache.New(cache.DefaultParams(1), dev, workload.WarmResident, workload.L2Resident)
 	core, err := pipeline.New(pipeline.DefaultConfig(persist.PPADefault()), prog, hier, nil)
@@ -114,7 +117,7 @@ func TestRestoreRenamerMatchesGolden(t *testing.T) {
 
 func TestResumeIndex(t *testing.T) {
 	p, _ := workload.ByName("gcc")
-	prog := workload.GenerateThread(p, 100, 0)
+	prog, _ := workload.GenerateThread(p, 100, 0)
 	// Nothing committed.
 	if idx, err := ResumeIndex(prog, 0); err != nil || idx != 0 {
 		t.Fatalf("idx=%d err=%v", idx, err)
@@ -195,7 +198,7 @@ func TestCrashConsistencyProperty(t *testing.T) {
 		app := apps[int(seed)%len(apps)]
 		failCycle := 1000 + uint64(rng.Intn(60000))
 		p, _ := workload.ByName(app)
-		prog := workload.GenerateThread(p, 15000, 0)
+		prog, _ := workload.GenerateThread(p, 15000, 0)
 		dev := nvm.NewDevice(nvm.DefaultConfig())
 		hier := cache.New(cache.DefaultParams(1), dev, workload.WarmResident, workload.L2Resident)
 		core, err := pipeline.New(pipeline.DefaultConfig(persist.PPADefault()), prog, hier, nil)
@@ -230,7 +233,7 @@ func TestRecoveredArchStateProperty(t *testing.T) {
 	f := func(_ uint32) bool {
 		failCycle := 2000 + uint64(rng.Intn(40000))
 		p, _ := workload.ByName("sjeng")
-		prog := workload.GenerateThread(p, 12000, 0)
+		prog, _ := workload.GenerateThread(p, 12000, 0)
 		dev := nvm.NewDevice(nvm.DefaultConfig())
 		hier := cache.New(cache.DefaultParams(1), dev, workload.WarmResident, workload.L2Resident)
 		core, _ := pipeline.New(pipeline.DefaultConfig(persist.PPADefault()), prog, hier, nil)

@@ -37,17 +37,9 @@ func New(p Profile, instsPerThread int) (*Workload, error) {
 	}
 	w := &Workload{Profile: p, Threads: make([]*isa.Program, threads)}
 	for t := 0; t < threads; t++ {
-		w.Threads[t] = GenerateThread(p, instsPerThread, t)
+		w.Threads[t] = generateThread(p, instsPerThread, t)
 	}
 	return w, nil
-}
-
-// Generate produces the single-thread trace of a profile (thread 0).
-func Generate(p Profile, n int) (*isa.Program, error) {
-	if err := check(p, n); err != nil {
-		return nil, err
-	}
-	return GenerateThread(p, n, 0), nil
 }
 
 // check rejects an invalid profile or a non-positive instruction count.
@@ -81,8 +73,19 @@ const (
 )
 
 // GenerateThread produces the dynamic trace of one thread deterministically
-// from the profile seed and the thread id.
-func GenerateThread(p Profile, n int, tid int) *isa.Program {
+// from the profile seed and the thread id. It rejects what New rejects,
+// and a thread the profile does not have.
+func GenerateThread(p Profile, n int, tid int) (*isa.Program, error) {
+	if err := check(p, n); err != nil {
+		return nil, err
+	}
+	if threads := max(p.Threads, 1); tid < 0 || tid >= threads {
+		return nil, fmt.Errorf("workload %s has threads 0..%d, not %d", p.Name, threads-1, tid)
+	}
+	return generateThread(p, n, tid), nil
+}
+
+func generateThread(p Profile, n int, tid int) *isa.Program {
 	g := &generator{
 		p:        p,
 		rng:      newStream(p.Seed*7919 + int64(tid)*104729 + 13),

@@ -99,8 +99,8 @@ func TestTable3Footprints(t *testing.T) {
 
 func TestGenerateDeterminism(t *testing.T) {
 	p, _ := ByName("gcc")
-	a := GenerateThread(p, 2000, 0)
-	b := GenerateThread(p, 2000, 0)
+	a := thread(t, p, 2000, 0)
+	b := thread(t, p, 2000, 0)
 	if len(a.Insts) != len(b.Insts) {
 		t.Fatal("length mismatch")
 	}
@@ -113,8 +113,8 @@ func TestGenerateDeterminism(t *testing.T) {
 
 func TestGenerateThreadsDiffer(t *testing.T) {
 	p, _ := ByName("fft")
-	a := GenerateThread(p, 1000, 0)
-	b := GenerateThread(p, 1000, 1)
+	a := thread(t, p, 1000, 0)
+	b := thread(t, p, 1000, 1)
 	same := 0
 	for i := range a.Insts {
 		if a.Insts[i] == b.Insts[i] {
@@ -129,7 +129,7 @@ func TestGenerateThreadsDiffer(t *testing.T) {
 func TestInstructionMixMatchesProfile(t *testing.T) {
 	for _, name := range []string{"mcf", "lbm", "water-ns", "sjeng"} {
 		p, _ := ByName(name)
-		prog := GenerateThread(p, 50000, 0)
+		prog := thread(t, p, 50000, 0)
 		var loads, stores, branches int
 		for i := range prog.Insts {
 			switch prog.Insts[i].Op {
@@ -179,7 +179,7 @@ func TestWriteSetsDisjointAcrossThreads(t *testing.T) {
 
 func TestAddressesAligned(t *testing.T) {
 	p, _ := ByName("xz")
-	prog := GenerateThread(p, 20000, 0)
+	prog := thread(t, p, 20000, 0)
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
 		if in.Op.IsMem() && in.Addr%isa.WordSize != 0 {
@@ -190,14 +190,14 @@ func TestAddressesAligned(t *testing.T) {
 
 func TestSyncOnlyInMultiThreaded(t *testing.T) {
 	st, _ := ByName("mcf") // single-threaded
-	prog := GenerateThread(st, 30000, 0)
+	prog := thread(t, st, 30000, 0)
 	for i := range prog.Insts {
 		if prog.Insts[i].Op == isa.OpSync {
 			t.Fatal("single-threaded trace must not contain sync ops")
 		}
 	}
 	mt, _ := ByName("water-ns")
-	prog = GenerateThread(mt, 30000, 0)
+	prog = thread(t, mt, 30000, 0)
 	syncs := 0
 	for i := range prog.Insts {
 		if prog.Insts[i].Op.IsSyncPrimitive() {
@@ -216,7 +216,7 @@ func TestSyncOnlyInMultiThreaded(t *testing.T) {
 
 func TestWarmResidentClassification(t *testing.T) {
 	p, _ := ByName("mcf")
-	prog := GenerateThread(p, 30000, 0)
+	prog := thread(t, p, 30000, 0)
 	var warmish, cold int
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
@@ -242,7 +242,7 @@ func TestWarmResidentClassification(t *testing.T) {
 
 func TestStackStoresAreConcentrated(t *testing.T) {
 	p, _ := ByName("sjeng")
-	prog := GenerateThread(p, 50000, 0)
+	prog := thread(t, p, 50000, 0)
 	lines := map[uint64]int{}
 	total := 0
 	for i := range prog.Insts {
@@ -294,17 +294,35 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// thread is GenerateThread for a valid profile and count.
+func thread(t testing.TB, p Profile, n, tid int) *isa.Program {
+	t.Helper()
+	prog, err := GenerateThread(p, n, tid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestGenerateRejectsInvalid: GenerateThread is exported, so it refuses
+// what New refuses, a non-positive count included, instead of panicking in
+// makeslice, and a thread the profile does not have.
 func TestGenerateRejectsInvalid(t *testing.T) {
 	var p Profile
-	if _, err := Generate(p, 10); err == nil {
+	if _, err := GenerateThread(p, 10, 0); err == nil {
 		t.Fatal("empty profile must error")
 	}
 	p, _ = ByName("gcc")
 	for _, n := range []int{0, -1} {
-		_, err := Generate(p, n)
+		_, err := GenerateThread(p, n, 0)
 		_, want := New(p, n)
 		if err == nil || want == nil || err.Error() != want.Error() {
-			t.Fatalf("Generate(gcc, %d) = %v, want New's error %v", n, err, want)
+			t.Fatalf("GenerateThread(gcc, %d, 0) = %v, want New's error %v", n, err, want)
+		}
+	}
+	for _, tid := range []int{-1, 1} {
+		if _, err := GenerateThread(p, 10, tid); err == nil {
+			t.Fatalf("GenerateThread(gcc, 10, %d) must error: gcc has one thread", tid)
 		}
 	}
 }
@@ -313,7 +331,7 @@ func TestPCsMonotone(t *testing.T) {
 	f := func(seed uint8) bool {
 		ps := Profiles()
 		p := ps[int(seed)%len(ps)]
-		prog := GenerateThread(p, 500, 0)
+		prog := thread(t, p, 500, 0)
 		for i := 1; i < prog.Len(); i++ {
 			if prog.Insts[i].PC != prog.Insts[i-1].PC+4 {
 				return false
@@ -347,7 +365,7 @@ func TestSyscallKernelBursts(t *testing.T) {
 	if p.SyscallEvery == 0 {
 		t.Fatal("memcached profiles should make system calls")
 	}
-	prog := GenerateThread(p, 40000, 0)
+	prog := thread(t, p, 40000, 0)
 	kernel := 0
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
@@ -374,7 +392,7 @@ func TestSyscallFreeProfilesUnchanged(t *testing.T) {
 	if p.SyscallEvery != 0 {
 		t.Fatal("SPEC profiles make no modeled syscalls")
 	}
-	prog := GenerateThread(p, 20000, 0)
+	prog := thread(t, p, 20000, 0)
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
 		if !in.Op.IsMem() {
@@ -447,6 +465,6 @@ func BenchmarkGenerateThread(b *testing.B) {
 	b.SetBytes(10000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateThread(p, 10000, 0)
+		thread(b, p, 10000, 0)
 	}
 }

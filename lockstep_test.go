@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ppa/internal/persist"
+	"ppa/internal/pipeline"
 )
 
 // TestLockstepCleanAllWorkloads runs every workload profile under the
@@ -244,7 +245,7 @@ func TestRenamePartitionLiveMachine(t *testing.T) {
 			t.Fatalf("run: %v", err)
 		}
 		for i, core := range sys.Cores() {
-			if perr := core.CheckRenamePartition(); perr != nil {
+			if perr := core.(*pipeline.Core).CheckRenamePartition(); perr != nil {
 				t.Fatalf("core %d at cycle %d: %v", i, sys.Cycle(), perr)
 			}
 		}

@@ -29,7 +29,6 @@ import (
 	"ppa/internal/nvm"
 	"ppa/internal/obs"
 	"ppa/internal/persist"
-	"ppa/internal/pipeline"
 	"ppa/internal/recovery"
 	"ppa/internal/workload"
 )
@@ -401,7 +400,7 @@ func RunWithFailure(rc RunConfig, failCycle uint64) (*FailureOutcome, error) {
 
 // CheckpointImage captures a live core's JIT-checkpoint image (exposed for
 // examples and tests).
-func CheckpointImage(core *pipeline.Core) *checkpoint.Image { return checkpoint.Capture(core) }
+func CheckpointImage(core multicore.Core) *checkpoint.Image { return checkpoint.Capture(core) }
 
 // Expose commonly needed internal types through the public surface.
 type (

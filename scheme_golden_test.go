@@ -3,6 +3,7 @@ package ppa
 import (
 	"testing"
 
+	"ppa/internal/inorder"
 	"ppa/internal/multicore"
 )
 
@@ -67,11 +68,13 @@ func TestSchemeOutputGoldenDigests(t *testing.T) {
 	}
 }
 
-// goldenOrgRuns pin hierarchy organizations the default-hierarchy goldens
-// above never build: the Figure 14 private-L2 + shared-L3 hierarchy, and a
-// two-entry write buffer whose back-pressure stalls stores. water-ns runs
-// 5000 instructions per thread because at 2000 its L3 run still matches the
-// default hierarchy cycle for cycle.
+// goldenOrgRuns pin machine organizations the default-machine goldens
+// above never build: the Figure 14 private-L2 + shared-L3 hierarchy, a
+// two-entry write buffer whose back-pressure stalls stores, and Section 6's
+// dual-issue in-order core under in-order PPA and the baseline. water-ns
+// runs 5000 instructions per thread because at 2000 its L3 run still
+// matches the default hierarchy cycle for cycle. The in-order runs' image
+// digests are inOrderPins' mcf images.
 var goldenOrgRuns = []struct {
 	name    string
 	rc      RunConfig
@@ -91,6 +94,25 @@ var goldenOrgRuns = []struct {
 		func(c *multicore.Config) { c.Hierarchy.WBEntries = 2 },
 		[2]string{"bc3c1d233cfe0668e90c3e21ebaa7adab40ac7c43bb1975f18fe7a99667bb567",
 			"9e286d74105ef699e0b9b4d62a36e816da6276a282f78626d237d61d789f0b13"}},
+	{"mcf/inorder-ppa", RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: inOrderPinInsts}, 1,
+		inOrderPPA,
+		[2]string{"9b906b0b28905b5d9bb452319a488cf140225598d926896f699b765bba5ce597",
+			"107cc2ae4818289504f37c9e19405924180d3e9706b73c818a04fe016f94dea8"}},
+	{"mcf/inorder-ppa/wb2", RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: inOrderPinInsts}, 1,
+		func(c *multicore.Config) { inOrderPPA(c); c.Hierarchy.WBEntries = 2 },
+		[2]string{"2a85de4da2f6f48db53c8bbf61a5c07f0e35d714e467298fae98dc7ac90b3d92",
+			"107cc2ae4818289504f37c9e19405924180d3e9706b73c818a04fe016f94dea8"}},
+	{"mcf/inorder-baseline", RunConfig{App: "mcf", Scheme: SchemeBaseline, InstsPerThread: inOrderPinInsts}, 1,
+		inOrderCore,
+		[2]string{"9953bd00cda37e6c7a8bbcf6da2f235952079e5bd07b84641cc3d9067bf8d87b",
+			"44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"}},
+}
+
+// inOrderPPA is RunInOrder's in-order PPA machine: run it as SchemePPA so
+// the torture tests judge it under PPA's recovery contract.
+func inOrderPPA(c *multicore.Config) {
+	inOrderCore(c)
+	c.Scheme = inorder.PPAScheme()
 }
 
 func TestHierarchyOrganizationGoldenDigests(t *testing.T) {

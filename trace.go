@@ -1,15 +1,13 @@
 package ppa
 
 import (
-	"fmt"
 	"io"
 
-	"ppa/internal/cache"
 	"ppa/internal/inorder"
 	"ppa/internal/isa"
 	"ppa/internal/multicore"
-	"ppa/internal/nvm"
 	"ppa/internal/persist"
+	"ppa/internal/pipeline"
 	"ppa/internal/workload"
 )
 
@@ -20,21 +18,15 @@ type Program = isa.Program
 // the binary trace format (a 32-byte record per instruction), so traces can
 // be archived, diffed, or consumed by external tools.
 func ExportTrace(w io.Writer, app string, insts, tid int) error {
-	prof, err := workload.ByName(app)
+	prof, _, insts, err := RunConfig{App: app, InstsPerThread: insts}.resolve()
 	if err != nil {
 		return err
 	}
-	if insts <= 0 {
-		insts = DefaultInsts
+	prog, err := workload.GenerateThread(prof, insts, tid)
+	if err != nil {
+		return err
 	}
-	threads := prof.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	if tid < 0 || tid >= threads {
-		return fmt.Errorf("ppa: %s has threads 0..%d, not %d", app, threads-1, tid)
-	}
-	return isa.EncodeProgram(w, workload.GenerateThread(prof, insts, tid))
+	return isa.EncodeProgram(w, prog)
 }
 
 // ImportTrace reads a binary trace.
@@ -50,52 +42,41 @@ type InOrderResult struct {
 	Slowdown float64
 }
 
-// RunInOrder runs one single-threaded application on the dual-issue
-// in-order core, under the baseline and the value-CSQ PPA variant, and
-// reports the persistence overhead (Section 6's in-order extension).
+// RunInOrder runs thread 0 of an application on the dual-issue in-order
+// core, under the baseline and the value-CSQ PPA variant, and reports the
+// persistence overhead (Section 6's in-order extension). A multi-threaded
+// application runs its thread 0 alone.
 func RunInOrder(app string, insts int) (*InOrderResult, error) {
-	if insts <= 0 {
-		insts = DefaultInsts
-	}
-	prof, err := workload.ByName(app)
+	rc := RunConfig{App: app, InstsPerThread: insts, Customize: inOrderCore}
+	prof, _, insts, err := rc.resolve()
 	if err != nil {
 		return nil, err
 	}
-	prog := workload.GenerateThread(prof, insts, 0)
-
-	run := func(scheme persist.Config) (*inorder.Stats, error) {
-		dev := nvm.NewDevice(nvm.DefaultConfig())
-		hier := cache.New(cache.DefaultParams(1), dev, workload.WarmResident, workload.L2Resident)
-		core, err := inorder.New(inorder.DefaultConfig(scheme), prog, hier)
+	prog, err := workload.GenerateThread(prof, insts, 0)
+	if err != nil {
+		return nil, err
+	}
+	w := &workload.Workload{Profile: prof, Threads: []*isa.Program{prog}}
+	var st [2]*pipeline.Stats // baseline, PPA
+	for i, scheme := range []persist.Config{persist.BaselineDefault(), inorder.PPAScheme()} {
+		rc.SchemeOverride = &scheme
+		res, err := run(rc, w)
 		if err != nil {
 			return nil, err
 		}
-		limit := multicore.CycleBudget(insts)
-		for cyc := uint64(0); !core.Done(); cyc++ {
-			if cyc >= limit {
-				return nil, fmt.Errorf("ppa: in-order run exceeded %d cycles", limit)
-			}
-			if err := hier.Tick(cyc); err != nil {
-				return nil, err
-			}
-			core.Step(cyc)
-		}
-		return core.Stats(), nil
-	}
-
-	base, err := run(persist.BaselineDefault())
-	if err != nil {
-		return nil, err
-	}
-	st, err := run(inorder.PPAScheme())
-	if err != nil {
-		return nil, err
+		st[i] = res.PerCore[0]
 	}
 	return &InOrderResult{
-		Cycles:   st.Cycles,
-		Insts:    st.Insts,
-		IPC:      st.IPC(),
-		Regions:  st.Regions,
-		Slowdown: float64(st.Cycles) / float64(base.Cycles),
+		Cycles:   st[1].Cycles,
+		Insts:    st[1].Insts,
+		IPC:      st[1].IPC(),
+		Regions:  st[1].Regions,
+		Slowdown: float64(st[1].Cycles) / float64(st[0].Cycles),
 	}, nil
+}
+
+// inOrderCore selects RunInOrder's machine: dual-issue in-order cores.
+func inOrderCore(c *multicore.Config) {
+	c.InOrder = true
+	c.Pipeline.Width = 2
 }
