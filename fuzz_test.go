@@ -184,7 +184,7 @@ func FuzzRecoverTorn(f *testing.F) {
 		Regs:    []checkpoint.RegValue{{Phys: rename.PhysRef{Class: isa.ClassInt, Idx: 3}, Val: 42}},
 	}
 	two := &checkpoint.Image{CoreID: 1, LCPC: 0x4004, Committed: 1}
-	multi := checkpoint.EncodeAll([]*checkpoint.Image{one, two})
+	multi := encodeAll([]*checkpoint.Image{one, two})
 	f.Add(multi)
 	f.Add(one.Encode())
 	f.Add([]byte{})
@@ -206,7 +206,7 @@ func FuzzRecoverTorn(f *testing.F) {
 		}
 		// Accepted regions must behave: stable under re-encode and
 		// replayable (or refused with a typed error) per image.
-		again, err := checkpoint.DecodeAll(checkpoint.EncodeAll(images))
+		again, err := checkpoint.DecodeAll(encodeAll(images))
 		if err != nil {
 			t.Fatalf("re-decode of accepted region failed: %v", err)
 		}
@@ -250,4 +250,14 @@ func FuzzChromeTraceRead(f *testing.F) {
 			t.Fatalf("re-read lost events: %d, want %d", len(again), len(events))
 		}
 	})
+}
+
+// encodeAll concatenates encoded images the way the crash path streams
+// them into the checkpoint area.
+func encodeAll(images []*checkpoint.Image) []byte {
+	var b []byte
+	for _, im := range images {
+		b = append(b, im.Encode()...)
+	}
+	return b
 }

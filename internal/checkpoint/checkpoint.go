@@ -322,17 +322,6 @@ func NextSection(b []byte) (payload, rest []byte, err error) {
 	return b[4:end], b[end+4:], nil
 }
 
-// EncodeAll concatenates the per-core images into the single blob the
-// checkpoint controller streams to the designated NVM area. The v2 header's
-// length field makes the concatenation self-framing for DecodeAll.
-func EncodeAll(images []*Image) []byte {
-	var b []byte
-	for _, im := range images {
-		b = append(b, im.Encode()...)
-	}
-	return b
-}
-
 // Decode parses one encoded checkpoint blob, validating the header, the
 // per-section checksums, and structural plausibility. Trailing bytes after
 // the image are an error; use DecodeAll for multi-image blobs.

@@ -141,21 +141,6 @@ func TestCostModelMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestHardwareBytesAccounting(t *testing.T) {
-	core := liveCore(t, "gcc", 10000, 8000)
-	im := Capture(core)
-	m := DefaultCostModel()
-	hw := m.HardwareBytes(im)
-	if hw <= 0 || hw%8 != 0 {
-		t.Fatalf("hardware bytes %d must be positive and 8-byte aligned", hw)
-	}
-	worst := m.WorstCaseBytes(40, 16, 32, 180, 168)
-	// A live image cannot exceed the worst case by much (rounding only).
-	if hw > worst+128 {
-		t.Fatalf("live image %d exceeds worst case %d", hw, worst)
-	}
-}
-
 func TestEncodeDeterministic(t *testing.T) {
 	core := liveCore(t, "xz", 8000, 8000)
 	im := Capture(core)

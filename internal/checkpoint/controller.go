@@ -30,28 +30,6 @@ type CostModel struct {
 // DefaultCostModel returns the paper's parameters.
 func DefaultCostModel() CostModel { return CostModel{ClockGHz: 2.0, WriteBandwidthGBs: 2.3} }
 
-// HardwareBytes returns the number of bytes the controller checkpoints for
-// an image, using the paper's hardware accounting: each physical register
-// is budgeted at its 128-bit worst case, CSQ entries at 8 bytes, CRT
-// entries rounded to bytes, MaskReg as a packed bit vector, LCPC at 8
-// bytes; every structure rounds up to a multiple of 8 bytes for the 8-byte
-// non-temporal path granularity.
-func (m CostModel) HardwareBytes(im *Image) int {
-	round8 := func(n int) int { return (n + 7) &^ 7 }
-
-	lcpc := 8
-	csq := round8(len(im.CSQ) * 8)
-	crtEntries := 0
-	for _, t := range im.CRT {
-		crtEntries += len(t.CRT)
-	}
-	crt := round8(crtEntries * 2) // 9-10 bit indexes stored as 2 bytes
-	maskBits := len(im.MaskInt) + len(im.MaskFP)
-	mask := round8((maskBits + 7) / 8)
-	regs := round8(len(im.Regs) * WorstCaseRegBytes)
-	return lcpc + csq + crt + mask + regs
-}
-
 // WorstCaseBytes returns the paper's worst-case checkpoint size for a
 // machine with the given structure geometry: a full CSQ, all CRT-mapped
 // registers distinct from CSQ registers, and 128-bit register payloads.

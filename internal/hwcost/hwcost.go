@@ -166,7 +166,3 @@ func Table5(ppaCheckpointBytes int) []FlushEnergy {
 		Node22nm.flushRow("LightPC", "PSP", 4224+(64<<10)+(16<<20)),
 	}
 }
-
-// EADRFlushEnergyMJ returns the paper's quoted eADR supercapacitor budget
-// (550 mJ) for comparison, and BBB's 775 uJ, as (eADR, BBB).
-func EADRFlushEnergyMJ() (eadrMJ, bbbUJ float64) { return 550, 775 }

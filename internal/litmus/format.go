@@ -132,7 +132,7 @@ func validName(s string) bool {
 //	p1: st0=5 rmw1 sy
 //
 // Tokens: st<slot>[=<val>] store, rmw<slot>[=<addend>] atomic add,
-// fe fence, sy sync. Decode(Encode(t)) round-trips exactly.
+// fe fence, sy sync. DecodeCorpus(Encode(t)) round-trips exactly.
 func Encode(t *Test) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "litmus %s\n", t.Name)
@@ -174,19 +174,6 @@ func EncodeCorpus(tests []*Test) string {
 		parts[i] = Encode(t)
 	}
 	return strings.Join(parts, "\n")
-}
-
-// Decode parses one test in the Encode format. Blank lines and lines
-// starting with '#' are ignored.
-func Decode(data string) (*Test, error) {
-	tests, err := DecodeCorpus(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(tests) != 1 {
-		return nil, fmt.Errorf("litmus: expected exactly one test, got %d", len(tests))
-	}
-	return tests[0], nil
 }
 
 // DecodeCorpus parses a sequence of tests. Each test starts at a

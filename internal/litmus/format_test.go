@@ -1,19 +1,32 @@
 package litmus
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestEncodeDecodeRoundTrip: Decode(Encode(t)) is the identity over the
+// decodeOne parses a corpus that must hold exactly one test.
+func decodeOne(data string) (*Test, error) {
+	tests, err := DecodeCorpus(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(tests) != 1 {
+		return nil, fmt.Errorf("litmus: expected exactly one test, got %d", len(tests))
+	}
+	return tests[0], nil
+}
+
+// TestEncodeDecodeRoundTrip: decodeOne(Encode(t)) is the identity over the
 // curated corpus and a generated sample.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tests := ConformanceCorpus()
 	tests = append(tests, Generate(GenOptions{Seed: 42, Count: 50})...)
 	for _, orig := range tests {
 		enc := Encode(orig)
-		got, err := Decode(enc)
+		got, err := decodeOne(enc)
 		if err != nil {
 			t.Fatalf("%s: decode failed: %v\n%s", orig.Name, err, enc)
 		}
@@ -93,12 +106,12 @@ func FuzzLitmusDecode(f *testing.F) {
 	f.Add("# comment only\n")
 	f.Add("litmus \x00\ncores 1 addrs 1 layout split\np0: st0")
 	f.Fuzz(func(t *testing.T, data string) {
-		t1, err := Decode(data)
+		t1, err := decodeOne(data)
 		if err != nil {
 			return
 		}
 		enc := Encode(t1)
-		t2, err := Decode(enc)
+		t2, err := decodeOne(enc)
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v\n%s", err, enc)
 		}

@@ -79,7 +79,7 @@ func TestGenerateFixedCores(t *testing.T) {
 // TestCompileValueModel pins the compiler's value assignment: distinct
 // power-of-two autos, RMW accumulating the core's own functional view.
 func TestCompileValueModel(t *testing.T) {
-	lt, err := Decode("litmus v\ncores 2 addrs 2 layout split\np0: st0 rmw0=2 st1\np1: st0=9\n")
+	lt, err := decodeOne("litmus v\ncores 2 addrs 2 layout split\np0: st0 rmw0=2 st1\np1: st0=9\n")
 	if err != nil {
 		t.Fatal(err)
 	}

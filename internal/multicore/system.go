@@ -536,16 +536,11 @@ type CrashReport struct {
 	StructuresCovered int
 }
 
-// Crash models a clean power failure at the current cycle: each core's
-// recovery state is JIT-checkpointed (PPA only persists its five
-// structures; other schemes get an empty image), then all volatile state is
-// lost. The encoded checkpoint blobs are written to the NVM checkpoint
-// area.
-func (s *System) Crash() []*checkpoint.Image {
-	return s.CrashWithOptions(CrashOptions{}).Images
-}
-
-// CrashWithOptions is Crash with fault injection: an undersized reservoir
+// CrashWithOptions models a power failure at the current cycle: each
+// core's recovery state is JIT-checkpointed (PPA only persists its five
+// structures; other schemes get an empty image), then all volatile state
+// is lost, and the encoded checkpoint blobs are written to the NVM
+// checkpoint area. With fault injection, an undersized reservoir
 // truncates the dump at the brownout byte, modeling
 // failure-during-checkpoint. For the eADR/BBB scheme the defining
 // behaviour happens first: the battery flushes every dirty byte from the
@@ -756,22 +751,4 @@ func (r *Result) RenameStallFrac() float64 {
 		cyc += float64(st.Cycles)
 	}
 	return stats.Ratio(stall, cyc)
-}
-
-// Run is the one-call convenience: build a system for (profile, scheme),
-// execute instsPerThread instructions per thread, and collect results.
-func Run(p workload.Profile, scheme persist.Config, instsPerThread int) (*Result, error) {
-	w, err := workload.New(p, instsPerThread)
-	if err != nil {
-		return nil, err
-	}
-	cfg := DefaultConfig(len(w.Threads), scheme)
-	sys, err := NewSystem(cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Run(CycleBudget(instsPerThread)); err != nil {
-		return nil, err
-	}
-	return sys.Collect(), nil
 }

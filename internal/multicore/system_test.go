@@ -13,6 +13,24 @@ import (
 	"ppa/internal/workload"
 )
 
+// run builds a system for (profile, scheme),
+// execute instsPerThread instructions per thread, and collect results.
+func run(p workload.Profile, scheme persist.Config, instsPerThread int) (*Result, error) {
+	w, err := workload.New(p, instsPerThread)
+	if err != nil {
+		return nil, err
+	}
+	cfg := DefaultConfig(len(w.Threads), scheme)
+	sys, err := NewSystem(cfg, w)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Run(CycleBudget(instsPerThread)); err != nil {
+		return nil, err
+	}
+	return sys.Collect(), nil
+}
+
 func mustProfile(t *testing.T, name string) workload.Profile {
 	t.Helper()
 	p, err := workload.ByName(name)
@@ -23,7 +41,7 @@ func mustProfile(t *testing.T, name string) workload.Profile {
 }
 
 func TestRunSingleCore(t *testing.T) {
-	res, err := Run(mustProfile(t, "gcc"), persist.PPADefault(), 10000)
+	res, err := run(mustProfile(t, "gcc"), persist.PPADefault(), 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +54,7 @@ func TestRunSingleCore(t *testing.T) {
 }
 
 func TestRunMultiCore(t *testing.T) {
-	res, err := Run(mustProfile(t, "fft"), persist.PPADefault(), 5000)
+	res, err := run(mustProfile(t, "fft"), persist.PPADefault(), 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +78,7 @@ func TestSchemeModesSelectHierarchy(t *testing.T) {
 		{persist.EADRDefault(), false},
 		{persist.DRAMOnlyDefault(), false},
 	} {
-		res, err := Run(mustProfile(t, "mcf"), tc.scheme, 5000)
+		res, err := run(mustProfile(t, "mcf"), tc.scheme, 5000)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.scheme.Kind, err)
 		}
@@ -109,7 +127,7 @@ func TestCrashCapturesAllCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.RunUntil(8000)
-	images := sys.Crash()
+	images := sys.CrashWithOptions(CrashOptions{}).Images
 	if len(images) != 8 {
 		t.Fatalf("%d images", len(images))
 	}
@@ -137,7 +155,7 @@ func TestMultiCoreRecoveryOrderIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.RunUntil(10_000)
-		return sys, sys.Crash()
+		return sys, sys.CrashWithOptions(CrashOptions{}).Images
 	}
 
 	// First: per-core CSQs must be line-disjoint.
@@ -164,8 +182,8 @@ func TestMultiCoreRecoveryOrderIndependence(t *testing.T) {
 		}
 		for i, im := range images2 {
 			prog := sys2.Cores()[i].Program()
-			if err := recovery.VerifyConsistency(sys2.Device(), prog, im.Committed); err != nil {
-				t.Fatalf("trial %d core %d: %v", trial, i, err)
+			if n := recovery.CountInconsistencies(sys2.Device(), prog, im.Committed); n != 0 {
+				t.Fatalf("trial %d core %d: %d inconsistent words", trial, i, n)
 			}
 		}
 	}
@@ -180,7 +198,7 @@ func TestNewSystemResumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.RunUntil(10_000)
-	images := sys.Crash()
+	images := sys.CrashWithOptions(CrashOptions{}).Images
 	if _, err := recovery.Replay(sys.Device(), images[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +260,7 @@ func TestResetPreconditions(t *testing.T) {
 	}
 
 	sys.RunUntil(3000)
-	images := sys.Crash()
+	images := sys.CrashWithOptions(CrashOptions{}).Images
 	if _, err := recovery.Replay(sys.Device(), images[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +286,7 @@ func TestResetPreconditions(t *testing.T) {
 }
 
 func TestCollectAggregates(t *testing.T) {
-	res, err := Run(mustProfile(t, "water-ns"), persist.PPADefault(), 5000)
+	res, err := run(mustProfile(t, "water-ns"), persist.PPADefault(), 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +325,7 @@ func TestEADRFlushOnFailure(t *testing.T) {
 	}
 	sys.RunUntil(20_000)
 	dirtyBefore := sys.Hierarchy().DirtyWordCount()
-	sys.Crash()
+	sys.CrashWithOptions(CrashOptions{})
 	if dirtyBefore == 0 {
 		t.Skip("nothing dirty at the crash point")
 	}
@@ -316,8 +334,8 @@ func TestEADRFlushOnFailure(t *testing.T) {
 	}
 	// The flush made it durable: verify against the committed prefix.
 	prog := sys.Cores()[0].Program()
-	if err := recovery.VerifyConsistency(sys.Device(), prog, sys.Cores()[0].Committed()); err != nil {
-		t.Fatal(err)
+	if n := recovery.CountInconsistencies(sys.Device(), prog, sys.Cores()[0].Committed()); n != 0 {
+		t.Fatalf("%d inconsistent words", n)
 	}
 }
 
@@ -328,7 +346,7 @@ func TestNonEADRSchemesDoNotFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.RunUntil(5_000)
-	sys.Crash()
+	sys.CrashWithOptions(CrashOptions{})
 	if sys.LastCrashFlushBytes() != 0 {
 		t.Fatal("PPA must not rely on a flush-on-failure battery")
 	}

@@ -100,9 +100,6 @@ func Disable() { enabled = None }
 // one global load and compare, inlined at every site.
 func Is(m Mutation) bool { return enabled == m }
 
-// Enabled returns the active mutation.
-func Enabled() Mutation { return enabled }
-
 // All lists every seeded bug (excluding None), in stable order.
 func All() []Mutation {
 	out := make([]Mutation, 0, numMutations-1)

@@ -44,13 +44,6 @@ type Config struct {
 	// CoalesceWPQ merges a newly accepted line into an already-queued entry
 	// for the same line (persist coalescing, Section 4.3).
 	CoalesceWPQ bool
-	// WearLeveling enables start-gap wear leveling over the media (the
-	// paper's PCM endurance citation); it affects wear accounting only.
-	WearLeveling bool
-	// WearRegionLines sizes each start-gap region (default 1<<16 lines).
-	WearRegionLines uint64
-	// WearPsi is the writes-per-gap-movement constant (default 100).
-	WearPsi uint64
 }
 
 // DefaultConfig returns the Table 2 configuration at a 2 GHz core clock.
@@ -225,12 +218,11 @@ type Device struct {
 	plog   [][]LogRecord
 	logObs []func(core int, rec LogRecord)
 
-	// mediaWrites counts actual media programs per line (endurance/wear
-	// accounting; persist coalescing exists to keep this down). With wear
-	// leveling on, the key is the start-gap-translated physical slot.
+	// mediaWrites counts actual media programs per line index
+	// (endurance/wear accounting; persist coalescing exists to keep this
+	// down).
 	mediaWrites map[uint64]uint64
 	MediaWrites uint64
-	sg          *StartGap
 
 	// Statistics.
 	Reads         uint64
@@ -309,25 +301,6 @@ func (d *Device) Reset() {
 		wpqRejects: d.wpqRejects,
 		wpqAtWrite: d.wpqAtWrite,
 	}
-	if d.cfg.WearLeveling {
-		n := d.cfg.WearRegionLines
-		if n == 0 {
-			n = 1 << 16
-		}
-		d.sg = NewStartGap(n, d.cfg.WearPsi)
-	}
-}
-
-// wearKey maps a line to the media slot whose wear it consumes: the line
-// itself without leveling, or its start-gap-translated slot within its
-// region with leveling on.
-func (d *Device) wearKey(line uint64) uint64 {
-	idx := line / isa.LineSize
-	if d.sg == nil {
-		return idx
-	}
-	region := idx / d.sg.lines
-	return region*(d.sg.lines+1) + d.sg.Translate(idx%d.sg.lines)
 }
 
 // Config returns the device configuration.
@@ -529,17 +502,13 @@ func (d *Device) Tick(cycle uint64) {
 		if d.mediaWrites == nil {
 			d.mediaWrites = make(map[uint64]uint64)
 		}
-		d.mediaWrites[d.wearKey(victim)]++
+		d.mediaWrites[victim/isa.LineSize]++
 		d.MediaWrites++
-		if d.sg != nil && d.sg.OnWrite() {
-			// A gap movement copies one line: one extra media program.
-			d.MediaWrites++
-		}
 	}
 }
 
 // MaxLineWear returns the largest media program count any single line has
-// seen — the endurance hot spot wear-leveling would target.
+// seen — the endurance hot spot.
 func (d *Device) MaxLineWear() uint64 {
 	var max uint64
 	for _, n := range d.mediaWrites {
@@ -549,9 +518,6 @@ func (d *Device) MaxLineWear() uint64 {
 	}
 	return max
 }
-
-// WornLines returns how many distinct lines were programmed at the media.
-func (d *Device) WornLines() int { return len(d.mediaWrites) }
 
 // Drained reports whether every WPQ has been accepted into the persistence
 // domain and the media is idle. WCB residency is irrelevant to durability:
@@ -594,9 +560,6 @@ func (d *Device) ReadCheckpoint() []byte {
 
 // ClearCheckpoint erases the checkpoint area (after successful recovery).
 func (d *Device) ClearCheckpoint() { d.checkpoint = nil }
-
-// CheckpointLen returns the stored checkpoint blob's size in bytes.
-func (d *Device) CheckpointLen() int { return len(d.checkpoint) }
 
 // MutateCheckpoint applies fn to the checkpoint region in place — the
 // fault-injection hook for modeling NVM-level corruption (torn 8-byte

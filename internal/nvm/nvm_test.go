@@ -262,8 +262,8 @@ func TestMutateCheckpoint(t *testing.T) {
 		t.Fatal("empty region cannot change")
 	}
 	d.WriteCheckpoint([]byte{1, 2, 3, 4})
-	if d.CheckpointLen() != 4 {
-		t.Fatalf("CheckpointLen = %d", d.CheckpointLen())
+	if n := len(d.ReadCheckpoint()); n != 4 {
+		t.Fatalf("checkpoint length = %d", n)
 	}
 	// An identity mutation reports no change.
 	if d.MutateCheckpoint(func(b []byte) []byte { return b }) {
@@ -281,8 +281,8 @@ func TestMutateCheckpoint(t *testing.T) {
 	if !d.MutateCheckpoint(func(b []byte) []byte { return b[:2] }) {
 		t.Fatal("truncation must report a change")
 	}
-	if d.CheckpointLen() != 2 {
-		t.Fatalf("CheckpointLen after truncation = %d", d.CheckpointLen())
+	if n := len(d.ReadCheckpoint()); n != 2 {
+		t.Fatalf("checkpoint length after truncation = %d", n)
 	}
 }
 
@@ -301,86 +301,5 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if d.AvgWPQOccupancy() <= 0 {
 		t.Fatal("occupancy must be positive")
-	}
-}
-
-func TestStartGapTranslateBijective(t *testing.T) {
-	sg := NewStartGap(16, 4)
-	for round := 0; round < 50; round++ {
-		seen := map[uint64]bool{}
-		for l := uint64(0); l < 16; l++ {
-			p := sg.Translate(l)
-			if p > 16 {
-				t.Fatalf("slot %d out of range", p)
-			}
-			if seen[p] {
-				t.Fatalf("round %d: slot %d mapped twice", round, p)
-			}
-			seen[p] = true
-		}
-		sg.OnWrite()
-	}
-}
-
-func TestStartGapRotates(t *testing.T) {
-	sg := NewStartGap(8, 2)
-	before := sg.Translate(3)
-	moved := false
-	for i := 0; i < 40; i++ {
-		if sg.OnWrite() {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("gap never moved")
-	}
-	if sg.GapMoves == 0 {
-		t.Fatal("gap moves not counted")
-	}
-	// After enough movements the mapping of a line changes.
-	changed := false
-	for i := 0; i < 200; i++ {
-		sg.OnWrite()
-		if sg.Translate(3) != before {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Fatal("mapping never rotated")
-	}
-}
-
-func TestWearLevelingSpreadsHotLine(t *testing.T) {
-	run := func(level bool) (max uint64, slots int) {
-		cfg := DefaultConfig()
-		cfg.Channels = 1
-		cfg.WCBEntries = 2 // force frequent media drains
-		cfg.WriteDrainCycles = 1
-		cfg.WearLeveling = level
-		cfg.WearRegionLines = 64
-		cfg.WearPsi = 4
-		d := NewDevice(cfg)
-		cycle := uint64(0)
-		// Hammer one line plus a rotating cold line so the WCB keeps
-		// draining the hot line to media.
-		for i := 0; i < 4000; i++ {
-			try(d, 0x0, words(0x0, uint64(i)))
-			coldLine := uint64(1+(i%32)) * 128
-			try(d, coldLine, words(coldLine, 1))
-			for j := 0; j < 6; j++ {
-				d.Tick(cycle)
-				cycle++
-			}
-		}
-		return d.MaxLineWear(), d.WornLines()
-	}
-	maxPlain, _ := run(false)
-	maxLeveled, slotsLeveled := run(true)
-	if maxLeveled >= maxPlain {
-		t.Fatalf("wear leveling did not reduce hot-line wear: %d vs %d", maxLeveled, maxPlain)
-	}
-	if slotsLeveled < 2 {
-		t.Fatal("leveling must spread wear across slots")
 	}
 }

@@ -11,6 +11,17 @@ import (
 	"testing"
 )
 
+// Quantile returns an upper-bound estimate of the q-quantile (relative
+// error <= 12.5%), clamped into [min, max]. It returns 0 when empty.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantileLocked(q)
+}
+
 // TestHistBucketBoundaries checks the bucket index function against its
 // inverse: every value must land in a bucket whose upper bound is the
 // smallest one >= the value, and bucket upper bounds must be strictly
@@ -162,7 +173,7 @@ func TestQuantileEdgesThroughExposition(t *testing.T) {
 		t.Fatalf("snapshot has %d samples, want 3", len(samples))
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := WritePrometheusSamples(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `quantile="0.95"`) {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"math/bits"
@@ -124,17 +123,6 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	h.sum += v * float64(n)
 	h.buckets[histBucket(uint64(v))] += n
 	h.mu.Unlock()
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile (relative
-// error <= 12.5%), clamped into [min, max]. It returns 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
 }
 
 func (h *Histogram) quantileLocked(q float64) float64 {
@@ -259,13 +247,12 @@ type metric struct {
 	fn   func() float64
 }
 
-// Registry is the central table of named metrics. Strict registration
-// (NewCounter/NewGauge/NewHistogram) errors on a duplicate name; the
-// GetOrCreate variants return the existing metric so long as the kind
-// matches, which lets sequential runs share one Hub (their values then
-// accumulate). BindGaugeFunc rebinds on re-registration — last system wins
-// — because a gauge function is a live view of whichever system currently
-// backs it. A nil Registry accepts every call and hands back nil metrics.
+// Registry is the central table of named metrics. Counter, Gauge and
+// Histogram create a metric on first use and return the existing one so
+// long as the kind matches, which lets sequential runs share one Hub
+// (their values then accumulate). BindGaugeFunc rebinds on
+// re-registration — last system wins — because a gauge function is a live
+// view of whichever system currently backs it. A nil Registry accepts every call and hands back nil metrics.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
@@ -279,17 +266,16 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{metrics: make(map[string]*metric)} }
 
-func (r *Registry) register(name string, kind metricKind, strict bool) (*metric, error) {
+// register returns the named metric, creating it on first use, or nil when
+// the name is bound to a different kind.
+func (r *Registry) register(name string, kind metricKind) *metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok {
-		if strict {
-			return nil, fmt.Errorf("obs: metric %q already registered as %s", name, m.kind)
-		}
 		if m.kind != kind {
-			return nil, fmt.Errorf("obs: metric %q is a %s, not a %s", name, m.kind, kind)
+			return nil
 		}
-		return m, nil
+		return m
 	}
 	m := &metric{kind: kind}
 	switch kind {
@@ -301,43 +287,7 @@ func (r *Registry) register(name string, kind metricKind, strict bool) (*metric,
 		m.hist = &Histogram{}
 	}
 	r.metrics[name] = m
-	return m, nil
-}
-
-// NewCounter registers a counter, erroring if the name is taken.
-func (r *Registry) NewCounter(name string) (*Counter, error) {
-	if r == nil {
-		return nil, nil
-	}
-	m, err := r.register(name, kindCounter, true)
-	if err != nil {
-		return nil, err
-	}
-	return m.ctr, nil
-}
-
-// NewGauge registers a gauge, erroring if the name is taken.
-func (r *Registry) NewGauge(name string) (*Gauge, error) {
-	if r == nil {
-		return nil, nil
-	}
-	m, err := r.register(name, kindGauge, true)
-	if err != nil {
-		return nil, err
-	}
-	return m.gau, nil
-}
-
-// NewHistogram registers a histogram, erroring if the name is taken.
-func (r *Registry) NewHistogram(name string) (*Histogram, error) {
-	if r == nil {
-		return nil, nil
-	}
-	m, err := r.register(name, kindHistogram, true)
-	if err != nil {
-		return nil, err
-	}
-	return m.hist, nil
+	return m
 }
 
 // Counter returns the named counter, creating it on first use. It returns
@@ -346,11 +296,10 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	m, err := r.register(name, kindCounter, false)
-	if err != nil {
-		return nil
+	if m := r.register(name, kindCounter); m != nil {
+		return m.ctr
 	}
-	return m.ctr
+	return nil
 }
 
 // Gauge returns the named gauge, creating it on first use. It returns nil
@@ -359,11 +308,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	m, err := r.register(name, kindGauge, false)
-	if err != nil {
-		return nil
+	if m := r.register(name, kindGauge); m != nil {
+		return m.gau
 	}
-	return m.gau
+	return nil
 }
 
 // Histogram returns the named histogram, creating it on first use. It
@@ -372,11 +320,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	m, err := r.register(name, kindHistogram, false)
-	if err != nil {
-		return nil
+	if m := r.register(name, kindHistogram); m != nil {
+		return m.hist
 	}
-	return m.hist
+	return nil
 }
 
 // BindGaugeFunc registers (or rebinds) a gauge sampled by calling fn at

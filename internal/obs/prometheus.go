@@ -144,10 +144,3 @@ func WritePrometheusSamples(w io.Writer, samples []Sample) error {
 	}
 	return nil
 }
-
-// WritePrometheus writes the full snapshot (gauge functions included) in
-// Prometheus text format. Call only while the instrumented system is
-// quiescent; the live serve path uses SnapshotLive instead.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return WritePrometheusSamples(w, r.Snapshot())
-}

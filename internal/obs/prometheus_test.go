@@ -27,7 +27,7 @@ func goldenRegistry() *Registry {
 
 func TestPrometheusGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenRegistry().WritePrometheus(&buf); err != nil {
+	if err := WritePrometheusSamples(&buf, goldenRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 

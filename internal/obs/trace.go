@@ -112,9 +112,6 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{size: capacity}
 }
 
-// Enabled reports whether the tracer records events.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Emit records one event. Safe on a nil tracer and for concurrent callers.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {

@@ -236,9 +236,6 @@ func (l *LogPath) enqueue(core int) {
 	}
 }
 
-// Full reports whether a core's buffer cannot accept a record.
-func (l *LogPath) Full(core int) bool { return l.outstanding(core) >= l.perCoreCap }
-
 // PendingOf returns a core's undrained shared-path record count — the
 // boundary wait target for the undo and staged disciplines and for
 // Capri's fixed-region barrier.

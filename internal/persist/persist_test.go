@@ -174,9 +174,6 @@ func TestRedoPathCapacityPerCore(t *testing.T) {
 	if r.TryAccept(0, 0x10, 3) {
 		t.Fatal("core 0 buffer full")
 	}
-	if !r.Full(0) || r.Full(1) {
-		t.Fatal("Full accounting wrong")
-	}
 	// Core 1's buffer is independent.
 	if !r.TryAccept(1, 0x20, 4) {
 		t.Fatal("core 1 must have space")

@@ -134,23 +134,6 @@ func RecoverObserved(dev *nvm.Device, im *checkpoint.Image, prog *isa.Program, h
 	return out, nil
 }
 
-// VerifyConsistency checks the crash-consistency contract for one thread:
-// for every address the committed prefix stored, the NVM image holds the
-// prefix's final value. It returns the first inconsistency found.
-func VerifyConsistency(dev *nvm.Device, prog *isa.Program, committed int) error {
-	golden := isa.RunGolden(prog, committed)
-	var err error
-	golden.Mem.Range(func(addr, want uint64) bool {
-		if got := dev.Image().ReadWord(addr); got != want {
-			err = fmt.Errorf("inconsistent NVM at %#x: got %#x want %#x (committed=%d)",
-				addr, got, want, committed)
-			return false
-		}
-		return true
-	})
-	return err
-}
-
 // CountInconsistencies returns how many committed-prefix addresses differ
 // from the NVM image — used to demonstrate that non-crash-consistent
 // schemes (the memory-mode baseline) actually lose data.

@@ -57,8 +57,8 @@ func TestReplayRestoresConsistency(t *testing.T) {
 	if _, err := Replay(dev, im); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyConsistency(dev, prog, im.Committed); err != nil {
-		t.Fatal(err)
+	if n := CountInconsistencies(dev, prog, im.Committed); n != 0 {
+		t.Fatalf("%d inconsistent words", n)
 	}
 	if n := CountInconsistencies(dev, prog, im.Committed); n != 0 {
 		t.Fatalf("%d inconsistencies after replay", n)
@@ -99,8 +99,8 @@ func TestReplayThroughEncodedCheckpoint(t *testing.T) {
 	if _, err := Replay(dev, decoded); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyConsistency(dev, prog, decoded.Committed); err != nil {
-		t.Fatal(err)
+	if n := CountInconsistencies(dev, prog, decoded.Committed); n != 0 {
+		t.Fatalf("%d inconsistent words", n)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestRecoverEndToEnd(t *testing.T) {
 	if out.ResumeIndex != im.Committed {
 		t.Fatalf("resume index %d, committed %d", out.ResumeIndex, im.Committed)
 	}
-	if err := VerifyConsistency(dev, prog, im.Committed); err != nil {
-		t.Fatal(err)
+	if n := CountInconsistencies(dev, prog, im.Committed); n != 0 {
+		t.Fatalf("%d inconsistent words", n)
 	}
 }
 
@@ -215,8 +215,8 @@ func TestCrashConsistencyProperty(t *testing.T) {
 			t.Logf("%s@%d: replay error %v", app, failCycle, err)
 			return false
 		}
-		if err := VerifyConsistency(dev, prog, im.Committed); err != nil {
-			t.Logf("%s@%d: %v", app, failCycle, err)
+		if n := CountInconsistencies(dev, prog, im.Committed); n != 0 {
+			t.Logf("%s@%d: %d inconsistent words", app, failCycle, n)
 			return false
 		}
 		return true
@@ -280,8 +280,8 @@ func TestContextSwitchCrashRecovery(t *testing.T) {
 		if _, err := Replay(dev, im); err != nil {
 			t.Fatalf("fail@%d: %v", fail, err)
 		}
-		if err := VerifyConsistency(dev, prog, im.Committed); err != nil {
-			t.Fatalf("fail@%d: %v", fail, err)
+		if n := CountInconsistencies(dev, prog, im.Committed); n != 0 {
+			t.Fatalf("fail@%d: %d inconsistent words", fail, n)
 		}
 		// The resume point is derivable from the LCPC alone.
 		idx, err := ResumeIndex(prog, im.LCPC)

@@ -242,19 +242,15 @@ func (r *Renamer) MaskedCount() int {
 	return n
 }
 
-// ReclaimMasked implements the region-boundary reclamation: every deferred
-// register returns to the free list and MaskReg is cleared (Section 4.2).
-// Masked registers still live in the CRT keep their mapping; only their
-// mask bit clears, so they reclaim normally when later displaced.
-func (r *Renamer) ReclaimMasked() (reclaimed int) {
-	return r.ReclaimMaskedExcept(nil)
-}
-
-// ReclaimMaskedExcept performs region-boundary reclamation while keeping
-// the given registers pinned: they belong to stores that committed after
-// the boundary snapshot (the opening of the next region) and must survive
-// until that region persists. Deferred registers in the keep set stay
-// deferred; everything else reclaims, and MaskReg keeps only the kept bits.
+// ReclaimMaskedExcept implements the region-boundary reclamation: every
+// deferred register returns to the free list and MaskReg is cleared
+// (Section 4.2). Masked registers still live in the CRT keep their
+// mapping; only their mask bit clears, so they reclaim normally when later
+// displaced. The keep registers stay pinned: they belong to stores that
+// committed after the boundary snapshot (the opening of the next region)
+// and must survive until that region persists. Deferred registers in the
+// keep set stay deferred; everything else reclaims, and MaskReg keeps only
+// the kept bits.
 func (r *Renamer) ReclaimMaskedExcept(keep []PhysRef) (reclaimed int) {
 	var keepInt, keepFP map[uint16]bool
 	for _, p := range keep {
@@ -361,10 +357,4 @@ func (r *Renamer) RestoreValue(p PhysRef, val uint64) {
 func (r *Renamer) CommittedArchValue(a isa.Reg) uint64 {
 	f := r.fileOf(a.Class)
 	return f.vals[f.crt[a.Index]]
-}
-
-// InUse returns the number of non-free physical registers of a class.
-func (r *Renamer) InUse(class isa.RegClass) int {
-	f := r.fileOf(class)
-	return len(f.vals) - len(f.free)
 }

@@ -104,7 +104,7 @@ func TestStoreIntegrityMaskingDefersFree(t *testing.T) {
 	}
 
 	// Region boundary: reclaim.
-	if n := r.ReclaimMasked(); n != 1 {
+	if n := r.ReclaimMaskedExcept(nil); n != 1 {
 		t.Fatalf("reclaimed %d", n)
 	}
 	if r.FreeCount(isa.ClassInt) != free0 {
@@ -121,7 +121,7 @@ func TestReclaimKeepsCRTCurrentMaskedRegs(t *testing.T) {
 	r.Commit(isa.Int(3), p1)
 	r.MaskStoreReg(p1) // masked but still CRT-current
 	free := r.FreeCount(isa.ClassInt)
-	if n := r.ReclaimMasked(); n != 0 {
+	if n := r.ReclaimMaskedExcept(nil); n != 0 {
 		t.Fatalf("reclaimed %d CRT-current registers", n)
 	}
 	if r.FreeCount(isa.ClassInt) != free {
@@ -164,7 +164,7 @@ func TestReclaimMaskedExcept(t *testing.T) {
 		t.Fatal("reclaimed register must unmask")
 	}
 	// A second full reclaim frees the survivor.
-	if n := r.ReclaimMasked(); n != 1 {
+	if n := r.ReclaimMaskedExcept(nil); n != 1 {
 		t.Fatalf("second reclaim %d", n)
 	}
 }
@@ -279,7 +279,7 @@ func TestConservation(t *testing.T) {
 					r.MaskStoreReg(live[len(live)-1])
 				}
 			case 3:
-				r.ReclaimMasked()
+				r.ReclaimMaskedExcept(nil)
 			}
 			if r.FreeCount(isa.ClassInt)+r.InUse(isa.ClassInt) != total {
 				return false
@@ -333,7 +333,7 @@ func BenchmarkMaskReclaim(b *testing.B) {
 		r.Commit(a, p)
 		r.MaskStoreReg(p)
 		if i%32 == 31 {
-			r.ReclaimMasked()
+			r.ReclaimMaskedExcept(nil)
 		}
 	}
 }

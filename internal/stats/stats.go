@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -51,27 +50,6 @@ func (c *CDF) At(v int) float64 {
 		}
 	}
 	return float64(cum) / float64(c.total)
-}
-
-// Quantile returns the smallest sample value v such that P(sample <= v) >= q.
-func (c *CDF) Quantile(q float64) int {
-	if c.total == 0 {
-		return 0
-	}
-	keys := make([]int, 0, len(c.counts))
-	for k := range c.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	target := q * float64(c.total)
-	var cum uint64
-	for _, k := range keys {
-		cum += c.counts[k]
-		if float64(cum) >= target {
-			return k
-		}
-	}
-	return keys[len(keys)-1]
 }
 
 // Mean returns the sample mean.
@@ -194,20 +172,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Max returns the maximum of xs (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Ratio safely divides a by b, returning 0 when b is 0.
 func Ratio(a, b float64) float64 {
 	if b == 0 {
@@ -215,9 +179,6 @@ func Ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// Pct formats a fraction as a percentage string with one decimal.
-func Pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 
 // SampledEstimate accumulates SMARTS-style sampled-simulation extrapolation:
 // each detailed window contributes its measured cycles directly, and the

@@ -23,9 +23,3 @@ func WarmResident(addr uint64) bool {
 func L2Resident(addr uint64) bool {
 	return addr < sharedROBase && addr%threadSpacing < warmRegionOff
 }
-
-// StreamRegion reports whether an address belongs to a thread's cold
-// streaming region (useful for tests and workload diagnostics).
-func StreamRegion(addr uint64) bool {
-	return addr < sharedROBase && addr%threadSpacing >= streamRegionOf
-}

@@ -596,17 +596,6 @@ func Suites() []string {
 	return []string{SuiteCPU2006, SuiteCPU2017, SuiteSPLASH3, SuiteSTAMP, SuiteWHISPER, SuiteMiniApp}
 }
 
-// BySuite returns the profiles belonging to one suite.
-func BySuite(suite string) []Profile {
-	var out []Profile
-	for _, p := range profileTable() {
-		if p.Suite == suite {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // MultiThreaded returns the profiles that run more than one thread
 // (SPLASH3, STAMP, WHISPER) — the population of Figure 19.
 func MultiThreaded() []Profile {

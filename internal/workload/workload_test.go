@@ -34,9 +34,13 @@ func TestSuitePopulations(t *testing.T) {
 		SuiteWHISPER: 7,
 		SuiteMiniApp: 2,
 	}
+	got := map[string]int{}
+	for _, p := range Profiles() {
+		got[p.Suite]++
+	}
 	for suite, n := range want {
-		if got := len(BySuite(suite)); got != n {
-			t.Errorf("%s: %d apps, want %d", suite, got, n)
+		if got[suite] != n {
+			t.Errorf("%s: %d apps, want %d", suite, got[suite], n)
 		}
 	}
 }
@@ -182,7 +186,7 @@ func TestAddressesAligned(t *testing.T) {
 	prog := thread(t, p, 20000, 0)
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
-		if in.Op.IsMem() && in.Addr%isa.WordSize != 0 {
+		if isMem(in.Op) && in.Addr%isa.WordSize != 0 {
 			t.Fatalf("unaligned address %#x", in.Addr)
 		}
 	}
@@ -220,14 +224,14 @@ func TestWarmResidentClassification(t *testing.T) {
 	var warmish, cold int
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
-		if !in.Op.IsMem() {
+		if !isMem(in.Op) {
 			continue
 		}
 		if WarmResident(in.Addr) {
 			warmish++
 		} else {
 			cold++
-			if !StreamRegion(in.Addr) {
+			if !streamRegion(in.Addr) {
 				t.Fatalf("non-resident address %#x is not in the stream region", in.Addr)
 			}
 		}
@@ -369,7 +373,7 @@ func TestSyscallKernelBursts(t *testing.T) {
 	kernel := 0
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
-		if !in.Op.IsMem() {
+		if !isMem(in.Op) {
 			continue
 		}
 		off := in.Addr % threadSpacing
@@ -395,7 +399,7 @@ func TestSyscallFreeProfilesUnchanged(t *testing.T) {
 	prog := thread(t, p, 20000, 0)
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
-		if !in.Op.IsMem() {
+		if !isMem(in.Op) {
 			continue
 		}
 		off := in.Addr % threadSpacing
@@ -426,7 +430,7 @@ func TestGenerateMultiProcess(t *testing.T) {
 	syncs := 0
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
-		if in.Op.IsMem() && in.Addr < sharedROBase {
+		if isMem(in.Op) && in.Addr < sharedROBase {
 			spaces[in.Addr/threadSpacing] = true
 		}
 		if in.Op == isa.OpSync {
@@ -467,4 +471,13 @@ func BenchmarkGenerateThread(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		thread(b, p, 10000, 0)
 	}
+}
+
+// isMem reports whether an opcode accesses memory.
+func isMem(op isa.Op) bool { return op == isa.OpLoad || op == isa.OpStore || op == isa.OpRMW }
+
+// streamRegion reports whether an address belongs to a thread's cold
+// streaming region.
+func streamRegion(addr uint64) bool {
+	return addr < sharedROBase && addr%threadSpacing >= streamRegionOf
 }
