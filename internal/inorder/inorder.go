@@ -158,8 +158,11 @@ func (c *Core) Step(cycle uint64) {
 		// Issue when sources are ready; blocking completion. A store also
 		// waits for room in the write buffer: it may not retire without its
 		// persist enqueued.
-		if c.ready.Read(in.Src1) > cycle || c.ready.Read(in.Src2) > cycle ||
-			(in.Op.IsStore() && c.hier.WBFull(c.cfg.CoreID)) {
+		if c.ready.Read(in.Src1) > cycle || c.ready.Read(in.Src2) > cycle {
+			break
+		}
+		if in.Op.IsStore() && c.hier.WBFull(c.cfg.CoreID) {
+			c.st.WBFullStalls++
 			break
 		}
 
@@ -194,6 +197,7 @@ func (c *Core) Step(cycle uint64) {
 					Seq:          idx,
 					ValueBearing: true,
 				})
+				c.st.CSQMaxDepth = max(c.st.CSQMaxDepth, len(c.csq))
 			}
 			c.st.Stores++
 		}

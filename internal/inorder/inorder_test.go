@@ -77,6 +77,27 @@ func TestInOrderPPARegions(t *testing.T) {
 	}
 }
 
+// TestInOrderStallCounters requires the in-order core to charge the
+// stall counters a stall breakdown reads: behind a two-entry write buffer a
+// ready store waits for room (WBFullStalls), and mcf's regions fill the
+// 40-entry CSQ (CSQMaxDepth).
+func TestInOrderStallCounters(t *testing.T) {
+	sys, err := ppa.NewSystem(inOrderRun("mcf", 20000, inorder.PPAScheme(), wb2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(multicore.CycleBudget(20000)); err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Cores()[0].Stats()
+	if st.WBFullStalls == 0 {
+		t.Error("no write-buffer-full stall charged behind a two-entry write buffer")
+	}
+	if st.CSQMaxDepth != 40 {
+		t.Errorf("CSQ high-water mark %d, want the full 40 entries", st.CSQMaxDepth)
+	}
+}
+
 func TestInOrderRejectsIndexCSQ(t *testing.T) {
 	bad := persist.PPADefault() // index-bearing CSQ needs a PRF
 	if _, err := ppa.NewSystem(inOrderRun("gcc", 100, bad, nil)); err == nil {

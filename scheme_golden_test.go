@@ -96,11 +96,11 @@ var goldenOrgRuns = []struct {
 			"9e286d74105ef699e0b9b4d62a36e816da6276a282f78626d237d61d789f0b13"}},
 	{"mcf/inorder-ppa", RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: inOrderPinInsts}, 1,
 		inOrderPPA,
-		[2]string{"9b906b0b28905b5d9bb452319a488cf140225598d926896f699b765bba5ce597",
+		[2]string{"3f5dd4cb2da9a6de2db7d2083cac6afabae4a8971156794a4198db07c2d1d0b4",
 			"107cc2ae4818289504f37c9e19405924180d3e9706b73c818a04fe016f94dea8"}},
 	{"mcf/inorder-ppa/wb2", RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: inOrderPinInsts}, 1,
 		func(c *multicore.Config) { inOrderPPA(c); c.Hierarchy.WBEntries = 2 },
-		[2]string{"2a85de4da2f6f48db53c8bbf61a5c07f0e35d714e467298fae98dc7ac90b3d92",
+		[2]string{"f796b5985a2766164b835afdfd673bbd0f11b40bdb430e61daa58578f9b30aa4",
 			"107cc2ae4818289504f37c9e19405924180d3e9706b73c818a04fe016f94dea8"}},
 	{"mcf/inorder-baseline", RunConfig{App: "mcf", Scheme: SchemeBaseline, InstsPerThread: inOrderPinInsts}, 1,
 		inOrderCore,
