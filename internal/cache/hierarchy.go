@@ -41,7 +41,7 @@ func (m Mode) String() string {
 // cycles for a hit at that level.
 type Params struct {
 	Mode  Mode
-	Cores int
+	Cores int `json:"-"` // set by the machine assembler from the workload
 
 	L1DSize uint64 // bytes (Table 2: 64 KB)
 	L1DWays int

@@ -28,8 +28,12 @@ import (
 )
 
 // Config parameterizes one core.
+//
+// The machine assembler sets CoreID, Threads, SyncContention, Scheme,
+// StartAt and StopAt per core, so they are excluded from JSON: a machine
+// config file that names them would set nothing.
 type Config struct {
-	CoreID int
+	CoreID int `json:"-"`
 	Width  int // fetch/rename/commit width (Table 2: 4)
 
 	ROBSize int // Table 2: 224
@@ -49,11 +53,11 @@ type Config struct {
 	// synchronization primitives in multi-threaded workloads; Threads
 	// scales contention.
 	SyncBaseCost   int
-	SyncContention float64
-	Threads        int
+	SyncContention float64 `json:"-"`
+	Threads        int     `json:"-"`
 
 	Rename rename.Config
-	Scheme persist.Config
+	Scheme persist.Config `json:"-"`
 
 	// SampleFreeRegs enables the per-cycle free-register CDFs (Figure 5).
 	SampleFreeRegs bool
@@ -64,14 +68,14 @@ type Config struct {
 
 	// StartAt begins execution at a dynamic instruction index (used to
 	// resume a recovered program after LCPC).
-	StartAt int
+	StartAt int `json:"-"`
 
 	// StopAt, when positive, caps execution at a dynamic instruction index:
 	// rename stops there and the core reports Done once everything up to it
 	// has committed and the ROB is empty. Zero (or a value past the trace
 	// end) means run to the end of the trace. The sampled runner uses this
 	// to quiesce a core exactly at a detailed-window boundary.
-	StopAt int
+	StopAt int `json:"-"`
 
 	// Front, when non-nil, seeds the core's program-order functional
 	// frontend from an existing golden state at StartAt instead of

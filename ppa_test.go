@@ -285,6 +285,24 @@ func TestMachineConfigJSON(t *testing.T) {
 	if _, err := MachineCustomizer([]byte(`{bad json`)); err == nil {
 		t.Fatal("bad JSON must error")
 	}
+	// A key that sets nothing must error, not load as a no-op: a
+	// misspelled field, a per-core field the machine overwrites, and a
+	// deleted knob.
+	for _, doc := range []string{
+		`{"NVM":{"WPQEntires":4}}`,
+		`{"Pipeline":{"Scheme":{"CSQEntries":3}}}`,
+		`{"NVM":{"WearLeveling":true}}`,
+	} {
+		if _, err := MachineCustomizer([]byte(doc)); err == nil {
+			t.Errorf("%s must error", doc)
+		}
+	}
+	// The template and an override of the in-order core still load.
+	for i, doc := range [][]byte{tmpl, []byte(`{"InOrder": true, "Pipeline": {"Width": 2}, "Scheme": {"DynamicRegions": false, "ValueCSQ": true}, "Hierarchy": {"WBEntries": 2}}`)} {
+		if _, err := MachineCustomizer(doc); err != nil {
+			t.Errorf("document %d: %v", i, err)
+		}
+	}
 	if _, err := MachineCustomizerFromFile("/nonexistent/x.json"); err == nil {
 		t.Fatal("missing file must error")
 	}
