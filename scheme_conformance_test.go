@@ -3,6 +3,7 @@ package ppa
 import (
 	"testing"
 
+	"ppa/internal/multicore"
 	"ppa/internal/persist"
 )
 
@@ -34,17 +35,31 @@ import (
 //     with every recovery consistent. Contract-free schemes must converge
 //     and complete; their verdicts count lost words only, since the oracle
 //     does not judge them.
+//
+// Section 6's in-order core runs the same legs twice more: in-order PPA
+// under PPA's committed-prefix contract, and the in-order baseline as a
+// contract-free negative control.
 func TestSchemeConformanceMatrix(t *testing.T) {
+	type leg struct {
+		name      string
+		scheme    Scheme
+		customize func(*multicore.Config)
+	}
+	var legs []leg
 	for _, s := range Schemes() {
-		s := s
-		t.Run(string(s), func(t *testing.T) {
+		legs = append(legs, leg{string(s), s, nil})
+	}
+	legs = append(legs, leg{"inorder-ppa", SchemePPA, inOrderPPA}, leg{"inorder-baseline", SchemeBaseline, inOrderCore})
+	for _, l := range legs {
+		l := l
+		t.Run(l.name, func(t *testing.T) {
 			t.Parallel()
-			cfg, err := SchemeConfig(s)
+			cfg, err := SchemeConfig(l.scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
 			contract := persist.SchemeFor(cfg).Contract()
-			rc := RunConfig{App: "mcf", Scheme: s, InstsPerThread: 3000, Lockstep: true}
+			rc := RunConfig{App: "mcf", Scheme: l.scheme, InstsPerThread: 3000, Lockstep: true, Customize: l.customize}
 
 			// Leg 1: lockstep-clean uninterrupted run.
 			res, err := Run(rc)
