@@ -6,8 +6,9 @@ import (
 )
 
 // Violation is a persist-ordering rule violation detected by the Tracker.
-// The lockstep oracle wraps it into its own report type; the litmus
-// harness records it as a forbidden outcome.
+// The lockstep oracle, the Tracker's only user, wraps it into its own
+// report type. The litmus harness does not use the Tracker: its recorder
+// checks the compiled model's per-core rules itself.
 type Violation struct {
 	Kind   string `json:"kind"`
 	Core   int    `json:"core"`
