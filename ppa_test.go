@@ -2,7 +2,10 @@ package ppa
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"ppa/internal/mutation"
 )
 
 func TestAppsPopulation(t *testing.T) {
@@ -439,5 +442,51 @@ func TestVerifyApp(t *testing.T) {
 	}
 	if base.OK() && base.Completed < base.Trials {
 		t.Fatal("the baseline should fail verification when interrupted")
+	}
+}
+
+// TestVerifyAppChecksArchState: a trial whose NVM image recovers to the
+// committed prefix but whose recovered register state diverges from the
+// golden model is a failed trial. A stale commit-table tag leaves the image
+// intact and corrupts only the register state, so every interrupted trial
+// that recovers it wrong must be listed in Failed. Not parallel: the
+// seeded-bug registry is process-global.
+func TestVerifyAppChecksArchState(t *testing.T) {
+	mutation.Enable(mutation.RenameCRTStaleTag)
+	defer mutation.Disable()
+	o := VerifyOptions{App: "mcf", Scheme: SchemePPA, InstsPerThread: 6000, Trials: 8, Seed: 1}
+	rep, err := VerifyAppOpts(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := RunConfig{App: o.App, Scheme: o.Scheme, InstsPerThread: o.InstsPerThread}
+	probe, err := Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := FailRandomly(o.Seed, o.Trials, probe.Cycles/50, probe.Cycles)
+	archOnly := 0
+	for after := uint64(0); ; {
+		cycle, ok := sched.Next(after)
+		if !ok {
+			break
+		}
+		after = cycle
+		out, err := RunWithFailure(rc, cycle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.CompletedBeforeFailure || out.ArchConsistent {
+			continue
+		}
+		if out.Consistent {
+			archOnly++
+		}
+		if !slices.Contains(rep.Failed, cycle) {
+			t.Errorf("cycle %d recovered a diverged register state, but VerifyApp counts it consistent", cycle)
+		}
+	}
+	if archOnly == 0 {
+		t.Fatal("no trial recovered a consistent image with a diverged register state; the test checks nothing")
 	}
 }

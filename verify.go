@@ -15,7 +15,9 @@ type VerifyReport struct {
 	// Interrupted counts trials where power actually cut mid-run — the
 	// only trials that exercise recovery (Trials = Completed + Interrupted).
 	Interrupted int
-	// Consistent counts interrupted trials whose recovery verified. A
+	// Consistent counts interrupted trials whose recovery verified: the
+	// NVM image holds the committed prefix, the recovered register state
+	// matches the golden model, and (under Lockstep) the oracle agrees. A
 	// post-completion trial is not consistent, merely uninformative.
 	Consistent int
 	Failed     []uint64 // failure cycles whose recovery was inconsistent
@@ -124,7 +126,7 @@ func VerifyAppOpts(o VerifyOptions) (*VerifyReport, error) {
 		if out.OracleChecked {
 			report.OracleChecked++
 		}
-		if out.Consistent && out.OracleViolation == "" {
+		if out.Consistent && out.ArchConsistent && out.OracleViolation == "" {
 			report.Consistent++
 		} else {
 			report.Failed = append(report.Failed, cycle)
