@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -44,8 +45,14 @@ var implicitMethods = map[string]bool{
 // non-test Go file of the repository (perfbench included), or be named in
 // exportKeeps. Uses are matched by name from the syntax tree: a qualified
 // pkg.Name for another package, a bare Name inside the declaring package,
-// and any .Name selector for a method. internal/fabric is skipped; CI
-// jobs drive it through cmd/ppafabric.
+// and any .Name selector for a method. A method's receiver is part of its
+// declaration, so a type that only its own methods name is unused.
+// internal/fabric is skipped; CI jobs drive it through cmd/ppafabric.
+//
+// The machine config gets the same treatment field by field: every
+// JSON-visible leaf field reachable from multicore.Config must be named by
+// a .Field selector in non-test Go. A field that only a composite literal
+// sets loads from a -config file and changes nothing.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	type file struct {
@@ -79,7 +86,8 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 
 	declared := map[string]bool{}  // keys as in exportKeeps
 	used := map[string]bool{}      // "dir.Name" uses
-	selectors := map[string]bool{} // every .Name selector, for methods
+	selectors := map[string]bool{} // every .Name selector, for methods and fields
+	structs := map[string]scope{}  // "dir.Name" -> declared struct type
 	for _, f := range files {
 		scanned := strings.HasPrefix(f.dir, "internal/") && f.dir != "internal/fabric" &&
 			!strings.HasPrefix(f.dir, "internal/fabric/")
@@ -100,6 +108,14 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				decl[d.Name] = true
+				if d.Recv != nil {
+					ast.Inspect(d.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							decl[id] = true
+						}
+						return true
+					})
+				}
 				if !scanned || !d.Name.IsExported() {
 					continue
 				}
@@ -114,6 +130,9 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
 						names = []*ast.Ident{s.Name}
+						if st, ok := s.Type.(*ast.StructType); ok {
+							structs[f.dir+"."+s.Name.Name] = scope{f.dir, imports, st}
+						}
 					case *ast.ValueSpec:
 						names = s.Names
 					}
@@ -169,6 +188,57 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			t.Errorf("exportKeeps names %s, which is no longer declared or now has a non-test caller", key)
 		}
 	}
+
+	root, ok := structs["internal/multicore.Config"]
+	if !ok {
+		t.Fatal("internal/multicore.Config is not a declared struct type")
+	}
+	var walk func(path string, s scope)
+	walk = func(path string, s scope) {
+		for _, fld := range s.st.Fields.List {
+			if fld.Tag != nil {
+				tag, _ := strconv.Unquote(fld.Tag.Value)
+				if name, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ","); name == "-" {
+					continue
+				}
+			}
+			for _, n := range fld.Names {
+				if !n.IsExported() {
+					continue
+				}
+				if inner, ok := s.structOf(fld.Type, structs); ok {
+					walk(path+"."+n.Name, inner)
+				} else if !selectors[n.Name] {
+					t.Errorf("%s.%s: a machine-config field no non-test Go names with a selector; it configures nothing", path, n.Name)
+				}
+			}
+		}
+	}
+	walk("multicore.Config", root)
+}
+
+// scope is a struct type declaration with what resolves its field types:
+// its package directory and its file's imports of internal packages.
+type scope struct {
+	dir     string
+	imports map[string]string
+	st      *ast.StructType
+}
+
+// structOf resolves a field type written in s's file to a struct type
+// declared in the repository.
+func (s scope) structOf(e ast.Expr, structs map[string]scope) (scope, bool) {
+	switch e := e.(type) {
+	case *ast.Ident:
+		inner, ok := structs[s.dir+"."+e.Name]
+		return inner, ok
+	case *ast.SelectorExpr:
+		if x, ok := e.X.(*ast.Ident); ok {
+			inner, ok := structs[s.imports[x.Name]+"."+e.Sel.Name]
+			return inner, ok
+		}
+	}
+	return scope{}, false
 }
 
 // recvName returns the type name of a method receiver (T, *T, T[P]).

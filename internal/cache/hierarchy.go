@@ -60,7 +60,6 @@ type Params struct {
 
 	DRAMCacheSize uint64 // bytes (Table 2: 4 GB)
 	DRAMLat       int    // DRAM access latency (~96-140 cycles)
-	DRAMOccup     int    // DRAM device occupancy per line (bandwidth)
 
 	// Write buffer (async persist path, per core).
 	WBEntries int // entries in the L1D write buffer
@@ -99,7 +98,6 @@ func DefaultParams(n int) Params {
 		L3Lat:                  44,
 		DRAMCacheSize:          4 << 30,
 		DRAMLat:                120,
-		DRAMOccup:              7,
 		WBEntries:              1024, // one needs-persist slot per L1D line
 		PersistTransit:         120,
 		PersistLag:             600,

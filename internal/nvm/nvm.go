@@ -26,9 +26,6 @@ type Config struct {
 	Channels int
 	// ReadLatency is the full load-to-use latency of an NVM read.
 	ReadLatency int
-	// ReadOccupancy is how long one line read occupies its channel
-	// (bandwidth limit for streaming reads).
-	ReadOccupancy int
 	// WPQEntries is the per-channel write-pending-queue depth (Table 2: 16).
 	WPQEntries int
 	// WCBEntries is the per-channel media write-combining buffer depth:
@@ -51,7 +48,6 @@ func DefaultConfig() Config {
 	return Config{
 		Channels:         2,
 		ReadLatency:      350, // 175 ns
-		ReadOccupancy:    22,  // ~6 GB/s streaming read bandwidth per channel
 		WPQEntries:       16,
 		WCBEntries:       256,
 		WriteDrainCycles: 56, // 2.3 GB/s write bandwidth per channel

@@ -78,9 +78,3 @@ func (r *Random) Next(after uint64) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// None never fails.
-type None struct{}
-
-// Next implements Schedule.
-func (None) Next(uint64) (uint64, bool) { return 0, false }

@@ -81,9 +81,3 @@ func TestRandomDegenerateRange(t *testing.T) {
 		t.Fatalf("degenerate range: %d %v", c, ok)
 	}
 }
-
-func TestNone(t *testing.T) {
-	if _, ok := (None{}).Next(0); ok {
-		t.Fatal("None never fires")
-	}
-}
