@@ -51,8 +51,9 @@ type Params struct {
 	L2Ways int
 	L2Lat  int // 44 cycles
 
-	// UseL3 switches to the Figure 14 organization: private 1 MB L2 per
-	// core (L2PrivLat) plus a shared L3 of L2Size/L2Ways at L3Lat.
+	// UseL3 selects the Figure 14 organization: a private L2 of L2PrivSz
+	// per core (L2PrivLat) between each L1D and the shared last level,
+	// which keeps L2Size/L2Ways but answers at L3Lat.
 	UseL3     bool
 	L2PrivSz  uint64
 	L2PrivLat int
@@ -393,11 +394,17 @@ type Hierarchy struct {
 	p   Params
 	dev *nvm.Device
 
-	l1    []*setAssoc // per core
-	l2    *setAssoc   // shared L2 (or nil when UseL3)
-	l2p   []*setAssoc // private L2s (UseL3 organization)
-	l3    *setAssoc   // shared L3 (UseL3 organization)
-	dramc *dramCache  // memory mode only
+	// The SRAM levels are inclusive: per-core L1Ds, an optional per-core
+	// private L2 (the Figure 14 organization, nil otherwise), and one
+	// shared last-level cache answering at llcLat. l1Below[c] is the level
+	// under core c's L1D (its private L2, or the LLC), which a dirty L1D
+	// victim marks dirty.
+	l1      []*setAssoc
+	l2p     []*setAssoc
+	llc     *setAssoc
+	l1Below []*setAssoc
+	llcLat  uint64
+	dramc   *dramCache // memory mode only
 
 	// volatile latest values of written-but-not-durable words
 	dirty dirtyStore
@@ -447,18 +454,21 @@ func New(p Params, dev *nvm.Device, warmResident, l2Resident func(uint64) bool) 
 		warmResident: warmResident,
 		l2Resident:   l2Resident,
 	}
+	h.llc = newSetAssoc(p.L2Size, p.L2Ways)
+	h.llcLat = uint64(p.L2Lat)
 	h.l1 = make([]*setAssoc, p.Cores)
-	for i := range h.l1 {
-		h.l1[i] = newSetAssoc(p.L1DSize, p.L1DWays)
-	}
+	h.l1Below = make([]*setAssoc, p.Cores)
 	if p.UseL3 {
 		h.l2p = make([]*setAssoc, p.Cores)
-		for i := range h.l2p {
+		h.llcLat = uint64(p.L3Lat)
+	}
+	for i := range h.l1 {
+		h.l1[i] = newSetAssoc(p.L1DSize, p.L1DWays)
+		h.l1Below[i] = h.llc
+		if h.l2p != nil {
 			h.l2p[i] = newSetAssoc(p.L2PrivSz, p.L2Ways)
+			h.l1Below[i] = h.l2p[i]
 		}
-		h.l3 = newSetAssoc(p.L2Size, p.L2Ways)
-	} else {
-		h.l2 = newSetAssoc(p.L2Size, p.L2Ways)
 	}
 	if p.Mode == MemoryMode {
 		h.dramc = newDRAMCache(p.DRAMCacheSize)
@@ -481,9 +491,10 @@ func (h *Hierarchy) Reset() {
 		p:               h.p,
 		dev:             h.dev,
 		l1:              h.l1,
-		l2:              h.l2,
 		l2p:             h.l2p,
-		l3:              h.l3,
+		llc:             h.llc,
+		l1Below:         h.l1Below,
+		llcLat:          h.llcLat,
 		dramc:           h.dramc,
 		dirty:           h.dirty,
 		wbs:             h.wbs,
@@ -510,12 +521,7 @@ func (h *Hierarchy) clearVolatile() {
 	for _, c := range h.l2p {
 		c.reset()
 	}
-	if h.l2 != nil {
-		h.l2.reset()
-	}
-	if h.l3 != nil {
-		h.l3.reset()
-	}
+	h.llc.reset()
 	if h.dramc != nil {
 		h.dramc.reset()
 	}
@@ -593,57 +599,31 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, cycle uint64) uint
 	}
 
 	var done uint64
-	if h.p.UseL3 {
-		done = h.accessL3Path(core, line, write, cycle)
+	if h.l2p != nil && h.l2p[core].access(line, write) {
+		done = cycle + uint64(h.p.L2PrivLat)
 	} else {
-		done = h.accessL2Path(core, line, write, cycle)
+		done = h.accessLLC(line, write, cycle)
+		h.fillL2(core, line, write)
 	}
-	// Fill L1.
-	h.installL1(core, line, write)
+	h.fillL1(core, line, write)
 	return done + extra
 }
 
-// accessL2Path handles the default organization: shared L2 below L1.
-func (h *Hierarchy) accessL2Path(core int, line uint64, write bool, cycle uint64) uint64 {
-	if h.l2.access(line, write) {
-		return cycle + uint64(h.p.L2Lat)
+// accessLLC resolves a miss in a core's private levels at the shared LLC
+// and below, installing the line in the LLC.
+func (h *Hierarchy) accessLLC(line uint64, write bool, cycle uint64) uint64 {
+	if h.llc.access(line, write) {
+		return cycle + h.llcLat
 	}
-	// Pre-warmed hot working sets: first touch behaves as an LLC hit.
+	done := cycle + h.llcLat
 	if h.l2Resident != nil && h.l2Resident(line) {
-		h.l2.Misses--
-		h.l2.Hits++
-		h.installShared(h.l2, line, write)
-		return cycle + uint64(h.p.L2Lat)
+		// Pre-warmed hot working sets: first touch behaves as an LLC hit.
+		h.llc.Misses--
+		h.llc.Hits++
+	} else {
+		done = h.belowSRAM(line, write, cycle)
 	}
-	done := h.belowSRAM(line, write, cycle)
-	h.installShared(h.l2, line, write)
-	return done
-}
-
-// accessL3Path handles the Figure 14 organization: private L2, shared L3.
-func (h *Hierarchy) accessL3Path(core int, line uint64, write bool, cycle uint64) uint64 {
-	if h.l2p[core].access(line, write) {
-		return cycle + uint64(h.p.L2PrivLat)
-	}
-	defer func() {
-		if v, d, ev := h.l2p[core].install(line, write); ev {
-			// Private-L2 victim: inclusive below, so just propagate dirt.
-			if d {
-				h.l3.markDirty(v)
-			}
-		}
-	}()
-	if h.l3.access(line, write) {
-		return cycle + uint64(h.p.L3Lat)
-	}
-	if h.l2Resident != nil && h.l2Resident(line) {
-		h.l3.Misses--
-		h.l3.Hits++
-		h.installSharedL3(line, write)
-		return cycle + uint64(h.p.L3Lat)
-	}
-	done := h.belowSRAM(line, write, cycle)
-	h.installSharedL3(line, write)
+	h.installLLC(line, write)
 	return done
 }
 
@@ -673,54 +653,54 @@ func (h *Hierarchy) belowSRAM(line uint64, write bool, cycle uint64) uint64 {
 	}
 }
 
-// installL1 installs a line into a core's L1D, propagating a dirty victim's
-// state downward (inclusive hierarchy: the victim is present below).
-func (h *Hierarchy) installL1(core int, line uint64, write bool) {
+// fillL1 installs a line into a core's L1D, propagating a dirty victim's
+// state to the level below (inclusive hierarchy: the victim is present
+// there).
+func (h *Hierarchy) fillL1(core int, line uint64, write bool) {
 	if v, d, ev := h.l1[core].install(line, write); ev && d {
-		if h.p.UseL3 {
-			h.l2p[core].markDirty(v)
-		} else {
-			h.l2.markDirty(v)
-		}
+		h.l1Below[core].markDirty(v)
 	}
 }
 
-// installShared installs into the shared L2, cascading its victim.
-func (h *Hierarchy) installShared(l2 *setAssoc, line uint64, write bool) {
-	v, d, ev := l2.install(line, write)
-	if !ev {
+// fillL2 installs a line into a core's private L2, when the hierarchy has
+// one, marking a dirty victim dirty in the LLC.
+func (h *Hierarchy) fillL2(core int, line uint64, write bool) {
+	if h.l2p == nil {
 		return
 	}
-	h.evictFromLLCSRAM(v, d)
+	if v, d, ev := h.l2p[core].install(line, write); ev && d {
+		h.llc.markDirty(v)
+	}
 }
 
-// installSharedL3 installs into the shared L3, cascading its victim.
-func (h *Hierarchy) installSharedL3(line uint64, write bool) {
-	v, d, ev := h.l3.install(line, write)
+// installLLC installs a line into the shared LLC. Its victim leaves the
+// SRAM: every private copy is back-invalidated (inclusive LLC), and the
+// line goes below dirty if any copy was.
+func (h *Hierarchy) installLLC(line uint64, write bool) {
+	v, d, ev := h.llc.install(line, write)
 	if !ev {
 		return
 	}
-	// Back-invalidate private L2s and L1s (inclusive L3).
-	for c := range h.l2p {
-		if _, pd := h.l2p[c].invalidate(v); pd {
-			d = true
-		}
-		if _, pd := h.l1[c].invalidate(v); pd {
-			d = true
-		}
+	if h.invalidatePrivate(v) {
+		d = true
 	}
 	h.evictBelowSRAM(v, d)
 }
 
-// evictFromLLCSRAM handles a line leaving the last SRAM level in the
-// default organization: back-invalidate L1s, then go below.
-func (h *Hierarchy) evictFromLLCSRAM(line uint64, dirty bool) {
-	for c := range h.l1 {
-		if _, pd := h.l1[c].invalidate(line); pd {
+// invalidatePrivate back-invalidates a line from every core's private
+// levels, reporting whether any copy was dirty.
+func (h *Hierarchy) invalidatePrivate(line uint64) (dirty bool) {
+	for _, c := range h.l1 {
+		if _, d := c.invalidate(line); d {
 			dirty = true
 		}
 	}
-	h.evictBelowSRAM(line, dirty)
+	for _, c := range h.l2p {
+		if _, d := c.invalidate(line); d {
+			dirty = true
+		}
+	}
+	return dirty
 }
 
 // evictBelowSRAM routes a line evicted from SRAM to the next level down.
@@ -763,21 +743,10 @@ func (h *Hierarchy) installDRAM(line uint64, write bool) {
 		return
 	}
 	// Back-invalidate SRAM copies of the victim.
-	for c := range h.l1 {
-		if _, pd := h.l1[c].invalidate(v); pd {
-			d = true
-		}
+	if h.invalidatePrivate(v) {
+		d = true
 	}
-	if h.p.UseL3 {
-		for c := range h.l2p {
-			if _, pd := h.l2p[c].invalidate(v); pd {
-				d = true
-			}
-		}
-		if _, pd := h.l3.invalidate(v); pd {
-			d = true
-		}
-	} else if _, pd := h.l2.invalidate(v); pd {
+	if _, pd := h.llc.invalidate(v); pd {
 		d = true
 	}
 	if d {
@@ -1011,15 +980,9 @@ func (h *Hierarchy) WarmInstall(core int, lines []uint64) {
 		if h.p.Mode == MemoryMode {
 			h.installDRAM(line, false)
 		}
-		if h.p.UseL3 {
-			h.installSharedL3(line, false)
-			if v, d, ev := h.l2p[core].install(line, false); ev && d {
-				h.l3.markDirty(v)
-			}
-		} else {
-			h.installShared(h.l2, line, false)
-		}
-		h.installL1(core, line, false)
+		h.installLLC(line, false)
+		h.fillL2(core, line, false)
+		h.fillL1(core, line, false)
 	}
 }
 
@@ -1054,12 +1017,7 @@ func (h *Hierarchy) DirtyWordCount() int { return h.dirty.words }
 
 // L2MissRate returns the shared SRAM LLC miss rate (the paper quotes L2
 // miss rates when selecting Figure 10's applications).
-func (h *Hierarchy) L2MissRate() float64 {
-	if h.p.UseL3 {
-		return h.l3.MissRate()
-	}
-	return h.l2.MissRate()
-}
+func (h *Hierarchy) L2MissRate() float64 { return h.llc.MissRate() }
 
 // DRAMCacheMissRate returns the DRAM-cache miss rate (memory mode only).
 func (h *Hierarchy) DRAMCacheMissRate() float64 {
