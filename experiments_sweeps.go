@@ -1,6 +1,8 @@
 package ppa
 
 import (
+	"strconv"
+
 	"ppa/internal/multicore"
 	"ppa/internal/persist"
 	"ppa/internal/rename"
@@ -128,7 +130,7 @@ func Fig17(insts int) ([]SweepPoint, error) {
 	var custom []func(*multicore.Config)
 	for _, n := range sizes {
 		n := n
-		label := "CSQ-" + itoa(n)
+		label := "CSQ-" + strconv.Itoa(n)
 		if n == 40 {
 			label += " (default)"
 		}
@@ -185,26 +187,12 @@ func Fig19(insts int) ([]SweepPoint, error) {
 			return nil, err
 		}
 		out = append(out, SweepPoint{
-			Label:  itoa(n) + " threads",
+			Label:  strconv.Itoa(n) + " threads",
 			PerApp: series[0].Values,
 			GMean:  series[0].GMean,
 		})
 	}
 	return out, nil
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // AblationResult compares PPA against one of its own design-choice
