@@ -8,6 +8,7 @@ import (
 	"ppa/internal/checkpoint"
 	"ppa/internal/fault"
 	"ppa/internal/forensics"
+	"ppa/internal/isa"
 	"ppa/internal/multicore"
 	"ppa/internal/oracle"
 	"ppa/internal/persist"
@@ -22,60 +23,100 @@ import (
 
 // crashRun is a machine under test plus what the driver carries across its
 // outages: the run's configuration, its workload and the flight recorder's
-// accept tap. A single crash or a failure schedule builds one for its run;
-// a torture worker keeps one for all its points and resets it in place
-// between them.
+// accept taps. The machine it steps never loses power: a cut copies it into
+// a second machine of the same shape and crashes, damages, recovers and
+// verifies the copy, so the live machine can go on to a later cut without
+// simulating its prefix again. A single crash or a failure schedule builds
+// one for its run; a torture worker keeps one for all its points.
 type crashRun struct {
-	rc    RunConfig
-	w     *workload.Workload
+	rc RunConfig
+	w  *workload.Workload
+
+	// sys is the live machine, stepped forward from cycle zero (or from a
+	// resume) and reset only when a cut lies behind its clock; halt is the
+	// lockstep divergence that stopped it, returned again for every later
+	// cut instead of stepping a diverged machine further.
 	sys   *multicore.System
 	ftail *forensics.AcceptTail
+	halt  error
+
+	// down is the copy that loses power at a cut, built on the first one;
+	// dtail taps its device and holds a copy of ftail's accepts.
+	down  *multicore.System
+	dtail *forensics.AcceptTail
 }
 
-// newCrashRun builds the machine under test for rc on w, rc's workload
-// generated earlier, or on a workload it generates when w is nil.
+// newCrashRun builds the live machine for rc on w, rc's workload generated
+// earlier, or on a workload it generates when w is nil.
 func newCrashRun(rc RunConfig, w *workload.Workload) (*crashRun, error) {
 	r := &crashRun{rc: rc, w: w}
-	if err := r.ready(); err != nil {
+	if err := r.rewind(0); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// ready puts the machine under test at cycle zero: it builds the machine
-// on first use, over r.w or a workload it generates, and resets it in
-// place on every later call, so a torture worker builds one machine for
-// all its points. Either way a fresh accept tail taps it (see attach).
-func (r *crashRun) ready() error {
-	if r.sys != nil {
+// rewind makes the live machine able to reach cycle: it builds the machine
+// on first use, over r.w or a workload it generates, and resets it in place
+// to cycle zero when cycle lies behind its clock. Either way a fresh accept
+// tail taps it (see attach).
+func (r *crashRun) rewind(cycle uint64) error {
+	switch {
+	case r.sys == nil:
+		sys, err := r.build()
+		if err != nil {
+			return err
+		}
+		r.attach(sys)
+	case r.sys.Cycle() > cycle:
 		if err := r.sys.Reset(r.w, r.sys.Config().StepSeed); err != nil {
 			return err
 		}
 		r.attach(r.sys)
-		return nil
 	}
-	cfg, w, err := assemble(r.rc, r.w)
-	if err != nil {
-		return err
-	}
-	sys, err := multicore.NewSystem(cfg, w)
-	if err != nil {
-		return err
-	}
-	r.w = w
-	r.attach(sys)
 	return nil
 }
 
-// attach makes sys the machine under test. With a flight recorder, a fresh
-// accept tail taps its device: a lockstep machine's oracle replaces the
-// device's observers, so a tail from an earlier power-on period may be gone.
+// build assembles a machine for r.rc over r.w, generating r.w on first use.
+func (r *crashRun) build() (*multicore.System, error) {
+	cfg, w, err := assemble(r.rc, r.w)
+	if err != nil {
+		return nil, err
+	}
+	r.w = w
+	return multicore.NewSystem(cfg, w)
+}
+
+// attach makes sys the live machine. With a flight recorder, a fresh accept
+// tail taps its device: a lockstep machine's oracle replaces the device's
+// observers, so a tail from an earlier power-on period may be gone.
 func (r *crashRun) attach(sys *multicore.System) {
-	r.sys = sys
+	r.sys, r.halt = sys, nil
 	if r.rc.Forensics != nil {
 		r.ftail = forensics.NewAcceptTail(forensics.DefaultAcceptTail)
 		sys.Device().AddAcceptObserver(r.ftail.Observe)
 	}
+}
+
+// copyLive makes the down machine a copy of the live one, accept tail
+// included, building it on first use.
+func (r *crashRun) copyLive() error {
+	if r.down == nil {
+		down, err := r.build()
+		if err != nil {
+			return err
+		}
+		r.down = down
+		if r.rc.Forensics != nil {
+			r.dtail = forensics.NewAcceptTail(forensics.DefaultAcceptTail)
+			down.Device().AddAcceptObserver(r.dtail.Observe)
+		}
+	}
+	if err := r.down.CopyFrom(r.sys); err != nil {
+		return err
+	}
+	r.dtail.CopyFrom(r.ftail)
+	return nil
 }
 
 // crashVerdict is what one outage did and what recovery made of it.
@@ -100,34 +141,46 @@ type crashVerdict struct {
 	violation string
 }
 
-// cut runs the machine to p.Cycle, cuts power there (tearing the dump for a
-// TornCheckpoint fault), applies p's byte-level damage and nested outages,
-// and recovers by the scheme's contract: log schemes validate the dump and
-// rebuild the image from their own log, the others replay the CSQ. It then
-// verifies the contract point, the register state and the oracle's verdict,
-// and captures forensics on a violation. With resume, a recovered machine is
-// replaced by a fresh one around the surviving device, every thread resuming
-// at its contract point. A lockstep divergence before the cut is returned as
-// the error together with its verdict; any other error comes without one.
+// cut runs the live machine to p.Cycle, copies it, cuts power to the copy
+// there (tearing the dump for a TornCheckpoint fault), applies p's
+// byte-level damage and nested outages, and recovers by the scheme's
+// contract: log schemes validate the dump and rebuild the image from their
+// own log, the others replay the CSQ. It then verifies the contract point,
+// the register state and the oracle's verdict, and captures forensics on a
+// violation. With resume, the live machine is replaced by a fresh one
+// around the recovered copy's device, every thread resuming at its
+// contract point. A lockstep divergence before the cut is returned as the
+// error together with its verdict; any other error comes without one.
 func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
-	sys, hub := r.sys, r.rc.hub()
+	if err := r.rewind(p.Cycle); err != nil {
+		return nil, err
+	}
+	hub := r.rc.hub()
 	v := &crashVerdict{archConsistent: true}
-	done, err := sys.RunUntil(p.Cycle)
-	v.cycle = sys.Cycle()
+	done, err := false, r.halt
+	if err == nil {
+		done, err = r.sys.RunUntil(p.Cycle)
+	}
+	v.cycle = r.sys.Cycle()
 	if err != nil {
 		var de *oracle.DivergenceError
 		if !errors.As(err, &de) {
 			return nil, err
 		}
+		r.halt = err
 		v.violation = err.Error()
 		div, _ := json.Marshal(de.Report)
-		r.capture(v, p, forensics.KindLockstepDivergence, div)
+		r.capture(r.sys, r.ftail, v, p, forensics.KindLockstepDivergence, div)
 		return v, err
 	}
 	if done {
 		v.completed = true
 		return v, nil
 	}
+	if err := r.copyLive(); err != nil {
+		return nil, err
+	}
+	sys := r.down
 
 	// Cut power. A torn-checkpoint fault's Param is the reservoir's share
 	// of the dump's energy demand in permille, reduced mod 1000 so the
@@ -162,7 +215,7 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 		v.attempts++
 		if v.attempts > nested+4 {
 			v.violation = "recovery did not converge"
-			r.capture(v, p, forensics.KindTortureViolation, nil)
+			r.capture(sys, r.dtail, v, p, forensics.KindTortureViolation, nil)
 			return v, nil
 		}
 		if images, v.detected = recovery.LoadImages(dev); v.detected != nil {
@@ -215,15 +268,17 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 			return nil, err
 		}
 	}
-	r.capture(v, p, forensics.KindTortureViolation, div)
+	r.capture(sys, r.dtail, v, p, forensics.KindTortureViolation, div)
 	if !v.recovered {
 		return v, nil
 	}
 
 	// Recovery is complete: invalidate the checkpoint area so a later
 	// outage cannot be confused with this one, then resume each program
-	// right after its contract point on a fresh machine (the caches are
-	// cold, as after a real outage).
+	// right after its contract point on a fresh machine around the
+	// recovered device (the caches are cold, as after a real outage). The
+	// device now belongs to the live machine, so the next cut builds
+	// another copy.
 	dev.ClearCheckpoint()
 	if resume {
 		cfg, w, err := assemble(r.rc, r.w)
@@ -235,6 +290,7 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 			return nil, err
 		}
 		r.attach(next)
+		r.down, r.dtail = nil, nil
 	}
 	return v, nil
 }
@@ -246,7 +302,7 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 // rebuild the image from their own durable log and resume at each core's
 // last marker.
 func (r *crashRun) recoverByContract(images []*checkpoint.Image, txn bool, v *crashVerdict) ([]int, error) {
-	sys := r.sys
+	sys := r.down
 	at := make([]int, len(images))
 	if txn {
 		for _, im := range images {
@@ -288,14 +344,18 @@ func (r *crashRun) recoverByContract(images []*checkpoint.Image, txn bool, v *cr
 // how badly they miss it, so the oracle does not judge them. It returns the
 // oracle's divergence report for a flight-recorder bundle.
 func (r *crashRun) verify(v *crashVerdict, images []*checkpoint.Image, at []int) (json.RawMessage, error) {
-	sys := r.sys
+	sys := r.down
 	dev := sys.Device()
 	committed := make([]int, len(images))
 	for _, im := range images {
 		committed[im.CoreID] = im.Committed
 	}
+	// One golden execution per core serves both checks wherever the
+	// contract point is the committed prefix.
+	goldens := make([]*isa.GoldenResult, len(sys.Cores()))
 	for id, c := range sys.Cores() {
-		v.inconsistencies += recovery.CountInconsistencies(dev, c.Program(), at[id])
+		goldens[id] = isa.RunGolden(c.Program(), at[id])
+		v.inconsistencies += recovery.CountInconsistencies(dev, goldens[id])
 	}
 	if sys.Scheme().VerifiesArchState() {
 		for _, im := range images {
@@ -303,7 +363,11 @@ func (r *crashRun) verify(v *crashVerdict, images []*checkpoint.Image, at []int)
 			if err != nil {
 				return nil, err
 			}
-			if recovery.VerifyArchState(ren, sys.Cores()[im.CoreID].Program(), im.Committed) != nil {
+			g := goldens[im.CoreID]
+			if g.Executed != im.Committed {
+				g = isa.RunGolden(sys.Cores()[im.CoreID].Program(), im.Committed)
+			}
+			if recovery.VerifyArchState(ren, g) != nil {
 				v.archConsistent = false
 			}
 		}
@@ -334,10 +398,10 @@ func (r *crashRun) verify(v *crashVerdict, images []*checkpoint.Image, at []int)
 	return div, nil
 }
 
-// capture snapshots a violation into the flight recorder: the trace ring,
-// the metrics registry, the NVM accept tail and the divergence report, at
-// the instant the violation fires.
-func (r *crashRun) capture(v *crashVerdict, p TorturePoint, kind string, div json.RawMessage) {
+// capture snapshots a violation on sys into the flight recorder: the trace
+// ring, the metrics registry, sys's NVM accept tail and the divergence
+// report, at the instant the violation fires.
+func (r *crashRun) capture(sys *multicore.System, tail *forensics.AcceptTail, v *crashVerdict, p TorturePoint, kind string, div json.RawMessage) {
 	if r.rc.Forensics == nil || v.violation == "" {
 		return
 	}
@@ -348,10 +412,10 @@ func (r *crashRun) capture(v *crashVerdict, p TorturePoint, kind string, div jso
 			App:          r.rc.App,
 			Scheme:       string(r.rc.Scheme),
 			Point:        p.String(),
-			CaptureCycle: r.sys.Cycle(),
+			CaptureCycle: sys.Cycle(),
 		},
 		Divergence: div,
 	}
-	forensics.Snapshot(r.rc.hub(), r.ftail, b)
+	forensics.Snapshot(r.rc.hub(), tail, b)
 	_ = r.rc.Forensics.Capture(b)
 }

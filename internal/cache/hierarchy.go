@@ -176,6 +176,29 @@ func (w *writeBuffer) reset() {
 	*w = writeBuffer{buf: w.buf, size: w.size, index: w.index, coalesce: w.coalesce, multi: w.multi}
 }
 
+// copyFrom makes w a copy of src, keeping w's ring (grown to src's length
+// when shorter) and index.
+func (w *writeBuffer) copyFrom(src *writeBuffer) {
+	buf := w.buf
+	if len(buf) < len(src.buf) {
+		buf = make([]wbEntry, len(src.buf))
+	}
+	// Live entries keep their ring offsets from head; the stale slots of a
+	// longer ring are never read.
+	buf = buf[:len(src.buf)]
+	for i := 0; i < src.n; i++ {
+		j := (src.head + i) % len(src.buf)
+		buf[j] = src.buf[j]
+	}
+	index := w.index
+	clear(index)
+	for line, seq := range src.index {
+		index[line] = seq
+	}
+	*w = *src
+	w.buf, w.index = buf, index
+}
+
 func (w *writeBuffer) full() bool { return w.n >= w.size }
 
 // grow doubles the ring (at least minWBRing, at most size slots), copying
@@ -383,6 +406,19 @@ func (d *dirtyStore) deleteLine(base uint64) {
 	}
 }
 
+// copyFrom makes d a copy of src, keeping d's map storage.
+func (d *dirtyStore) copyFrom(src *dirtyStore) {
+	clear(d.lines)
+	slab := make([]isa.LineWords, len(src.lines))
+	i := 0
+	for base, lw := range src.lines {
+		slab[i] = *lw
+		d.lines[base] = &slab[i]
+		i++
+	}
+	d.words, d.last = src.words, nil
+}
+
 func (d *dirtyStore) reset() {
 	clear(d.lines)
 	d.words = 0
@@ -509,6 +545,34 @@ func (h *Hierarchy) Reset() {
 		drainBatch:      h.drainBatch,
 	}
 	h.clearVolatile()
+}
+
+// CopyFrom makes h a copy of src, a hierarchy built from the same
+// parameters: every tag array, the DRAM cache, the dirty-word layer, the
+// write buffers, the eviction queue, the statistics and the persist
+// perturbation. It keeps h's device, storage and obs handles and shares no
+// mutable storage with src. The device is not touched; nvm.Device.CopyFrom
+// copies it.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	for i, c := range h.l1 {
+		c.copyFrom(src.l1[i])
+	}
+	for i, c := range h.l2p {
+		c.copyFrom(src.l2p[i])
+	}
+	h.llc.copyFrom(src.llc)
+	if h.dramc != nil {
+		h.dramc.copyFrom(src.dramc)
+	}
+	h.dirty.copyFrom(&src.dirty)
+	for i, wb := range h.wbs {
+		wb.copyFrom(src.wbs[i])
+	}
+	h.evictq.entries = append(h.evictq.entries[:0], src.evictq.entries...)
+	h.evictq.head = src.evictq.head
+	h.wbNext = src.wbNext
+	h.perturb = src.perturb
+	h.NVMWritebacks, h.DRAMWritebacks, h.Invalidations = src.NVMWritebacks, src.DRAMWritebacks, src.Invalidations
 }
 
 // clearVolatile empties, in place, everything a power failure loses: the

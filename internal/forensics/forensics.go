@@ -109,6 +109,22 @@ func (t *AcceptTail) Observe(cycle, line uint64, words *isa.LineWords) {
 	t.mu.Unlock()
 }
 
+// CopyFrom makes t hold exactly src's accepts, keeping t's ring: a copied
+// machine's tail continues the stream its source's tail saw. Recorded
+// accepts are never modified, so their word lists are shared. Safe on nil
+// tails.
+func (t *AcceptTail) CopyFrom(src *AcceptTail) {
+	if t == nil || src == nil {
+		return
+	}
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.buf = append(t.buf[:0], src.buf...)
+	t.next, t.wrap, t.total = src.next, src.wrap, src.total
+}
+
 // Tail returns the buffered accepts, oldest first.
 func (t *AcceptTail) Tail() []Accept {
 	if t == nil {

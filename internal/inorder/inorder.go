@@ -103,6 +103,24 @@ func (c *Core) Reset(cfg pipeline.Config, prog *isa.Program) error {
 	return nil
 }
 
+// CopyFrom makes c a copy of src, a core of the same index: its
+// configuration, program, frontend, scoreboard, CSQ, region state and
+// statistics. It keeps c's hierarchy, CSQ storage and commit sink, and
+// shares no mutable storage with src: every field is src's except those it
+// restores. The caller copies the hierarchy.
+func (c *Core) CopyFrom(src *Core) error {
+	if src.cfg.CoreID != c.cfg.CoreID {
+		return fmt.Errorf("inorder: core %d cannot copy core %d", c.cfg.CoreID, src.cfg.CoreID)
+	}
+	own := *c
+	own.front.CopyFrom(src.front)
+	own.st.CopyFrom(&src.st)
+	*c = *src
+	c.hier, c.front, c.st, c.sink = own.hier, own.front, own.st, own.sink
+	c.csq = append(own.csq[:0], src.csq...)
+	return nil
+}
+
 // Done reports whether the trace completed.
 func (c *Core) Done() bool { return c.done }
 

@@ -82,12 +82,39 @@ func (m *MapMemory) Snapshot() map[uint64]uint64 {
 // engine hands clones to pipeline frontends so their ahead-of-commit writes
 // cannot disturb the golden model's own memory.
 func (m *MapMemory) Clone() *MapMemory {
-	c := &MapMemory{lines: make(map[uint64]*LineWords, len(m.lines)), words: m.words}
-	for base, lw := range m.lines {
-		dup := *lw
-		c.lines[base] = &dup
-	}
+	c := &MapMemory{lines: make(map[uint64]*LineWords, len(m.lines))}
+	c.CopyFrom(m)
 	return c
+}
+
+// CopyFrom makes m a deep copy of src, keeping m's map storage. The lines
+// m held before are dropped, not reused, so a line read from m before the
+// copy keeps its words.
+func (m *MapMemory) CopyFrom(src *MapMemory) {
+	if m.lines == nil {
+		m.lines = make(map[uint64]*LineWords, len(src.lines))
+	}
+	clear(m.lines)
+	slab := make([]LineWords, len(src.lines))
+	i := 0
+	for base, lw := range src.lines {
+		slab[i] = *lw
+		m.lines[base] = &slab[i]
+		i++
+	}
+	m.words, m.last, m.lastBase = src.words, nil, 0
+}
+
+// CopyFrom makes g a deep copy of src, keeping g's memory map and store
+// log storage.
+func (g *GoldenResult) CopyFrom(src *GoldenResult) {
+	if g.Mem == nil {
+		g.Mem = NewMapMemory()
+	}
+	g.Mem.CopyFrom(src.Mem)
+	g.Regs = src.Regs
+	g.StoreLog = append(g.StoreLog[:0], src.StoreLog...)
+	g.Executed = src.Executed
 }
 
 // Range calls fn for every written word until fn returns false.

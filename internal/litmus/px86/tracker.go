@@ -81,6 +81,34 @@ func NewTracker(cores int) *Tracker {
 	}
 }
 
+// CopyFrom makes t a copy of src, a tracker for as many cores, sharing no
+// mutable storage with it.
+func (t *Tracker) CopyFrom(src *Tracker) {
+	clear(t.outstanding)
+	for addr, q := range src.outstanding {
+		t.outstanding[addr] = append([]pending(nil), q...)
+	}
+	clear(t.lastDurable)
+	for addr, v := range src.lastDurable {
+		t.lastDurable[addr] = v
+	}
+	for i, snap := range src.armed {
+		t.armed[i] = nil
+		if snap != nil {
+			t.armed[i] = make(map[uint64]int, len(snap))
+			for addr, seq := range snap {
+				t.armed[i][addr] = seq
+			}
+		}
+	}
+	t.Accepts, t.Barriers, t.Unmatched = src.Accepts, src.Barriers, src.Unmatched
+	t.viol = nil
+	if src.viol != nil {
+		v := *src.viol
+		t.viol = &v
+	}
+}
+
 // Err returns the first violation, or nil.
 func (t *Tracker) Err() *Violation { return t.viol }
 

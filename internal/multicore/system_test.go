@@ -1,6 +1,7 @@
 package multicore
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -182,7 +183,7 @@ func TestMultiCoreRecoveryOrderIndependence(t *testing.T) {
 		}
 		for i, im := range images2 {
 			prog := sys2.Cores()[i].Program()
-			if n := recovery.CountInconsistencies(sys2.Device(), prog, im.Committed); n != 0 {
+			if n := recovery.CountInconsistencies(sys2.Device(), isa.RunGolden(prog, im.Committed)); n != 0 {
 				t.Fatalf("trial %d core %d: %d inconsistent words", trial, i, n)
 			}
 		}
@@ -334,7 +335,7 @@ func TestEADRFlushOnFailure(t *testing.T) {
 	}
 	// The flush made it durable: verify against the committed prefix.
 	prog := sys.Cores()[0].Program()
-	if n := recovery.CountInconsistencies(sys.Device(), prog, sys.Cores()[0].Committed()); n != 0 {
+	if n := recovery.CountInconsistencies(sys.Device(), isa.RunGolden(prog, sys.Cores()[0].Committed())); n != 0 {
 		t.Fatalf("%d inconsistent words", n)
 	}
 }
@@ -349,5 +350,71 @@ func TestNonEADRSchemesDoNotFlush(t *testing.T) {
 	sys.CrashWithOptions(CrashOptions{})
 	if sys.LastCrashFlushBytes() != 0 {
 		t.Fatal("PPA must not rely on a flush-on-failure battery")
+	}
+}
+
+// TestCopyFromSampledAndResumed checks what CopyFrom does with machines
+// built around a surviving device: it refuses a sampled window either way,
+// before changing anything (the window borrows its frontends and oracle
+// from the sampled runner), and it reproduces a resumed machine — the copy
+// runs to the resumed machine's Result and image, and refuses a Reset just
+// as its source does.
+func TestCopyFromSampledAndResumed(t *testing.T) {
+	prof := mustProfile(t, "gcc")
+	w, _ := workload.New(prof, 4000)
+	cfg := DefaultConfig(1, persist.PPADefault())
+	fresh := func() *System {
+		sys, err := NewSystem(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+
+	dst := fresh()
+	dst.RunUntil(500)
+	window := cfg
+	window.stops = []int{3000}
+	win, err := NewSystem(window, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win.RunUntil(1000)
+	if err := dst.CopyFrom(win); err == nil {
+		t.Fatal("CopyFrom accepted a sampled window")
+	}
+	if err := win.CopyFrom(dst); err == nil {
+		t.Fatal("CopyFrom onto a sampled window succeeded")
+	}
+	if dst.Cycle() != 500 {
+		t.Fatalf("a refused CopyFrom moved the machine to cycle %d", dst.Cycle())
+	}
+
+	crashed := fresh()
+	crashed.RunUntil(5000)
+	images := crashed.CrashWithOptions(CrashOptions{}).Images
+	if _, err := recovery.Replay(crashed.Device(), images[0]); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := NewSystemResumed(cfg, w, crashed.Device(), []int{images[0].Committed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed.RunUntil(2000)
+	if err := dst.CopyFrom(resumed); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Reset(w, 0); err == nil {
+		t.Fatal("the copy of a resumed machine accepted a Reset")
+	}
+	for _, sys := range []*System{dst, resumed} {
+		if err := sys.Run(CycleBudget(4000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _ := json.Marshal([]any{dst.Collect(), dst.Device().Image().Snapshot()})
+	want, _ := json.Marshal([]any{resumed.Collect(), resumed.Device().Image().Snapshot()})
+	if string(got) != string(want) {
+		t.Fatal("the copy of a resumed machine finished differently from it")
 	}
 }

@@ -128,6 +128,42 @@ func New(progs []*isa.Program, startAt []int) *Machine {
 	return m
 }
 
+// CopyFrom makes m a copy of src, an oracle over as many cores: each
+// golden model's position, registers and memory, the persist tracking,
+// the open redo regions and the latched divergence. It shares no mutable
+// storage with src.
+func (m *Machine) CopyFrom(src *Machine) {
+	for i, cm := range m.cores {
+		s := src.cores[i]
+		cm.prog, cm.regs, cm.next = s.prog, s.regs, s.next
+		cm.mem.CopyFrom(s.mem)
+	}
+	m.persist.t.CopyFrom(src.persist.t)
+	m.persist.imgViol = nil
+	if v := src.persist.imgViol; v != nil {
+		dup := *v
+		m.persist.imgViol = &dup
+	}
+	m.logPend = nil
+	if src.logPend != nil {
+		m.logPend = make([]map[uint64]uint64, len(src.logPend))
+		for i, pend := range src.logPend {
+			if pend != nil {
+				m.logPend[i] = make(map[uint64]uint64, len(pend))
+				for addr, v := range pend {
+					m.logPend[i][addr] = v
+				}
+			}
+		}
+	}
+	m.commits = src.commits
+	m.div = nil
+	if src.div != nil {
+		dup := *src.div
+		m.div = &dup
+	}
+}
+
 // failed reports whether the oracle has latched a divergence or violation.
 func (m *Machine) failed() bool { return m.div != nil || m.persist.violation() != nil }
 

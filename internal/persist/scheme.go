@@ -87,6 +87,9 @@ type Backend interface {
 	// Reset returns the backend to the state NewBackend builds over its
 	// device, keeping its storage.
 	Reset()
+	// CopyFrom makes the backend a copy of src, the same scheme's backend
+	// for as many cores, keeping its own device and storage.
+	CopyFrom(src Backend)
 }
 
 // Scheme is the pluggable persistence scheme: region formation policy and

@@ -226,6 +226,22 @@ func (s *Stats) CloseRegion(rec RegionRecord, trace bool) {
 	}
 }
 
+// CopyFrom makes s a copy of src, keeping s's free-register CDFs. The
+// region trace is copied into new storage: a Result collected earlier
+// shares the old one.
+func (s *Stats) CopyFrom(src *Stats) {
+	freeInt, freeFP := s.FreeInt, s.FreeFP
+	*s = *src
+	s.FreeInt, s.FreeFP = freeInt, freeFP
+	if src.FreeInt != nil {
+		s.FreeInt.CopyFrom(src.FreeInt)
+		s.FreeFP.CopyFrom(src.FreeFP)
+	}
+	if src.RegionTrace != nil {
+		s.RegionTrace = append([]RegionRecord(nil), src.RegionTrace...)
+	}
+}
+
 // AvgRegionLen returns the mean instructions per region (stores + others).
 func (s *Stats) AvgRegionLen() float64 { return s.RegionOther.Mean() + s.RegionStores.Mean() }
 
@@ -428,6 +444,39 @@ func (c *Core) Reset(cfg Config, prog *isa.Program) error {
 		return fmt.Errorf("pipeline: reset cannot change core %d's index, ROB or register-file size, or obs hub", c.cfg.CoreID)
 	}
 	return c.reset(cfg, prog)
+}
+
+// CopyFrom makes c a copy of src, a core of the same index, ROB and
+// register-file sizes: its configuration, program, in-flight instructions,
+// queues, register files, region state, frontend and statistics. It keeps
+// c's hierarchy, backend, storage, obs handles and commit sink, and shares
+// no mutable storage with src: every field is src's except those it
+// restores. The caller copies the hierarchy and the backend.
+func (c *Core) CopyFrom(src *Core) error {
+	if src.cfg.CoreID != c.cfg.CoreID || src.cfg.ROBSize != c.cfg.ROBSize ||
+		src.cfg.Rename != c.cfg.Rename || src.cfg.SampleFreeRegs != c.cfg.SampleFreeRegs {
+		return fmt.Errorf("pipeline: core %d cannot copy a core of another index, ROB or register-file size, or free-register sampling", c.cfg.CoreID)
+	}
+	own := *c
+	own.ren.CopyFrom(src.ren)
+	for i := 0; i < src.robLen; i++ {
+		j := (src.robHead + i) % len(src.rob)
+		own.rob[j] = src.rob[j]
+	}
+	own.front.CopyFrom(src.front)
+	own.st.CopyFrom(&src.st)
+	*c = *src
+	c.cfg.Obs = own.cfg.Obs
+	c.hier, c.ren, c.backend, c.backendFull = own.hier, own.ren, own.backend, own.backendFull
+	c.rob, c.front, c.st = own.rob, own.front, own.st
+	c.sqReleases = append(own.sqReleases[:0], src.sqReleases...)
+	c.sqAckToks = append(own.sqAckToks[:0], src.sqAckToks...)
+	c.keepScratch = own.keepScratch[:0]
+	c.csq = append(own.csq[:0], src.csq...)
+	c.tr, c.pressure, c.sink = own.tr, own.pressure, own.sink
+	c.obsRegionInsts, c.obsRegionStores = own.obsRegionInsts, own.obsRegionStores
+	c.obsBarrierStall, c.obsDrainWait, c.obsBarrier = own.obsBarrierStall, own.obsDrainWait, own.obsBarrier
+	return nil
 }
 
 var errGeometry = errors.New("pipeline: width and ROB size must be positive")

@@ -134,11 +134,11 @@ func RecoverObserved(dev *nvm.Device, im *checkpoint.Image, prog *isa.Program, h
 	return out, nil
 }
 
-// CountInconsistencies returns how many committed-prefix addresses differ
-// from the NVM image — used to demonstrate that non-crash-consistent
-// schemes (the memory-mode baseline) actually lose data.
-func CountInconsistencies(dev *nvm.Device, prog *isa.Program, committed int) int {
-	golden := isa.RunGolden(prog, committed)
+// CountInconsistencies returns how many addresses of golden, the golden
+// execution of a committed prefix (isa.RunGolden), differ from the NVM
+// image — used to demonstrate that non-crash-consistent schemes (the
+// memory-mode baseline) actually lose data.
+func CountInconsistencies(dev *nvm.Device, golden *isa.GoldenResult) int {
 	n := 0
 	golden.Mem.Range(func(addr, want uint64) bool {
 		if dev.Image().ReadWord(addr) != want {
@@ -150,9 +150,9 @@ func CountInconsistencies(dev *nvm.Device, prog *isa.Program, committed int) int
 }
 
 // VerifyArchState checks that the recovered committed register state equals
-// the golden in-order state at the commit point.
-func VerifyArchState(ren *rename.Renamer, prog *isa.Program, committed int) error {
-	golden := isa.RunGolden(prog, committed)
+// golden's, the golden in-order execution up to the commit point
+// (isa.RunGolden).
+func VerifyArchState(ren *rename.Renamer, golden *isa.GoldenResult) error {
 	for i := 0; i < isa.NumIntRegs; i++ {
 		r := isa.Int(i)
 		if got, want := ren.CommittedArchValue(r), golden.Regs.Read(r); got != want {

@@ -57,10 +57,10 @@ func TestReplayRestoresConsistency(t *testing.T) {
 	if _, err := Replay(dev, im); err != nil {
 		t.Fatal(err)
 	}
-	if n := CountInconsistencies(dev, prog, im.Committed); n != 0 {
+	if n := CountInconsistencies(dev, isa.RunGolden(prog, im.Committed)); n != 0 {
 		t.Fatalf("%d inconsistent words", n)
 	}
-	if n := CountInconsistencies(dev, prog, im.Committed); n != 0 {
+	if n := CountInconsistencies(dev, isa.RunGolden(prog, im.Committed)); n != 0 {
 		t.Fatalf("%d inconsistencies after replay", n)
 	}
 }
@@ -99,7 +99,7 @@ func TestReplayThroughEncodedCheckpoint(t *testing.T) {
 	if _, err := Replay(dev, decoded); err != nil {
 		t.Fatal(err)
 	}
-	if n := CountInconsistencies(dev, prog, decoded.Committed); n != 0 {
+	if n := CountInconsistencies(dev, isa.RunGolden(prog, decoded.Committed)); n != 0 {
 		t.Fatalf("%d inconsistent words", n)
 	}
 }
@@ -110,7 +110,7 @@ func TestRestoreRenamerMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyArchState(ren, prog, im.Committed); err != nil {
+	if err := VerifyArchState(ren, isa.RunGolden(prog, im.Committed)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -154,7 +154,7 @@ func TestRecoverEndToEnd(t *testing.T) {
 	if out.ResumeIndex != im.Committed {
 		t.Fatalf("resume index %d, committed %d", out.ResumeIndex, im.Committed)
 	}
-	if n := CountInconsistencies(dev, prog, im.Committed); n != 0 {
+	if n := CountInconsistencies(dev, isa.RunGolden(prog, im.Committed)); n != 0 {
 		t.Fatalf("%d inconsistent words", n)
 	}
 }
@@ -215,7 +215,7 @@ func TestCrashConsistencyProperty(t *testing.T) {
 			t.Logf("%s@%d: replay error %v", app, failCycle, err)
 			return false
 		}
-		if n := CountInconsistencies(dev, prog, im.Committed); n != 0 {
+		if n := CountInconsistencies(dev, isa.RunGolden(prog, im.Committed)); n != 0 {
 			t.Logf("%s@%d: %d inconsistent words", app, failCycle, n)
 			return false
 		}
@@ -246,7 +246,7 @@ func TestRecoveredArchStateProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return VerifyArchState(ren, prog, im.Committed) == nil
+		return VerifyArchState(ren, isa.RunGolden(prog, im.Committed)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestContextSwitchCrashRecovery(t *testing.T) {
 		if _, err := Replay(dev, im); err != nil {
 			t.Fatalf("fail@%d: %v", fail, err)
 		}
-		if n := CountInconsistencies(dev, prog, im.Committed); n != 0 {
+		if n := CountInconsistencies(dev, isa.RunGolden(prog, im.Committed)); n != 0 {
 			t.Fatalf("fail@%d: %d inconsistent words", fail, n)
 		}
 		// The resume point is derivable from the LCPC alone.

@@ -89,6 +89,18 @@ func (f *file) reset() {
 	}
 }
 
+// copyFrom makes f a copy of src, a file of the same size, keeping f's
+// storage.
+func (f *file) copyFrom(src *file) {
+	copy(f.vals, src.vals)
+	copy(f.readyAt, src.readyAt)
+	copy(f.masked, src.masked)
+	copy(f.rat, src.rat)
+	copy(f.crt, src.crt)
+	f.free = append(f.free[:0], src.free...)
+	f.deferred = append(f.deferred[:0], src.deferred...)
+}
+
 func (f *file) freeCount() int { return len(f.free) }
 
 // Renamer is the full renaming engine across both register classes.
@@ -130,6 +142,14 @@ func (r *Renamer) Reset() {
 	r.intF.reset()
 	r.fpF.reset()
 	*r = Renamer{intF: r.intF, fpF: r.fpF}
+}
+
+// CopyFrom makes r a copy of src, a renamer of the same register-file
+// sizes, keeping r's register files.
+func (r *Renamer) CopyFrom(src *Renamer) {
+	r.intF.copyFrom(src.intF)
+	r.fpF.copyFrom(src.fpF)
+	r.RenameStalls, r.DeferredFrees = src.RenameStalls, src.DeferredFrees
 }
 
 func (r *Renamer) fileOf(class isa.RegClass) *file {

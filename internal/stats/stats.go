@@ -19,6 +19,15 @@ type CDF struct {
 // NewCDF returns an empty CDF.
 func NewCDF() *CDF { return &CDF{counts: make(map[int]uint64)} }
 
+// CopyFrom makes c a copy of src, keeping c's map storage.
+func (c *CDF) CopyFrom(src *CDF) {
+	clear(c.counts)
+	for v, n := range src.counts {
+		c.counts[v] = n
+	}
+	c.total = src.total
+}
+
 // Add records one sample.
 func (c *CDF) Add(v int) {
 	c.counts[v]++

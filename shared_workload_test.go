@@ -142,8 +142,9 @@ func TestTortureSweepSharesWorkload(t *testing.T) {
 }
 
 // TestTortureWorkerResetMatchesFresh is the gate on the sweep workers'
-// machine reuse: a worker builds one machine and resets it in place for
-// every later point, so each sweep must reach exactly the verdicts of
+// machine reuse: a worker advances one live machine through its points,
+// resetting it in place only for a cut behind its clock, and crashes a
+// copy at each cut, so each sweep must reach exactly the verdicts of
 // points run on fresh machines. It covers every scheme (lockstep where the
 // scheme has a recovery contract) and the L3 and two-entry write-buffer
 // organizations, over points that reach every fault kind, torn dumps and
@@ -153,7 +154,7 @@ func TestTortureSweepSharesWorkload(t *testing.T) {
 // flight-recorder cases, one per
 // seeded bug, check that each point's bundle, accept tail included, is the
 // one a fresh machine captures: the tail must be tapped afresh after each
-// reset.
+// reset and carried into each crashed copy.
 func TestTortureWorkerResetMatchesFresh(t *testing.T) {
 	points := TorturePoints(11, 30, 200, 8000)
 	depths := map[int]bool{}
@@ -219,9 +220,9 @@ func TestTortureWorkerResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// checkResetPointsMatchFresh runs every point on one crashRun, reset in
-// place between points as a sweep worker's is, and on a fresh machine,
-// and requires both to leave the same crash state: the clock at the cut,
+// checkResetPointsMatchFresh runs every point, in the order given, on one
+// crashRun, as a sweep worker does, and on a fresh machine, and requires
+// both to leave the same crash state: the clock at the cut,
 // the dump and flush sizes, each core's recovery outcome and a digest of
 // the NVM image recovery left. Verdicts alone can agree on machines that
 // stepped differently; these figures move with every cycle.
@@ -237,13 +238,10 @@ func checkResetPointsMatchFresh(t *testing.T, rc RunConfig, points []TorturePoin
 			t.Fatalf("point %v: %v", p, err)
 		}
 		return jsonDigest(t, []any{v.cycle, v.checkpointBytes, v.flushedBytes, v.perCore,
-			r.sys.Device().Image().Snapshot()})
+			cutMachine(r, v).Device().Image().Snapshot()})
 	}
 	reused := &crashRun{rc: rc, w: w}
 	for _, p := range points {
-		if err := reused.ready(); err != nil {
-			t.Fatal(err)
-		}
 		fresh, err := newCrashRun(rc, w)
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"ppa/internal/fault"
 	"ppa/internal/obs"
@@ -141,14 +142,11 @@ func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
 	return (&crashRun{rc: rc}).torture(p)
 }
 
-// torture runs p from cycle zero on the machine under test, which ready
-// builds for the first point and resets for every later one, and turns the
-// crash verdict into p's outcome. The machine does not resume after
-// recovery, so it stays resettable.
+// torture cuts p on the driver's live machine, which advances to p.Cycle
+// from wherever an earlier point left it (or from cycle zero, when p lies
+// behind its clock), and turns the crash verdict into p's outcome. The
+// crashed copy does not resume after recovery.
 func (r *crashRun) torture(p TorturePoint) (*TortureOutcome, error) {
-	if err := r.ready(); err != nil {
-		return nil, err
-	}
 	v, err := r.cut(p, false)
 	if v == nil {
 		return nil, err
@@ -169,47 +167,81 @@ func (r *crashRun) torture(p TorturePoint) (*TortureOutcome, error) {
 	return out, nil
 }
 
-// RunTorture sweeps every point on one machine, reset in place between
-// points, invoking onPoint (if non-nil) after each verdict, and aggregates
-// the report. The workload is generated once and shared by every point.
-// Each verdict equals RunTorturePoint's on a fresh machine. Counters
-// "torture.points" and "torture.violations" accumulate on the run's hub.
-func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcome)) (*TortureReport, error) {
-	hub := rc.hub()
-	rep := &TortureReport{ByKind: make(map[string]int)}
-	_, w, err := assemble(rc, nil)
-	if err != nil {
-		return rep, err
-	}
-	r := &crashRun{rc: rc, w: w}
-	for _, p := range points {
-		out, err := r.torture(p)
-		if err != nil {
-			return rep, fmt.Errorf("torture point %v: %w", p, err)
+// sweep runs points[i] for each i of order, in that order, on the driver
+// and stores each verdict at outs[i]; done, when non-nil, sees each verdict
+// as it lands. Cancelling ctx abandons the rest.
+func (r *crashRun) sweep(ctx context.Context, points []TorturePoint, order []int, outs []*TortureOutcome, done func(*TortureOutcome)) error {
+	for _, i := range order {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		rep.aggregate(hub, p, out, onPoint)
+		out, err := r.torture(points[i])
+		if err != nil {
+			return fmt.Errorf("torture point %v: %w", points[i], err)
+		}
+		outs[i] = out
+		if done != nil {
+			done(out)
+		}
 	}
-	return rep, nil
+	return nil
 }
 
-// RunTortureParallel is RunTorture over a bounded worker pool. Each worker
-// owns one machine over the sweep's one read-only workload, built on its
-// first point and reset in place for every later one, so points
-// parallelize freely and each verdict equals RunTorturePoint's on a fresh
-// machine. Verdicts are aggregated in point order after the sweep — the
-// report is byte-identical to RunTorture's for the same points, and
-// onPoint still fires in sweep order. The main hub's "torture.points"
-// and "torture.violations" counters tick live as workers finish points (so
-// a served /metrics endpoint shows sweep progress). A worker gets an
-// observability hub of its own (RunConfig.Obs must not be shared across
-// goroutines) only when something reads it: the run's hub, into which the
-// worker hubs merge in creation order when the sweep ends — counter and
-// histogram merging is commutative, so the merged totals are deterministic
-// no matter which worker ran which point — or the flight recorder, whose
-// bundles carry the worker's trace ring. Otherwise workers run without
-// one, as the sequential sweep does. workers <= 0 means GOMAXPROCS;
-// workers == 1 is exactly the sequential sweep (including rc.Obs use, so
-// trace-carrying hubs keep working). Cancelling ctx abandons the sweep.
+// cycleOrder returns the indices of points in ascending cycle order, ties
+// in sweep order: the order in which one live machine reaches every cut
+// with a single pass over its prefix.
+func cycleOrder(points []TorturePoint) []int {
+	order := make([]int, len(points))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return points[order[a]].Cycle < points[order[b]].Cycle })
+	return order
+}
+
+// RunTorture sweeps every point on one crash driver and aggregates the
+// report. The workload is generated once and shared by every point. Points
+// run in ascending cycle order (ties in sweep order), so the driver's live
+// machine simulates the sweep's prefix once and each cut crashes a copy of
+// it; each verdict equals RunTorturePoint's on a fresh machine. The report
+// and onPoint (if non-nil) see the verdicts in sweep order after the
+// sweep, and counters "torture.points" and "torture.violations" then
+// accumulate on the run's hub, which also gets the live machine's
+// pre-crash metrics once, not once per point. On an error no verdict is
+// reported.
+func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcome)) (*TortureReport, error) {
+	_, w, err := assemble(rc, nil)
+	if err != nil {
+		return &TortureReport{ByKind: make(map[string]int)}, err
+	}
+	outs := make([]*TortureOutcome, len(points))
+	r := &crashRun{rc: rc, w: w}
+	if err := r.sweep(context.Background(), points, cycleOrder(points), outs, nil); err != nil {
+		return &TortureReport{ByKind: make(map[string]int)}, err
+	}
+	return AggregateTortureOutcomes(rc.hub(), points, outs, onPoint)
+}
+
+// RunTortureParallel is RunTorture over a bounded worker pool. The points,
+// in ascending cycle order, are split into one contiguous run per worker;
+// each worker owns one crash driver over the sweep's one read-only
+// workload, so it simulates its run's prefix once, and each verdict equals
+// RunTorturePoint's on a fresh machine. Verdicts are aggregated in point
+// order after the sweep — the report is byte-identical to RunTorture's for
+// the same points, and onPoint still fires in sweep order, after the
+// sweep. The main hub's "torture.points" and "torture.violations" counters
+// tick live as workers finish points (so a served /metrics endpoint shows
+// sweep progress). A worker gets an observability hub of its own
+// (RunConfig.Obs must not be shared across goroutines) only when
+// something reads it: the run's hub, into which the worker hubs merge in
+// creation order when the sweep ends — each worker's pre-crash metrics
+// once, not once per point; counter and histogram merging is commutative,
+// so the merged totals do not depend on which worker ran which points — or
+// the flight recorder, whose bundles carry the worker's trace ring.
+// Otherwise workers run without one, as the sequential sweep does.
+// workers <= 0 means GOMAXPROCS; workers == 1 is exactly the sequential
+// sweep (including rc.Obs use, so trace-carrying hubs keep working).
+// Cancelling ctx abandons the sweep.
 func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint, workers int, onPoint func(*TortureOutcome)) (*TortureReport, error) {
 	workers = sweep.Workers(workers)
 	if workers <= 1 || len(points) <= 1 {
@@ -220,46 +252,40 @@ func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint
 		return &TortureReport{ByKind: make(map[string]int)}, err
 	}
 	hub := rc.hub()
-	runs := make([]*crashRun, workers)
-	free := make(chan *crashRun, workers)
-	for i := range runs {
-		runs[i] = &crashRun{rc: rc, w: w}
+	order := cycleOrder(points)
+	runs := sweep.Chunks(len(order), (len(order)+workers-1)/workers)
+	drivers := make([]*crashRun, len(runs))
+	for i := range drivers {
+		drivers[i] = &crashRun{rc: rc, w: w}
 		if hub != nil || rc.Forensics != nil {
-			runs[i].rc.Obs = NewObsHub(0)
+			drivers[i].rc.Obs = NewObsHub(0)
 		}
-		free <- runs[i]
 	}
 	livePoints := hub.Registry().Counter("torture.points")
 	liveViolations := hub.Registry().Counter("torture.violations")
-	outs, err := sweep.Map(ctx, workers, len(points), func(_ context.Context, i int) (*TortureOutcome, error) {
-		r := <-free
-		defer func() { free <- r }()
-		out, perr := r.torture(points[i])
-		if perr != nil {
-			return nil, fmt.Errorf("torture point %v: %w", points[i], perr)
-		}
+	tick := func(out *TortureOutcome) {
 		livePoints.Inc()
 		if out.Violation != "" {
 			liveViolations.Inc()
 		}
-		return out, nil
+	}
+	outs := make([]*TortureOutcome, len(points))
+	_, err = sweep.Map(ctx, len(runs), len(runs), func(ctx context.Context, i int) (struct{}, error) {
+		run := runs[i]
+		return struct{}{}, drivers[i].sweep(ctx, points, order[run.Start:run.End], outs, tick)
 	})
 	// Fold the workers' simulator metrics (persist latency histograms,
 	// region attribution, ...) into the main hub even when the sweep
 	// aborted: a served registry should show whatever progress was made.
-	for _, r := range runs {
+	for _, r := range drivers {
 		hub.Merge(r.rc.Obs)
 	}
-	rep := &TortureReport{ByKind: make(map[string]int)}
 	if err != nil {
-		return rep, err
+		return &TortureReport{ByKind: make(map[string]int)}, err
 	}
-	for i, out := range outs {
-		// The hub counters already ticked live in the workers; pass a nil
-		// hub so aggregate only builds the report.
-		rep.aggregate(nil, points[i], out, onPoint)
-	}
-	return rep, nil
+	// The hub counters already ticked live in the workers; pass a nil hub
+	// so aggregation only builds the report.
+	return AggregateTortureOutcomes(nil, points, outs, onPoint)
 }
 
 // AggregateTortureOutcomes assembles a report from per-point verdicts in
@@ -334,7 +360,8 @@ func (rep *TortureReport) aggregate(hub *obs.Hub, p TorturePoint, out *TortureOu
 // any candidate that still violates, until no reduction reproduces the
 // failure. The returned point is the minimal reproducer (the original if
 // the violation never reproduces, e.g. a flaky model bug). Candidates run
-// one after another on one machine, reset in place between them.
+// one after another on one crash driver, whose live machine resets only
+// for a candidate that cuts behind its clock.
 func ShrinkTorturePoint(rc RunConfig, p TorturePoint, minCycle uint64) (TorturePoint, error) {
 	_, w, err := assemble(rc, nil)
 	if err != nil {
