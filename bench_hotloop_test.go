@@ -155,16 +155,19 @@ func TestHierarchyAssemblyBytes(t *testing.T) {
 
 // torturePointBytesCeiling bounds the bytes one point of an mcf lockstep
 // torture sweep may allocate, sequential or on two workers. A worker keeps
-// one machine for all its points and resets it in place, over the sweep's
-// one shared workload, so a point pays for its run, its crash and its
-// recovery: about 57 KiB under ppa and 48 KiB under undolog. Building a
-// machine per point cost about 280 KiB; giving each of two workers a hub
-// that nothing reads cost about 30 KiB more.
-const torturePointBytesCeiling = 128 << 10
+// a live machine and a crash copy for all its points, over the sweep's one
+// shared workload, and cuts its points in cycle order, so a point pays for
+// its stretch of the run, the copy, its crash and its recovery: about
+// 48 KiB under ppa and 33 KiB under undolog. Resetting one machine and
+// re-running the prefix for every point cost about 57 KiB and 48 KiB;
+// building a machine per point cost about 280 KiB; giving each of two
+// workers a hub that nothing reads cost about 30 KiB more.
+const torturePointBytesCeiling = 96 << 10
 
 // parallelTortureSlackBytes bounds what a two-worker sweep may allocate per
-// point beyond the sequential sweep: the worker pool's bookkeeping, not a
-// machine or a hub.
+// point beyond the sequential sweep: the second worker's two machines
+// (about 5–6 KiB per point over 100 points) and the pool's bookkeeping,
+// not a machine per point or a hub.
 const parallelTortureSlackBytes = 8 << 10
 
 // TestTortureSweepAllocBytes is the gate on a torture point's footprint: a
