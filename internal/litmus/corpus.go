@@ -2,8 +2,8 @@ package litmus
 
 // conformanceCorpusText is the curated built-in corpus: the classic persist
 // litmus shapes (MP, SB, 2+2W), the paper's region-barrier idiom, the two
-// persistChecker edge cases the oracle regressed on historically
-// (coalescing subsumption, idempotent re-accept), and the asymmetric
+// edge cases the oracle's persist rules once regressed on (coalescing
+// subsumption, idempotent re-accept), and the asymmetric
 // shapes that expose the litmus-only seeded bugs — same-word coalescing
 // under multicore (cache-coalesce-stale-word) and a barrier armed while
 // the sibling core's queue is already dry

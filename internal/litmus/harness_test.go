@@ -54,9 +54,9 @@ func TestGeneratedCorpusClean(t *testing.T) {
 
 // TestRegressionCorpusLockstep replays the committed regression corpus —
 // the coalescing-subsumption and idempotent-re-accept edge cases — under
-// the differential oracle, so the production persist checker (the px86
-// tracker behind internal/oracle) judges the same streams the harness
-// does. Either layer false-alarming fails the run.
+// the differential oracle, so the production persist checker (the
+// oracle's own rules, internal/oracle/persist.go) judges the same streams
+// the harness does. Either layer false-alarming fails the run.
 func TestRegressionCorpusLockstep(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.litmus"))
 	if err != nil || len(files) == 0 {

@@ -27,6 +27,11 @@
 // 2+2W-shaped test with fences on both cores admits per-address
 // candidate combinations that no linearization realizes), so the walk
 // keeps the full (persisted-set, memory-state) configuration.
+//
+// The package holds only this model, which the litmus compiler builds
+// against. The lockstep oracle (internal/oracle) applies the same per-core
+// axioms to the one order a running machine produces, with rules of its
+// own.
 package px86
 
 import (

@@ -148,5 +148,5 @@ func (m *Machine) FastForward(core, target int, img isa.Memory, warm *Warmth) er
 // durable, so outstanding-persist and durable-value tracking restart empty
 // for the next window. Latched violations survive the reset.
 func (m *Machine) ResetPersistTracking() {
-	m.persist.reset()
+	m.resetPersist()
 }

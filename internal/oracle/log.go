@@ -27,7 +27,6 @@ package oracle
 
 import (
 	"fmt"
-	"sort"
 
 	"ppa/internal/isa"
 	"ppa/internal/nvm"
@@ -41,7 +40,7 @@ func (m *Machine) ObserveLogAppend(core int, rec nvm.LogRecord, undo bool) {
 		return
 	}
 	if core < 0 || core >= len(m.cores) {
-		m.persist.imgViol = &PersistViolation{
+		m.viol = &PersistViolation{
 			Kind: "log-core-mismatch", Core: core,
 			Got: uint64(core), Want: uint64(len(m.cores)),
 			Detail: "log append from a core the oracle does not model",
@@ -51,7 +50,7 @@ func (m *Machine) ObserveLogAppend(core int, rec nvm.LogRecord, undo bool) {
 	cm := m.cores[core]
 	if rec.Marker {
 		if rec.Committed != cm.next {
-			m.persist.imgViol = &PersistViolation{
+			m.viol = &PersistViolation{
 				Kind: "log-marker-mismatch", Core: core,
 				Got: uint64(rec.Committed), Want: uint64(cm.next),
 				Detail: fmt.Sprintf("region-commit marker records %d committed instructions, oracle has checked %d",
@@ -69,7 +68,7 @@ func (m *Machine) ObserveLogAppend(core int, rec nvm.LogRecord, undo bool) {
 		// reaches the oracle, so the golden memory still holds the
 		// pre-store value.
 		if want := cm.mem.ReadWord(rec.Addr); rec.Val != want {
-			m.persist.imgViol = &PersistViolation{
+			m.viol = &PersistViolation{
 				Kind: "log-preimage-mismatch", Core: core, Addr: rec.Addr,
 				Got: rec.Val, Want: want,
 				Detail: fmt.Sprintf("undo log records pre-image %#x, golden memory holds %#x", rec.Val, want),
@@ -89,28 +88,17 @@ func (m *Machine) ObserveLogAppend(core int, rec nvm.LogRecord, undo bool) {
 // checkRedoRegion verifies the region closed by a redo marker: replaying the
 // region's folded records must land every word on the golden value.
 func (m *Machine) checkRedoRegion(core int) {
-	if m.logPend == nil || len(m.logPend[core]) == 0 {
+	if m.logPend == nil {
 		return
 	}
-	cm := m.cores[core]
 	pend := m.logPend[core]
-	addrs := make([]uint64, 0, len(pend))
-	for addr := range pend {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		got := pend[addr]
-		if want := cm.mem.ReadWord(addr); got != want {
-			m.persist.imgViol = &PersistViolation{
-				Kind: "log-redo-mismatch", Core: core, Addr: addr,
-				Got: got, Want: want,
-				Detail: fmt.Sprintf("redo log would replay %#x, oracle's committed region wrote %#x", got, want),
-			}
-			return
+	if addr, got, want, bad := firstMismatch(pend, m.cores[core].mem.ReadWord); bad {
+		m.viol = &PersistViolation{
+			Kind: "log-redo-mismatch", Core: core, Addr: addr, Got: got, Want: want,
+			Detail: fmt.Sprintf("redo log would replay %#x, oracle's committed region wrote %#x", got, want),
 		}
-		delete(pend, addr)
 	}
+	clear(pend)
 }
 
 // CheckRecoveredAt asserts the transaction-scheme recovery contract: the
@@ -127,32 +115,20 @@ func (m *Machine) CheckRecoveredAt(img WordReader, points []int) error {
 			point = points[core]
 		}
 		if point > cm.next {
-			m.persist.imgViol = &PersistViolation{
+			return m.latch(&PersistViolation{
 				Kind: "recovered-count-mismatch", Core: core,
 				Got: uint64(point), Want: uint64(cm.next),
 				Detail: fmt.Sprintf("recovery point %d is beyond the %d instructions the oracle checked", point, cm.next),
-			}
-			return m.Err()
+			})
 		}
 		// Re-derive the golden memory at the recovery point; the live model
 		// has advanced past it.
-		g := isa.RunGolden(cm.prog, point)
-		snap := g.Mem.Snapshot()
-		addrs := make([]uint64, 0, len(snap))
-		for addr := range snap {
-			addrs = append(addrs, addr)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, addr := range addrs {
-			want := snap[addr]
-			if got := img.ReadWord(addr); got != want {
-				m.persist.imgViol = &PersistViolation{
-					Kind: "recovered-image-mismatch", Core: core, Addr: addr,
-					Got: got, Want: want,
-					Detail: fmt.Sprintf("recovered NVM holds %#x, golden memory at recovery point %d holds %#x", got, point, want),
-				}
-				return m.Err()
-			}
+		golden := isa.RunGolden(cm.prog, point).Mem.Snapshot()
+		if addr, want, got, bad := firstMismatch(golden, img.ReadWord); bad {
+			return m.latch(&PersistViolation{
+				Kind: "recovered-image-mismatch", Core: core, Addr: addr, Got: got, Want: want,
+				Detail: fmt.Sprintf("recovered NVM holds %#x, golden memory at recovery point %d holds %#x", got, point, want),
+			})
 		}
 	}
 	return nil

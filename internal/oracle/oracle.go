@@ -1,7 +1,9 @@
 // Package oracle is the differential lockstep checker: an independent
 // ISA-level golden model (architectural registers + memory, no pipeline, no
-// caches) stepped at the core's commit stage, plus a persist-ordering
-// checker over the NVM accept stream (persist.go). Every consistency result
+// caches) stepped at the core's commit stage, plus persist-order rules over
+// the NVM accept stream (persist.go: coalescing subsumption, idempotent
+// re-accept and barrier drain, the per-core axioms of the litmus engine's
+// model) and over the log stream (log.go). Every consistency result
 // elsewhere in the repo compares the machine against its own committed
 // prefix; the oracle is the second opinion — it re-derives each committed
 // instruction's architectural effects from the isa exec tables and its own
@@ -12,12 +14,14 @@
 // commit stream and barrier lifecycle) and nvm.SetAcceptObserver (the ADR
 // durability point). multicore wires both when Config.Lockstep is set. On
 // the first mismatch the oracle latches a structured Divergence — the
-// first-divergent instruction with both machines' state deltas — and stops
-// checking; the system surfaces it as a *DivergenceError from the run.
+// first-divergent instruction with both machines' state deltas — or a
+// PersistViolation, and stops checking; the system surfaces it as a
+// *DivergenceError from the run.
 package oracle
 
 import (
 	"fmt"
+	"maps"
 
 	"ppa/internal/isa"
 	"ppa/internal/pipeline"
@@ -96,8 +100,17 @@ type coreModel struct {
 // Not safe for concurrent use — it is called synchronously from the cycle
 // loop.
 type Machine struct {
-	cores   []*coreModel
-	persist *persistChecker
+	cores []*coreModel
+
+	// Persist tracking over the accept stream (persist.go). outstanding
+	// maps a word to its committed, not yet durable stores in commit order;
+	// lastDurable holds the newest accepted value per word; armed is each
+	// core's barrier snapshot (word -> newest outstanding seq at arm time),
+	// nil when no barrier is in flight.
+	outstanding                  map[uint64][]pending
+	lastDurable                  map[uint64]uint64
+	armed                        []map[uint64]int
+	accepts, barriers, unmatched uint64
 
 	// logPend folds each core's open-region redo log records (addr -> last
 	// written value) for the marker-time region check; nil until the first
@@ -106,6 +119,9 @@ type Machine struct {
 
 	commits uint64
 	div     *Divergence
+	// viol is the first persist violation, from the accept stream, an image
+	// check or a log check.
+	viol *PersistViolation
 }
 
 // New builds an oracle over the per-core programs. startAt gives each
@@ -114,8 +130,10 @@ type Machine struct {
 // resumed (post-recovery) system gets a consistent oracle.
 func New(progs []*isa.Program, startAt []int) *Machine {
 	m := &Machine{
-		cores:   make([]*coreModel, len(progs)),
-		persist: newPersistChecker(len(progs)),
+		cores:       make([]*coreModel, len(progs)),
+		outstanding: make(map[uint64][]pending),
+		lastDurable: make(map[uint64]uint64),
+		armed:       make([]map[uint64]int, len(progs)),
 	}
 	for i, p := range progs {
 		start := 0
@@ -138,34 +156,29 @@ func (m *Machine) CopyFrom(src *Machine) {
 		cm.prog, cm.regs, cm.next = s.prog, s.regs, s.next
 		cm.mem.CopyFrom(s.mem)
 	}
-	m.persist.t.CopyFrom(src.persist.t)
-	m.persist.imgViol = nil
-	if v := src.persist.imgViol; v != nil {
-		dup := *v
-		m.persist.imgViol = &dup
-	}
+	m.copyPersist(src)
 	m.logPend = nil
 	if src.logPend != nil {
 		m.logPend = make([]map[uint64]uint64, len(src.logPend))
 		for i, pend := range src.logPend {
-			if pend != nil {
-				m.logPend[i] = make(map[uint64]uint64, len(pend))
-				for addr, v := range pend {
-					m.logPend[i][addr] = v
-				}
-			}
+			m.logPend[i] = maps.Clone(pend)
 		}
 	}
 	m.commits = src.commits
-	m.div = nil
-	if src.div != nil {
-		dup := *src.div
-		m.div = &dup
+	m.div, m.viol = dup(src.div), dup(src.viol)
+}
+
+// dup returns a copy of *p, or nil.
+func dup[T any](p *T) *T {
+	if p == nil {
+		return nil
 	}
+	v := *p
+	return &v
 }
 
 // failed reports whether the oracle has latched a divergence or violation.
-func (m *Machine) failed() bool { return m.div != nil || m.persist.violation() != nil }
+func (m *Machine) failed() bool { return m.div != nil || m.viol != nil }
 
 // Err returns nil while the machine and oracle agree, and a
 // *DivergenceError carrying the full report after the first disagreement.
@@ -180,11 +193,11 @@ func (m *Machine) Err() error {
 func (m *Machine) Report() *Report {
 	return &Report{
 		Commits:          m.commits,
-		AcceptedWords:    m.persist.t.Accepts,
-		Barriers:         m.persist.t.Barriers,
-		UnmatchedAccepts: m.persist.t.Unmatched,
+		AcceptedWords:    m.accepts,
+		Barriers:         m.barriers,
+		UnmatchedAccepts: m.unmatched,
 		Divergence:       m.div,
-		PersistViolation: m.persist.violation(),
+		PersistViolation: m.viol,
 	}
 }
 
@@ -200,48 +213,7 @@ func (m *Machine) ObserveCommit(ev *pipeline.CommitEvent) {
 	m.commits++
 	m.checkCommit(ev)
 	if m.div == nil && ev.IsStore {
-		m.persist.observeCommitStore(ev.Core, ev.Seq, ev.StoreAddr, ev.StoreVal)
-	}
-}
-
-// ObserveBarrierArm implements pipeline.CommitSink: snapshot the core's
-// outstanding persists — the set barrier completion must have drained.
-func (m *Machine) ObserveBarrierArm(core int, cycle uint64) {
-	if m.failed() {
-		return
-	}
-	m.persist.observeBarrierArm(core)
-}
-
-// ObserveBarrierComplete implements pipeline.CommitSink: assert the armed
-// snapshot fully persisted.
-func (m *Machine) ObserveBarrierComplete(core int, cycle uint64, cause pipeline.BoundaryCause) {
-	if m.failed() {
-		return
-	}
-	m.persist.observeBarrierComplete(core, cycle, cause)
-}
-
-// ObserveAccept is the nvm accept observer (the ADR durability point): the
-// offered words retire outstanding persists in region order.
-func (m *Machine) ObserveAccept(cycle, line uint64, words *isa.LineWords) {
-	if m.failed() {
-		return
-	}
-	m.persist.observeAccept(cycle, line, words)
-}
-
-// ObserveCrash resets the persist tracking across a power failure: the
-// volatile persist path is gone and recovery replay rewrites the image
-// outside the accept stream, so outstanding and durable-value state no
-// longer mean anything. The golden models keep their position — they are
-// the committed-prefix reference CheckRecovered compares against.
-func (m *Machine) ObserveCrash() {
-	m.persist.reset()
-	// The open region's redo records die with the crash: recovery discards
-	// everything after the last marker, so their pending fold is moot.
-	for i := range m.logPend {
-		m.logPend[i] = nil
+		m.commitStore(ev.Core, ev.Seq, ev.StoreAddr, ev.StoreVal)
 	}
 }
 

@@ -1,11 +1,40 @@
 package oracle
 
+// Persist-order checking over the machine's own event stream. The commit
+// stream says which stores are outstanding, the NVM accept stream (the ADR
+// durability point) says which words became durable, and the barrier
+// lifecycle says when a region boundary claims to be complete. Three rules
+// judge the stream; each applies one of the persist-order axioms of the
+// litmus engine's model (internal/litmus/px86) to the one order the machine
+// produced, instead of enumerating every allowed outcome up front:
+//
+//   - Coalescing subsumption applies per-location persist order (s_k ⊑ s_i
+//     for same-word stores k < i): an accepted value retires the newest
+//     outstanding store that wrote it and every older store to the word,
+//     since a coalescing write buffer persists only the newest value. An
+//     accept that matches no outstanding store is counted as unmatched;
+//     eviction writebacks replay line images legally.
+//   - Idempotent re-accept applies the model's last-writer snapshot:
+//     persisting the word's durable value again changes no outcome, so it
+//     is never a violation, never unmatched, and never re-arms anything.
+//     For the same reason a committed store of the durable value with
+//     nothing outstanding is dropped (the machine may elide it).
+//   - Barrier drain applies the barrier axiom (s_i ⊑ s_j for i < barrier
+//     <= j): when a region boundary completes, every store its core had
+//     outstanding when the boundary armed must be durable.
+//
+// Cross-core accept order is unconstrained: like the model, the oracle has
+// no inter-core persist edges. The image checks (CheckFinal, CheckRecovered
+// and log.go's CheckRecoveredAt) compare a whole image with the accept
+// stream's record or the golden memory. Every check latches into the one
+// violation slot, Machine.viol, and reports the lowest address first.
+
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"ppa/internal/isa"
-	"ppa/internal/litmus/px86"
 	"ppa/internal/pipeline"
 )
 
@@ -13,7 +42,9 @@ import (
 // invariants observed on the accept stream.
 type PersistViolation struct {
 	// Kind is one of barrier-incomplete, durable-image-mismatch,
-	// recovered-image-mismatch, or recovered-count-mismatch.
+	// recovered-image-mismatch, recovered-count-mismatch, or a log-stream
+	// kind (log.go): log-core-mismatch, log-marker-mismatch,
+	// log-preimage-mismatch or log-redo-mismatch.
 	Kind   string `json:"kind"`
 	Core   int    `json:"core"`
 	Cycle  uint64 `json:"cycle"`
@@ -29,57 +60,164 @@ func (v *PersistViolation) String() string {
 		v.Kind, v.Core, v.Cycle, v.Seq, v.Addr, v.Detail)
 }
 
-// persistChecker is a thin adapter over the axiomatic model's event
-// tracker (internal/litmus/px86): the barrier-drain, coalescing-
-// subsumption, and idempotent-re-accept rules that used to live here as
-// ad-hoc invariants are now the model's per-core persist-order axioms,
-// applied operationally to the machine's own commit/accept stream. The
-// oracle keeps only the report-type conversion and the image-level
-// checks that need the golden model's memory.
-type persistChecker struct {
-	t *px86.Tracker
-	// imgViol holds violations raised by the oracle-side image checks
-	// (CheckFinal/CheckRecovered), which sit outside the tracker.
-	imgViol *PersistViolation
+// pending is a committed-but-not-yet-durable store.
+type pending struct {
+	core int
+	seq  int
+	val  uint64
 }
 
-func newPersistChecker(cores int) *persistChecker {
-	return &persistChecker{t: px86.NewTracker(cores)}
+// latch records v as the oracle's persist violation and returns the
+// report as an error.
+func (m *Machine) latch(v *PersistViolation) error {
+	m.viol = v
+	return m.Err()
 }
 
-// violation returns the first persist violation from either layer,
-// converted to the oracle's report type.
-func (p *persistChecker) violation() *PersistViolation {
-	if p.imgViol != nil {
-		return p.imgViol
+// ascending returns a map's word addresses, lowest first.
+func ascending[V any](words map[uint64]V) []uint64 {
+	addrs := make([]uint64, 0, len(words))
+	for addr := range words {
+		addrs = append(addrs, addr)
 	}
-	if v := p.t.Err(); v != nil {
-		return &PersistViolation{
-			Kind: v.Kind, Core: v.Core, Cycle: v.Cycle, Addr: v.Addr,
-			Seq: v.Seq, Got: v.Got, Want: v.Want, Detail: v.Detail,
+	slices.Sort(addrs)
+	return addrs
+}
+
+// firstMismatch returns the lowest address whose value read disagrees
+// with words, with the mapped and the read value; bad is false when they
+// agree everywhere.
+func firstMismatch(words map[uint64]uint64, read func(uint64) uint64) (addr, mapped, got uint64, bad bool) {
+	for _, addr := range ascending(words) {
+		if got := read(addr); got != words[addr] {
+			return addr, words[addr], got, true
 		}
 	}
-	return nil
+	return 0, 0, 0, false
 }
 
-// reset clears accept-stream state across a power failure (the volatile
-// persist path is gone; recovery rewrites the image outside the stream).
-func (p *persistChecker) reset() { p.t.Reset() }
-
-func (p *persistChecker) observeCommitStore(core, seq int, addr, val uint64) {
-	p.t.CommitStore(core, seq, addr, val)
+// resetPersist clears the accept-stream state (a power failure, or a
+// drained sampled window). The latched violation and the counters stay.
+func (m *Machine) resetPersist() {
+	m.outstanding = make(map[uint64][]pending)
+	m.lastDurable = make(map[uint64]uint64)
+	clear(m.armed)
 }
 
-func (p *persistChecker) observeAccept(cycle, line uint64, words *isa.LineWords) {
-	words.Range(line, func(addr, val uint64) {
-		p.t.Accept(cycle, addr, val)
-	})
+// copyPersist makes m's accept-stream state a copy of src's, sharing no
+// mutable storage with it.
+func (m *Machine) copyPersist(src *Machine) {
+	clear(m.outstanding)
+	for addr, q := range src.outstanding {
+		m.outstanding[addr] = slices.Clone(q)
+	}
+	clear(m.lastDurable)
+	maps.Copy(m.lastDurable, src.lastDurable)
+	for i, snap := range src.armed {
+		m.armed[i] = maps.Clone(snap)
+	}
+	m.accepts, m.barriers, m.unmatched = src.accepts, src.barriers, src.unmatched
 }
 
-func (p *persistChecker) observeBarrierArm(core int) { p.t.BarrierArm(core) }
+// commitStore records a committed store as outstanding until the accept
+// stream shows it, or a newer same-word store, durable. A store of the
+// durable value with nothing outstanding is dropped (idempotent re-accept).
+func (m *Machine) commitStore(core, seq int, addr, val uint64) {
+	q := m.outstanding[addr]
+	if len(q) == 0 {
+		if last, ok := m.lastDurable[addr]; ok && last == val {
+			return
+		}
+	}
+	m.outstanding[addr] = append(q, pending{core: core, seq: seq, val: val})
+}
 
-func (p *persistChecker) observeBarrierComplete(core int, cycle uint64, cause pipeline.BoundaryCause) {
-	p.t.BarrierComplete(core, cycle, cause.String())
+// acceptWord retires outstanding stores by coalescing subsumption.
+func (m *Machine) acceptWord(addr, val uint64) {
+	m.accepts++
+	q := m.outstanding[addr]
+	for i := len(q) - 1; i >= 0; i-- {
+		if q[i].val == val {
+			if tail := q[i+1:]; len(tail) == 0 {
+				delete(m.outstanding, addr)
+			} else {
+				m.outstanding[addr] = tail
+			}
+			m.lastDurable[addr] = val
+			return
+		}
+	}
+	if last, ok := m.lastDurable[addr]; ok && last == val {
+		return
+	}
+	m.unmatched++
+	m.lastDurable[addr] = val
+}
+
+// ObserveAccept is the nvm accept observer (the ADR durability point): the
+// offered words retire outstanding persists in region order.
+func (m *Machine) ObserveAccept(cycle, line uint64, words *isa.LineWords) {
+	if m.failed() {
+		return
+	}
+	words.Range(line, m.acceptWord)
+}
+
+// ObserveBarrierArm implements pipeline.CommitSink: snapshot, per word, the
+// newest store the core has outstanding — the set barrier completion must
+// have drained.
+func (m *Machine) ObserveBarrierArm(core int, cycle uint64) {
+	if m.failed() {
+		return
+	}
+	snap := make(map[uint64]int)
+	for addr, q := range m.outstanding {
+		for i := len(q) - 1; i >= 0; i-- {
+			if q[i].core == core {
+				snap[addr] = q[i].seq
+				break
+			}
+		}
+	}
+	m.armed[core] = snap
+}
+
+// ObserveBarrierComplete implements pipeline.CommitSink: the barrier axiom
+// at the machine's own completion signal — every store of the arm
+// snapshot must be durable.
+func (m *Machine) ObserveBarrierComplete(core int, cycle uint64, cause pipeline.BoundaryCause) {
+	if m.failed() {
+		return
+	}
+	m.barriers++
+	snap := m.armed[core]
+	m.armed[core] = nil
+	for _, addr := range ascending(snap) {
+		for _, st := range m.outstanding[addr] {
+			if st.core == core && st.seq <= snap[addr] {
+				m.viol = &PersistViolation{
+					Kind: "barrier-incomplete", Core: core, Cycle: cycle, Addr: addr,
+					Seq: st.seq, Got: st.val,
+					Detail: fmt.Sprintf(
+						"%s boundary completed at cycle %d but the store at seq %d ([%#x] <- %#x) committed before the barrier armed and is not durable",
+						cause, cycle, st.seq, addr, st.val),
+				}
+				return
+			}
+		}
+	}
+}
+
+// ObserveCrash resets the persist tracking across a power failure: the
+// volatile persist path is gone and recovery replay rewrites the image
+// outside the accept stream, so outstanding and durable-value state no
+// longer mean anything. The golden models keep their position — they are
+// the committed-prefix reference CheckRecovered compares against.
+func (m *Machine) ObserveCrash() {
+	m.resetPersist()
+	// The open region's redo records die with the crash: recovery discards
+	// everything after the last marker, so their pending fold is moot.
+	clear(m.logPend)
 }
 
 // CheckFinal compares the durable image against the accept stream's record:
@@ -91,22 +229,11 @@ func (m *Machine) CheckFinal(img WordReader) error {
 	if err := m.Err(); err != nil {
 		return err
 	}
-	durable := m.persist.t.Durable()
-	addrs := make([]uint64, 0, len(durable))
-	for addr := range durable {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		want := durable[addr]
-		if got := img.ReadWord(addr); got != want {
-			m.persist.imgViol = &PersistViolation{
-				Kind: "durable-image-mismatch", Core: -1, Addr: addr,
-				Got: got, Want: want,
-				Detail: fmt.Sprintf("durable image holds %#x but the accept stream last accepted %#x", got, want),
-			}
-			return m.Err()
-		}
+	if addr, want, got, bad := firstMismatch(m.lastDurable, img.ReadWord); bad {
+		return m.latch(&PersistViolation{
+			Kind: "durable-image-mismatch", Core: -1, Addr: addr, Got: got, Want: want,
+			Detail: fmt.Sprintf("durable image holds %#x but the accept stream last accepted %#x", got, want),
+		})
 	}
 	return nil
 }
@@ -121,29 +248,17 @@ func (m *Machine) CheckRecovered(img WordReader, committed []int) error {
 	}
 	for core, cm := range m.cores {
 		if committed != nil && committed[core] != cm.next {
-			m.persist.imgViol = &PersistViolation{
+			return m.latch(&PersistViolation{
 				Kind: "recovered-count-mismatch", Core: core,
 				Got: uint64(committed[core]), Want: uint64(cm.next),
 				Detail: fmt.Sprintf("machine reports %d committed instructions, oracle checked %d", committed[core], cm.next),
-			}
-			return m.Err()
+			})
 		}
-		snap := cm.mem.Snapshot()
-		addrs := make([]uint64, 0, len(snap))
-		for addr := range snap {
-			addrs = append(addrs, addr)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, addr := range addrs {
-			want := snap[addr]
-			if got := img.ReadWord(addr); got != want {
-				m.persist.imgViol = &PersistViolation{
-					Kind: "recovered-image-mismatch", Core: core, Addr: addr,
-					Got: got, Want: want,
-					Detail: fmt.Sprintf("recovered NVM holds %#x, oracle's committed prefix (%d insts) wrote %#x", got, cm.next, want),
-				}
-				return m.Err()
-			}
+		if addr, want, got, bad := firstMismatch(cm.mem.Snapshot(), img.ReadWord); bad {
+			return m.latch(&PersistViolation{
+				Kind: "recovered-image-mismatch", Core: core, Addr: addr, Got: got, Want: want,
+				Detail: fmt.Sprintf("recovered NVM holds %#x, oracle's committed prefix (%d insts) wrote %#x", got, cm.next, want),
+			})
 		}
 	}
 	return nil
