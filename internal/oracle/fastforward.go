@@ -141,12 +141,3 @@ func (m *Machine) FastForward(core, target int, img isa.Memory, warm *Warmth) er
 	}
 	return nil
 }
-
-// ResetPersistTracking clears the persist checker's accept-stream state at
-// an execution-regime transition (detailed window -> fast-forward): after a
-// window is drained and its dirty lines flushed, every committed store is
-// durable, so outstanding-persist and durable-value tracking restart empty
-// for the next window. Latched violations survive the reset.
-func (m *Machine) ResetPersistTracking() {
-	m.resetPersist()
-}

@@ -96,9 +96,12 @@ func firstMismatch(words map[uint64]uint64, read func(uint64) uint64) (addr, map
 	return 0, 0, 0, false
 }
 
-// resetPersist clears the accept-stream state (a power failure, or a
-// drained sampled window). The latched violation and the counters stay.
-func (m *Machine) resetPersist() {
+// ResetPersistTracking clears the accept-stream state at an
+// execution-regime transition (detailed window -> fast-forward): after a
+// window is drained and its dirty lines flushed, every committed store is
+// durable, so outstanding-persist and durable-value tracking restart empty
+// for the next window. The latched violation and the counters survive.
+func (m *Machine) ResetPersistTracking() {
 	m.outstanding = make(map[uint64][]pending)
 	m.lastDurable = make(map[uint64]uint64)
 	clear(m.armed)
@@ -193,8 +196,9 @@ func (m *Machine) ObserveBarrierComplete(core int, cycle uint64, cause pipeline.
 	snap := m.armed[core]
 	m.armed[core] = nil
 	for _, addr := range ascending(snap) {
+		limit := snap[addr]
 		for _, st := range m.outstanding[addr] {
-			if st.core == core && st.seq <= snap[addr] {
+			if st.core == core && st.seq <= limit {
 				m.viol = &PersistViolation{
 					Kind: "barrier-incomplete", Core: core, Cycle: cycle, Addr: addr,
 					Seq: st.seq, Got: st.val,
@@ -214,7 +218,7 @@ func (m *Machine) ObserveBarrierComplete(core int, cycle uint64, cause pipeline.
 // longer mean anything. The golden models keep their position — they are
 // the committed-prefix reference CheckRecovered compares against.
 func (m *Machine) ObserveCrash() {
-	m.resetPersist()
+	m.ResetPersistTracking()
 	// The open region's redo records die with the crash: recovery discards
 	// everything after the last marker, so their pending fold is moot.
 	clear(m.logPend)
