@@ -13,7 +13,7 @@ import (
 	"ppa/internal/persist"
 )
 
-var updateCoverage = flag.Bool("update", false, "rewrite testdata/scheme-coverage.json from this run")
+var update = flag.Bool("update", false, "rewrite the testdata goldens (scheme-coverage.json, seeded-bug-verdicts.json) from this run")
 
 // schemeZoo lists the schemes the litmus gate replays the regression corpus
 // under: the reference PPA configuration plus the three log-based
@@ -104,7 +104,7 @@ func TestRegressionCorpusAcrossSchemes(t *testing.T) {
 	}
 
 	golden := filepath.Join("testdata", "scheme-coverage.json")
-	if *updateCoverage {
+	if *update {
 		blob, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
