@@ -66,6 +66,13 @@ func (m *MapMemory) WriteWord(addr uint64, val uint64) {
 	lw.Mask |= 1 << s
 }
 
+// Reset empties m, keeping its map storage. The lines m held are dropped,
+// not reused, so a line read from m before the reset keeps its words.
+func (m *MapMemory) Reset() {
+	clear(m.lines)
+	*m = MapMemory{lines: m.lines}
+}
+
 // Len returns the number of distinct words ever written.
 func (m *MapMemory) Len() int { return m.words }
 

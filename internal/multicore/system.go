@@ -210,7 +210,7 @@ func newSystem(cfg Config, w *workload.Workload, dev *nvm.Device, startAt []int)
 // the cache tag chunks and write-buffer rings, the persist backend's
 // buffers, and each core's ROB, queues and register files. Observers and
 // commit sinks attached since the machine was built are dropped; a lockstep
-// oracle is rebuilt for w and hooked up again.
+// oracle is reset in place for w and hooked up again.
 //
 // Slices read from the machine before a Reset, such as a core's CSQ, share
 // storage the machine goes on to reuse; copy what must outlive the reset.
@@ -339,9 +339,10 @@ func coreConfig(cfg Config, w *workload.Workload, i int, startAt []int) pipeline
 // reset sets the machine's own state to its just-built value over layers
 // that are already built or reset: cycle zero, the step order, the persist
 // perturbation, and the lockstep oracle with its hookups. It carries over
-// only the layers, the scheme and the step-order storage.
+// only the layers, the scheme, the step-order storage and the oracle, which
+// it resets in place.
 func (s *System) reset(cfg Config, w *workload.Workload, startAt []int) {
-	order := s.stepOrder
+	order, orc := s.stepOrder, s.oracle
 	if cfg.StepSeed == 0 || len(s.cores) < 2 {
 		order = nil
 	} else if order == nil {
@@ -359,11 +360,15 @@ func (s *System) reset(cfg Config, w *workload.Workload, startAt []int) {
 		resumed:   s.resumed,
 	}
 	if cfg.Lockstep {
-		if cfg.engine != nil {
-			s.oracle = cfg.engine
-		} else {
-			s.oracle = oracle.New(w.Threads, startAt)
+		switch {
+		case cfg.engine != nil:
+			orc = cfg.engine
+		case orc != nil:
+			orc.Reset(w.Threads, startAt)
+		default:
+			orc = oracle.New(w.Threads, startAt)
 		}
+		s.oracle = orc
 		s.dev.SetAcceptObserver(s.oracle.ObserveAccept)
 		// A log scheme's records reach the oracle as the device logs them
 		// (Capri's battery-mode RedoPath logs none).

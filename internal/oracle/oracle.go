@@ -135,15 +135,31 @@ func New(progs []*isa.Program, startAt []int) *Machine {
 		lastDurable: make(map[uint64]uint64),
 		armed:       make([]map[uint64]int, len(progs)),
 	}
+	for i := range m.cores {
+		m.cores[i] = &coreModel{mem: isa.NewMapMemory()}
+	}
+	m.Reset(progs, startAt)
+	return m
+}
+
+// Reset turns m into the oracle New(progs, startAt) builds, keeping its
+// maps and golden memories. progs must have one program per core m models.
+func (m *Machine) Reset(progs []*isa.Program, startAt []int) {
 	for i, p := range progs {
 		start := 0
 		if startAt != nil {
 			start = startAt[i]
 		}
-		g := isa.RunGolden(p, start)
-		m.cores[i] = &coreModel{prog: p, regs: g.Regs, mem: g.Mem, next: start}
+		cm := m.cores[i]
+		cm.mem.Reset()
+		g := isa.GoldenResult{Mem: cm.mem}
+		for seq := 0; seq < min(start, p.Len()); seq++ {
+			isa.StepGolden(&g, &p.Insts[seq], seq)
+		}
+		*cm = coreModel{prog: p, regs: g.Regs, mem: cm.mem, next: start}
 	}
-	return m
+	*m = Machine{cores: m.cores, outstanding: m.outstanding, lastDurable: m.lastDurable, armed: m.armed, logPend: m.logPend}
+	m.ObserveCrash()
 }
 
 // CopyFrom makes m a copy of src, an oracle over as many cores: each

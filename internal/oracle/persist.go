@@ -102,8 +102,8 @@ func firstMismatch(words map[uint64]uint64, read func(uint64) uint64) (addr, map
 // durable, so outstanding-persist and durable-value tracking restart empty
 // for the next window. The latched violation and the counters survive.
 func (m *Machine) ResetPersistTracking() {
-	m.outstanding = make(map[uint64][]pending)
-	m.lastDurable = make(map[uint64]uint64)
+	clear(m.outstanding)
+	clear(m.lastDurable)
 	clear(m.armed)
 }
 

@@ -1,6 +1,7 @@
 package ppa
 
 import (
+	"encoding/json"
 	"testing"
 
 	"ppa/internal/multicore"
@@ -63,9 +64,10 @@ func resetOnto(t *testing.T, sys *multicore.System, rc RunConfig) {
 // scheme golden and organization golden. Half the cases dirty the machine
 // with a full run, the other half with a mid-run crash and recovery, so
 // both what a run leaves behind and what an outage and its recovery leave
-// behind must be rewound. One lockstep case checks that the reset hooks a
-// fresh oracle up to the commit, accept and log streams: the run must be
-// checked clean and still match its golden.
+// behind must be rewound. One lockstep case checks that the reset rewinds
+// the oracle in place and hooks it up to the commit, accept and log
+// streams: the run must be checked clean, still match its golden, and leave
+// the oracle reporting what a freshly built machine's oracle reports.
 func TestResetMatchesGoldens(t *testing.T) {
 	type resetCase struct {
 		name    string
@@ -98,7 +100,6 @@ func TestResetMatchesGoldens(t *testing.T) {
 		t.Run(c.name+"/"+dirt, func(t *testing.T) {
 			t.Parallel()
 			sys := dirtyMachine(t, c.rc, c.org, c.crash)
-			dirtyOracle := sys.Oracle()
 			rc := goldenConfig(c.rc, c.org)
 			resetOnto(t, sys, rc)
 			if got := runDigests(t, sys, rc, c.threads); got != c.want {
@@ -107,11 +108,24 @@ func TestResetMatchesGoldens(t *testing.T) {
 			if !c.rc.Lockstep {
 				return
 			}
-			if sys.Oracle() == dirtyOracle {
-				t.Fatal("the reset machine kept the dirty run's oracle")
-			}
 			if rep := sys.Oracle().Report(); rep.Commits != uint64(c.rc.InstsPerThread*c.threads) {
 				t.Errorf("the oracle checked %d commits after the reset, want %d", rep.Commits, c.rc.InstsPerThread*c.threads)
+			}
+			fresh, err := NewSystem(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runDigests(t, fresh, rc, c.threads)
+			got, err := json.Marshal(sys.Oracle().Report())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(fresh.Oracle().Report())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("the reset machine's oracle reports %s, a fresh machine's %s", got, want)
 			}
 		})
 	}
