@@ -224,10 +224,11 @@ func tortureBytesPerPoint(t *testing.T, points []TorturePoint, sweep func() (*To
 }
 
 // litmusScheduleBytesCeiling bounds the bytes one litmus schedule may
-// allocate. The harness keeps one machine per core count and resets it in
-// place between schedules, so a schedule pays for its recorder, its
-// golden fronts and what its run touches: about 9 KiB. Building a fresh
-// machine per schedule cost 150–190 KB.
+// allocate. The harness keeps one machine per core count, lockstep oracle
+// included, and resets it in place between schedules, so a schedule pays
+// for its recorder, its golden fronts, the oracle's per-run persist state
+// and what its run touches: about 8.5–9 KiB. Building a fresh machine per
+// schedule cost 150–190 KB.
 const litmusScheduleBytesCeiling = 40 << 10
 
 // TestLitmusScheduleAllocBytes is the gate on a litmus schedule's

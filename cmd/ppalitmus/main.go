@@ -1,14 +1,15 @@
 // Command ppalitmus is the Px86 persistency-model conformance gate:
 // generate small concurrent persist litmus tests, solve each test's
 // allowed-outcome set under the axiomatic model, and run the real
-// simulator through every test under perturbed schedules, failing on any
-// NVM accept-stream outcome the model forbids.
+// simulator through every test under perturbed schedules and the lockstep
+// oracle, failing on any NVM accept-stream outcome the model forbids and on
+// any persist-order violation or divergence the oracle latches.
 //
 // Usage:
 //
 //	ppalitmus generate -count 200 -seed 7 -out corpus.litmus
 //	ppalitmus run -corpus corpus.litmus -iters 50 -out report.json
-//	ppalitmus run -corpus builtin -oracle       # curated corpus + lockstep
+//	ppalitmus run -corpus builtin               # the curated corpus
 //	ppalitmus run -corpus testdata/ -v -serve :8077
 //	ppalitmus explain -corpus corpus.litmus -test g0007
 package main
@@ -61,7 +62,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   ppalitmus generate -count N -seed S [-cores 2..4] [-out file]
   ppalitmus run -corpus <file|dir|builtin> [-iters N] [-seed S] [-maxcycles N]
-                [-scheme name] [-oracle] [-out report.json] [-serve addr] [-v]
+                [-scheme name] [-out report.json] [-serve addr] [-v]
   ppalitmus explain -corpus <file|dir|builtin> -test <name>`)
 }
 
@@ -108,7 +109,6 @@ func cmdRun(args []string) error {
 	iters := fs.Int("iters", 50, "perturbed schedules per test")
 	seed := fs.Uint64("seed", 1, "perturbation seed")
 	maxCycles := fs.Uint64("maxcycles", 50_000, "cycle bound per schedule")
-	oracleFlag := fs.Bool("oracle", false, "additionally run every schedule under the differential lockstep oracle")
 	schemeFlag := fs.String("scheme", "ppa", "persistence scheme to run the corpus under (any name from the scheme zoo)")
 	out := fs.String("out", "", "write the corpus report as JSON")
 	serveAddr := fs.String("serve", "", "serve live observability over HTTP (endpoints /metrics, /snapshot.json); litmus.* counters tick per test")
@@ -145,12 +145,11 @@ func cmdRun(args []string) error {
 		Schedules: *iters,
 		Seed:      *seed,
 		MaxCycles: *maxCycles,
-		Lockstep:  *oracleFlag,
 		Scheme:    &schemeCfg,
 		Obs:       hub,
 		Forensics: recorder,
 	}
-	log.Printf("running %d tests x %d schedules (seed %d, scheme %s, oracle %v)", len(tests), *iters, *seed, *schemeFlag, *oracleFlag)
+	log.Printf("running %d tests x %d schedules (seed %d, scheme %s)", len(tests), *iters, *seed, *schemeFlag)
 
 	rep, err := litmus.RunCorpus(tests, opt, func(res *litmus.TestResult) {
 		if *verbose || len(res.Forbidden) > 0 {

@@ -13,16 +13,18 @@ import (
 const addrBase = uint64(1)<<36 + uint64(1)<<20
 
 // Compiled is a litmus test lowered to runnable form: one isa.Program
-// per core, the solved axiomatic model, and the per-(core, slot) store
-// value chains the harness's order checks walk.
+// per core, the solved axiomatic model, and the per-slot value sets the
+// harness's unknown-value check reads.
 type Compiled struct {
 	Test  *Test
 	Addrs []uint64
 	Progs []*isa.Program
 	Model *px86.Model
-	// Chains[core][slot] lists the values the core stores to the slot,
-	// in program order (RMW results included).
-	Chains [][][]uint64
+	// slotOf maps each test address to its slot index.
+	slotOf map[uint64]int
+	// values[slot] holds every value some core stores to the slot (RMW
+	// results included).
+	values []map[uint64]bool
 }
 
 // SlotAddr maps an address-slot index to its simulated address.
@@ -49,10 +51,13 @@ func Compile(t *Test) (*Compiled, error) {
 		Test:   t,
 		Addrs:  make([]uint64, t.NAddrs),
 		Progs:  make([]*isa.Program, len(t.Cores)),
-		Chains: make([][][]uint64, len(t.Cores)),
+		slotOf: make(map[uint64]int, t.NAddrs),
+		values: make([]map[uint64]bool, t.NAddrs),
 	}
 	for i := range c.Addrs {
 		c.Addrs[i] = t.SlotAddr(i)
+		c.slotOf[c.Addrs[i]] = i
+		c.values[i] = make(map[uint64]bool)
 	}
 	progs := make([]px86.CoreProg, len(t.Cores))
 	gi := 0
@@ -60,7 +65,6 @@ func Compile(t *Test) (*Compiled, error) {
 		mem := make(map[uint64]uint64) // the core's own functional view
 		var insts []isa.Inst
 		var cp px86.CoreProg
-		chains := make([][]uint64, t.NAddrs)
 		pc := uint64(0x1000 * (ci + 1))
 		emit := func(in isa.Inst) {
 			in.PC = pc
@@ -80,7 +84,7 @@ func Compile(t *Test) (*Compiled, error) {
 				emit(isa.Inst{Op: isa.OpStore, Dst: isa.NoReg, Src1: isa.Int(1), Src2: isa.NoReg, Addr: addr})
 				mem[addr] = val
 				cp.Stores = append(cp.Stores, px86.Store{Addr: addr, Val: val})
-				chains[op.Addr] = append(chains[op.Addr], val)
+				c.values[op.Addr][val] = true
 			case OpRMW:
 				addr := c.Addrs[op.Addr]
 				stored := mem[addr] + val
@@ -91,7 +95,7 @@ func Compile(t *Test) (*Compiled, error) {
 				// own store enters the persist path: barrier, then store.
 				cp.Barriers = append(cp.Barriers, len(cp.Stores))
 				cp.Stores = append(cp.Stores, px86.Store{Addr: addr, Val: stored})
-				chains[op.Addr] = append(chains[op.Addr], stored)
+				c.values[op.Addr][stored] = true
 			case OpFence:
 				emit(isa.Inst{Op: isa.OpFence, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg})
 				cp.Barriers = append(cp.Barriers, len(cp.Stores))
@@ -101,7 +105,6 @@ func Compile(t *Test) (*Compiled, error) {
 			}
 		}
 		c.Progs[ci] = &isa.Program{Name: fmt.Sprintf("%s-p%d", t.Name, ci), Insts: insts}
-		c.Chains[ci] = chains
 		progs[ci] = cp
 	}
 	m, err := px86.NewModel(progs, c.Addrs)

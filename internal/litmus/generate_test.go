@@ -103,9 +103,9 @@ func TestCompileValueModel(t *testing.T) {
 	if got := c.Model.Cores[0].Barriers; !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("p0 barriers %v, want [1]", got)
 	}
-	// Chains mirror per-(core, slot) store values in program order.
-	if got := c.Chains[0][0]; !reflect.DeepEqual(got, []uint64{1, 3}) {
-		t.Fatalf("p0 slot0 chain %v", got)
+	// Slot 0's value set holds both cores' stores to it, the RMW's included.
+	if got := c.values[0]; !reflect.DeepEqual(got, map[uint64]bool{1: true, 3: true, 9: true}) {
+		t.Fatalf("slot 0 values %v", got)
 	}
 }
 

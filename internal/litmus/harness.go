@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,12 +12,14 @@ import (
 	"ppa/internal/multicore"
 	"ppa/internal/nvm"
 	"ppa/internal/obs"
+	"ppa/internal/oracle"
 	"ppa/internal/persist"
-	"ppa/internal/pipeline"
 	"ppa/internal/workload"
 )
 
-// RunOptions parameterizes the conformance harness.
+// RunOptions parameterizes the conformance harness. Every schedule runs
+// under the lockstep oracle (internal/oracle), the harness's one
+// persist-order checker; no option turns it off.
 type RunOptions struct {
 	// Schedules is the number of perturbed schedules per test (default 50).
 	Schedules int
@@ -33,10 +36,6 @@ type RunOptions struct {
 	// recover through the scheme's own protocol and require the recovered
 	// image to be an allowed state.
 	Scheme *persist.Config
-	// Lockstep additionally runs every schedule under the differential
-	// oracle (slower; used when replaying regression corpora through the
-	// production persist checker).
-	Lockstep bool
 	// Obs, when non-nil, ticks live litmus.* metrics.
 	Obs *obs.Hub
 	// Forensics, when non-nil, captures a flight-recorder bundle (NVM
@@ -56,7 +55,9 @@ func (o RunOptions) normalized() RunOptions {
 }
 
 // Forbidden is one conformance violation: an observation the axiomatic
-// model does not allow (or a machine-level failure while producing one).
+// model does not allow, a verdict of the lockstep oracle (Kind is the
+// oracle's PersistViolation kind, such as barrier-incomplete, or
+// lockstep-divergence), or a machine-level failure while producing one.
 type Forbidden struct {
 	Test     string `json:"test"`
 	Schedule int    `json:"schedule"`
@@ -103,7 +104,8 @@ const maxForbiddenPerTest = 8
 // RunTest compiles the test and runs it through the simulator under
 // Schedules perturbed schedules (seeded step-order shuffling, WPQ
 // accept-timing jitter, and periodic crash points), checking every
-// observation against the axiomatic model.
+// observation against the axiomatic model and every commit, accept and
+// barrier against the lockstep oracle.
 func RunTest(t *Test, opt RunOptions) (*TestResult, error) {
 	return newRunner(opt).runTest(t)
 }
@@ -145,7 +147,7 @@ func (r *runner) machine(w *workload.Workload, sseed uint64) (*multicore.System,
 	cfg.Hierarchy.PersistLag = 60
 	cfg.StepSeed = sseed | 1
 	cfg.PersistPerturb = r.perturb
-	cfg.Lockstep = r.opt.Lockstep
+	cfg.Lockstep = true
 	sys, err := multicore.NewSystem(cfg, w)
 	if err != nil {
 		return nil, err
@@ -230,56 +232,32 @@ func (r *runner) runTest(t *Test) (*TestResult, error) {
 	return res, nil
 }
 
-// recorder observes one schedule's commit and NVM accept streams and
-// checks them against the compiled model on the fly.
+// recorder observes one schedule's NVM accept stream (or durable log
+// stream) and checks it against the compiled model on the fly: every word
+// must belong to a test slot and carry a value some core stores there, and
+// every state the stream passes through must be one the model allows. The
+// persist-order rules (coalescing subsumption, idempotent re-accept,
+// barrier drain) are the lockstep oracle's, which runs every schedule.
 type recorder struct {
-	c        *Compiled
-	sched    int
-	dev      interface{ ReadWord(addr uint64) uint64 }
-	addrIdx  map[uint64]int
-	overlay  []uint64 // the accept stream's view of the test words
-	observed map[string]int
-	// watermark[core][slot] counts how many entries of the (core, slot)
-	// store chain have persisted; committed[core][slot] how many have
-	// committed. armReq[core] snapshots committed at barrier arm.
-	watermark [][]int
-	committed [][]int
-	armReq    [][]int
-	// owners maps a value to every (core, slot, chain position) that can
-	// produce it (explicit-value corpora may duplicate values).
-	owners    map[uint64][]valRef
+	c         *Compiled
+	sched     int
+	dev       interface{ ReadWord(addr uint64) uint64 }
+	overlay   []uint64 // the accept stream's view of the test words
+	observed  map[string]int
 	forbidden []*Forbidden
 	accepts   uint64
 	crashed   bool
-	tee       pipeline.CommitSink // the lockstep oracle, when attached
 	// accTail is the flight recorder's accept-stream ring (RunOptions.
 	// Forensics); nil when forensics is off.
 	accTail *forensics.AcceptTail
 }
 
-type valRef struct{ core, slot, pos int }
-
 func newRecorder(c *Compiled, sched int) *recorder {
 	r := &recorder{
 		c:        c,
 		sched:    sched,
-		addrIdx:  make(map[uint64]int, len(c.Addrs)),
 		overlay:  make([]uint64, len(c.Addrs)),
 		observed: make(map[string]int),
-		owners:   make(map[uint64][]valRef),
-	}
-	for i, a := range c.Addrs {
-		r.addrIdx[a] = i
-	}
-	for core := range c.Chains {
-		r.watermark = append(r.watermark, make([]int, len(c.Addrs)))
-		r.committed = append(r.committed, make([]int, len(c.Addrs)))
-		r.armReq = append(r.armReq, nil)
-		for slot, chain := range c.Chains[core] {
-			for pos, v := range chain {
-				r.owners[v] = append(r.owners[v], valRef{core: core, slot: slot, pos: pos})
-			}
-		}
 	}
 	r.observe() // the initial (all-zero) state counts as observed
 	return r
@@ -295,29 +273,65 @@ func (r *recorder) fail(kind string, cycle uint64, state, detail string) {
 	})
 }
 
-// observe records the overlay as an observed outcome and checks model
-// membership (the soundness direction).
+// runFailed records an error from Run, RunUntil or DrainPersists. The
+// oracle's verdict keeps its own kind (a PersistViolation's, or
+// lockstep-divergence) and the cycle it latched at; the image and log
+// checks carry no cycle, so theirs is the machine's. Any other error is
+// recorded as kind at the machine's cycle, with state when it is not "".
+func (r *recorder) runFailed(sys *multicore.System, kind, state string, err error) {
+	var de *oracle.DivergenceError
+	if !errors.As(err, &de) {
+		r.fail(kind, sys.Cycle(), state, err.Error())
+		return
+	}
+	key := px86.Key(r.overlay)
+	if d := de.Report.Divergence; d != nil {
+		r.fail("lockstep-divergence", d.Cycle, key, d.String())
+		return
+	}
+	v := de.Report.PersistViolation
+	cycle := v.Cycle
+	if cycle == 0 {
+		cycle = sys.Cycle()
+	}
+	r.fail(v.Kind, cycle, key, fmt.Sprintf("core %d addr %#x: %s", v.Core, v.Addr, v.Detail))
+}
+
+// observe records the overlay as an observed outcome.
 func (r *recorder) observe() {
 	key := px86.Key(r.overlay)
 	r.observed[key]++
 }
 
-// onLogWord consumes one durable log-carried data record. For redo-logging
-// schemes the log, not the accept stream, is the durability carrier: a
-// record is durable at append, in commit order, so the same per-location
-// chain and state-membership checks apply to the log fold. The image check
-// is skipped — the image legitimately trails the log until the background
-// applier catches up.
-func (r *recorder) onLogWord(cycle, addr, val uint64) {
-	slot, ok := r.addrIdx[addr]
+// word checks one durable word of the test and folds it into the overlay;
+// it reports false for a word outside the test's address slots. what names
+// the stream ("accepted" or "logged").
+func (r *recorder) word(cycle, addr, val uint64, what string) bool {
+	slot, ok := r.c.slotOf[addr]
 	if !ok {
 		r.fail("stray-accept", cycle, "",
-			fmt.Sprintf("logged word [%#x] <- %#x outside the test's address slots", addr, val))
-		return
+			fmt.Sprintf("%s word [%#x] <- %#x outside the test's address slots", what, addr, val))
+		return false
 	}
 	r.accepts++
-	r.checkWord(cycle, slot, addr, val)
+	if val == 0 || !r.c.values[slot][val] {
+		r.fail("unknown-value", cycle, "",
+			fmt.Sprintf("accepted word [%#x] <- %#x matches no store of the test", addr, val))
+	}
 	r.overlay[slot] = val
+	return true
+}
+
+// onLogWord consumes one durable log-carried data record. For redo-logging
+// schemes the log, not the accept stream, is the durability carrier: a
+// record is durable at append, in commit order, so the same value and
+// state-membership checks apply to the log fold. The image check is
+// skipped — the image legitimately trails the log until the background
+// applier catches up.
+func (r *recorder) onLogWord(cycle, addr, val uint64) {
+	if !r.word(cycle, addr, val, "logged") {
+		return
+	}
 	r.observe()
 	if key := px86.Key(r.overlay); !r.c.Model.MemberKey(key) {
 		r.fail("forbidden-state", cycle, key,
@@ -329,16 +343,7 @@ func (r *recorder) onLogWord(cycle, addr, val uint64) {
 func (r *recorder) onAccept(cycle, line uint64, words *isa.LineWords) {
 	touched := false
 	words.Range(line, func(addr, val uint64) {
-		slot, ok := r.addrIdx[addr]
-		if !ok {
-			r.fail("stray-accept", cycle, "",
-				fmt.Sprintf("accepted word [%#x] <- %#x outside the test's address slots", addr, val))
-			return
-		}
-		touched = true
-		r.accepts++
-		r.checkWord(cycle, slot, addr, val)
-		r.overlay[slot] = val
+		touched = r.word(cycle, addr, val, "accepted") || touched
 	})
 	if !touched {
 		return
@@ -353,96 +358,6 @@ func (r *recorder) onAccept(cycle, line uint64, words *isa.LineWords) {
 		if img := r.dev.ReadWord(addr); img != r.overlay[slot] {
 			r.fail("image-divergence", cycle, px86.Key(r.overlay),
 				fmt.Sprintf("durable image holds [%#x] = %#x, accept stream says %#x", addr, img, r.overlay[slot]))
-		}
-	}
-}
-
-// checkWord enforces per-location per-core persist order: within one
-// core's same-slot store chain, values persist in program order (skips
-// allowed — coalescing; repeats of the current position allowed —
-// idempotent re-accepts). A value older than the chain's watermark can
-// never legally reappear.
-func (r *recorder) checkWord(cycle uint64, slot int, addr, val uint64) {
-	refs := r.owners[val]
-	if val == 0 || len(refs) == 0 {
-		r.fail("unknown-value", cycle, "",
-			fmt.Sprintf("accepted word [%#x] <- %#x matches no store of the test", addr, val))
-		return
-	}
-	best := -1
-	bestPos := 0
-	for i, ref := range refs {
-		if ref.slot != slot {
-			continue
-		}
-		// Plausible writers: at or past the chain watermark (pos+1 is the
-		// watermark after this accept; pos == watermark-1 is idempotent).
-		if ref.pos >= r.watermark[ref.core][slot]-1 {
-			if best == -1 || ref.pos < bestPos {
-				best, bestPos = i, ref.pos
-			}
-		}
-	}
-	if best == -1 {
-		r.fail("persist-order", cycle, "",
-			fmt.Sprintf("accepted word [%#x] <- %#x is older than its core's per-location persist watermark", addr, val))
-		return
-	}
-	// Advance the watermark past the matched position and through any run
-	// of equal-valued successors: persisting one of them makes the others'
-	// effects durable too (write-buffer coalescing may subsume them into a
-	// single accept, and an identical re-accept is indistinguishable from
-	// the later store's own persist).
-	ref := refs[best]
-	chain := r.c.Chains[ref.core][slot]
-	wm := ref.pos + 1
-	for wm < len(chain) && chain[wm] == val {
-		wm++
-	}
-	if wm > r.watermark[ref.core][slot] {
-		r.watermark[ref.core][slot] = wm
-	}
-}
-
-// ObserveCommit tracks per-(core, slot) committed store counts for the
-// barrier-completion check, forwarding to the oracle when attached.
-func (r *recorder) ObserveCommit(ev *pipeline.CommitEvent) {
-	if r.tee != nil {
-		r.tee.ObserveCommit(ev)
-	}
-	if !ev.IsStore {
-		return
-	}
-	if slot, ok := r.addrIdx[ev.StoreAddr]; ok {
-		r.committed[ev.Core][slot]++
-	}
-}
-
-// ObserveBarrierArm snapshots what the completing barrier must drain.
-func (r *recorder) ObserveBarrierArm(core int, cycle uint64) {
-	if r.tee != nil {
-		r.tee.ObserveBarrierArm(core, cycle)
-	}
-	r.armReq[core] = append([]int(nil), r.committed[core]...)
-}
-
-// ObserveBarrierComplete applies the model's barrier axiom at the
-// machine's own completion signal: every store this core committed
-// before the barrier armed must be durable by now. The machine's FIFO
-// persist path makes barrier bugs state-invisible — every intermediate
-// NVM state stays individually allowed — so this durability-at-
-// completion check is what gives the litmus gate teeth against them.
-func (r *recorder) ObserveBarrierComplete(core int, cycle uint64, cause pipeline.BoundaryCause) {
-	if r.tee != nil {
-		r.tee.ObserveBarrierComplete(core, cycle, cause)
-	}
-	req := r.armReq[core]
-	r.armReq[core] = nil
-	for slot, need := range req {
-		if r.watermark[core][slot] < need {
-			r.fail("barrier-incomplete", cycle, px86.Key(r.overlay),
-				fmt.Sprintf("core %d %s boundary completed with %d/%d stores to slot %d durable",
-					core, cause, r.watermark[core][slot], need, slot))
 		}
 	}
 }
@@ -473,12 +388,6 @@ func (r *runner) runSchedule(c *Compiled, w *workload.Workload, sched int) (*rec
 		rec.accTail = forensics.NewAcceptTail(forensics.DefaultAcceptTail)
 		sys.Device().AddAcceptObserver(rec.accTail.Observe)
 	}
-	for _, core := range sys.Cores() {
-		if opt.Lockstep {
-			rec.tee = sys.Oracle()
-		}
-		core.SetCommitSink(rec)
-	}
 
 	// Every fourth schedule is a crash leg: run to a seeded cycle, pull
 	// power, and require the surviving NVM state allowed by the model.
@@ -488,7 +397,7 @@ func (r *runner) runSchedule(c *Compiled, w *workload.Workload, sched int) (*rec
 		rec.crashed = true
 		target := sys.Cycle() + 20 + mix(sseed, 0xC4A54)%400
 		if _, err := sys.RunUntil(target); err != nil {
-			rec.fail("run-error", sys.Cycle(), "", err.Error())
+			rec.runFailed(sys, "run-error", "", err)
 			return rec, nil
 		}
 		sys.Hierarchy().PowerFail()
@@ -514,11 +423,11 @@ func (r *runner) runSchedule(c *Compiled, w *workload.Workload, sched int) (*rec
 	}
 
 	if err := sys.Run(opt.MaxCycles); err != nil {
-		rec.fail("run-error", sys.Cycle(), "", err.Error())
+		rec.runFailed(sys, "run-error", "", err)
 		return rec, nil
 	}
 	if err := sys.DrainPersists(opt.MaxCycles); err != nil {
-		rec.fail("drain-stuck", sys.Cycle(), px86.Key(rec.overlay), err.Error())
+		rec.runFailed(sys, "drain-stuck", px86.Key(rec.overlay), err)
 		return rec, nil
 	}
 	// Litmus footprints (2–3 lines) never evict; an eviction writeback

@@ -53,10 +53,11 @@ func TestGeneratedCorpusClean(t *testing.T) {
 }
 
 // TestRegressionCorpusLockstep replays the committed regression corpus —
-// the coalescing-subsumption and idempotent-re-accept edge cases — under
-// the differential oracle, so the production persist checker (the
-// oracle's own rules, internal/oracle/persist.go) judges the same streams
-// the harness does. Either layer false-alarming fails the run.
+// the coalescing-subsumption and idempotent-re-accept edge cases. Every
+// schedule runs under the lockstep oracle, so the persist checker (the
+// oracle's own rules, internal/oracle/persist.go) judges the streams whose
+// states the harness checks against the model. Either layer
+// false-alarming fails the run.
 func TestRegressionCorpusLockstep(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.litmus"))
 	if err != nil || len(files) == 0 {
@@ -87,7 +88,7 @@ func TestRegressionCorpusLockstep(t *testing.T) {
 	for _, lt := range tests {
 		lt := lt
 		t.Run(lt.Name, func(t *testing.T) {
-			res, err := RunTest(lt, RunOptions{Schedules: 16, Seed: 23, Lockstep: true})
+			res, err := RunTest(lt, RunOptions{Schedules: 16, Seed: 23})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,9 +100,13 @@ func TestRegressionCorpusLockstep(t *testing.T) {
 }
 
 // TestLitmusGateCatchesSeededBugs is the completeness direction: the two
-// mutations that only the conformance engine can see (every intermediate
-// NVM state individually plausible, single-core runs unaffected) must
-// produce a forbidden outcome on the curated corpus.
+// mutations that only multicore runs expose (every intermediate NVM state
+// individually plausible, single-core runs unaffected) must produce a
+// forbidden outcome on the curated corpus. cache-coalesce-stale-word is
+// convicted by the lockstep oracle's barrier-incomplete;
+// pipeline-barrier-snapshot-cross-core first hangs split-chain past its
+// cycle bound (run-error), and later tests convict it by barrier-incomplete
+// too (see internal/mutation).
 func TestLitmusGateCatchesSeededBugs(t *testing.T) {
 	defer mutation.Disable()
 	for _, m := range []mutation.Mutation{

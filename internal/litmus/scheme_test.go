@@ -69,7 +69,7 @@ type schemeCoverage struct {
 }
 
 // TestRegressionCorpusAcrossSchemes replays the committed regression corpus
-// under every scheme in the zoo, with the differential oracle attached: no
+// under every scheme in the zoo: no
 // scheme may exhibit a forbidden outcome, and each scheme's allowed-outcome
 // coverage must match the committed testdata/scheme-coverage.json (run with
 // -update to accept a reviewed coverage change).
@@ -80,7 +80,7 @@ func TestRegressionCorpusAcrossSchemes(t *testing.T) {
 		cfg := zs.cfg
 		got[zs.name] = map[string]*schemeCoverage{}
 		for _, lt := range tests {
-			res, err := RunTest(lt, RunOptions{Schedules: 16, Seed: 23, Lockstep: true, Scheme: &cfg})
+			res, err := RunTest(lt, RunOptions{Schedules: 16, Seed: 23, Scheme: &cfg})
 			if err != nil {
 				t.Fatalf("%s under %s: %v", lt.Name, zs.name, err)
 			}

@@ -538,7 +538,9 @@ func (s *System) RunUntil(cycle uint64) (bool, error) {
 // schemes' records with their lazy image applications) has no outstanding
 // entries — the fully-persisted machine state the litmus engine's
 // final-outcome check inspects. budget bounds the extra cycles; exceeding
-// it reports a stuck persist path.
+// it reports a stuck persist path. A lockstep oracle's verdict, such as a
+// redo record that disagrees with the golden model, ends the drain as it
+// ends a run.
 func (s *System) DrainPersists(budget uint64) error {
 	deadline := s.cycle + budget
 	for {
@@ -564,7 +566,7 @@ func (s *System) DrainPersists(budget uint64) error {
 }
 
 // tickIdle advances the memory system and the scheme backends one cycle
-// with the cores idle.
+// with the cores idle, and reports what the lockstep oracle latched.
 func (s *System) tickIdle() error {
 	if err := s.hier.Tick(s.cycle); err != nil {
 		return err
@@ -573,6 +575,9 @@ func (s *System) tickIdle() error {
 		b.Tick(s.cycle)
 	}
 	s.cycle++
+	if s.oracle != nil {
+		return s.oracle.Err()
+	}
 	return nil
 }
 

@@ -63,17 +63,25 @@ const (
 	NVMCoalesceSkipImage
 	// CacheCoalesceStaleWord keeps the stale word value on a multicore
 	// write-buffer coalescing hit: the newer same-word store is acked but
-	// its value never persists, breaking per-location persist order. Only
-	// the litmus engine's axiomatic final-state check sees it — every
-	// intermediate NVM state looks individually plausible.
+	// its value never persists, breaking per-location persist order.
+	// Single-core runs never take the path, and every intermediate NVM
+	// state looks individually plausible. The litmus gate catches it: on
+	// coalesce-subsume and split-chain the lockstep oracle sees a sync
+	// boundary complete while the newer store is still not durable
+	// (barrier-incomplete), and packed-chain drains to a final state the
+	// model forbids.
 	CacheCoalesceStaleWord
 	// PipelineBarrierSnapshotCrossCore makes a region boundary snapshot
 	// the next core's persist counter instead of its own, releasing the
 	// barrier against the wrong queue. Invisible on one core and
-	// state-invisible on many (the per-core FIFO still orders persists);
-	// only the litmus engine's barrier-completion durability check — the
-	// model's barrier axiom applied at the machine's own completion
-	// signal — catches it.
+	// state-invisible on many (the per-core FIFO still orders persists).
+	// The litmus gate's first conviction is a hang: split-chain's boundary
+	// waits for its own write buffer to drain past the sibling core's
+	// entry count, which it never reaches, and the schedule exceeds its
+	// cycle bound (run-error). Later tests of the conformance
+	// corpus (lone-sync, mid-sync, rmw-publish, rmw-chain, quad) show the
+	// lockstep oracle's barrier-incomplete, the model's barrier axiom
+	// applied at the machine's own completion signal.
 	PipelineBarrierSnapshotCrossCore
 	// LogReplaySkipsLast stops the redo-log recovery replay one data record
 	// short of the region-commit marker, silently dropping the newest

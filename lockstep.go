@@ -257,9 +257,10 @@ func probeMutation(rc RunConfig, bug SeededBug, failCycles []uint64) MutationOut
 	}
 	// Leg 3: the persistency-conformance litmus gate. Legs 1–2 run a
 	// single-threaded workload; this is the multicore leg — it replays the
-	// curated litmus corpus under perturbed schedules and convicts bugs
-	// whose every intermediate NVM state looks individually plausible
-	// (stale coalesced words, barriers released against the wrong core).
+	// curated litmus corpus under perturbed schedules and the lockstep
+	// oracle, and convicts bugs whose every intermediate NVM state looks
+	// individually plausible (stale coalesced words, barriers released
+	// against the wrong core).
 	if detail := litmusTrial(); detail != "" {
 		out.Caught = true
 		out.CaughtBy = "litmus-gate"

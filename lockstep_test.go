@@ -111,8 +111,11 @@ func TestEagerFlushAblation(t *testing.T) {
 // mutationGateReportSHA256 is the SHA-256 of the default campaign's JSON
 // report. The report quotes every catching check's message (each oracle
 // Divergence.String() included), so the pin holds the divergence text
-// byte-identical end to end, not just between two runs of one binary.
-const mutationGateReportSHA256 = "9dd30cb44caec69ec6c99b746f3fd602021fd6c268c44c172244c5a062af9de0"
+// byte-identical end to end, not just between two runs of one binary. The
+// litmus gate's verdicts are the lockstep oracle's wherever the oracle
+// convicts: cache-coalesce-stale-word is the oracle's barrier-incomplete,
+// at the cycle and state the recorder's own barrier check once reported.
+const mutationGateReportSHA256 = "76818e4d5977b8e55204e39f26fe609c39ca59f98088819907bbda37bb3b7e7d"
 
 // TestMutationGate is the CI oracle gate: every seeded single-site bug must
 // be caught by the lockstep oracle or the crash-consistency checks, with no
