@@ -24,8 +24,6 @@ var exportKeeps = map[string]string{
 	"internal/pipeline.Core.CheckStructural":      "invariant check; wiring it into the lockstep oracle is its own correctness change",
 	"internal/pipeline.Core.CheckStoreIntegrity":  "invariant check; wiring it into the lockstep oracle is its own correctness change",
 	"internal/pipeline.Core.CheckRenamePartition": "invariant check; wiring it into the lockstep oracle is its own correctness change",
-	"internal/litmus/px86.Model.Member":           "axiomatic model query; whether the litmus harness should call it is still open",
-	"internal/litmus/px86.Model.FinalMember":      "axiomatic model query; whether the litmus harness should call it is still open",
 	"internal/workload.GenerateMultiProcess":      "Section 5's multi-process workload; deleting it is a scope decision, not a cleanup",
 }
 

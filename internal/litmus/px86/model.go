@@ -243,19 +243,14 @@ func (m *Model) record(c *config) {
 	}
 }
 
-// Member reports whether the state is reachable at some point of some
-// legal persist order (the soundness check applies it to every observed
-// NVM state, including crash images).
-func (m *Model) Member(vals []uint64) bool { return m.allowed[Key(vals)] }
-
-// MemberKey is Member on an already-rendered outcome key.
+// MemberKey reports whether the state with the outcome key (see Key) is
+// reachable at some point of some legal persist order (the soundness check
+// applies it to every observed NVM state, including crash images).
 func (m *Model) MemberKey(key string) bool { return m.allowed[key] }
 
-// FinalMember reports whether the state is legal once every store has
-// drained (applied to the post-run, post-drain NVM image).
-func (m *Model) FinalMember(vals []uint64) bool { return m.final[Key(vals)] }
-
-// FinalMemberKey is FinalMember on an already-rendered outcome key.
+// FinalMemberKey reports whether the state with the outcome key is legal
+// once every store has drained (applied to the post-run, post-drain NVM
+// image).
 func (m *Model) FinalMemberKey(key string) bool { return m.final[key] }
 
 // Outcomes returns every allowed state key, sorted.

@@ -36,7 +36,9 @@ func persistOnly(cores int) *Machine {
 }
 
 // TestTrackerRules drives the oracle's persist rules through the
-// persist-ordering edge cases an earlier checker regressed on.
+// persist-ordering edge cases an earlier checker regressed on: the one
+// table of barrier drain, coalescing subsumption (whole and partial),
+// idempotent re-accept and unmatched-accept cases.
 func TestTrackerRules(t *testing.T) {
 	const a, b = uint64(0x1000), uint64(0x1040)
 	cases := []struct {
@@ -55,13 +57,14 @@ func TestTrackerRules(t *testing.T) {
 		},
 		{
 			name: "coalescing-subsumption",
-			// Two same-word commits, one accept of the newer value: the
-			// older store is absorbed and the barrier must treat it as
-			// durable — flagging it lost was the historical false alarm.
+			// Three same-word commits, one accept of the newest value: the
+			// older stores were legally overwritten in the write buffer, so
+			// the barrier must treat them as durable — flagging them lost
+			// was the historical false alarm.
 			events: []ev{
-				commit(0, 1, a, 10), commit(0, 2, a, 11),
+				commit(0, 1, a, 10), commit(0, 2, a, 11), commit(0, 3, a, 12),
 				arm(0),
-				acceptEv(a, 11),
+				acceptEv(a, 12),
 				complete(0),
 			},
 		},
@@ -116,19 +119,26 @@ func TestTrackerRules(t *testing.T) {
 		},
 		{
 			name: "unmatched-accept-counted",
+			// An accept before its store commits (the sync-persist
+			// ablation's ordering) is counted, not fatal. The commit then
+			// finds its value already durable, so it is never outstanding
+			// and the barrier completes clean.
 			events: []ev{
 				acceptEv(a, 99),
+				commit(0, 1, a, 99),
+				arm(0), complete(0),
 			},
 			wantUnmatched: 1,
 		},
 		{
 			name: "subsumption-keeps-newer-outstanding",
-			// Accepting an older value retires only that store; the newer
-			// one stays outstanding and still blocks the barrier.
+			// Accepting a middle value retires it and the older store; the
+			// newest stays outstanding and still blocks the barrier.
 			events: []ev{
-				commit(0, 1, a, 10), commit(0, 2, a, 11),
-				acceptEv(a, 10),
-				arm(0), complete(0),
+				commit(0, 1, a, 10), commit(0, 2, a, 11), commit(0, 3, a, 12),
+				arm(0),
+				acceptEv(a, 11),
+				complete(0),
 			},
 			wantViolation: "barrier-incomplete",
 		},
