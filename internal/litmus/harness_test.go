@@ -130,6 +130,27 @@ func TestLitmusGateCatchesSeededBugs(t *testing.T) {
 	}
 }
 
+// TestOracleVerdictCycle: an oracle verdict becomes a forbidden outcome
+// under the oracle's own kind, and a check that carries no cycle of its own
+// (the end-of-run durable-image check) is reported at the machine's cycle.
+func TestOracleVerdictCycle(t *testing.T) {
+	mutation.Enable(mutation.NVMCoalesceSkipImage)
+	defer mutation.Disable()
+	res, err := RunTest(findTestByName(t, "mp-fence"), RunOptions{Schedules: 1, Seed: 0xC0FFEE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range res.Forbidden {
+		if f.Kind == "durable-image-mismatch" {
+			if f.Cycle == 0 {
+				t.Fatalf("oracle verdict reported at cycle 0: %s", f)
+			}
+			return
+		}
+	}
+	t.Fatalf("no durable-image-mismatch among %d forbidden outcomes", len(res.Forbidden))
+}
+
 // TestShrinkMinimizesReproducer: under a seeded bug, the shrinker must
 // return a test that still convicts — typically far smaller than the
 // original.
