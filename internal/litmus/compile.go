@@ -20,8 +20,6 @@ type Compiled struct {
 	Addrs []uint64
 	Progs []*isa.Program
 	Model *px86.Model
-	// slotOf maps each test address to its slot index.
-	slotOf map[uint64]int
 	// values[slot] holds every value some core stores to the slot (RMW
 	// results included).
 	values []map[uint64]bool
@@ -51,12 +49,10 @@ func Compile(t *Test) (*Compiled, error) {
 		Test:   t,
 		Addrs:  make([]uint64, t.NAddrs),
 		Progs:  make([]*isa.Program, len(t.Cores)),
-		slotOf: make(map[uint64]int, t.NAddrs),
 		values: make([]map[uint64]bool, t.NAddrs),
 	}
 	for i := range c.Addrs {
 		c.Addrs[i] = t.SlotAddr(i)
-		c.slotOf[c.Addrs[i]] = i
 		c.values[i] = make(map[uint64]bool)
 	}
 	progs := make([]px86.CoreProg, len(t.Cores))

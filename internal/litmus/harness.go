@@ -307,7 +307,7 @@ func (r *recorder) observe() {
 // it reports false for a word outside the test's address slots. what names
 // the stream ("accepted" or "logged").
 func (r *recorder) word(cycle, addr, val uint64, what string) bool {
-	slot, ok := r.c.slotOf[addr]
+	slot, ok := r.c.Model.Slot(addr)
 	if !ok {
 		r.fail("stray-accept", cycle, "",
 			fmt.Sprintf("%s word [%#x] <- %#x outside the test's address slots", what, addr, val))

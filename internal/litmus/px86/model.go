@@ -243,6 +243,13 @@ func (m *Model) record(c *config) {
 	}
 }
 
+// Slot returns the index of addr among the model's addresses, and false
+// for an address the model does not know.
+func (m *Model) Slot(addr uint64) (int, bool) {
+	i, ok := m.addrIdx[addr]
+	return i, ok
+}
+
 // MemberKey reports whether the state with the outcome key (see Key) is
 // reachable at some point of some legal persist order (the soundness check
 // applies it to every observed NVM state, including crash images).
