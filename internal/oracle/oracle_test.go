@@ -231,6 +231,19 @@ func persistMachine(t *testing.T, vals []uint64, addr uint64) *Machine {
 	return m
 }
 
+func TestBarrierIncomplete(t *testing.T) {
+	m := persistMachine(t, []uint64{7}, 0x100)
+	m.ObserveBarrierArm(0, 10)
+	m.ObserveBarrierComplete(0, 20, pipeline.BoundaryCause(0))
+	var de *DivergenceError
+	if !asDivergence(m.Err(), &de) || de.Report.PersistViolation == nil {
+		t.Fatalf("undrained barrier accepted: %v", m.Err())
+	}
+	if de.Report.PersistViolation.Kind != "barrier-incomplete" {
+		t.Fatalf("wrong violation kind %s", de.Report.PersistViolation.Kind)
+	}
+}
+
 func TestBarrierDrained(t *testing.T) {
 	m := persistMachine(t, []uint64{7}, 0x100)
 	m.ObserveBarrierArm(0, 10)
@@ -241,6 +254,66 @@ func TestBarrierDrained(t *testing.T) {
 	}
 	if rep := m.Report(); rep.Barriers != 1 || rep.AcceptedWords != 1 {
 		t.Fatalf("unexpected counters %+v", rep)
+	}
+}
+
+// TestCoalescingSubsumption: an accept carrying the newest of several
+// outstanding same-word stores proves them all durable (the older values
+// were legally overwritten in the write buffer before any accept).
+func TestCoalescingSubsumption(t *testing.T) {
+	m := persistMachine(t, []uint64{1, 2, 3}, 0x100)
+	m.ObserveBarrierArm(0, 10)
+	accept(m, 15, 0x100, 3)
+	m.ObserveBarrierComplete(0, 20, pipeline.BoundaryCause(0))
+	if err := m.Err(); err != nil {
+		t.Fatalf("coalesced accept rejected: %v", err)
+	}
+}
+
+// TestPartialCoalesceStillBlocks: an accept of a middle value retires only
+// its prefix — the newer store remains outstanding and must still hold the
+// barrier.
+func TestPartialCoalesceStillBlocks(t *testing.T) {
+	m := persistMachine(t, []uint64{1, 2, 3}, 0x100)
+	m.ObserveBarrierArm(0, 10)
+	accept(m, 15, 0x100, 2)
+	m.ObserveBarrierComplete(0, 20, pipeline.BoundaryCause(0))
+	var de *DivergenceError
+	if !asDivergence(m.Err(), &de) || de.Report.PersistViolation == nil {
+		t.Fatal("barrier with the newest store still volatile was accepted")
+	}
+}
+
+func TestIdempotentReaccept(t *testing.T) {
+	m := persistMachine(t, []uint64{5}, 0x100)
+	accept(m, 10, 0x100, 5)
+	accept(m, 11, 0x100, 5) // eviction re-writes the same durable value
+	if err := m.Err(); err != nil {
+		t.Fatalf("idempotent re-accept rejected: %v", err)
+	}
+	if rep := m.Report(); rep.UnmatchedAccepts != 0 {
+		t.Fatalf("idempotent re-accept counted as unmatched: %+v", rep)
+	}
+}
+
+func TestUnmatchedAcceptCountedNotFatal(t *testing.T) {
+	p := storeProg([]uint64{5}, 0x100)
+	m := New([]*isa.Program{p}, nil)
+	// Accept before any commit (the sync-persist ablation's ordering).
+	accept(m, 10, 0x100, 5)
+	if err := m.Err(); err != nil {
+		t.Fatalf("early accept fatal: %v", err)
+	}
+	if rep := m.Report(); rep.UnmatchedAccepts != 1 {
+		t.Fatalf("unmatched accept not counted: %+v", rep)
+	}
+	// The commit then finds its value already durable — instantly durable,
+	// never outstanding, so a following barrier completes clean.
+	feed(m, goldenEvents(p))
+	m.ObserveBarrierArm(0, 20)
+	m.ObserveBarrierComplete(0, 30, pipeline.BoundaryCause(0))
+	if err := m.Err(); err != nil {
+		t.Fatalf("instantly-durable store held the barrier: %v", err)
 	}
 }
 
