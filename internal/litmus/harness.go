@@ -275,9 +275,9 @@ func (r *recorder) fail(kind string, cycle uint64, state, detail string) {
 
 // runFailed records an error from Run, RunUntil or DrainPersists. The
 // oracle's verdict keeps its own kind (a PersistViolation's, or
-// lockstep-divergence) and the cycle it latched at; the image and log
-// checks carry no cycle, so theirs is the machine's. Any other error is
-// recorded as kind at the machine's cycle, with state when it is not "".
+// lockstep-divergence) and its cycle: the one it latched at, or for the
+// image and log checks the one the machine surfaced it at. Any other error
+// is recorded as kind at the machine's cycle, with state when it is not "".
 func (r *recorder) runFailed(sys *multicore.System, kind, state string, err error) {
 	var de *oracle.DivergenceError
 	if !errors.As(err, &de) {
@@ -290,11 +290,7 @@ func (r *recorder) runFailed(sys *multicore.System, kind, state string, err erro
 		return
 	}
 	v := de.Report.PersistViolation
-	cycle := v.Cycle
-	if cycle == 0 {
-		cycle = sys.Cycle()
-	}
-	r.fail(v.Kind, cycle, key, fmt.Sprintf("core %d addr %#x: %s", v.Core, v.Addr, v.Detail))
+	r.fail(v.Kind, v.Cycle, key, fmt.Sprintf("core %d addr %#x: %s", v.Core, v.Addr, v.Detail))
 }
 
 // observe records the overlay as an observed outcome.

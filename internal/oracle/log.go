@@ -105,7 +105,8 @@ func (m *Machine) checkRedoRegion(core int) {
 // recovered image equals the golden memory at each core's own recovery
 // point (points[i] committed instructions — its last region-commit marker),
 // which may trail the committed prefix the oracle tracked to the crash.
-func (m *Machine) CheckRecoveredAt(img WordReader, points []int) error {
+// cycle is the machine's clock at the crash, which stamps a violation.
+func (m *Machine) CheckRecoveredAt(img WordReader, points []int, cycle uint64) error {
 	if err := m.Err(); err != nil {
 		return err
 	}
@@ -116,7 +117,7 @@ func (m *Machine) CheckRecoveredAt(img WordReader, points []int) error {
 		}
 		if point > cm.next {
 			return m.latch(&PersistViolation{
-				Kind: "recovered-count-mismatch", Core: core,
+				Kind: "recovered-count-mismatch", Core: core, Cycle: cycle,
 				Got: uint64(point), Want: uint64(cm.next),
 				Detail: fmt.Sprintf("recovery point %d is beyond the %d instructions the oracle checked", point, cm.next),
 			})
@@ -126,7 +127,7 @@ func (m *Machine) CheckRecoveredAt(img WordReader, points []int) error {
 		golden := isa.RunGolden(cm.prog, point).Mem.Snapshot()
 		if addr, want, got, bad := firstMismatch(golden, img.ReadWord); bad {
 			return m.latch(&PersistViolation{
-				Kind: "recovered-image-mismatch", Core: core, Addr: addr, Got: got, Want: want,
+				Kind: "recovered-image-mismatch", Core: core, Cycle: cycle, Addr: addr, Got: got, Want: want,
 				Detail: fmt.Sprintf("recovered NVM holds %#x, golden memory at recovery point %d holds %#x", got, point, want),
 			})
 		}

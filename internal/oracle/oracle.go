@@ -205,6 +205,17 @@ func (m *Machine) Err() error {
 	return &DivergenceError{Report: m.Report()}
 }
 
+// ErrAt is Err for a machine that surfaces the oracle's verdict at cycle.
+// The log-stream checks and CheckFinal latch a persist violation outside
+// any cycle event, so one that carries no cycle yet is stamped with this
+// one; a violation keeps the first cycle it is given.
+func (m *Machine) ErrAt(cycle uint64) error {
+	if m.viol != nil && m.viol.Cycle == 0 {
+		m.viol.Cycle = cycle
+	}
+	return m.Err()
+}
+
 // Report returns the oracle's current summary.
 func (m *Machine) Report() *Report {
 	return &Report{

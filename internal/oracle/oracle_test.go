@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ppa/internal/isa"
+	"ppa/internal/nvm"
 	"ppa/internal/pipeline"
 )
 
@@ -349,26 +350,57 @@ func TestCheckRecovered(t *testing.T) {
 	for a, v := range golden.Mem.Snapshot() {
 		img[a] = v
 	}
-	if err := m.CheckRecovered(img, []int{p.Len()}); err != nil {
+	if err := m.CheckRecovered(img, []int{p.Len()}, 40); err != nil {
 		t.Fatalf("faithful recovery rejected: %v", err)
 	}
 
 	// A lost committed word.
 	img[0x100] = 0
-	err := m.CheckRecovered(img, []int{p.Len()})
+	err := m.CheckRecovered(img, []int{p.Len()}, 40)
 	var de *DivergenceError
 	if !asDivergence(err, &de) || de.Report.PersistViolation == nil ||
 		de.Report.PersistViolation.Kind != "recovered-image-mismatch" {
 		t.Fatalf("lost word not detected: %v", err)
 	}
+	if c := de.Report.PersistViolation.Cycle; c != 40 {
+		t.Fatalf("lost word reported at cycle %d, want the crash's 40", c)
+	}
 
 	// A committed-count disagreement.
 	m2 := New([]*isa.Program{testProg()}, nil)
 	feed(m2, goldenEvents(testProg()))
-	err = m2.CheckRecovered(img, []int{2})
+	err = m2.CheckRecovered(img, []int{2}, 40)
 	if !asDivergence(err, &de) || de.Report.PersistViolation == nil ||
 		de.Report.PersistViolation.Kind != "recovered-count-mismatch" {
 		t.Fatalf("count mismatch not detected: %v", err)
+	}
+}
+
+// TestErrAtStampsCyclelessViolations: a violation latched outside any cycle
+// event (here a log marker's) takes the cycle the machine surfaces it at,
+// and keeps it; one latched at its own cycle keeps that.
+func TestErrAtStampsCyclelessViolations(t *testing.T) {
+	p := testProg()
+	m := New([]*isa.Program{p}, nil)
+	feed(m, goldenEvents(p)[:2])
+	m.ObserveLogAppend(0, nvm.LogRecord{Marker: true, Committed: 5}, true)
+	for _, at := range []uint64{77, 90} {
+		var de *DivergenceError
+		if err := m.ErrAt(at); !asDivergence(err, &de) || de.Report.PersistViolation == nil {
+			t.Fatalf("ErrAt(%d) = %v, want the marker's violation", at, err)
+		} else if c := de.Report.PersistViolation.Cycle; c != 77 {
+			t.Fatalf("ErrAt(%d) reports cycle %d, want the first surfacing's 77", at, c)
+		}
+	}
+
+	b := persistMachine(t, []uint64{7}, 0x100)
+	b.ObserveBarrierArm(0, 10)
+	b.ObserveBarrierComplete(0, 20, pipeline.BoundarySync)
+	var de *DivergenceError
+	if err := b.ErrAt(30); !asDivergence(err, &de) || de.Report.PersistViolation == nil {
+		t.Fatalf("barrier violation not latched: %v", err)
+	} else if c := de.Report.PersistViolation.Cycle; c != 20 {
+		t.Fatalf("barrier violation reported at cycle %d, want its own 20", c)
 	}
 }
 

@@ -245,22 +245,23 @@ func (m *Machine) CheckFinal(img WordReader) error {
 // CheckRecovered asserts the post-recovery contract: the recovered NVM
 // image equals the golden model's memory at each core's committed prefix,
 // and recovery resumed each core at the prefix the oracle tracked.
-// committed gives each core's committed-instruction count at the crash.
-func (m *Machine) CheckRecovered(img WordReader, committed []int) error {
+// committed gives each core's committed-instruction count at the crash, and
+// cycle the machine's clock at it, which stamps a violation.
+func (m *Machine) CheckRecovered(img WordReader, committed []int, cycle uint64) error {
 	if err := m.Err(); err != nil {
 		return err
 	}
 	for core, cm := range m.cores {
 		if committed != nil && committed[core] != cm.next {
 			return m.latch(&PersistViolation{
-				Kind: "recovered-count-mismatch", Core: core,
+				Kind: "recovered-count-mismatch", Core: core, Cycle: cycle,
 				Got: uint64(committed[core]), Want: uint64(cm.next),
 				Detail: fmt.Sprintf("machine reports %d committed instructions, oracle checked %d", committed[core], cm.next),
 			})
 		}
 		if addr, want, got, bad := firstMismatch(cm.mem.Snapshot(), img.ReadWord); bad {
 			return m.latch(&PersistViolation{
-				Kind: "recovered-image-mismatch", Core: core, Addr: addr, Got: got, Want: want,
+				Kind: "recovered-image-mismatch", Core: core, Cycle: cycle, Addr: addr, Got: got, Want: want,
 				Detail: fmt.Sprintf("recovered NVM holds %#x, oracle's committed prefix (%d insts) wrote %#x", got, cm.next, want),
 			})
 		}

@@ -75,30 +75,30 @@ func TestPersistViolationReportDigests(t *testing.T) {
 			"98e3250f25d09de44646a0bd6cc1b7b930394ef6c9c8a75bb374778f968c8bd5"},
 		{"recovered-count-mismatch", "recovered-count-mismatch", func(t *testing.T) *Machine {
 			m := pinMachine(t, -1)
-			m.CheckRecovered(bothWrong, []int{2})
+			m.CheckRecovered(bothWrong, []int{2}, 40)
 			return m
-		}, "0dbe1360a451072bdb10c371f624ebf392d610a2efdc881486264e9c2e511cd8",
-			"665095ede55a86ad81654ec3ff0ebcb0a3873b6cc128277d21f4d65f51658ba5"},
+		}, "9ee257e94253532bfddf35699a9f50695715c613a9c53ae098e646b7f13a2fbd",
+			"fd1d36e4fe2ae44fda7607e0a6a7557747f44f4f28328f859f3128984b03db93"},
 		{"recovered-count-mismatch-at", "recovered-count-mismatch", func(t *testing.T) *Machine {
 			m := pinMachine(t, 2)
-			m.CheckRecoveredAt(bothWrong, []int{3})
+			m.CheckRecoveredAt(bothWrong, []int{3}, 40)
 			return m
-		}, "79d6be3dcbae3414986103b3257d9ae7ae727f840acfc3891690c8421b1ea619",
-			"7a4957ec3a7a7711bce69821ea8ba8cccc389915b3a7271f4b1d9cf3664fc349"},
+		}, "594a60a3b71a80dfef57a4f2727e85085f6b10ae6053a9958c4137adc2cd2494",
+			"8f2a1cd62b3ad2a406e22db69b9ce4edf356e7c15658f83968423eb5ff3d2116"},
 		{"recovered-image-mismatch", "recovered-image-mismatch", func(t *testing.T) *Machine {
 			m := pinMachine(t, -1)
 			m.ObserveCrash()
-			m.CheckRecovered(bothWrong, []int{4})
+			m.CheckRecovered(bothWrong, []int{4}, 40)
 			return m
-		}, "efb692ef92832ecca0960853ef9aedc881049c6173a427176d6985878c201553",
-			"f4156b9baad147a02448cf551b43b4e8781312ce9a408b353feeb9dc6b3046f4"},
+		}, "32a189ef0edd00a5eabf24102e8bb2a87b206388aba23ae3d3463fce4a32286e",
+			"eee71e802a37852267ac0bb369b0a7a3ee90c3458c61d80bc168ebaf9f4ef561"},
 		{"recovered-image-mismatch-at", "recovered-image-mismatch", func(t *testing.T) *Machine {
 			m := pinMachine(t, -1)
 			m.ObserveCrash()
-			m.CheckRecoveredAt(bothWrong, []int{4})
+			m.CheckRecoveredAt(bothWrong, []int{4}, 40)
 			return m
-		}, "1d0878ab265f0b480d040377d0e1048efe039b0fd2b76bcccd6d48bd9f7b3bb3",
-			"351dcd62855ae3656027e435fc20ac6f2f2e31f530687e8737c558b418ecc345"},
+		}, "0332ca7f5b000f9fa17ab6c4ec64d4cc27b2408a503028b136a906d8b9b10016",
+			"3d44c2f956c523524a098efb3cf19322004388e7d2be248b20f7d2c709be6fef"},
 		{"log-marker-mismatch", "log-marker-mismatch", func(t *testing.T) *Machine {
 			m := pinMachine(t, 2)
 			m.ObserveLogAppend(0, nvm.LogRecord{Marker: true, Committed: 4}, true)
