@@ -22,35 +22,132 @@ var copyCutCycles = []uint64{300, 2500, 6000}
 // original does, and both must collect the Result and final image of a run
 // that was never copied.
 func TestSystemCopyMatchesOriginal(t *testing.T) {
-	type copyCase struct {
-		name string
-		rc   RunConfig
+	for _, c := range copyCases() {
+		rc := c.rc
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			checkCopyCrashes(t, rc)
+			checkCopyRuns(t, rc)
+		})
 	}
-	var cases []copyCase
+}
+
+// copyCase is one machine the copy gates copy.
+type copyCase struct {
+	name string
+	rc   RunConfig
+}
+
+// copyCases are every scheme on mcf and the organization goldens (the
+// in-order cores included) at 2000 instructions per thread, each with
+// lockstep off and on.
+func copyCases() []copyCase {
+	var base []copyCase
 	for _, s := range Schemes() {
-		cases = append(cases, copyCase{"mcf/" + string(s), RunConfig{App: "mcf", Scheme: s, InstsPerThread: 2000}})
+		base = append(base, copyCase{"mcf/" + string(s), RunConfig{App: "mcf", Scheme: s, InstsPerThread: 2000}})
 	}
 	for _, run := range goldenOrgRuns {
 		rc := run.rc
 		rc.Customize = run.org
 		rc.InstsPerThread = 2000
-		cases = append(cases, copyCase{run.name, rc})
+		base = append(base, copyCase{run.name, rc})
 	}
-	for _, c := range cases {
-		for _, lockstep := range []bool{false, true} {
-			rc := c.rc
-			rc.Lockstep = lockstep
-			name := c.name
-			if lockstep {
-				name += "/lockstep"
+	var cases []copyCase
+	for _, c := range base {
+		cases = append(cases, c)
+		c.rc.Lockstep = true
+		cases = append(cases, copyCase{c.name + "/lockstep", c.rc})
+	}
+	return cases
+}
+
+// TestCrashCopyMatchesCopyAndCrash is the differential gate on
+// System.CrashCopy, which copies only what survives an outage: for every
+// machine of copyCases, at each of copyCutCycles the running original is
+// crash-copied into one reused machine and fully copied into another that
+// then loses power the same way (every other cut with a torn dump). Both
+// must report the same images, dump sizes, tear and durable structures,
+// and leave the same flush size, checkpoint area, persist logs, NVM image,
+// oracle report, collected Result and hierarchy counters. The original must
+// then finish with the Result and image of a run that was never copied.
+func TestCrashCopyMatchesCopyAndCrash(t *testing.T) {
+	for _, c := range copyCases() {
+		rc := c.rc
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			orig, full, w := buildPair(t, rc)
+			cfg, _, err := assemble(rc, w)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				checkCopyCrashes(t, rc)
-				checkCopyRuns(t, rc)
-			})
-		}
+			crashed, err := multicore.NewSystem(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cycle := range copyCutCycles {
+				done, err := orig.RunUntil(cycle)
+				if err != nil {
+					t.Fatalf("cycle %d: %v", cycle, err)
+				}
+				if done {
+					break
+				}
+				var opt multicore.CrashOptions
+				if i%2 == 1 {
+					opt.ShortfallPermille = 400
+				}
+				if err := full.CopyFrom(orig); err != nil {
+					t.Fatal(err)
+				}
+				want := outageDigest(t, full, full.CrashWithOptions(opt))
+				rep, err := crashed.CrashCopy(orig, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := outageDigest(t, crashed, rep); got != want {
+					t.Fatalf("cycle %d: the crash copy left %s, a full copy's outage %s", cycle, got, want)
+				}
+			}
+			never, err := NewSystem(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := multicore.CycleBudget(rc.InstsPerThread)
+			for _, sys := range []*multicore.System{never, orig} {
+				if err := sys.Run(budget); err != nil {
+					t.Fatal(err)
+				}
+			}
+			final := func(sys *multicore.System) string {
+				return jsonDigest(t, []any{sys.Collect(), sys.Device().Image().Snapshot()})
+			}
+			if got, want := final(orig), final(never); got != want {
+				t.Errorf("the original finished after its crash copies with %s, a never-copied run with %s", got, want)
+			}
+		})
 	}
+}
+
+// outageDigest digests what an outage reported and left on sys.
+func outageDigest(t *testing.T, sys *multicore.System, rep *multicore.CrashReport) string {
+	t.Helper()
+	var images [][]byte
+	for _, im := range rep.Images {
+		images = append(images, im.Encode())
+	}
+	dev := sys.Device()
+	var logs [][]any
+	for core := range sys.Cores() {
+		logs = append(logs, []any{dev.LogRecords(core)})
+	}
+	var orc any
+	if m := sys.Oracle(); m != nil {
+		orc = m.Report()
+	}
+	h := sys.Hierarchy()
+	return jsonDigest(t, []any{sys.Cycle(), images, rep.CheckpointBytes, rep.FullBytes, rep.Torn,
+		rep.StructuresCovered, sys.LastCrashFlushBytes(), dev.ReadCheckpoint(), logs, dev.Image().Snapshot(),
+		orc, sys.Collect(), h.NVMWritebacks, h.DRAMWritebacks, h.Invalidations})
 }
 
 // buildPair builds two machines for rc over one workload, w.

@@ -19,6 +19,7 @@ import (
 // "dir.Name" for a package-level name and "dir.Type.Method" for a method.
 var exportKeeps = map[string]string{
 	"internal/checkpoint.Decode":                  "the strict one-image inverse of Image.Encode; the wire-format tests and FuzzCheckpointDecode in package ppa check the format through it",
+	"internal/multicore.System.CrashWithOptions":  "the in-place outage CrashCopy must equal; TestCrashCopyMatchesCopyAndCrash and the copy gates in package ppa crash through it, and a method cannot move into another package's test file",
 	"internal/nvm.Device.LogObservers":            "TestFailureScheduleResumeKeepsOneOracleLogObserver in package ppa reads it, and a method cannot move into another package's test file",
 	"internal/persist.MemDefault":                 "MemoryMode's zero value: config literals select it by leaving the field unset",
 	"internal/pipeline.Core.CheckStructural":      "invariant check; wiring it into the lockstep oracle is its own correctness change",

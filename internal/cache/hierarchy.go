@@ -570,6 +570,15 @@ func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 	}
 	h.evictq.entries = append(h.evictq.entries[:0], src.evictq.entries...)
 	h.evictq.head = src.evictq.head
+	h.CopyStatsFrom(src)
+}
+
+// CopyStatsFrom copies what a power failure leaves of src besides emptied
+// structures: the writeback and invalidation counts, the write-buffer drain
+// pointer and the persist perturbation. CopyStatsFrom followed by PowerFail
+// leaves h as CopyFrom followed by PowerFail would, without copying the
+// caches, dirty words and buffers the outage clears.
+func (h *Hierarchy) CopyStatsFrom(src *Hierarchy) {
 	h.wbNext = src.wbNext
 	h.perturb = src.perturb
 	h.NVMWritebacks, h.DRAMWritebacks, h.Invalidations = src.NVMWritebacks, src.DRAMWritebacks, src.Invalidations

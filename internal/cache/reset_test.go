@@ -120,3 +120,39 @@ func TestHierarchyResetMatchesNew(t *testing.T) {
 		})
 	}
 }
+
+// TestCopyStatsFromMatchesCopyAcrossPowerFail: a hierarchy that takes a
+// driven source's statistics and then loses power must go on exactly like
+// one that copied the whole source and then lost power, each over a copy
+// of the source's device: the same result for every operation, the same
+// counters and the same image.
+func TestCopyStatsFromMatchesCopyAcrossPowerFail(t *testing.T) {
+	p := smallParams()
+	srcDev := nvm.NewDevice(nvm.DefaultConfig())
+	src := New(p, srcDev, nil, nil)
+	drive(t, src, 1)
+	var traces [2]driveTrace
+	for i, copyAll := range []bool{true, false} {
+		dev := nvm.NewDevice(nvm.DefaultConfig())
+		h := New(p, dev, nil, nil)
+		drive(t, h, uint64(2+i)) // leave stale state behind
+		dev.CopyFrom(srcDev)
+		if copyAll {
+			h.CopyFrom(src)
+		} else {
+			h.CopyStatsFrom(src)
+		}
+		h.PowerFail()
+		traces[i] = drive(t, h, 4)
+	}
+	full, stats := traces[0], traces[1]
+	if !reflect.DeepEqual(stats.results, full.results) {
+		t.Fatalf("after CopyStatsFrom the operations diverge from CopyFrom's")
+	}
+	if stats.counters != full.counters {
+		t.Fatalf("CopyStatsFrom counters %v, CopyFrom %v", stats.counters, full.counters)
+	}
+	if !reflect.DeepEqual(stats.image, full.image) {
+		t.Fatalf("CopyStatsFrom image has %d words, CopyFrom %d", len(stats.image), len(full.image))
+	}
+}
