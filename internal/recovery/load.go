@@ -56,7 +56,7 @@ func classify(err error) error {
 // protocol proper: everything downstream (replay, RAT rebuild, resume)
 // operates only on images this function vouched for.
 func LoadImages(dev *nvm.Device) ([]*checkpoint.Image, error) {
-	blob := dev.ReadCheckpoint()
+	blob := dev.Checkpoint()
 	if len(blob) == 0 {
 		return nil, ErrNoCheckpoint
 	}
