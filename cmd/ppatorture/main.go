@@ -9,6 +9,7 @@
 //
 //	ppatorture -app mcf -scheme ppa -points 2000
 //	ppatorture -app gcc -insts 4000 -points 500 -seed 7 -out report.json
+//	ppatorture -config inorder.json -points 30 -oracle   # Section 6's in-order core
 //	ppatorture -repro repro.json             # replay a saved reproducer
 //	ppatorture -points 2000 -fabric :7077    # distribute: serve units to
 //	                                         # ppafabric workers and merge
@@ -52,6 +53,7 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve live observability over HTTP for the duration of the sweep (endpoints /metrics, /snapshot.json, /trace); torture.points/violations tick live, per-worker simulator metrics merge in at sweep end")
 	workers := flag.Int("workers", 0, "parallel sweep workers (0 = one per CPU, 1 = sequential; in -fabric mode, the in-process worker's simulation parallelism)")
 	verbose := flag.Bool("v", false, "print every point's verdict")
+	configPath := flag.String("config", "", "JSON machine-config override file, as ppasim -config (e.g. Section 6's in-order core); not with -fabric")
 	oracleFlag := flag.Bool("oracle", false, "run every point under the differential lockstep oracle: commit-stream divergences and post-recovery image mismatches count as violations")
 	fabricAddr := flag.String("fabric", "", "distribute the sweep: serve it as a fabric coordinator on this address (ppafabric workers can join) while an in-process worker chews units")
 	fabricManifest := flag.String("fabric-manifest", "", "resumable completed-unit ledger for -fabric mode (restart over it to resume)")
@@ -70,6 +72,12 @@ func main() {
 	}
 	if *fabricUnit < 1 {
 		log.Fatal(&fabric.FlagError{Flag: "fabric-unit", Value: fmt.Sprint(*fabricUnit), Reason: "must be >= 1"})
+	}
+	if *configPath != "" && *fabricAddr != "" {
+		// A fabric sweep spec names the app, scheme and sizes, and every
+		// worker builds its machines from that alone.
+		log.Fatal(&fabric.FlagError{Flag: "config", Value: *configPath,
+			Reason: "a -fabric sweep spec carries no machine config, so fabric workers could not build the configured machine; run the sweep without -fabric"})
 	}
 	if *maxCycle <= *minCycle {
 		// TorturePoints would silently clamp an empty range to a single
@@ -111,6 +119,13 @@ func main() {
 		Obs:            hub,
 		Lockstep:       *oracleFlag,
 		Forensics:      recorder,
+	}
+	if *configPath != "" {
+		customize, err := ppa.MachineCustomizerFromFile(*configPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rc.Customize = customize
 	}
 
 	if *replayPath != "" {
