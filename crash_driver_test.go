@@ -2,9 +2,12 @@ package ppa
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
+	"ppa/internal/isa"
 	"ppa/internal/mutation"
+	"ppa/internal/workload"
 )
 
 // TestRunWithFailureResumesCustomizedMachine: the resumed tail of a crashed
@@ -130,5 +133,43 @@ func TestGatedBurstWaitsForWriteBuffer(t *testing.T) {
 				t.Fatalf("recovery lost %d committed words", out.Inconsistencies)
 			}
 		})
+	}
+}
+
+// TestCrashRunGoldenMatchesRunGolden: the crash driver's golden model, which
+// verify advances from one contract point to the next, must equal a fresh
+// isa.RunGolden at every point, whether it steps forward, reruns for a
+// point behind it, clamps a point past the program's end (or a negative
+// one, as RunGolden does) or moves to another program.
+func TestCrashRunGoldenMatchesRunGolden(t *testing.T) {
+	load := func(app string) *workload.Workload {
+		prof, err := workload.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := workload.New(prof, 3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	w, other := load("mcf"), load("gcc")
+	r := &crashRun{}
+	steps := []struct {
+		prog *isa.Program
+		n    int
+	}{
+		{w.Threads[0], 0}, {w.Threads[0], 700}, {w.Threads[0], 700}, {w.Threads[0], 1900},
+		{w.Threads[0], 300}, {w.Threads[0], 5000}, {w.Threads[0], -1}, {w.Threads[0], 10},
+		{other.Threads[0], 10}, {other.Threads[0], 2500},
+	}
+	for _, s := range steps {
+		got, want := r.golden(0, s.prog, s.n), isa.RunGolden(s.prog, s.n)
+		if got.Executed != want.Executed || got.Regs != want.Regs ||
+			!reflect.DeepEqual(got.Mem.Snapshot(), want.Mem.Snapshot()) ||
+			!reflect.DeepEqual(got.StoreLog, want.StoreLog) {
+			t.Fatalf("%s to %d: the advanced golden (%d insts) differs from RunGolden (%d insts)",
+				s.prog.Name, s.n, got.Executed, want.Executed)
+		}
 	}
 }

@@ -21,6 +21,7 @@ var exportKeeps = map[string]string{
 	"internal/checkpoint.Decode":                  "the strict one-image inverse of Image.Encode; the wire-format tests and FuzzCheckpointDecode in package ppa check the format through it",
 	"internal/multicore.System.CrashWithOptions":  "the in-place outage CrashCopy must equal; TestCrashCopyMatchesCopyAndCrash and the copy gates in package ppa crash through it, and a method cannot move into another package's test file",
 	"internal/nvm.Device.LogObservers":            "TestFailureScheduleResumeKeepsOneOracleLogObserver in package ppa reads it, and a method cannot move into another package's test file",
+	"internal/nvm.Device.ReadCheckpoint":          "the checkpoint area as a copy the caller owns; the crash-state pin and the copy gates in package ppa digest the area through it, and a method cannot move into another package's test file",
 	"internal/persist.MemDefault":                 "MemoryMode's zero value: config literals select it by leaving the field unset",
 	"internal/pipeline.Core.CheckStructural":      "invariant check; wiring it into the lockstep oracle is its own correctness change",
 	"internal/pipeline.Core.CheckStoreIntegrity":  "invariant check; wiring it into the lockstep oracle is its own correctness change",

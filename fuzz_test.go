@@ -197,7 +197,7 @@ func FuzzRecoverTorn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		dev := nvm.NewDevice(nvm.DefaultConfig())
 		dev.WriteCheckpoint(b)
-		images, err := recovery.LoadImages(dev)
+		images, err := recovery.LoadImages(dev, nil)
 		if err != nil {
 			if !recovery.IsDetection(err) {
 				t.Fatalf("untyped recovery error: %v", err)
@@ -206,7 +206,7 @@ func FuzzRecoverTorn(f *testing.F) {
 		}
 		// Accepted regions must behave: stable under re-encode and
 		// replayable (or refused with a typed error) per image.
-		again, err := checkpoint.DecodeAll(encodeAll(images))
+		again, err := checkpoint.DecodeAll(nil, encodeAll(images))
 		if err != nil {
 			t.Fatalf("re-decode of accepted region failed: %v", err)
 		}

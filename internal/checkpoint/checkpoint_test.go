@@ -53,12 +53,11 @@ func TestCaptureContents(t *testing.T) {
 		t.Fatalf("mask sizes %d/%d", len(im.MaskInt), len(im.MaskFP))
 	}
 	// Every non-value-bearing CSQ entry's register is checkpointed.
-	regs := im.RegLookup()
 	for _, e := range im.CSQ {
 		if e.ValueBearing {
 			continue
 		}
-		if _, ok := regs[e.Phys]; !ok {
+		if _, ok := im.RegValue(e.Phys); !ok {
 			t.Fatalf("CSQ register %v not checkpointed", e.Phys)
 		}
 	}
@@ -126,7 +125,7 @@ func TestSizesMatchEncoding(t *testing.T) {
 	for _, im := range images {
 		concat = append(concat, im.Encode()...)
 	}
-	if all := EncodeAll(images); !bytes.Equal(all, concat) || cap(all) != len(all) {
+	if all := EncodeAll(nil, images); !bytes.Equal(all, concat) || cap(all) != len(all) {
 		t.Fatalf("EncodeAll gave %d bytes (capacity %d), the encodings %d", len(all), cap(all), len(concat))
 	}
 	for i, im := range images {
@@ -213,8 +212,10 @@ func TestRegLookup(t *testing.T) {
 	im := &Image{Regs: []RegValue{
 		{Phys: rename.PhysRef{Class: isa.ClassInt, Idx: 5}, Val: 42},
 	}}
-	m := im.RegLookup()
-	if m[rename.PhysRef{Class: isa.ClassInt, Idx: 5}] != 42 {
+	if v, ok := im.RegValue(rename.PhysRef{Class: isa.ClassInt, Idx: 5}); !ok || v != 42 {
 		t.Fatal("lookup lost a register")
+	}
+	if _, ok := im.RegValue(rename.PhysRef{Class: isa.ClassFP, Idx: 5}); ok {
+		t.Fatal("lookup found a register the image does not hold")
 	}
 }

@@ -10,7 +10,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ppa/internal/obs"
 )
@@ -144,11 +143,10 @@ func (f Fault) Mutate(region []byte) []byte {
 		}
 		// A torn 8-byte write persists a prefix of the new (garbage) value
 		// over the old bytes; the suffix keeps its old contents.
-		rng := rand.New(rand.NewSource(f.Seed ^ int64(w)<<32))
-		k := 1 + rng.Intn(7)
+		k, garbage := tornGarbage(f.Seed ^ int64(w)<<32)
 		changed := false
 		for i := start; i < end && i < start+k; i++ {
-			b := byte(rng.Intn(256))
+			b := garbage[i-start]
 			changed = changed || b != out[i]
 			out[i] = b
 		}

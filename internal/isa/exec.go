@@ -1,5 +1,7 @@
 package isa
 
+import "slices"
+
 // Memory is the functional memory interface used by the golden executor and
 // by the cache hierarchy's functional layer. All accesses are 8-byte words
 // at 8-byte-aligned addresses.
@@ -18,6 +20,8 @@ type MapMemory struct {
 	words    int // distinct words ever written
 	lastBase uint64
 	last     *LineWords
+	// slab holds the lines of the last CopyFrom, which the next one reuses.
+	slab []LineWords
 }
 
 // NewMapMemory returns an empty sparse memory.
@@ -94,19 +98,19 @@ func (m *MapMemory) Clone() *MapMemory {
 	return c
 }
 
-// CopyFrom makes m a deep copy of src, keeping m's map storage. The lines
-// m held before are dropped, not reused, so a line read from m before the
-// copy keeps its words.
+// CopyFrom makes m a deep copy of src, keeping m's map storage and the
+// line storage of its last CopyFrom, which it grows when src has more
+// lines.
 func (m *MapMemory) CopyFrom(src *MapMemory) {
 	if m.lines == nil {
 		m.lines = make(map[uint64]*LineWords, len(src.lines))
 	}
 	clear(m.lines)
-	slab := make([]LineWords, len(src.lines))
+	m.slab = slices.Grow(m.slab[:0], len(src.lines))[:len(src.lines)]
 	i := 0
 	for base, lw := range src.lines {
-		slab[i] = *lw
-		m.lines[base] = &slab[i]
+		m.slab[i] = *lw
+		m.lines[base] = &m.slab[i]
 		i++
 	}
 	m.words, m.last, m.lastBase = src.words, nil, 0

@@ -144,6 +144,11 @@ type System struct {
 	// resumed marks a machine built around a surviving device (a resumed
 	// machine or a sampled window): Reset has no fresh state to return to.
 	resumed bool
+
+	// images and dump are the last power failure's captures and encoded
+	// dump, storage the next one reuses.
+	images []*checkpoint.Image
+	dump   []byte
 }
 
 // NewSystemResumed builds a machine around a surviving NVM device (post
@@ -260,29 +265,35 @@ func (s *System) Reset(w *workload.Workload, stepSeed uint64) error {
 // the sampled runner), before changing anything. After any other error the
 // machine is unusable until a CopyFrom or Reset succeeds.
 func (s *System) CopyFrom(src *System) error {
-	return s.copyFrom(src, true)
+	return s.copyFrom(src, false)
 }
 
 // CrashCopy makes the machine what src would be right after losing power
 // at its cycle with opt, and reports what the outage persisted: the same
-// machine and report as CopyFrom followed by CrashWithOptions, for less.
-// Only what survives the outage is copied — the device, the persist
-// backends, the cores (whose checkpoint is dumped), the oracle and the
-// clock; the volatile hierarchy is left for the outage to clear. A
-// flush-on-failure scheme (eADR) drains the hierarchy's dirty words to NVM
-// first, so under it the hierarchy is copied too. src is not changed.
-// CrashCopy refuses what CopyFrom refuses, before changing anything.
+// device, dump, oracle report and collected Result as CopyFrom followed by
+// CrashWithOptions, for less. Each layer copies only what survives the
+// outage or what the dump and Collect read: the device's image,
+// checkpoint and log areas and counters (not its channels' queues), the
+// persist backends, the cores' CSQs, register files, counts and statistics
+// (not their in-flight instructions or frontends), the oracle's golden
+// models and counters (not its accept-stream tracking) and the clock; the
+// volatile hierarchy is left for the outage to clear. A flush-on-failure
+// scheme (eADR) drains the hierarchy's dirty words to NVM first, so under
+// it the hierarchy is copied too. src is not changed. The crashed machine
+// must not be stepped: a run resumes on a machine built around its device,
+// as the crash driver does. CrashCopy refuses what CopyFrom refuses, before
+// changing anything.
 func (s *System) CrashCopy(src *System, opt CrashOptions) (*CrashReport, error) {
-	if err := s.copyFrom(src, s.scheme.FlushOnFailure()); err != nil {
+	if err := s.copyFrom(src, true); err != nil {
 		return nil, err
 	}
 	return s.crash(opt, src.hier.DirtyWordCount()), nil
 }
 
-// copyFrom is CopyFrom, copying the cache hierarchy only with hier; without
-// it the hierarchy keeps its own structures and takes src's statistics, for
-// a power failure to clear.
-func (s *System) copyFrom(src *System, hier bool) error {
+// copyFrom is CopyFrom, or with crash the part of it CrashCopy needs: each
+// layer's CrashCopyFrom, and the cache hierarchy's statistics only, for a
+// power failure to clear, unless the scheme flushes it on failure.
+func (s *System) copyFrom(src *System, crash bool) error {
 	a, b := s.cfg, src.cfg
 	switch {
 	case len(s.cores) != len(src.cores):
@@ -301,8 +312,12 @@ func (s *System) copyFrom(src *System, hier bool) error {
 	case a.sampled() || b.sampled():
 		return fmt.Errorf("multicore: a sampled window cannot be copied")
 	}
-	s.dev.CopyFrom(src.dev)
-	if hier {
+	if crash {
+		s.dev.CrashCopyFrom(src.dev)
+	} else {
+		s.dev.CopyFrom(src.dev)
+	}
+	if !crash || s.scheme.FlushOnFailure() {
 		s.hier.CopyFrom(src.hier)
 	} else {
 		s.hier.CopyStatsFrom(src.hier)
@@ -314,16 +329,28 @@ func (s *System) copyFrom(src *System, hier bool) error {
 		var err error
 		switch c := c.(type) {
 		case *pipeline.Core:
-			err = c.CopyFrom(src.cores[i].(*pipeline.Core))
+			if crash {
+				err = c.CrashCopyFrom(src.cores[i].(*pipeline.Core))
+			} else {
+				err = c.CopyFrom(src.cores[i].(*pipeline.Core))
+			}
 		case *inorder.Core:
-			err = c.CopyFrom(src.cores[i].(*inorder.Core))
+			if crash {
+				err = c.CrashCopyFrom(src.cores[i].(*inorder.Core))
+			} else {
+				err = c.CopyFrom(src.cores[i].(*inorder.Core))
+			}
 		}
 		if err != nil {
 			return err
 		}
 	}
 	if s.oracle != nil {
-		s.oracle.CopyFrom(src.oracle)
+		if crash {
+			s.oracle.CrashCopyFrom(src.oracle)
+		} else {
+			s.oracle.CopyFrom(src.oracle)
+		}
 	}
 	order := s.stepOrder
 	if src.stepOrder == nil {
@@ -385,6 +412,8 @@ func (s *System) reset(cfg Config, w *workload.Workload, startAt []int) {
 		backends:  s.backends,
 		stepOrder: order,
 		resumed:   s.resumed,
+		images:    s.images,
+		dump:      s.dump,
 	}
 	if cfg.Lockstep {
 		switch {
@@ -632,6 +661,8 @@ type CrashOptions struct {
 // CrashReport describes what one power failure managed to persist.
 type CrashReport struct {
 	// Images are the in-memory captures, one per core, pre-truncation.
+	// They are the machine's own storage, which its next power failure
+	// rewrites: copy what must outlive it.
 	Images []*checkpoint.Image
 	// CheckpointBytes is how many encoded bytes reached the NVM area.
 	CheckpointBytes int
@@ -685,13 +716,14 @@ func (s *System) crash(opt CrashOptions, dirty int) *CrashReport {
 			Args:  [obs.MaxEventArgs]obs.Arg{{Key: "bytes", Val: int64(s.lastFlush)}},
 		})
 	}
-	images := make([]*checkpoint.Image, len(s.cores))
-	sizes := make([]int, len(s.cores))
+	for len(s.images) < len(s.cores) {
+		s.images = append(s.images, new(checkpoint.Image))
+	}
+	images := s.images[:len(s.cores)]
 	for i, c := range s.cores {
-		im := checkpoint.Capture(c)
+		im := images[i]
+		im.CaptureFrom(c)
 		im.CoreID = i
-		images[i] = im
-		sizes[i] = im.EncodedLen()
 		tr.Emit(obs.Event{
 			Cycle: s.cycle,
 			Type:  obs.EvInstant,
@@ -699,20 +731,21 @@ func (s *System) crash(opt CrashOptions, dirty int) *CrashReport {
 			Name:  "checkpoint-capture",
 			Cat:   "checkpoint",
 			Args: [obs.MaxEventArgs]obs.Arg{
-				{Key: "bytes", Val: int64(sizes[i])},
+				{Key: "bytes", Val: int64(im.EncodedLen())},
 				{Key: "csq", Val: int64(len(im.CSQ))},
 			},
 		})
 	}
-	blob := checkpoint.EncodeAll(images)
+	s.dump = checkpoint.EncodeAll(s.dump, images)
+	blob := s.dump
 	rep := &CrashReport{Images: images, FullBytes: len(blob), StructuresCovered: -1}
 	// Checkpoint-size distribution across crashes: the torture sweep crashes
 	// thousands of times per run, and the per-core byte histogram is the
 	// evidence behind the paper's ~2 KB dump-size claim.
 	if reg := s.cfg.Obs.Registry(); reg != nil {
 		ckptBytes := reg.Histogram("checkpoint.bytes")
-		for _, sz := range sizes {
-			ckptBytes.Observe(float64(sz))
+		for _, im := range images {
+			ckptBytes.Observe(float64(im.EncodedLen()))
 		}
 	}
 	if short := min(opt.ShortfallPermille, 1000); short > 0 {
@@ -726,9 +759,10 @@ func (s *System) crash(opt CrashOptions, dirty int) *CrashReport {
 		if budget < len(blob) {
 			rep.Torn = true
 			cut := budget
-			for i, sz := range sizes {
+			for _, im := range images {
+				sz := im.EncodedLen()
 				if cut < sz {
-					rep.StructuresCovered = images[i].StructuresCovered(cut)
+					rep.StructuresCovered = im.StructuresCovered(cut)
 					break
 				}
 				cut -= sz

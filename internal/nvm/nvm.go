@@ -206,8 +206,10 @@ type Device struct {
 
 	// checkpoint is the designated JIT-checkpoint storage area; it is
 	// durable but separate from the memory image. Empty means no
-	// checkpoint; its storage is kept for the next dump.
+	// checkpoint; its storage is kept for the next dump. spare is the
+	// copy MutateCheckpoint hands its fault, kept likewise.
 	checkpoint []byte
+	spare      []byte
 
 	// plog is the designated per-core persist-log storage area (undo/redo
 	// transaction logs): durable like the checkpoint area, separate from
@@ -297,6 +299,7 @@ func (d *Device) Reset() {
 		image:      isa.NewMapMemory(),
 		chans:      d.chans,
 		checkpoint: d.checkpoint[:0],
+		spare:      d.spare[:0],
 		tr:         d.tr,
 		wpqRejects: d.wpqRejects,
 		wpqAtWrite: d.wpqAtWrite,
@@ -304,20 +307,32 @@ func (d *Device) Reset() {
 }
 
 // CopyFrom makes d a copy of src, a device of the same configuration:
-// its image (replaced, as Reset replaces it), checkpoint and log areas,
-// queues, write-combining buffers, wear state, statistics and clock. It
-// keeps d's own WPQ rings, buffer storage, obs handles and accept and log
+// CrashCopyFrom's durable state plus the channels' queues and
+// write-combining buffers. It keeps d's own WPQ rings and buffer storage.
+func (d *Device) CopyFrom(src *Device) {
+	d.CrashCopyFrom(src)
+	for i := range d.chans {
+		d.chans[i].copyFrom(&src.chans[i])
+	}
+}
+
+// CrashCopyFrom makes d what src leaves behind across a power failure,
+// for a device of the same configuration: its image (copied into d's own
+// map), checkpoint and log areas, wear state, statistics and clock. The
+// channels' queues and write-combining buffers, which PowerFail empties,
+// are left empty instead of copied; their contents are already in the
+// image. It keeps d's own storage, obs handles and accept and log
 // observers, and shares no mutable storage with src: every field is src's
 // except those it restores.
-func (d *Device) CopyFrom(src *Device) {
+func (d *Device) CrashCopyFrom(src *Device) {
 	own := *d
-	for i := range own.chans {
-		own.chans[i].copyFrom(&src.chans[i])
-	}
 	*d = *src
-	d.image = src.image.Clone()
+	d.image = own.image
+	d.image.CopyFrom(src.image)
 	d.chans = own.chans
+	d.PowerFail()
 	d.checkpoint = append(own.checkpoint[:0], src.checkpoint...)
+	d.spare = own.spare
 	d.plog = own.plog[:0]
 	for i, recs := range src.plog {
 		var log []LogRecord
@@ -640,9 +655,14 @@ func (d *Device) ClearCheckpoint() { d.checkpoint = d.checkpoint[:0] }
 // words, bit flips, dropped WPQ tails). fn receives a copy of the region,
 // which it may change in place, and returns the corrupted replacement; a
 // nil return or an unchanged slice models a fault that missed. It reports
-// whether the region's bytes actually changed.
+// whether the region's bytes actually changed. The copy and the area keep
+// their storage from one mutation to the next.
 func (d *Device) MutateCheckpoint(fn func([]byte) []byte) bool {
-	out := fn(d.ReadCheckpoint())
+	if len(d.checkpoint) == 0 {
+		return false
+	}
+	d.spare = append(d.spare[:0], d.checkpoint...)
+	out := fn(d.spare)
 	if out == nil {
 		return false
 	}

@@ -96,6 +96,19 @@ func firstMismatch(words map[uint64]uint64, read func(uint64) uint64) (addr, map
 	return 0, 0, 0, false
 }
 
+// lowestMismatch is firstMismatch over a golden memory's written words,
+// without sorting them: it walks them all and keeps the lowest address
+// whose read value disagrees.
+func lowestMismatch(golden *isa.MapMemory, read func(uint64) uint64) (addr, want, got uint64, bad bool) {
+	golden.Range(func(a, w uint64) bool {
+		if g := read(a); g != w && (!bad || a < addr) {
+			addr, want, got, bad = a, w, g, true
+		}
+		return true
+	})
+	return addr, want, got, bad
+}
+
 // ResetPersistTracking clears the accept-stream state at an
 // execution-regime transition (detailed window -> fast-forward): after a
 // window is drained and its dirty lines flushed, every committed store is
@@ -107,19 +120,16 @@ func (m *Machine) ResetPersistTracking() {
 	clear(m.armed)
 }
 
-// copyPersist makes m's accept-stream state a copy of src's, sharing no
-// mutable storage with it.
+// copyPersist makes m's accept-stream tracking, empty after
+// CrashCopyFrom, a copy of src's, sharing no mutable storage with it.
 func (m *Machine) copyPersist(src *Machine) {
-	clear(m.outstanding)
 	for addr, q := range src.outstanding {
 		m.outstanding[addr] = slices.Clone(q)
 	}
-	clear(m.lastDurable)
 	maps.Copy(m.lastDurable, src.lastDurable)
 	for i, snap := range src.armed {
 		m.armed[i] = maps.Clone(snap)
 	}
-	m.accepts, m.barriers, m.unmatched = src.accepts, src.barriers, src.unmatched
 }
 
 // commitStore records a committed store as outstanding until the accept
@@ -259,7 +269,7 @@ func (m *Machine) CheckRecovered(img WordReader, committed []int, cycle uint64) 
 				Detail: fmt.Sprintf("machine reports %d committed instructions, oracle checked %d", committed[core], cm.next),
 			})
 		}
-		if addr, want, got, bad := firstMismatch(cm.mem.Snapshot(), img.ReadWord); bad {
+		if addr, want, got, bad := lowestMismatch(cm.mem, img.ReadWord); bad {
 			return m.latch(&PersistViolation{
 				Kind: "recovered-image-mismatch", Core: core, Cycle: cycle, Addr: addr, Got: got, Want: want,
 				Detail: fmt.Sprintf("recovered NVM holds %#x, oracle's committed prefix (%d insts) wrote %#x", got, cm.next, want),

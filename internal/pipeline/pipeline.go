@@ -447,30 +447,48 @@ func (c *Core) Reset(cfg Config, prog *isa.Program) error {
 }
 
 // CopyFrom makes c a copy of src, a core of the same index, ROB and
-// register-file sizes: its configuration, program, in-flight instructions,
-// queues, register files, region state, frontend and statistics. It keeps
-// c's hierarchy, backend, storage, obs handles and commit sink, and shares
-// no mutable storage with src: every field is src's except those it
-// restores. The caller copies the hierarchy and the backend.
+// register-file sizes: CrashCopyFrom's state plus the in-flight
+// instructions, the SQ release queues and the frontend. It keeps c's
+// storage and shares no mutable storage with src.
 func (c *Core) CopyFrom(src *Core) error {
+	if err := c.CrashCopyFrom(src); err != nil {
+		return err
+	}
+	for i := 0; i < src.robLen; i++ {
+		j := (src.robHead + i) % len(src.rob)
+		c.rob[j] = src.rob[j]
+	}
+	c.sqReleases = append(c.sqReleases, src.sqReleases...)
+	c.sqAckToks = append(c.sqAckToks, src.sqAckToks...)
+	c.front.CopyFrom(src.front)
+	return nil
+}
+
+// CrashCopyFrom makes c, a core of the same index, ROB and register-file
+// sizes, a copy of src as far as a power failure reads it: what
+// checkpoint.Capture dumps (the CSQ, the LCPC, the commit count and the
+// register files) and what Collect reads (the statistics), with src's
+// configuration, program and scalar state. The in-flight instructions,
+// the SQ release queues and the frontend's golden state, which the outage
+// loses, are not copied: c's ROB and frontend keep their own stale
+// contents and its release queues are empty, so c must not be stepped
+// until a CopyFrom or Reset. It keeps c's hierarchy, backend, storage, obs
+// handles and commit sink, and shares no mutable storage with src: every
+// field is src's except those it restores.
+func (c *Core) CrashCopyFrom(src *Core) error {
 	if src.cfg.CoreID != c.cfg.CoreID || src.cfg.ROBSize != c.cfg.ROBSize ||
 		src.cfg.Rename != c.cfg.Rename || src.cfg.SampleFreeRegs != c.cfg.SampleFreeRegs {
 		return fmt.Errorf("pipeline: core %d cannot copy a core of another index, ROB or register-file size, or free-register sampling", c.cfg.CoreID)
 	}
 	own := *c
 	own.ren.CopyFrom(src.ren)
-	for i := 0; i < src.robLen; i++ {
-		j := (src.robHead + i) % len(src.rob)
-		own.rob[j] = src.rob[j]
-	}
-	own.front.CopyFrom(src.front)
 	own.st.CopyFrom(&src.st)
 	*c = *src
 	c.cfg.Obs = own.cfg.Obs
 	c.hier, c.ren, c.backend, c.backendFull = own.hier, own.ren, own.backend, own.backendFull
 	c.rob, c.front, c.st = own.rob, own.front, own.st
-	c.sqReleases = append(own.sqReleases[:0], src.sqReleases...)
-	c.sqAckToks = append(own.sqAckToks[:0], src.sqAckToks...)
+	c.sqReleases = own.sqReleases[:0]
+	c.sqAckToks = own.sqAckToks[:0]
 	c.keepScratch = own.keepScratch[:0]
 	c.csq = append(own.csq[:0], src.csq...)
 	c.tr, c.pressure, c.sink = own.tr, own.pressure, own.sink

@@ -54,13 +54,14 @@ func classify(err error) error {
 // returning ErrNoCheckpoint / ErrTornCheckpoint / ErrChecksum when the
 // region is absent or damaged. This is the entry point of the recovery
 // protocol proper: everything downstream (replay, RAT rebuild, resume)
-// operates only on images this function vouched for.
-func LoadImages(dev *nvm.Device) ([]*checkpoint.Image, error) {
+// operates only on images this function vouched for. It decodes into the
+// images of into as checkpoint.DecodeAll does (nil allocates them).
+func LoadImages(dev *nvm.Device, into []*checkpoint.Image) ([]*checkpoint.Image, error) {
 	blob := dev.Checkpoint()
 	if len(blob) == 0 {
 		return nil, ErrNoCheckpoint
 	}
-	images, err := checkpoint.DecodeAll(blob)
+	images, err := checkpoint.DecodeAll(into, blob)
 	if err != nil {
 		return nil, classify(err)
 	}
@@ -77,7 +78,6 @@ func ReplayN(dev *nvm.Device, im *checkpoint.Image, n int) (*Outcome, error) {
 	if n < 0 || n > len(im.CSQ) {
 		n = len(im.CSQ)
 	}
-	regs := im.RegLookup()
 	out := &Outcome{CoreID: im.CoreID}
 	if mutation.Is(mutation.RecoveryReplayOffByOne) && n > 0 {
 		// Seeded bug RecoveryReplayOffByOne: replay stops one entry short,
@@ -89,7 +89,7 @@ func ReplayN(dev *nvm.Device, im *checkpoint.Image, n int) (*Outcome, error) {
 		if e.ValueBearing {
 			val = e.Val
 		} else {
-			v, ok := regs[e.Phys]
+			v, ok := im.RegValue(e.Phys)
 			if !ok {
 				return nil, fmt.Errorf("%w: core %d csq seq %d references unchecked register %v",
 					ErrTornCheckpoint, im.CoreID, e.Seq, e.Phys)

@@ -33,24 +33,25 @@ func Replay(dev *nvm.Device, im *checkpoint.Image) (*Outcome, error) {
 	return ReplayN(dev, im, -1)
 }
 
-// RestoreRenamer loads the checkpointed CRT, MaskReg, and register values
-// into a fresh renaming engine, with the RAT populated from the CRT
-// (recovery steps 1 and 3 of Section 4).
-func RestoreRenamer(cfg rename.Config, im *checkpoint.Image) (*rename.Renamer, error) {
-	ren := rename.New(cfg)
+// RestoreRenamer resets ren, a renaming engine of the checkpointed
+// register-file sizes, and loads the checkpointed CRT, MaskReg, and
+// register values into it, with the RAT populated from the CRT (recovery
+// steps 1 and 3 of Section 4).
+func RestoreRenamer(ren *rename.Renamer, im *checkpoint.Image) error {
+	ren.Reset()
 	if err := ren.RestoreCRT(im.CRT); err != nil {
-		return nil, err
+		return err
 	}
 	if err := ren.RestoreMask(isa.ClassInt, im.MaskInt); err != nil {
-		return nil, err
+		return err
 	}
 	if err := ren.RestoreMask(isa.ClassFP, im.MaskFP); err != nil {
-		return nil, err
+		return err
 	}
 	for _, r := range im.Regs {
 		ren.RestoreValue(r.Phys, r.Val)
 	}
-	return ren, nil
+	return nil
 }
 
 // ResumeIndex derives the dynamic instruction index following the LCPC for

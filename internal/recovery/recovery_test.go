@@ -106,8 +106,8 @@ func TestReplayThroughEncodedCheckpoint(t *testing.T) {
 
 func TestRestoreRenamerMatchesGolden(t *testing.T) {
 	prog, _, im := crashAt(t, "sjeng", 20000, 30000)
-	ren, err := RestoreRenamer(rename.DefaultConfig(), im)
-	if err != nil {
+	ren := rename.New(rename.DefaultConfig())
+	if err := RestoreRenamer(ren, im); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyArchState(ren, isa.RunGolden(prog, im.Committed)); err != nil {
@@ -242,8 +242,8 @@ func TestRecoveredArchStateProperty(t *testing.T) {
 			core.Step(cyc)
 		}
 		im := checkpoint.Capture(core)
-		ren, err := RestoreRenamer(rename.DefaultConfig(), im)
-		if err != nil {
+		ren := rename.New(rename.DefaultConfig())
+		if err := RestoreRenamer(ren, im); err != nil {
 			return false
 		}
 		return VerifyArchState(ren, isa.RunGolden(prog, im.Committed)) == nil

@@ -320,23 +320,24 @@ type TableSnapshot struct {
 	CRT   []uint16
 }
 
-// CRTSnapshot returns copies of both commit rename tables.
-func (r *Renamer) CRTSnapshot() []TableSnapshot {
-	out := make([]TableSnapshot, 0, 2)
+// CRTSnapshot returns copies of both commit rename tables, in dst's
+// storage (its tables' included) where it has room.
+func (r *Renamer) CRTSnapshot(dst []TableSnapshot) []TableSnapshot {
+	dst = dst[:0]
 	for _, f := range [...]*file{r.intF, r.fpF} {
-		crt := make([]uint16, len(f.crt))
-		copy(crt, f.crt)
-		out = append(out, TableSnapshot{Class: f.class, CRT: crt})
+		var crt []uint16 // the storage of the table this one replaces
+		if len(dst) < cap(dst) {
+			crt = dst[:len(dst)+1][len(dst)].CRT
+		}
+		dst = append(dst, TableSnapshot{Class: f.class, CRT: append(crt[:0], f.crt...)})
 	}
-	return out
+	return dst
 }
 
-// MaskSnapshot returns a copy of MaskReg for one class.
-func (r *Renamer) MaskSnapshot(class isa.RegClass) []bool {
-	f := r.fileOf(class)
-	out := make([]bool, len(f.masked))
-	copy(out, f.masked)
-	return out
+// MaskSnapshot returns a copy of MaskReg for one class, in dst's storage
+// where it has room.
+func (r *Renamer) MaskSnapshot(dst []bool, class isa.RegClass) []bool {
+	return append(dst[:0], r.fileOf(class).masked...)
 }
 
 // RestoreCRT loads a checkpointed CRT and copies it into the RAT (recovery

@@ -188,7 +188,7 @@ func TestCRTSnapshotRestore(t *testing.T) {
 	r := newSmall()
 	p, _ := r.TryRename(isa.Int(5))
 	r.Commit(isa.Int(5), p)
-	snaps := r.CRTSnapshot()
+	snaps := r.CRTSnapshot(nil)
 	if len(snaps) != 2 {
 		t.Fatalf("%d snapshots", len(snaps))
 	}
@@ -213,7 +213,7 @@ func TestMaskSnapshotRestore(t *testing.T) {
 	r := newSmall()
 	p, _ := r.TryRename(isa.Int(1))
 	r.MaskStoreReg(p)
-	mask := r.MaskSnapshot(isa.ClassInt)
+	mask := r.MaskSnapshot(nil, isa.ClassInt)
 	if !mask[p.Idx] {
 		t.Fatal("snapshot missing mask bit")
 	}
