@@ -157,17 +157,21 @@ func TestHierarchyAssemblyBytes(t *testing.T) {
 // torture sweep may allocate, sequential or on two workers. A worker keeps
 // a live machine and a down machine for all its points, over the sweep's
 // one shared workload, and cuts its points in cycle order, so a point pays
-// for its stretch of the run, the crash copy of what survives the outage,
-// its dump and its recovery: 24 511 B under ppa and 17 741 B under
-// undolog sequentially, 28 152 B and 21 769 B on two workers. The ceiling
-// is 36 KiB, 8 712 B (31%) above the largest of the four. Copying
-// the whole machine, cache hierarchy included, and encoding, copying and
-// decoding the dump through per-section buffers and three region copies
-// cost 46 403 B and 30 252 B; resetting one machine and re-running the
-// prefix for every point about 57 KiB and 48 KiB; building a machine per
-// point about 280 KiB; giving each of two workers a hub that nothing
-// reads about 30 KiB more.
-const torturePointBytesCeiling = 36 << 10
+// for its stretch of the run and little else: the crash copy, capture,
+// dump, decode, restored renamer and golden models reuse the storage of
+// the point before, and a byte-level fault allocates its one damaged copy
+// of the dump. That is 7 646 B under ppa and 6 302 B under undolog
+// sequentially, 11 514 B and 10 123 B on two workers. The ceiling is
+// 14 KiB, 2 822 B (25%) above the largest of the four. Allocating the
+// captures, dump, decoded images, renamer and a golden run from
+// instruction zero per point, and copying the channels, the oracle's
+// accept tracking and the cores' frontends, cost 24 511 B and 17 741 B
+// (28 152 B and 21 769 B on two workers); copying the whole machine,
+// cache hierarchy included, 46 403 B and 30 252 B; resetting one machine
+// and re-running the prefix for every point about 57 KiB and 48 KiB;
+// building a machine per point about 280 KiB; giving each of two workers a
+// hub that nothing reads about 30 KiB more.
+const torturePointBytesCeiling = 14 << 10
 
 // parallelTortureSlackBytes bounds what a two-worker sweep may allocate per
 // point beyond the sequential sweep: the second worker's two machines
