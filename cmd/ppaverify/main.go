@@ -9,6 +9,7 @@
 //	ppaverify -app all -n 5 -lockstep      # oracle-checked sweep over all apps
 //	ppaverify -app mcf -scheme baseline    # watch the baseline lose data
 //	ppaverify -mutations -out gate.json    # seeded-bug catch-rate gate
+//	ppaverify -config inorder.json -lockstep   # Section 6's in-order core
 package main
 
 import (
@@ -32,7 +33,20 @@ func main() {
 	lockstep := flag.Bool("lockstep", false, "run each trial under the differential lockstep oracle (golden-model commit checks + persist ordering + post-recovery image checks)")
 	mutations := flag.Bool("mutations", false, "run the mutation-testing gate: enable each seeded bug in turn and require the oracle or the consistency checks to catch it")
 	outPath := flag.String("out", "", "write the campaign report(s) as JSON (the CI artifact)")
+	configPath := flag.String("config", "", "JSON machine-config override file, as ppasim -config (e.g. Section 6's in-order core); not with -mutations")
 	flag.Parse()
+
+	var customize func(*ppa.MachineConfig)
+	if *configPath != "" {
+		if *mutations {
+			// The gate's verdicts are calibrated on its own machines.
+			log.Fatalf("invalid -config %s: the -mutations gate runs every seeded bug on its own default machines and takes no machine config; run -config without -mutations", *configPath)
+		}
+		var err error
+		if customize, err = ppa.MachineCustomizerFromFile(*configPath); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	if *mutations {
 		// The campaign has its own tuned defaults; only flags the caller
@@ -71,6 +85,7 @@ func main() {
 			Trials:         *n,
 			Seed:           *seed,
 			Lockstep:       *lockstep,
+			Customize:      customize,
 		})
 		if err != nil {
 			log.Fatal(err)

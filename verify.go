@@ -66,6 +66,9 @@ type VerifyOptions struct {
 	// accept stream, and the recovered image against the oracle's memory.
 	// Oracle disagreements count as failed trials.
 	Lockstep bool
+	// Customize, when non-nil, edits every trial's machine configuration,
+	// as RunConfig.Customize does (MachineCustomizerFromFile loads one).
+	Customize func(*MachineConfig)
 }
 
 // VerifyApp runs a crash-consistency campaign: n failures at seeded-random
@@ -93,7 +96,7 @@ func VerifyAppOpts(o VerifyOptions) (*VerifyReport, error) {
 	if scheme == "" {
 		scheme = SchemePPA
 	}
-	rc := RunConfig{App: o.App, Scheme: scheme, InstsPerThread: insts, Lockstep: o.Lockstep}
+	rc := RunConfig{App: o.App, Scheme: scheme, InstsPerThread: insts, Lockstep: o.Lockstep, Customize: o.Customize}
 	// Bound the failure window by a representative run length.
 	probe, err := Run(rc)
 	if err != nil {
