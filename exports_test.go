@@ -49,6 +49,13 @@ var implicitMethods = map[string]bool{
 // declaration, so a type that only its own methods name is unused.
 // internal/fabric is skipped; CI jobs drive it through cmd/ppafabric.
 //
+// The method match is by name only: any .Name selector counts for every
+// method of that name, whatever its receiver. A method that shares its name
+// with a called method of another type passes with no caller of its own;
+// System.CopyFrom did, while .CopyFrom was called on other types. Resolving
+// selectors with go/types would close that gap, but needs the build-tagged
+// files, the perfbench module and interface dispatch handled first.
+//
 // The machine config gets the same treatment field by field: every
 // JSON-visible leaf field reachable from multicore.Config must be named by
 // a .Field selector in non-test Go. A field that only a composite literal

@@ -551,8 +551,8 @@ func (h *Hierarchy) Reset() {
 // parameters: every tag array, the DRAM cache, the dirty-word layer, the
 // write buffers, the eviction queue, the statistics and the persist
 // perturbation. It keeps h's device, storage and obs handles and shares no
-// mutable storage with src. The device is not touched; nvm.Device.CopyFrom
-// copies it.
+// mutable storage with src. The device is not touched;
+// nvm.Device.CrashCopyFrom copies it.
 func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 	for i, c := range h.l1 {
 		c.copyFrom(src.l1[i])

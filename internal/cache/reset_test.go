@@ -123,9 +123,9 @@ func TestHierarchyResetMatchesNew(t *testing.T) {
 
 // TestCopyStatsFromMatchesCopyAcrossPowerFail: a hierarchy that takes a
 // driven source's statistics and then loses power must go on exactly like
-// one that copied the whole source and then lost power, each over a copy
-// of the source's device: the same result for every operation, the same
-// counters and the same image.
+// one that copied the whole source and then lost power, each over a crash
+// copy of the source's device (nvm.Device.CrashCopyFrom): the same result
+// for every operation, the same counters and the same image.
 func TestCopyStatsFromMatchesCopyAcrossPowerFail(t *testing.T) {
 	p := smallParams()
 	srcDev := nvm.NewDevice(nvm.DefaultConfig())
@@ -136,7 +136,7 @@ func TestCopyStatsFromMatchesCopyAcrossPowerFail(t *testing.T) {
 		dev := nvm.NewDevice(nvm.DefaultConfig())
 		h := New(p, dev, nil, nil)
 		drive(t, h, uint64(2+i)) // leave stale state behind
-		dev.CopyFrom(srcDev)
+		dev.CrashCopyFrom(srcDev)
 		if copyAll {
 			h.CopyFrom(src)
 		} else {

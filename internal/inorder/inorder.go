@@ -103,26 +103,14 @@ func (c *Core) Reset(cfg pipeline.Config, prog *isa.Program) error {
 	return nil
 }
 
-// CopyFrom makes c a copy of src, a core of the same index:
-// CrashCopyFrom's state plus the frontend. It keeps c's storage and shares
-// no mutable storage with src. The caller copies the hierarchy.
-func (c *Core) CopyFrom(src *Core) error {
-	if err := c.CrashCopyFrom(src); err != nil {
-		return err
-	}
-	c.front.CopyFrom(src.front)
-	return nil
-}
-
 // CrashCopyFrom makes c, a core of the same index, a copy of src as far as
 // a power failure reads it: what checkpoint.Capture dumps (the CSQ, the
 // LCPC and the commit count) and what Collect reads (the statistics), with
 // src's configuration, program, scoreboard and region state. The
 // frontend's golden state, which the outage loses, is not copied: c's
-// keeps its own stale contents, so c must not be stepped until a CopyFrom
-// or Reset. It keeps c's hierarchy, CSQ storage and commit sink, and
-// shares no mutable storage with src: every field is src's except those it
-// restores.
+// keeps its own stale contents, so c must not be stepped until a Reset.
+// It keeps c's hierarchy, CSQ storage and commit sink, and shares no
+// mutable storage with src: every field is src's except those it restores.
 func (c *Core) CrashCopyFrom(src *Core) error {
 	if src.cfg.CoreID != c.cfg.CoreID {
 		return fmt.Errorf("inorder: core %d cannot copy core %d", c.cfg.CoreID, src.cfg.CoreID)

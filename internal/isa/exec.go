@@ -116,18 +116,6 @@ func (m *MapMemory) CopyFrom(src *MapMemory) {
 	m.words, m.last, m.lastBase = src.words, nil, 0
 }
 
-// CopyFrom makes g a deep copy of src, keeping g's memory map and store
-// log storage.
-func (g *GoldenResult) CopyFrom(src *GoldenResult) {
-	if g.Mem == nil {
-		g.Mem = NewMapMemory()
-	}
-	g.Mem.CopyFrom(src.Mem)
-	g.Regs = src.Regs
-	g.StoreLog = append(g.StoreLog[:0], src.StoreLog...)
-	g.Executed = src.Executed
-}
-
 // Range calls fn for every written word until fn returns false.
 func (m *MapMemory) Range(fn func(addr, val uint64) bool) {
 	for base, lw := range m.lines {

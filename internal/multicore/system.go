@@ -250,74 +250,51 @@ func (s *System) Reset(w *workload.Workload, stepSeed uint64) error {
 	return nil
 }
 
-// CopyFrom turns the machine into a copy of src, a machine of the same
-// shape, at src's cycle: the device, the cache hierarchy, the persist
-// backend, every core, the lockstep oracle and the clock, bound to src's
-// workload and configuration. Each layer copies into the storage it
-// already holds; the machine keeps its obs hub and handles, its observers
-// and commit sinks, and shares no mutable storage with src, so either
-// machine can go on (or lose power) without disturbing the other.
-//
-// The shape is what the machine was built for: its core count, in-order
-// or out-of-order cores, scheme, hierarchy and device geometry, ROB and
-// register-file sizes, free-register sampling and lockstep. CopyFrom refuses a machine of another
-// shape, and a sampled window (which borrows its oracle and frontends from
-// the sampled runner), before changing anything. After any other error the
-// machine is unusable until a CopyFrom or Reset succeeds.
-func (s *System) CopyFrom(src *System) error {
-	return s.copyFrom(src, false)
-}
-
 // CrashCopy makes the machine what src would be right after losing power
 // at its cycle with opt, and reports what the outage persisted: the same
-// device, dump, oracle report and collected Result as CopyFrom followed by
-// CrashWithOptions, for less. Each layer copies only what survives the
-// outage or what the dump and Collect read: the device's image,
-// checkpoint and log areas and counters (not its channels' queues), the
-// persist backends, the cores' CSQs, register files, counts and statistics
-// (not their in-flight instructions or frontends), the oracle's golden
-// models and counters (not its accept-stream tracking) and the clock; the
-// volatile hierarchy is left for the outage to clear. A flush-on-failure
-// scheme (eADR) drains the hierarchy's dirty words to NVM first, so under
-// it the hierarchy is copied too. src is not changed. The crashed machine
-// must not be stepped: a run resumes on a machine built around its device,
-// as the crash driver does. CrashCopy refuses what CopyFrom refuses, before
-// changing anything.
+// device, dump, oracle report and collected Result as src's own outage in
+// place (CrashWithOptions with opt), for less, and without changing src.
+// Each layer's CrashCopyFrom copies only what survives the outage or what
+// the dump and Collect read: the device's image, checkpoint and log areas
+// and counters (not its channels' queues), the cores' CSQs, register
+// files, counts and statistics (not their in-flight instructions or
+// frontends), the oracle's golden models and counters (not its
+// accept-stream tracking); the persist backends and the clock are copied
+// too. The volatile hierarchy is left for the outage to clear, keeping only
+// src's statistics; a flush-on-failure scheme (eADR) drains the
+// hierarchy's dirty words to NVM first, so under it the hierarchy is
+// copied too. The machine keeps its obs hub and handles, its observers and
+// commit sinks, and shares no mutable storage with src.
+//
+// The crashed machine must not be stepped: a run resumes on a machine
+// built around its device, as the crash driver does. CrashCopy refuses a
+// machine of another shape (core count, in-order or out-of-order cores,
+// scheme, hierarchy and device geometry, ROB and register-file sizes,
+// free-register sampling and lockstep) and a sampled window (which borrows
+// its oracle and frontends from the sampled runner), either way, before
+// changing anything. After any other error the machine is unusable until a
+// Reset succeeds.
 func (s *System) CrashCopy(src *System, opt CrashOptions) (*CrashReport, error) {
-	if err := s.copyFrom(src, true); err != nil {
-		return nil, err
-	}
-	return s.crash(opt, src.hier.DirtyWordCount()), nil
-}
-
-// copyFrom is CopyFrom, or with crash the part of it CrashCopy needs: each
-// layer's CrashCopyFrom, and the cache hierarchy's statistics only, for a
-// power failure to clear, unless the scheme flushes it on failure.
-func (s *System) copyFrom(src *System, crash bool) error {
 	a, b := s.cfg, src.cfg
 	switch {
 	case len(s.cores) != len(src.cores):
-		return fmt.Errorf("multicore: copy of a %d-core machine onto %d cores", len(src.cores), len(s.cores))
+		return nil, fmt.Errorf("multicore: copy of a %d-core machine onto %d cores", len(src.cores), len(s.cores))
 	case a.InOrder != b.InOrder:
-		return fmt.Errorf("multicore: copy between in-order and out-of-order cores")
+		return nil, fmt.Errorf("multicore: copy between in-order and out-of-order cores")
 	case a.Scheme != b.Scheme:
-		return fmt.Errorf("multicore: copy of a %s machine onto %s", b.Scheme.Kind, a.Scheme.Kind)
+		return nil, fmt.Errorf("multicore: copy of a %s machine onto %s", b.Scheme.Kind, a.Scheme.Kind)
 	case a.Hierarchy != b.Hierarchy || a.NVM != b.NVM:
-		return fmt.Errorf("multicore: copy onto another hierarchy or device geometry")
+		return nil, fmt.Errorf("multicore: copy onto another hierarchy or device geometry")
 	case a.Pipeline.ROBSize != b.Pipeline.ROBSize || a.Pipeline.Rename != b.Pipeline.Rename ||
 		a.Pipeline.SampleFreeRegs != b.Pipeline.SampleFreeRegs:
-		return fmt.Errorf("multicore: copy onto another ROB or register-file size, or free-register sampling")
+		return nil, fmt.Errorf("multicore: copy onto another ROB or register-file size, or free-register sampling")
 	case a.Lockstep != b.Lockstep:
-		return fmt.Errorf("multicore: copy between lockstep and unchecked machines")
+		return nil, fmt.Errorf("multicore: copy between lockstep and unchecked machines")
 	case a.sampled() || b.sampled():
-		return fmt.Errorf("multicore: a sampled window cannot be copied")
+		return nil, fmt.Errorf("multicore: a sampled window cannot be copied")
 	}
-	if crash {
-		s.dev.CrashCopyFrom(src.dev)
-	} else {
-		s.dev.CopyFrom(src.dev)
-	}
-	if !crash || s.scheme.FlushOnFailure() {
+	s.dev.CrashCopyFrom(src.dev)
+	if s.scheme.FlushOnFailure() {
 		s.hier.CopyFrom(src.hier)
 	} else {
 		s.hier.CopyStatsFrom(src.hier)
@@ -329,28 +306,16 @@ func (s *System) copyFrom(src *System, crash bool) error {
 		var err error
 		switch c := c.(type) {
 		case *pipeline.Core:
-			if crash {
-				err = c.CrashCopyFrom(src.cores[i].(*pipeline.Core))
-			} else {
-				err = c.CopyFrom(src.cores[i].(*pipeline.Core))
-			}
+			err = c.CrashCopyFrom(src.cores[i].(*pipeline.Core))
 		case *inorder.Core:
-			if crash {
-				err = c.CrashCopyFrom(src.cores[i].(*inorder.Core))
-			} else {
-				err = c.CopyFrom(src.cores[i].(*inorder.Core))
-			}
+			err = c.CrashCopyFrom(src.cores[i].(*inorder.Core))
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if s.oracle != nil {
-		if crash {
-			s.oracle.CrashCopyFrom(src.oracle)
-		} else {
-			s.oracle.CopyFrom(src.oracle)
-		}
+		s.oracle.CrashCopyFrom(src.oracle)
 	}
 	order := s.stepOrder
 	if src.stepOrder == nil {
@@ -365,7 +330,7 @@ func (s *System) copyFrom(src *System, crash bool) error {
 	s.cycle, s.lastFlush, s.allDone = src.cycle, src.lastFlush, src.allDone
 	s.stepOrder = order
 	s.resumed = src.resumed
-	return nil
+	return s.crash(opt, src.hier.DirtyWordCount()), nil
 }
 
 // sampled reports whether cfg builds a sampled runner's detailed window.

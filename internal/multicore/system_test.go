@@ -353,12 +353,12 @@ func TestNonEADRSchemesDoNotFlush(t *testing.T) {
 	}
 }
 
-// TestCopyFromSampledAndResumed checks what CopyFrom does with machines
+// TestCopyFromSampledAndResumed checks what CrashCopy does with machines
 // built around a surviving device: it refuses a sampled window either way,
 // before changing anything (the window borrows its frontends and oracle
-// from the sampled runner), and it reproduces a resumed machine — the copy
-// runs to the resumed machine's Result and image, and refuses a Reset just
-// as its source does.
+// from the sampled runner), and it reproduces a resumed machine's outage —
+// a crash copy of a resumed machine leaves what that machine's own outage
+// in place leaves, and refuses a Reset just as its source does.
 func TestCopyFromSampledAndResumed(t *testing.T) {
 	prof := mustProfile(t, "gcc")
 	w, _ := workload.New(prof, 4000)
@@ -380,14 +380,14 @@ func TestCopyFromSampledAndResumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	win.RunUntil(1000)
-	if err := dst.CopyFrom(win); err == nil {
-		t.Fatal("CopyFrom accepted a sampled window")
+	if _, err := dst.CrashCopy(win, CrashOptions{}); err == nil {
+		t.Fatal("CrashCopy accepted a sampled window")
 	}
-	if err := win.CopyFrom(dst); err == nil {
-		t.Fatal("CopyFrom onto a sampled window succeeded")
+	if _, err := win.CrashCopy(dst, CrashOptions{}); err == nil {
+		t.Fatal("CrashCopy onto a sampled window succeeded")
 	}
-	if dst.Cycle() != 500 {
-		t.Fatalf("a refused CopyFrom moved the machine to cycle %d", dst.Cycle())
+	if dst.Cycle() != 500 || win.Cycle() != 1000 {
+		t.Fatalf("a refused CrashCopy moved the machines to cycles %d and %d", dst.Cycle(), win.Cycle())
 	}
 
 	crashed := fresh()
@@ -401,20 +401,28 @@ func TestCopyFromSampledAndResumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed.RunUntil(2000)
-	if err := dst.CopyFrom(resumed); err != nil {
+	outage := func(sys *System, rep *CrashReport) string {
+		var encoded [][]byte
+		for _, im := range rep.Images {
+			encoded = append(encoded, im.Encode())
+		}
+		dev := sys.Device()
+		out, err := json.Marshal([]any{sys.Cycle(), encoded, rep.CheckpointBytes, rep.FullBytes, rep.Torn,
+			sys.LastCrashFlushBytes(), dev.ReadCheckpoint(), dev.LogRecords(0), dev.Image().Snapshot(), sys.Collect()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	opt := CrashOptions{ShortfallPermille: 400}
+	rep, err := dst.CrashCopy(resumed, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.Reset(w, 0); err == nil {
-		t.Fatal("the copy of a resumed machine accepted a Reset")
+		t.Fatal("the crash copy of a resumed machine accepted a Reset")
 	}
-	for _, sys := range []*System{dst, resumed} {
-		if err := sys.Run(CycleBudget(4000)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, _ := json.Marshal([]any{dst.Collect(), dst.Device().Image().Snapshot()})
-	want, _ := json.Marshal([]any{resumed.Collect(), resumed.Device().Image().Snapshot()})
-	if string(got) != string(want) {
-		t.Fatal("the copy of a resumed machine finished differently from it")
+	if outage(dst, rep) != outage(resumed, resumed.CrashWithOptions(opt)) {
+		t.Fatal("the crash copy of a resumed machine differs from its outage in place")
 	}
 }

@@ -306,16 +306,6 @@ func (d *Device) Reset() {
 	}
 }
 
-// CopyFrom makes d a copy of src, a device of the same configuration:
-// CrashCopyFrom's durable state plus the channels' queues and
-// write-combining buffers. It keeps d's own WPQ rings and buffer storage.
-func (d *Device) CopyFrom(src *Device) {
-	d.CrashCopyFrom(src)
-	for i := range d.chans {
-		d.chans[i].copyFrom(&src.chans[i])
-	}
-}
-
 // CrashCopyFrom makes d what src leaves behind across a power failure,
 // for a device of the same configuration: its image (copied into d's own
 // map), checkpoint and log areas, wear state, statistics and clock. The
@@ -409,31 +399,6 @@ func (ch *channel) reset() {
 		ch.wcb.empty()
 	}
 	*ch = channel{wpq: ch.wpq, wcb: ch.wcb}
-}
-
-// copyFrom makes ch a copy of src, keeping ch's WPQ ring and
-// write-combining buffer storage (allocated here if src has used its own).
-func (ch *channel) copyFrom(src *channel) {
-	if src.wpq != nil {
-		if ch.wpq == nil {
-			ch.wpq = make([]wpqEntry, len(src.wpq))
-		}
-		copy(ch.wpq, src.wpq)
-	}
-	if src.wcb.nodes != nil {
-		if ch.wcb.nodes == nil {
-			ch.wcb.init(len(src.wcb.nodes))
-		}
-		copy(ch.wcb.nodes, src.wcb.nodes)
-		clear(ch.wcb.idx)
-		for line, i := range src.wcb.idx {
-			ch.wcb.idx[line] = i
-		}
-		ch.wcb.head, ch.wcb.tail, ch.wcb.free, ch.wcb.n = src.wcb.head, src.wcb.tail, src.wcb.free, src.wcb.n
-	} else if ch.wcb.nodes != nil {
-		ch.wcb.empty()
-	}
-	ch.wpqHead, ch.wpqN, ch.writeBusy = src.wpqHead, src.wpqN, src.writeBusy
 }
 
 // wpqAt returns the i-th queued entry (0 = front) of the channel's ring.

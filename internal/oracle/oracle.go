@@ -21,7 +21,6 @@ package oracle
 
 import (
 	"fmt"
-	"maps"
 
 	"ppa/internal/isa"
 	"ppa/internal/pipeline"
@@ -166,21 +165,6 @@ func (m *Machine) Reset(progs []*isa.Program, startAt []int) {
 	}
 	*m = Machine{cores: m.cores, outstanding: m.outstanding, lastDurable: m.lastDurable, armed: m.armed, logPend: m.logPend}
 	m.ObserveCrash()
-}
-
-// CopyFrom makes m a copy of src, an oracle over as many cores:
-// CrashCopyFrom's golden models, counters and latched failure, plus the
-// persist tracking and the open redo regions. It shares no mutable storage
-// with src.
-func (m *Machine) CopyFrom(src *Machine) {
-	m.CrashCopyFrom(src)
-	m.copyPersist(src)
-	if src.logPend != nil {
-		m.logPend = make([]map[uint64]uint64, len(src.logPend))
-		for i, pend := range src.logPend {
-			m.logPend[i] = maps.Clone(pend)
-		}
-	}
 }
 
 // CrashCopyFrom makes m what src is right after ObserveCrash, for an

@@ -31,7 +31,6 @@ package oracle
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"ppa/internal/isa"
@@ -118,18 +117,6 @@ func (m *Machine) ResetPersistTracking() {
 	clear(m.outstanding)
 	clear(m.lastDurable)
 	clear(m.armed)
-}
-
-// copyPersist makes m's accept-stream tracking, empty after
-// CrashCopyFrom, a copy of src's, sharing no mutable storage with it.
-func (m *Machine) copyPersist(src *Machine) {
-	for addr, q := range src.outstanding {
-		m.outstanding[addr] = slices.Clone(q)
-	}
-	maps.Copy(m.lastDurable, src.lastDurable)
-	for i, snap := range src.armed {
-		m.armed[i] = maps.Clone(snap)
-	}
 }
 
 // commitStore records a committed store as outstanding until the accept

@@ -214,24 +214,34 @@ func TestTrackerReset(t *testing.T) {
 	}
 }
 
-// TestOracleCopyIsIndependent: a copy made with CopyFrom carries the
-// source's persist state (outstanding same-word stores, an armed barrier,
-// an open redo fold, a latched violation) and shares none of it: what
-// happens to one machine afterwards never shows in the other.
+// TestOracleCopyIsIndependent: a crash copy (CrashCopyFrom) of an oracle
+// with persist state in flight (outstanding same-word stores, an armed
+// barrier, an open redo fold) starts its accept tracking empty and shares
+// nothing with its source: neither machine's later stores, accepts or
+// barriers show in the other. A latched violation is copied as the copy's
+// own value, and copying a clean machine over a latched one clears it.
 func TestOracleCopyIsIndependent(t *testing.T) {
 	p := storeProg([]uint64{1, 2, 3}, 0x100)
 	src := persistMachine(t, []uint64{1, 2, 3}, 0x100)
 	src.ObserveBarrierArm(0, 10)
 	src.ObserveLogAppend(0, nvm.LogRecord{Addr: 0x100, Val: 3}, false)
 	cp := New([]*isa.Program{p}, nil)
-	cp.CopyFrom(src)
+	cp.CrashCopyFrom(src)
+	if len(cp.outstanding) != 0 || len(cp.lastDurable) != 0 || cp.armed[0] != nil || cp.logPend != nil {
+		t.Fatalf("the copy's accept tracking is not empty: outstanding %v, durable %v, armed %v, redo %v",
+			cp.outstanding, cp.lastDurable, cp.armed, cp.logPend)
+	}
 
-	// Each machine queues one more store to the word: the three outstanding
-	// stores leave room in their queue, which the copy must not share.
+	// Each machine queues one more store to the word and the copy arms a
+	// barrier of its own; neither reaches the source.
 	src.commitStore(0, 7, 0x100, 77)
 	cp.commitStore(0, 7, 0x100, 88)
+	cp.ObserveBarrierArm(0, 12)
 	if q := src.outstanding[0x100]; len(q) != 4 || q[3].val != 77 {
 		t.Fatalf("the copy's store reached the source's queue: %+v", q)
+	}
+	if q := cp.outstanding[0x100]; len(q) != 1 || q[0].val != 88 {
+		t.Fatalf("the source's stores reached the copy's queue: %+v", q)
 	}
 
 	// The source grows its redo fold and completes its barrier undrained.
@@ -245,12 +255,13 @@ func TestOracleCopyIsIndependent(t *testing.T) {
 	if err := cp.Err(); err != nil {
 		t.Fatalf("the source's violation reached the copy: %v", err)
 	}
+	if cp.logPend != nil {
+		t.Fatalf("the source's redo fold reached the copy: %v", cp.logPend)
+	}
 
-	// The copy drains its same-word stores with one coalesced accept,
-	// completes its own barrier and closes its own redo region.
+	// The copy drains its store with one accept and completes its barrier.
 	accept(cp, 15, 0x100, 88)
 	cp.ObserveBarrierComplete(0, 25, pipeline.BoundarySync)
-	cp.ObserveLogAppend(0, nvm.LogRecord{Marker: true, Committed: p.Len()}, false)
 	if err := cp.Err(); err != nil {
 		t.Fatalf("drained copy latched: %v", err)
 	}
@@ -263,7 +274,7 @@ func TestOracleCopyIsIndependent(t *testing.T) {
 
 	// A latched violation carries over, as its own value.
 	cp2 := New([]*isa.Program{p}, nil)
-	cp2.CopyFrom(src)
+	cp2.CrashCopyFrom(src)
 	if cp2.Err() == nil || cp2.Err().Error() != src.Err().Error() {
 		t.Fatalf("latched violation not copied: %v vs %v", cp2.Err(), src.Err())
 	}
@@ -271,7 +282,7 @@ func TestOracleCopyIsIndependent(t *testing.T) {
 		t.Fatal("copy shares the source's violation")
 	}
 	// Copying a clean machine over a latched one clears it.
-	cp2.CopyFrom(cp)
+	cp2.CrashCopyFrom(cp)
 	if err := cp2.Err(); err != nil {
 		t.Fatalf("clean copy kept the old violation: %v", err)
 	}

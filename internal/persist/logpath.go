@@ -133,8 +133,8 @@ func (l *LogPath) Reset() {
 // CopyFrom makes l a copy of src, the same scheme's backend for as many
 // cores: its queue, per-core counters and buffers, drain clock and
 // statistics. It keeps l's device and storage and shares no mutable
-// storage with src. The device is not touched; nvm.Device.CopyFrom
-// copies it.
+// storage with src. The device is not touched;
+// nvm.Device.CrashCopyFrom copies it.
 func (l *LogPath) CopyFrom(src Backend) {
 	s := asLogPath(src)
 	copy(l.pending, s.pending)

@@ -446,24 +446,6 @@ func (c *Core) Reset(cfg Config, prog *isa.Program) error {
 	return c.reset(cfg, prog)
 }
 
-// CopyFrom makes c a copy of src, a core of the same index, ROB and
-// register-file sizes: CrashCopyFrom's state plus the in-flight
-// instructions, the SQ release queues and the frontend. It keeps c's
-// storage and shares no mutable storage with src.
-func (c *Core) CopyFrom(src *Core) error {
-	if err := c.CrashCopyFrom(src); err != nil {
-		return err
-	}
-	for i := 0; i < src.robLen; i++ {
-		j := (src.robHead + i) % len(src.rob)
-		c.rob[j] = src.rob[j]
-	}
-	c.sqReleases = append(c.sqReleases, src.sqReleases...)
-	c.sqAckToks = append(c.sqAckToks, src.sqAckToks...)
-	c.front.CopyFrom(src.front)
-	return nil
-}
-
 // CrashCopyFrom makes c, a core of the same index, ROB and register-file
 // sizes, a copy of src as far as a power failure reads it: what
 // checkpoint.Capture dumps (the CSQ, the LCPC, the commit count and the
@@ -472,7 +454,7 @@ func (c *Core) CopyFrom(src *Core) error {
 // the SQ release queues and the frontend's golden state, which the outage
 // loses, are not copied: c's ROB and frontend keep their own stale
 // contents and its release queues are empty, so c must not be stepped
-// until a CopyFrom or Reset. It keeps c's hierarchy, backend, storage, obs
+// until a Reset. It keeps c's hierarchy, backend, storage, obs
 // handles and commit sink, and shares no mutable storage with src: every
 // field is src's except those it restores.
 func (c *Core) CrashCopyFrom(src *Core) error {
