@@ -31,7 +31,7 @@ var copyCutCycles = []uint64{300, 2500, 6000}
 // behind (a checkpoint area, persist logs, captures and a dump) for a copy
 // to alias.
 func TestSystemCopyMatchesOriginal(t *testing.T) {
-	hub := copyCase{"mcf/ppa/obs", RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: 2000, Obs: obs.NewHub(0)}}
+	hub := copyCase{name: "mcf/ppa/obs", rc: RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: 2000, Obs: obs.NewHub(0)}}
 	for _, c := range append(copyCases(), hub) {
 		rc := c.rc
 		t.Run(c.name, func(t *testing.T) {
@@ -77,27 +77,39 @@ func TestSystemCopyMatchesOriginal(t *testing.T) {
 type copyCase struct {
 	name string
 	rc   RunConfig
+	// writebacks: some cut must find NVM and DRAM writebacks counted in
+	// the source's hierarchy, so the gates see whether the copy keeps them.
+	writebacks bool
 }
 
 // copyCases are every scheme on mcf and the organization goldens (the
-// in-order cores included) at 2000 instructions per thread, each with
-// lockstep off and on.
+// in-order cores included) at 2000 instructions per thread, plus 8-thread
+// water-ns under ppa on 4 KiB L1Ds and a 32 KiB L2, small enough that
+// dirty lines are written back to the DRAM cache and on to NVM before the
+// second cut; each with lockstep off and on. No generated workload counts
+// an invalidation (threads never write a shared line), so
+// internal/cache's TestCopyStatsFromMatchesCopyAcrossPowerFail checks that
+// counter's copy.
 func copyCases() []copyCase {
 	var base []copyCase
 	for _, s := range Schemes() {
-		base = append(base, copyCase{"mcf/" + string(s), RunConfig{App: "mcf", Scheme: s, InstsPerThread: 2000}})
+		base = append(base, copyCase{name: "mcf/" + string(s), rc: RunConfig{App: "mcf", Scheme: s, InstsPerThread: 2000}})
 	}
 	for _, run := range goldenOrgRuns {
 		rc := run.rc
 		rc.Customize = run.org
 		rc.InstsPerThread = 2000
-		base = append(base, copyCase{run.name, rc})
+		base = append(base, copyCase{name: run.name, rc: rc})
 	}
+	small := func(c *multicore.Config) { c.Hierarchy.L1DSize, c.Hierarchy.L2Size = 4<<10, 32<<10 }
+	base = append(base, copyCase{"water-ns/ppa/small-caches",
+		RunConfig{App: "water-ns", Scheme: SchemePPA, InstsPerThread: 2000, Customize: small}, true})
 	var cases []copyCase
 	for _, c := range base {
 		cases = append(cases, c)
 		c.rc.Lockstep = true
-		cases = append(cases, copyCase{c.name + "/lockstep", c.rc})
+		c.name += "/lockstep"
+		cases = append(cases, c)
 	}
 	return cases
 }
@@ -322,11 +334,12 @@ func (w *storageWalk) holdsStorage(t reflect.Type) bool {
 // cut with a torn dump). Both must report the same images, dump sizes, tear
 // and durable structures, and leave the same flush size, checkpoint area,
 // persist logs, NVM image, oracle report, collected Result and hierarchy
-// counters. The original must then finish with the Result and image of a
-// run that was never copied.
+// counters, which a writebacks case must find non-zero at some cut. The
+// original must then finish with the Result and image of a run that was
+// never copied.
 func TestCrashCopyMatchesCopyAndCrash(t *testing.T) {
 	for _, c := range copyCases() {
-		rc := c.rc
+		rc, writebacks := c.rc, c.writebacks
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			orig, crashed, w := buildPair(t, rc)
@@ -361,6 +374,12 @@ func TestCrashCopyMatchesCopyAndCrash(t *testing.T) {
 				if got := outageDigest(t, crashed, rep); got != want {
 					t.Fatalf("cycle %d: the crash copy left %s, an outage in place %s", cycle, got, want)
 				}
+				if h := orig.Hierarchy(); h.NVMWritebacks > 0 && h.DRAMWritebacks > 0 {
+					writebacks = false
+				}
+			}
+			if writebacks {
+				t.Errorf("no cut finds both NVM and DRAM writebacks in the source's hierarchy")
 			}
 			never, err := NewSystem(rc)
 			if err != nil {

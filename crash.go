@@ -26,9 +26,9 @@ import (
 // outages: the run's configuration, its workload and the flight recorder's
 // accept taps. The machine it steps never loses power: a cut makes a second
 // machine of the same shape what the live one would be right after the
-// outage, carrying over only what survives it (the device, the persist
-// backends, the cores' checkpointed state, the oracle and the clock, plus
-// the dirty words an eADR battery flushes), and damages, recovers and
+// outage, carrying over only what survives it (the device, the cores'
+// checkpointed state, the oracle and the clock, plus the dirty words an
+// eADR battery flushes into its device), and damages, recovers and
 // verifies that copy, so the live machine can go on to a later cut without
 // simulating its prefix again. A single crash or a failure schedule builds
 // one for its run; a torture worker keeps one for all its points.

@@ -113,24 +113,6 @@ func (c *setAssoc) reset() {
 	c.used, c.clock, c.Hits, c.Misses = 0, 0, 0, 0
 }
 
-// copyFrom makes c a copy of src, an array of the same geometry: the same
-// units hold the same sets, and c allocates the chunks src has and it
-// lacks, keeping its own.
-func (c *setAssoc) copyFrom(src *setAssoc) {
-	copy(c.idx, src.idx)
-	unit := c.ways << c.shift
-	left := src.used * unit
-	for k, chunk := range src.chunks {
-		if k == len(c.chunks) {
-			c.chunks = append(c.chunks, make([]saWay, len(chunk)))
-		}
-		n := min(left, len(chunk))
-		copy(c.chunks[k][:n], chunk[:n])
-		left -= n
-	}
-	c.used, c.clock, c.Hits, c.Misses = src.used, src.clock, src.Hits, src.Misses
-}
-
 // set returns the ways of line's set, or nil when no install has touched
 // its group yet.
 func (c *setAssoc) set(line uint64) []saWay {
@@ -273,15 +255,6 @@ func newDRAMCache(sizeBytes uint64) *dramCache {
 func (d *dramCache) reset() {
 	clear(d.sets)
 	d.Hits, d.Misses = 0, 0
-}
-
-// copyFrom makes d a copy of src, keeping d's map storage.
-func (d *dramCache) copyFrom(src *dramCache) {
-	clear(d.sets)
-	for idx, e := range src.sets {
-		d.sets[idx] = e
-	}
-	d.Hits, d.Misses = src.Hits, src.Misses
 }
 
 func (d *dramCache) setIndex(line uint64) uint64 { return (line / isa.LineSize) & d.setMask }

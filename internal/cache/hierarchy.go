@@ -176,29 +176,6 @@ func (w *writeBuffer) reset() {
 	*w = writeBuffer{buf: w.buf, size: w.size, index: w.index, coalesce: w.coalesce, multi: w.multi}
 }
 
-// copyFrom makes w a copy of src, keeping w's ring (grown to src's length
-// when shorter) and index.
-func (w *writeBuffer) copyFrom(src *writeBuffer) {
-	buf := w.buf
-	if len(buf) < len(src.buf) {
-		buf = make([]wbEntry, len(src.buf))
-	}
-	// Live entries keep their ring offsets from head; the stale slots of a
-	// longer ring are never read.
-	buf = buf[:len(src.buf)]
-	for i := 0; i < src.n; i++ {
-		j := (src.head + i) % len(src.buf)
-		buf[j] = src.buf[j]
-	}
-	index := w.index
-	clear(index)
-	for line, seq := range src.index {
-		index[line] = seq
-	}
-	*w = *src
-	w.buf, w.index = buf, index
-}
-
 func (w *writeBuffer) full() bool { return w.n >= w.size }
 
 // grow doubles the ring (at least minWBRing, at most size slots), copying
@@ -406,19 +383,6 @@ func (d *dirtyStore) deleteLine(base uint64) {
 	}
 }
 
-// copyFrom makes d a copy of src, keeping d's map storage.
-func (d *dirtyStore) copyFrom(src *dirtyStore) {
-	clear(d.lines)
-	slab := make([]isa.LineWords, len(src.lines))
-	i := 0
-	for base, lw := range src.lines {
-		slab[i] = *lw
-		d.lines[base] = &slab[i]
-		i++
-	}
-	d.words, d.last = src.words, nil
-}
-
 func (d *dirtyStore) reset() {
 	clear(d.lines)
 	d.words = 0
@@ -547,38 +511,13 @@ func (h *Hierarchy) Reset() {
 	h.clearVolatile()
 }
 
-// CopyFrom makes h a copy of src, a hierarchy built from the same
-// parameters: every tag array, the DRAM cache, the dirty-word layer, the
-// write buffers, the eviction queue, the statistics and the persist
-// perturbation. It keeps h's device, storage and obs handles and shares no
-// mutable storage with src. The device is not touched;
-// nvm.Device.CrashCopyFrom copies it.
-func (h *Hierarchy) CopyFrom(src *Hierarchy) {
-	for i, c := range h.l1 {
-		c.copyFrom(src.l1[i])
-	}
-	for i, c := range h.l2p {
-		c.copyFrom(src.l2p[i])
-	}
-	h.llc.copyFrom(src.llc)
-	if h.dramc != nil {
-		h.dramc.copyFrom(src.dramc)
-	}
-	h.dirty.copyFrom(&src.dirty)
-	for i, wb := range h.wbs {
-		wb.copyFrom(src.wbs[i])
-	}
-	h.evictq.entries = append(h.evictq.entries[:0], src.evictq.entries...)
-	h.evictq.head = src.evictq.head
-	h.CopyStatsFrom(src)
-}
-
-// CopyStatsFrom copies what a power failure leaves of src besides emptied
-// structures: the writeback and invalidation counts, the write-buffer drain
-// pointer and the persist perturbation. CopyStatsFrom followed by PowerFail
-// leaves h as CopyFrom followed by PowerFail would, without copying the
-// caches, dirty words and buffers the outage clears.
-func (h *Hierarchy) CopyStatsFrom(src *Hierarchy) {
+// CrashCopyFrom makes h, a hierarchy built from the same parameters, what
+// src leaves behind across a power failure once PowerFail clears h: the
+// writeback and invalidation counts, the write-buffer drain pointer and
+// the persist perturbation. The caches, dirty words and buffers the outage
+// loses are not copied; a flush-on-failure scheme writes src's dirty words
+// to NVM with WriteDirty instead.
+func (h *Hierarchy) CrashCopyFrom(src *Hierarchy) {
 	h.wbNext = src.wbNext
 	h.perturb = src.perturb
 	h.NVMWritebacks, h.DRAMWritebacks, h.Invalidations = src.NVMWritebacks, src.DRAMWritebacks, src.Invalidations
@@ -1059,21 +998,29 @@ func (h *Hierarchy) WarmInstall(core int, lines []uint64) {
 	}
 }
 
-// FlushAllDirty writes every volatile dirty word to the NVM image — the
+// WriteDirty writes every volatile dirty word into img — the
 // eADR/battery-backed flush-on-failure path, whose energy cost is the
-// supercapacitor budget PPA's tiny checkpoint replaces. It returns the
-// number of bytes flushed.
-func (h *Hierarchy) FlushAllDirty() int {
+// supercapacitor budget PPA's tiny checkpoint replaces — and returns the
+// number of bytes written. It leaves the hierarchy as it is, so an outage
+// copied to another machine can flush its source's words into its own
+// device.
+func (h *Hierarchy) WriteDirty(img *isa.MapMemory) int {
 	n := 0
-	img := h.dev.Image()
 	for base, lw := range h.dirty.lines {
 		lw.Range(base, func(a, v uint64) {
 			img.WriteWord(a, v)
 			n += isa.WordSize
 		})
 	}
-	h.dirty.reset()
 	return n
+}
+
+// FlushAllDirty writes every volatile dirty word to the hierarchy's NVM
+// image and drops it from the volatile layer, leaving the image
+// architecturally complete.
+func (h *Hierarchy) FlushAllDirty() {
+	h.WriteDirty(h.dev.Image())
+	h.dirty.reset()
 }
 
 // PowerFail models the loss of all volatile state: SRAM caches, the DRAM

@@ -122,37 +122,45 @@ func TestHierarchyResetMatchesNew(t *testing.T) {
 }
 
 // TestCopyStatsFromMatchesCopyAcrossPowerFail: a hierarchy that takes a
-// driven source's statistics and then loses power must go on exactly like
-// one that copied the whole source and then lost power, each over a crash
-// copy of the source's device (nvm.Device.CrashCopyFrom): the same result
-// for every operation, the same counters and the same image.
+// driven source's crash copy (CrashCopyFrom, over a crash copy of the
+// source's device) and then loses power must go on exactly like the source
+// losing power in place: the same result for every operation, the same
+// counters and the same image. With the battery flush, the copy writes the
+// source's dirty words into its own device (WriteDirty) before the outage,
+// and the source flushes its own (FlushAllDirty).
 func TestCopyStatsFromMatchesCopyAcrossPowerFail(t *testing.T) {
-	p := smallParams()
-	srcDev := nvm.NewDevice(nvm.DefaultConfig())
-	src := New(p, srcDev, nil, nil)
-	drive(t, src, 1)
-	var traces [2]driveTrace
-	for i, copyAll := range []bool{true, false} {
+	for _, flush := range []bool{false, true} {
+		p := smallParams()
+		srcDev := nvm.NewDevice(nvm.DefaultConfig())
+		src := New(p, srcDev, nil, nil)
+		drive(t, src, 1)
+		if src.DirtyWordCount() == 0 {
+			t.Fatal("the drive leaves no dirty words to flush")
+		}
 		dev := nvm.NewDevice(nvm.DefaultConfig())
 		h := New(p, dev, nil, nil)
-		drive(t, h, uint64(2+i)) // leave stale state behind
+		drive(t, h, 2) // leave stale state behind
 		dev.CrashCopyFrom(srcDev)
-		if copyAll {
-			h.CopyFrom(src)
-		} else {
-			h.CopyStatsFrom(src)
+		h.CrashCopyFrom(src)
+		if flush {
+			src.WriteDirty(dev.Image())
 		}
 		h.PowerFail()
-		traces[i] = drive(t, h, 4)
-	}
-	full, stats := traces[0], traces[1]
-	if !reflect.DeepEqual(stats.results, full.results) {
-		t.Fatalf("after CopyStatsFrom the operations diverge from CopyFrom's")
-	}
-	if stats.counters != full.counters {
-		t.Fatalf("CopyStatsFrom counters %v, CopyFrom %v", stats.counters, full.counters)
-	}
-	if !reflect.DeepEqual(stats.image, full.image) {
-		t.Fatalf("CopyStatsFrom image has %d words, CopyFrom %d", len(stats.image), len(full.image))
+		copied := drive(t, h, 4)
+
+		if flush {
+			src.FlushAllDirty()
+		}
+		src.PowerFail()
+		inPlace := drive(t, src, 4)
+		if !reflect.DeepEqual(copied.results, inPlace.results) {
+			t.Fatalf("flush %v: after CrashCopyFrom the operations diverge from an outage in place", flush)
+		}
+		if copied.counters != inPlace.counters {
+			t.Fatalf("flush %v: CrashCopyFrom counters %v, in place %v", flush, copied.counters, inPlace.counters)
+		}
+		if !reflect.DeepEqual(copied.image, inPlace.image) {
+			t.Fatalf("flush %v: CrashCopyFrom image has %d words, in place %d", flush, len(copied.image), len(inPlace.image))
+		}
 	}
 }

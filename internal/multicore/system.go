@@ -256,15 +256,16 @@ func (s *System) Reset(w *workload.Workload, stepSeed uint64) error {
 // place (CrashWithOptions with opt), for less, and without changing src.
 // Each layer's CrashCopyFrom copies only what survives the outage or what
 // the dump and Collect read: the device's image, checkpoint and log areas
-// and counters (not its channels' queues), the cores' CSQs, register
-// files, counts and statistics (not their in-flight instructions or
-// frontends), the oracle's golden models and counters (not its
-// accept-stream tracking); the persist backends and the clock are copied
-// too. The volatile hierarchy is left for the outage to clear, keeping only
-// src's statistics; a flush-on-failure scheme (eADR) drains the
-// hierarchy's dirty words to NVM first, so under it the hierarchy is
-// copied too. The machine keeps its obs hub and handles, its observers and
-// commit sinks, and shares no mutable storage with src.
+// and counters (not its channels' queues), the hierarchy's writeback and
+// invalidation counts, the cores' CSQs, register files, counts and
+// statistics (not their in-flight instructions or frontends), the
+// oracle's golden models and counters (not its accept-stream tracking);
+// the clock is copied too. The volatile hierarchy and the persist
+// backends are left to the outage, which clears them; a flush-on-failure
+// scheme (eADR) writes src's dirty words into the machine's device
+// instead of copying src's hierarchy. The machine keeps its obs hub and
+// handles, its observers and commit sinks, and shares no mutable storage
+// with src.
 //
 // The crashed machine must not be stepped: a run resumes on a machine
 // built around its device, as the crash driver does. CrashCopy refuses a
@@ -294,14 +295,7 @@ func (s *System) CrashCopy(src *System, opt CrashOptions) (*CrashReport, error) 
 		return nil, fmt.Errorf("multicore: a sampled window cannot be copied")
 	}
 	s.dev.CrashCopyFrom(src.dev)
-	if s.scheme.FlushOnFailure() {
-		s.hier.CopyFrom(src.hier)
-	} else {
-		s.hier.CopyStatsFrom(src.hier)
-	}
-	for i, be := range s.backends {
-		be.CopyFrom(src.backends[i])
-	}
+	s.hier.CrashCopyFrom(src.hier)
 	for i, c := range s.cores {
 		var err error
 		switch c := c.(type) {
@@ -330,7 +324,7 @@ func (s *System) CrashCopy(src *System, opt CrashOptions) (*CrashReport, error) 
 	s.cycle, s.lastFlush, s.allDone = src.cycle, src.lastFlush, src.allDone
 	s.stepOrder = order
 	s.resumed = src.resumed
-	return s.crash(opt, src.hier.DirtyWordCount()), nil
+	return s.crash(opt, src.hier), nil
 }
 
 // sampled reports whether cfg builds a sampled runner's detailed window.
@@ -653,13 +647,14 @@ type CrashReport struct {
 // checkpoint replaces. The flushed byte count is retrievable via
 // LastCrashFlushBytes.
 func (s *System) CrashWithOptions(opt CrashOptions) *CrashReport {
-	return s.crash(opt, s.hier.DirtyWordCount())
+	return s.crash(opt, s.hier)
 }
 
 // crash is the power failure of CrashWithOptions and CrashCopy; dirty is
-// the count of volatile words the outage finds, which the power-fail event
-// reports.
-func (s *System) crash(opt CrashOptions, dirty int) *CrashReport {
+// the hierarchy whose volatile words the outage finds: the machine's own,
+// or a crash copy's source. The power-fail event reports their count, and
+// a flush-on-failure scheme writes them into the machine's device.
+func (s *System) crash(opt CrashOptions, dirty *cache.Hierarchy) *CrashReport {
 	tr := s.cfg.Obs.Tracer()
 	tr.Emit(obs.Event{
 		Cycle: s.cycle,
@@ -667,11 +662,11 @@ func (s *System) crash(opt CrashOptions, dirty int) *CrashReport {
 		Core:  obs.SystemTrack,
 		Name:  "power-fail",
 		Cat:   "checkpoint",
-		Args:  [obs.MaxEventArgs]obs.Arg{{Key: "dirty-words", Val: int64(dirty)}},
+		Args:  [obs.MaxEventArgs]obs.Arg{{Key: "dirty-words", Val: int64(dirty.DirtyWordCount())}},
 	})
 	s.lastFlush = 0
 	if s.scheme.FlushOnFailure() {
-		s.lastFlush = s.hier.FlushAllDirty()
+		s.lastFlush = dirty.WriteDirty(s.dev.Image())
 		tr.Emit(obs.Event{
 			Cycle: s.cycle,
 			Type:  obs.EvInstant,

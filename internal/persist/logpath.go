@@ -67,7 +67,6 @@ type LogPath struct {
 
 	Accepts  uint64
 	Rejects  uint64
-	Markers  uint64
 	MaxDepth int
 }
 
@@ -128,45 +127,6 @@ func (l *LogPath) Reset() {
 		applied:    l.applied,
 		buf:        l.buf,
 	}
-}
-
-// CopyFrom makes l a copy of src, the same scheme's backend for as many
-// cores: its queue, per-core counters and buffers, drain clock and
-// statistics. It keeps l's device and storage and shares no mutable
-// storage with src. The device is not touched;
-// nvm.Device.CrashCopyFrom copies it.
-func (l *LogPath) CopyFrom(src Backend) {
-	s := asLogPath(src)
-	copy(l.pending, s.pending)
-	copy(l.unauth, s.unauth)
-	copy(l.applied, s.applied)
-	for i := range l.buf {
-		l.buf[i] = append(l.buf[i][:0], s.buf[i]...)
-	}
-	*l = LogPath{
-		perCoreCap: l.perCoreCap,
-		drainCyc:   l.drainCyc,
-		mode:       l.mode,
-		dev:        l.dev,
-		queue:      append(l.queue[:0], s.queue...),
-		pending:    l.pending,
-		unauth:     l.unauth,
-		applied:    l.applied,
-		buf:        l.buf,
-		busyTill:   s.busyTill,
-		Accepts:    s.Accepts,
-		Rejects:    s.Rejects,
-		Markers:    s.Markers,
-		MaxDepth:   s.MaxDepth,
-	}
-}
-
-// asLogPath is the log path a backend is built on.
-func asLogPath(b Backend) *LogPath {
-	if r, ok := b.(*RedoPath); ok {
-		return &r.LogPath
-	}
-	return b.(*LogPath)
 }
 
 // outstanding is a core's records not yet retired from the path: buffered,
@@ -258,7 +218,6 @@ func (l *LogPath) FlushBuffered(core int) {
 // records for background image application.
 func (l *LogPath) AppendMarker(core, committed int) {
 	l.dev.AppendLog(core, nvm.LogRecord{Committed: committed, Marker: true})
-	l.Markers++
 	if l.mode == LogModeRedo {
 		for l.unauth[core] > 0 {
 			l.unauth[core]--
