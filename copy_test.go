@@ -420,7 +420,7 @@ func outageDigest(t *testing.T, sys *multicore.System, rep *multicore.CrashRepor
 	h := sys.Hierarchy()
 	return jsonDigest(t, []any{sys.Cycle(), images, rep.CheckpointBytes, rep.FullBytes, rep.Torn,
 		rep.StructuresCovered, sys.LastCrashFlushBytes(), dev.ReadCheckpoint(), logs, dev.Image().Snapshot(),
-		orc, sys.Collect(), h.NVMWritebacks, h.DRAMWritebacks, h.Invalidations})
+		orc, sys.Collect(), h.NVMWritebacks, h.DRAMWritebacks})
 }
 
 // buildPair builds two machines for rc over one workload, w.

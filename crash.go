@@ -136,6 +136,7 @@ type crashVerdict struct {
 	cycle     uint64 // the crashed machine's clock at the cut
 	completed bool   // the workload finished before the cut
 	injected  bool   // the fault actually struck
+	damaged   bool   // a tear or a byte-level mutation changed the dump
 	detected  error  // recovery refused the checkpoint
 	recovered bool
 	attempts  int // entries into the recovery protocol
@@ -196,13 +197,13 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 	sys := r.down
 	inj := fault.NewInjector(hub)
 	if rep.Torn {
-		v.injected = true
+		v.injected, v.damaged = true, true
 		inj.Injected(p.Fault, p.Cycle)
 	}
 	v.flushedBytes = sys.LastCrashFlushBytes()
 	dev := sys.Device()
 	if p.Fault.ByteLevel() && dev.MutateCheckpoint(p.Fault.Mutate) {
-		v.injected = true
+		v.injected, v.damaged = true, true
 		inj.Injected(p.Fault, p.Cycle)
 	}
 
@@ -265,7 +266,9 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 	switch {
 	case v.detected != nil && !recovery.IsDetection(v.detected):
 		v.violation = fmt.Sprintf("untyped recovery error: %v", v.detected)
-	case v.detected != nil && !v.injected:
+	case v.detected != nil && !v.damaged:
+		// A nested outage strikes too, but leaves the dump intact: recovery
+		// must not refuse it.
 		v.violation = fmt.Sprintf("spurious detection of an intact checkpoint: %s", v.detected)
 	case v.recovered && v.injected && p.Fault.Corrupting():
 		v.violation = "silently recovered a corrupt checkpoint"

@@ -3,6 +3,8 @@ package ppa
 import (
 	"testing"
 	"testing/quick"
+
+	"ppa/internal/mutation"
 )
 
 // TestNestedFailureSmoke is the failure-during-recovery companion to
@@ -108,5 +110,41 @@ func TestTortureSweepSmoke(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("kind %s got no coverage", kind)
 		}
+	}
+}
+
+// TestTortureConvictsCheckpointDropCSQRegs: a dump that drops the CSQ's
+// registers is undamaged by any fault, so recovery's typed refusal of it is
+// a spurious detection, not a pass. The default sweep (mcf, 2 000 insts,
+// 30 points, seed 1, lockstep) must report violations under the seeded
+// bug, nested outages included, and none without it. Not parallel: the
+// seeded-bug registry is process-global.
+func TestTortureConvictsCheckpointDropCSQRegs(t *testing.T) {
+	rc := RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: 2_000, Lockstep: true}
+	points := TorturePoints(1, 30, 200, 8_000)
+	clean, err := RunTorture(rc, points, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(clean.Violations); n != 0 {
+		t.Fatalf("unmutated sweep: %d violations, first %q", n, clean.Violations[0].Violation)
+	}
+	mutation.Enable(mutation.CheckpointDropCSQRegs)
+	defer mutation.Disable()
+	rep, err := RunTorture(rc, points, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) == 0 {
+		t.Fatalf("sweep under checkpoint-drop-csq-regs passed every point (%d detected)", rep.Detected)
+	}
+	nested := 0
+	for _, v := range rep.Violations {
+		if v.Point.Fault.Kind == FaultNestedOutage {
+			nested++
+		}
+	}
+	if nested == 0 {
+		t.Fatal("no nested-outage point convicted the refused undamaged dump")
 	}
 }

@@ -430,7 +430,6 @@ type Hierarchy struct {
 	// Statistics.
 	NVMWritebacks  uint64
 	DRAMWritebacks uint64
-	Invalidations  uint64
 
 	// Observability (all nil-safe when disabled).
 	tr              *obs.Tracer
@@ -513,14 +512,14 @@ func (h *Hierarchy) Reset() {
 
 // CrashCopyFrom makes h, a hierarchy built from the same parameters, what
 // src leaves behind across a power failure once PowerFail clears h: the
-// writeback and invalidation counts, the write-buffer drain pointer and
-// the persist perturbation. The caches, dirty words and buffers the outage
+// writeback counts, the write-buffer drain pointer and the persist
+// perturbation. The caches, dirty words and buffers the outage
 // loses are not copied; a flush-on-failure scheme writes src's dirty words
 // to NVM with WriteDirty instead.
 func (h *Hierarchy) CrashCopyFrom(src *Hierarchy) {
 	h.wbNext = src.wbNext
 	h.perturb = src.perturb
-	h.NVMWritebacks, h.DRAMWritebacks, h.Invalidations = src.NVMWritebacks, src.DRAMWritebacks, src.Invalidations
+	h.NVMWritebacks, h.DRAMWritebacks = src.NVMWritebacks, src.DRAMWritebacks
 }
 
 // clearVolatile empties, in place, everything a power failure loses: the
@@ -600,7 +599,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, cycle uint64) uint
 				continue
 			}
 			if present, _ := h.l1[c].invalidate(line); present {
-				h.Invalidations++
 				extra = uint64(h.p.CoherenceInvalidateLat)
 			}
 		}
@@ -977,6 +975,60 @@ func (h *Hierarchy) Tick(cycle uint64) error {
 		h.wbNext = 0
 	}
 	return nil
+}
+
+// NextEvent reports the earliest cycle, no earlier than cycle, at which
+// Tick may change the hierarchy or the device under it while nothing else
+// does: the device's own events, an eviction or a ready write-buffer front
+// the device would take now, or a front's ready cycle. math.MaxUint64
+// means never. A ready front the device would refuse waits for the
+// device. Under a persist perturbation such a front reports cycle+1: the
+// perturbation decides per cycle whether it is offered, and so whether a
+// skipped cycle would count a rejection.
+func (h *Hierarchy) NextEvent(cycle uint64) uint64 {
+	next := h.dev.NextEvent(cycle)
+	if next <= cycle {
+		return cycle
+	}
+	if h.evictq.depth() > 0 && h.dev.Accepts(h.evictq.front().line) {
+		return cycle
+	}
+	for _, wb := range h.wbs {
+		if wb.depth() == 0 {
+			continue
+		}
+		e := wb.front()
+		switch {
+		case e.ready > cycle:
+			next = min(next, e.ready)
+		case h.dev.Accepts(e.line):
+			return cycle
+		case h.perturb != nil:
+			next = min(next, cycle+1)
+		}
+	}
+	return next
+}
+
+// ChargeIdle accounts k more ticks like the idle one just run, in which
+// the device refused rejects offers: the round-robin drain pointer turns
+// and the device counts the rejections. The caller guarantees, through
+// NextEvent, that nothing else changes in those ticks.
+func (h *Hierarchy) ChargeIdle(k, rejects uint64) {
+	h.wbNext = int((uint64(h.wbNext) + k) % uint64(len(h.wbs)))
+	h.dev.ChargeIdle(k, rejects*k)
+}
+
+// CanPersist reports whether PersistStore would take a store to addr by
+// core now: the store coalesces into a pending line, or the buffer has
+// room.
+func (h *Hierarchy) CanPersist(core int, addr uint64) bool {
+	wb := h.wbs[core]
+	if !wb.full() {
+		return true
+	}
+	_, hit := wb.index[isa.LineAlign(addr)]
+	return wb.coalesce && hit
 }
 
 // WarmInstall installs a set of clean lines for one core, bottom-up

@@ -14,6 +14,7 @@ package inorder
 
 import (
 	"fmt"
+	"math"
 
 	"ppa/internal/cache"
 	"ppa/internal/isa"
@@ -237,6 +238,47 @@ func (c *Core) Step(cycle uint64) {
 	c.st.Cycles = cycle + 1
 	if c.next >= c.prog.Len() {
 		c.done = true
+	}
+}
+
+// NextEvent reports the earliest cycle, no earlier than cycle, at which
+// Step may do more than an idle step, which changes nothing but the
+// counters ChargeIdle scales, provided no other unit changes before then:
+// the next instruction's sources becoming ready, or any boundary or issue
+// Step could make now. A core waiting on the hierarchy reports never; the
+// hierarchy reports when it changes.
+func (c *Core) NextEvent(cycle uint64) uint64 {
+	if c.done {
+		return math.MaxUint64
+	}
+	if c.next >= c.prog.Len() {
+		return cycle // Step marks the core done
+	}
+	in := &c.prog.Insts[c.next]
+	if sc := &c.cfg.Scheme; sc.CSQEntries > 0 {
+		sync := in.Op.IsSyncPrimitive() && sc.SyncIsBoundary && len(c.csq) > 0
+		if sync || in.Op.IsStore() && len(c.csq) >= sc.CSQEntries {
+			if c.epochArmed && !c.hier.PersistedThrough(c.cfg.CoreID, c.epochSnapSeq) {
+				return math.MaxUint64
+			}
+			return cycle
+		}
+	}
+	if r := max(c.ready.Read(in.Src1), c.ready.Read(in.Src2)); r > cycle {
+		return r
+	}
+	if in.Op.IsStore() && c.hier.WBFull(c.cfg.CoreID) {
+		return math.MaxUint64
+	}
+	return cycle
+}
+
+// ChargeIdle accounts k more cycles like the idle step just run, whose
+// statistics before it were before. The caller guarantees, through
+// NextEvent, that nothing else changes in those cycles.
+func (c *Core) ChargeIdle(before *pipeline.Stats, k uint64) {
+	if !c.done {
+		c.st.ChargeIdle(before, k)
 	}
 }
 

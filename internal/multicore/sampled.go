@@ -16,7 +16,6 @@ import (
 	"ppa/internal/isa"
 	"ppa/internal/nvm"
 	"ppa/internal/oracle"
-	"ppa/internal/pipeline"
 	"ppa/internal/stats"
 	"ppa/internal/workload"
 )
@@ -262,22 +261,14 @@ func RunSampled(cfg Config, w *workload.Workload, sc SampleConfig) (*SampledResu
 // pipeline.Core.ReleaseGated). budget bounds the extra cycles. A sampled
 // machine's cores are out-of-order (NewSampled refuses Config.InOrder).
 func (s *System) releaseGated(budget uint64) error {
-	deadline := s.cycle + budget
-	for {
-		released := true
-		for _, c := range s.cores {
-			released = c.(*pipeline.Core).ReleaseGated(s.cycle) && released
-		}
-		if released {
-			return nil
-		}
-		if s.cycle >= deadline {
-			return fmt.Errorf("multicore: gated stores not released within %d cycles", budget)
-		}
-		if err := s.tickIdle(); err != nil {
-			return err
-		}
+	released, err := s.advance(s.cycle+budget, untilReleased)
+	switch {
+	case err != nil:
+		return err
+	case !released:
+		return fmt.Errorf("multicore: gated stores not released within %d cycles", budget)
 	}
+	return nil
 }
 
 func minInt(a, b int) int {

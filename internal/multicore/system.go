@@ -10,6 +10,7 @@ package multicore
 
 import (
 	"fmt"
+	"math"
 
 	"ppa/internal/cache"
 	"ppa/internal/checkpoint"
@@ -112,6 +113,10 @@ type Core interface {
 	Stats() *pipeline.Stats
 	Reset(cfg pipeline.Config, prog *isa.Program) error
 	SetCommitSink(s pipeline.CommitSink)
+	// NextEvent and ChargeIdle are the core's part of the advance loop's
+	// cycle skipping (see System.advance).
+	NextEvent(cycle uint64) uint64
+	ChargeIdle(before *pipeline.Stats, k uint64)
 }
 
 // System is one simulated machine bound to a workload.
@@ -140,6 +145,15 @@ type System struct {
 
 	// oracle is the lockstep checker (nil unless Config.Lockstep).
 	oracle *oracle.Machine
+
+	// idleMarks holds each core's statistics before the idle step of a
+	// skip (see skipTo); skipped counts the cycles skips charged, on the
+	// obs registry as multicore.skipped-cycles (nil without a hub).
+	idleMarks []pipeline.Stats
+	skipped   *obs.Counter
+	// quietUntil is the cycle before which, by the last report, no skip
+	// can start.
+	quietUntil uint64
 
 	// resumed marks a machine built around a surviving device (a resumed
 	// machine or a sampled window): Reset has no fresh state to return to.
@@ -187,7 +201,14 @@ func newSystem(cfg Config, w *workload.Workload, dev *nvm.Device, startAt []int)
 		cfg.Pipeline.Obs = cfg.Obs
 	}
 
-	s := &System{dev: dev, hier: hier, scheme: persist.SchemeFor(cfg.Scheme), resumed: resumed}
+	s := &System{
+		dev:       dev,
+		hier:      hier,
+		scheme:    persist.SchemeFor(cfg.Scheme),
+		idleMarks: make([]pipeline.Stats, len(w.Threads)),
+		skipped:   cfg.Obs.Registry().Counter("multicore.skipped-cycles"),
+		resumed:   resumed,
+	}
 	backend := s.scheme.NewBackend(len(w.Threads), dev)
 	if backend != nil {
 		s.backends = append(s.backends, backend)
@@ -256,8 +277,8 @@ func (s *System) Reset(w *workload.Workload, stepSeed uint64) error {
 // place (CrashWithOptions with opt), for less, and without changing src.
 // Each layer's CrashCopyFrom copies only what survives the outage or what
 // the dump and Collect read: the device's image, checkpoint and log areas
-// and counters (not its channels' queues), the hierarchy's writeback and
-// invalidation counts, the cores' CSQs, register files, counts and
+// and counters (not its channels' queues), the hierarchy's writeback
+// counts, the cores' CSQs, register files, counts and
 // statistics (not their in-flight instructions or frontends), the
 // oracle's golden models and counters (not its accept-stream tracking);
 // the clock is copied too. The volatile hierarchy and the persist
@@ -370,6 +391,8 @@ func (s *System) reset(cfg Config, w *workload.Workload, startAt []int) {
 		scheme:    s.scheme,
 		backends:  s.backends,
 		stepOrder: order,
+		idleMarks: s.idleMarks,
+		skipped:   s.skipped,
 		resumed:   s.resumed,
 		images:    s.images,
 		dump:      s.dump,
@@ -439,14 +462,20 @@ func (s *System) Oracle() *oracle.Machine { return s.oracle }
 // Scheme returns the machine's persistence scheme.
 func (s *System) Scheme() persist.Scheme { return s.scheme }
 
-// step advances the machine one cycle. A typed memory-system error (state
-// corruption, e.g. an unaligned word reaching the WPQ) aborts the cycle.
-func (s *System) step() error {
+// step advances the machine one cycle: the memory system and the scheme
+// backends tick, then, with cores, every core steps. A typed memory-system
+// error (state corruption, e.g. an unaligned word reaching the WPQ) aborts
+// the cycle.
+func (s *System) step(cores bool) error {
 	if err := s.hier.Tick(s.cycle); err != nil {
 		return err
 	}
 	for _, b := range s.backends {
 		b.Tick(s.cycle)
+	}
+	if !cores {
+		s.cycle++
+		return s.oracleErr()
 	}
 	done := true
 	if s.stepOrder != nil {
@@ -475,11 +504,67 @@ func (s *System) step() error {
 	}
 	s.allDone = done
 	s.cycle++
+	return s.oracleErr()
+}
+
+// oracleErr reports what the lockstep oracle latched, at the machine's
+// clock.
+func (s *System) oracleErr() error {
 	if s.oracle != nil {
-		if err := s.oracle.ErrAt(s.cycle); err != nil {
-			return err
+		return s.oracle.ErrAt(s.cycle)
+	}
+	return nil
+}
+
+// nextEvent is the earliest cycle, no earlier than the clock, at which a
+// step may do more than an idle step: the minimum of every unit's
+// NextEvent, the cores' only when they step. Once the minimum so far is at
+// or below limit it returns that instead, since a skip needs more. It
+// asks the backends and the hierarchy, which answer cheaply, first.
+func (s *System) nextEvent(cores bool, limit uint64) uint64 {
+	now := s.cycle
+	next := uint64(math.MaxUint64)
+	for _, b := range s.backends {
+		if next = min(next, b.NextEvent(now)); next <= limit {
+			return next
 		}
 	}
+	if next = min(next, s.hier.NextEvent(now)); next <= limit || !cores {
+		return next
+	}
+	for _, c := range s.cores {
+		if next = min(next, c.NextEvent(now)); next <= limit {
+			return next
+		}
+	}
+	return next
+}
+
+// skipTo runs one idle step and then accounts the cycles up to next
+// without stepping them: every unit reported, through nextEvent, that
+// nothing changes before next, so each of those cycles would bump exactly
+// the counters the idle step bumped, by as much. The cores and the
+// hierarchy charge them (the backends count nothing when idle), and the
+// clock moves to next.
+func (s *System) skipTo(next uint64, cores bool) error {
+	if cores {
+		for i, c := range s.cores {
+			s.idleMarks[i] = *c.Stats()
+		}
+	}
+	rejected := s.dev.RejectedFull
+	if err := s.step(cores); err != nil {
+		return err
+	}
+	k := next - s.cycle
+	if cores {
+		for i, c := range s.cores {
+			c.ChargeIdle(&s.idleMarks[i], k)
+		}
+	}
+	s.hier.ChargeIdle(k, s.dev.RejectedFull-rejected)
+	s.cycle = next
+	s.skipped.Add(k)
 	return nil
 }
 
@@ -515,17 +600,92 @@ func (s *System) checkOracleFinal() error {
 // machine still running past it is deadlocked or grossly miscalibrated.
 func CycleBudget(insts int) uint64 { return uint64(insts)*4000 + 1_000_000 }
 
+// advanceMode is what the advance loop steps and when it stops.
+type advanceMode int
+
+const (
+	// untilDone steps every unit until every core has retired its trace.
+	untilDone advanceMode = iota
+	// untilDrained ticks the memory system and the backends, cores idle,
+	// until no persist is pending.
+	untilDrained
+	// untilReleased ticks them until every core has released its gated
+	// stores (pipeline.Core.ReleaseGated, asked once per cycle).
+	untilReleased
+)
+
+// minSkip is the fewest cycles a skip charges: a shorter one costs more
+// than stepping them.
+const minSkip = 4
+
+// advance is the machine's one cycle loop. It runs until mode's condition
+// holds, reporting true, or the clock reaches bound, reporting false. Each
+// cycle whose every unit reports, through NextEvent, that nothing can
+// change before a later cycle is stepped once and the stretch up to that
+// cycle, clamped to bound, is charged without stepping (skipTo), so a run
+// ends at the same cycle, with the same state and counters, as stepping
+// every cycle would. A machine that waits forever jumps to bound at once.
+// untilReleased asks the cores every cycle, so it never skips.
+func (s *System) advance(bound uint64, mode advanceMode) (bool, error) {
+	cores := mode == untilDone
+	for !s.settled(mode) {
+		if s.cycle >= bound {
+			return false, nil
+		}
+		if mode != untilReleased && s.cycle >= s.quietUntil {
+			next := min(s.nextEvent(cores, s.cycle+minSkip), bound)
+			if next > s.cycle+minSkip {
+				if err := s.skipTo(next, cores); err != nil {
+					return false, err
+				}
+				continue
+			}
+			s.quietUntil = next
+		}
+		if err := s.step(cores); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// settled reports whether mode's stopping condition holds at the clock.
+// For untilReleased that is each core's ReleaseGated, which also does the
+// cycle's release work, so it runs exactly once per cycle.
+func (s *System) settled(mode advanceMode) bool {
+	switch mode {
+	case untilDrained:
+		if s.hier.PersistBacklog() > 0 || !s.dev.Drained(s.cycle) {
+			return false
+		}
+		for _, b := range s.backends {
+			for c := range s.cores {
+				if b.PendingOf(c) > 0 {
+					return false
+				}
+			}
+		}
+		return true
+	case untilReleased:
+		released := true
+		for _, c := range s.cores {
+			released = c.(*pipeline.Core).ReleaseGated(s.cycle) && released
+		}
+		return released
+	}
+	return s.allDone
+}
+
 // Run executes until completion or maxCycles, returning an error on
 // timeout (which indicates a deadlock or a grossly miscalibrated model).
 func (s *System) Run(maxCycles uint64) error {
-	for !s.Done() {
-		if s.cycle >= maxCycles {
-			return fmt.Errorf("multicore: exceeded %d cycles with %d/%d insts committed",
-				maxCycles, s.committedInsts(), s.totalInsts())
-		}
-		if err := s.step(); err != nil {
-			return err
-		}
+	done, err := s.advance(maxCycles, untilDone)
+	switch {
+	case err != nil:
+		return err
+	case !done:
+		return fmt.Errorf("multicore: exceeded %d cycles with %d/%d insts committed",
+			maxCycles, s.committedInsts(), s.totalInsts())
 	}
 	return s.checkOracleFinal()
 }
@@ -533,17 +693,16 @@ func (s *System) Run(maxCycles uint64) error {
 // RunUntil executes until the given cycle or completion, whichever first,
 // and reports whether the workload completed.
 func (s *System) RunUntil(cycle uint64) (bool, error) {
-	for !s.Done() && s.cycle < cycle {
-		if err := s.step(); err != nil {
-			return false, err
-		}
+	done, err := s.advance(cycle, untilDone)
+	if err != nil {
+		return false, err
 	}
-	if s.Done() {
+	if done {
 		if err := s.checkOracleFinal(); err != nil {
 			return true, err
 		}
 	}
-	return s.Done(), nil
+	return done, nil
 }
 
 // DrainPersists keeps ticking the memory system and the scheme backends
@@ -557,41 +716,13 @@ func (s *System) RunUntil(cycle uint64) (bool, error) {
 // redo record that disagrees with the golden model, ends the drain as it
 // ends a run.
 func (s *System) DrainPersists(budget uint64) error {
-	deadline := s.cycle + budget
-	for {
-		pending := s.hier.PersistBacklog() > 0 || !s.dev.Drained(s.cycle)
-		for _, b := range s.backends {
-			for c := 0; c < len(s.cores); c++ {
-				if b.PendingOf(c) > 0 {
-					pending = true
-				}
-			}
-		}
-		if !pending {
-			return nil
-		}
-		if s.cycle >= deadline {
-			return fmt.Errorf("multicore: persist backlog of %d entries not drained within %d cycles",
-				s.hier.PersistBacklog(), budget)
-		}
-		if err := s.tickIdle(); err != nil {
-			return err
-		}
-	}
-}
-
-// tickIdle advances the memory system and the scheme backends one cycle
-// with the cores idle, and reports what the lockstep oracle latched.
-func (s *System) tickIdle() error {
-	if err := s.hier.Tick(s.cycle); err != nil {
+	drained, err := s.advance(s.cycle+budget, untilDrained)
+	switch {
+	case err != nil:
 		return err
-	}
-	for _, b := range s.backends {
-		b.Tick(s.cycle)
-	}
-	s.cycle++
-	if s.oracle != nil {
-		return s.oracle.ErrAt(s.cycle)
+	case !drained:
+		return fmt.Errorf("multicore: persist backlog of %d entries not drained within %d cycles",
+			s.hier.PersistBacklog(), budget)
 	}
 	return nil
 }

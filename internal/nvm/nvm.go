@@ -14,6 +14,7 @@ package nvm
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"ppa/internal/isa"
 	"ppa/internal/mutation"
@@ -551,6 +552,67 @@ func (d *Device) Tick(cycle uint64) {
 		d.mediaWrites[victim/isa.LineSize]++
 		d.MediaWrites++
 	}
+}
+
+// NextEvent reports the earliest cycle, no earlier than cycle, at which Tick
+// may change the device or Drained may change its answer: a WPQ entry that
+// can move into its write-combining buffer now, a media drain due now, or
+// a channel's busy deadline. math.MaxUint64 means never. While a traced
+// device has a full WPQ it reports cycle+1: each rejection there is a
+// trace event, which a skipped cycle cannot emit.
+func (d *Device) NextEvent(cycle uint64) uint64 {
+	next := uint64(math.MaxUint64)
+	watermark := d.cfg.WCBEntries / 2
+	for i := range d.chans {
+		ch := &d.chans[i]
+		switch {
+		case ch.wpqN > 0 && ch.wcb.n < d.cfg.WCBEntries:
+			return cycle
+		case ch.writeBusy > cycle:
+			next = min(next, ch.writeBusy)
+		case ch.wcb.n > watermark:
+			return cycle
+		}
+		if d.tr != nil && ch.wpqN >= d.cfg.WPQEntries {
+			next = min(next, cycle+1)
+		}
+	}
+	return next
+}
+
+// Accepts reports whether TryAccept would take line now, as a new WPQ
+// entry or by coalescing, or fail with an error, without changing
+// anything.
+func (d *Device) Accepts(line uint64) bool {
+	if isa.LineAlign(line) != line {
+		return true
+	}
+	ch := d.chanOf(line)
+	if ch.wpqN < d.cfg.WPQEntries {
+		return true
+	}
+	if !d.cfg.CoalesceWPQ {
+		return false
+	}
+	if _, ok := ch.wcb.idx[line]; ok {
+		return true
+	}
+	for i := 0; i < ch.wpqN; i++ {
+		if ch.wpqAt(i).line == line {
+			return true
+		}
+	}
+	return false
+}
+
+// ChargeIdle accounts k ticks in which nothing reached the device and
+// nothing left its queues, rejecting rejects offers in all: it advances the
+// observer clock and counts the rejections, as k calls of Tick and the
+// rejected TryAccepts would.
+func (d *Device) ChargeIdle(k, rejects uint64) {
+	d.now += k
+	d.RejectedFull += rejects
+	d.wpqRejects.Add(rejects)
 }
 
 // MaxLineWear returns the largest media program count any single line has

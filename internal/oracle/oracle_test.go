@@ -269,6 +269,9 @@ func TestCoalescingSubsumption(t *testing.T) {
 	if err := m.Err(); err != nil {
 		t.Fatalf("coalesced accept rejected: %v", err)
 	}
+	if rep := m.Report(); rep.UnmatchedAccepts != 0 {
+		t.Fatalf("coalesced accept counted as unmatched: %+v", rep)
+	}
 }
 
 // TestPartialCoalesceStillBlocks: an accept of a middle value retires only
@@ -283,6 +286,9 @@ func TestPartialCoalesceStillBlocks(t *testing.T) {
 	if !asDivergence(m.Err(), &de) || de.Report.PersistViolation == nil {
 		t.Fatal("barrier with the newest store still volatile was accepted")
 	}
+	if k := de.Report.PersistViolation.Kind; k != "barrier-incomplete" {
+		t.Fatalf("wrong violation kind %s", k)
+	}
 }
 
 func TestIdempotentReaccept(t *testing.T) {
@@ -294,6 +300,13 @@ func TestIdempotentReaccept(t *testing.T) {
 	}
 	if rep := m.Report(); rep.UnmatchedAccepts != 0 {
 		t.Fatalf("idempotent re-accept counted as unmatched: %+v", rep)
+	}
+	// The re-accept must not re-arm outstanding state: a barrier after it
+	// completes clean.
+	m.ObserveBarrierArm(0, 12)
+	m.ObserveBarrierComplete(0, 13, pipeline.BoundaryCause(0))
+	if err := m.Err(); err != nil {
+		t.Fatalf("barrier after an idempotent re-accept rejected: %v", err)
 	}
 }
 

@@ -36,6 +36,8 @@ package persist
 //     transaction never committed.
 
 import (
+	"math"
+
 	"ppa/internal/isa"
 	"ppa/internal/mutation"
 	"ppa/internal/nvm"
@@ -232,6 +234,19 @@ func (l *LogPath) enqueue(core int) {
 	if len(l.queue) > l.MaxDepth {
 		l.MaxDepth = len(l.queue)
 	}
+}
+
+// CanAccept reports whether TryAccept would take a core's next record now.
+func (l *LogPath) CanAccept(core int) bool { return l.outstanding(core) < l.perCoreCap }
+
+// NextEvent reports the earliest cycle, no earlier than cycle, at which
+// Tick may drain a record: the shared path's free cycle while records
+// queue. math.MaxUint64 means never.
+func (l *LogPath) NextEvent(cycle uint64) uint64 {
+	if len(l.queue) == 0 {
+		return math.MaxUint64
+	}
+	return max(l.busyTill, cycle)
 }
 
 // PendingOf returns a core's undrained shared-path record count — the

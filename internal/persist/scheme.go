@@ -81,6 +81,11 @@ type Backend interface {
 	PendingOf(core int) int
 	// Tick drains the backend's shared path at its bandwidth.
 	Tick(cycle uint64)
+	// NextEvent reports the earliest cycle, no earlier than cycle, at which
+	// Tick may change the backend; math.MaxUint64 means never. An idle
+	// Tick counts nothing; a core stalled on a full backend charges the
+	// refusals of the cycles it skips itself.
+	NextEvent(cycle uint64) uint64
 	// PowerFail models the outage: volatile backend state is lost,
 	// battery-backed or durable state survives.
 	PowerFail()

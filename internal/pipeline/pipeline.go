@@ -17,6 +17,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ppa/internal/cache"
 	"ppa/internal/isa"
@@ -240,6 +241,26 @@ func (s *Stats) CopyFrom(src *Stats) {
 	if src.RegionTrace != nil {
 		s.RegionTrace = append([]RegionRecord(nil), src.RegionTrace...)
 	}
+}
+
+// ChargeIdle adds k more cycles like the idle one that took the statistics
+// from before to s: the cycle count moves k on, and each stall and
+// occupancy counter gains k times what that cycle added. Both core models
+// charge skipped cycles through it.
+func (s *Stats) ChargeIdle(before *Stats, k uint64) {
+	s.Cycles += k
+	s.ROBOccupancySum += (s.ROBOccupancySum - before.ROBOccupancySum) * k
+	s.RegionEndStalls += (s.RegionEndStalls - before.RegionEndStalls) * k
+	s.PersistDrainWaits += (s.PersistDrainWaits - before.PersistDrainWaits) * k
+	s.RenameNoRegStalls += (s.RenameNoRegStalls - before.RenameNoRegStalls) * k
+	s.ROBFullStalls += (s.ROBFullStalls - before.ROBFullStalls) * k
+	s.SQFullStalls += (s.SQFullStalls - before.SQFullStalls) * k
+	s.LQFullStalls += (s.LQFullStalls - before.LQFullStalls) * k
+	s.WBFullStalls += (s.WBFullStalls - before.WBFullStalls) * k
+	s.RedoFullStalls += (s.RedoFullStalls - before.RedoFullStalls) * k
+	s.LogFullStalls += (s.LogFullStalls - before.LogFullStalls) * k
+	s.FrontendStalls += (s.FrontendStalls - before.FrontendStalls) * k
+	s.SyncStalls += (s.SyncStalls - before.SyncStalls) * k
 }
 
 // AvgRegionLen returns the mean instructions per region (stores + others).
@@ -600,6 +621,164 @@ func (c *Core) Step(cycle uint64) {
 	}
 }
 
+// never is NextEvent's report for a state no cycle of the core's own can
+// change.
+const never = math.MaxUint64
+
+// NextEvent reports the earliest cycle, no earlier than cycle, at which
+// Step may do more than an idle step, which changes nothing but the
+// counters ChargeIdle scales, provided no other unit changes before then:
+// an SQ release, the ROB head completing, a boundary bubble or frontend
+// stall ending, or any commit or rename Step could make now. A core
+// waiting on the hierarchy or the backend reports never; they report when
+// they change.
+func (c *Core) NextEvent(cycle uint64) uint64 {
+	if c.done {
+		return never
+	}
+	if c.committed >= c.stop && c.robLen == 0 {
+		return cycle // Step marks the core done
+	}
+	next := c.commitNext(cycle)
+	if next <= cycle {
+		return cycle
+	}
+	next = min(next, c.renameNext(cycle))
+	for _, t := range c.sqReleases {
+		next = min(next, t)
+	}
+	if next <= cycle {
+		return cycle
+	}
+	for _, tok := range c.sqAckToks {
+		if c.hier.PersistAcked(c.cfg.CoreID, tok) {
+			return cycle
+		}
+	}
+	return next
+}
+
+// commitNext is NextEvent's commit stage: cycle when commitStage would
+// change the core now, the cycle the ROB head completes or its boundary
+// bubble ends, or never while it waits on the hierarchy or the backend.
+func (c *Core) commitNext(cycle uint64) uint64 {
+	if c.robLen == 0 {
+		return never
+	}
+	e := &c.rob[c.robHead]
+	sc := &c.cfg.Scheme
+	switch {
+	case e.completeAt > cycle:
+		return e.completeAt
+	case e.regionStart && sc.Barrier == persist.BarrierStoreGate:
+		switch {
+		case c.boundaryReadyAt == 0:
+			return cycle
+		case cycle < c.boundaryReadyAt:
+			return c.boundaryReadyAt
+		case c.backend.PendingOf(c.cfg.CoreID) > 0:
+			return never
+		}
+		return cycle
+	case e.regionStart:
+		return c.heldNext(cycle, BoundaryFixed)
+	case sc.SyncIsBoundary && e.op.IsSyncPrimitive() && c.regionDirty():
+		return c.heldNext(cycle, BoundarySync)
+	case !e.op.IsStore():
+		return cycle
+	case sc.CSQEntries > 0 && len(c.csq) >= sc.CSQEntries:
+		return c.heldNext(cycle, BoundaryCSQ)
+	case c.backend != nil && !e.logEnqueued:
+		if c.backend.CanAccept(c.cfg.CoreID) {
+			return cycle
+		}
+		return never
+	}
+	switch c.retire {
+	case persist.RetireGated, persist.RetireGatedLog, persist.RetireMerge:
+		return cycle
+	}
+	if !e.persistEnqueued {
+		if c.hier.CanPersist(c.cfg.CoreID, e.addr) {
+			return cycle
+		}
+		return never
+	}
+	if syncPersist, _ := sc.AsyncAblations(); syncPersist && !c.hier.PersistAcked(c.cfg.CoreID, e.persistTok) {
+		return never
+	}
+	return cycle
+}
+
+// heldNext is never while a boundary of cause is held, else cycle: the
+// boundary arms, bursts or closes now.
+func (c *Core) heldNext(cycle uint64, cause BoundaryCause) uint64 {
+	if c.boundaryHeld(cause) {
+		return never
+	}
+	return cycle
+}
+
+// renameNext is NextEvent's rename stage: cycle when renameStage would
+// change the core now, the end of a frontend stall, or never while it
+// waits on the commit stage, the hierarchy or the backend.
+func (c *Core) renameNext(cycle uint64) uint64 {
+	switch {
+	case c.next >= c.stop:
+		return never
+	case c.frontStallUntil > cycle:
+		return c.frontStallUntil
+	case c.boundaryPending:
+		return c.heldNext(cycle, c.boundaryCause)
+	case c.cfg.Scheme.Barrier == persist.BarrierFullDrain && c.epochArmed:
+		return never
+	}
+	in := &c.prog.Insts[c.next]
+	switch {
+	case c.robLen >= len(c.rob),
+		in.Op == isa.OpLoad && c.lqCount >= c.cfg.LQSize:
+		return never
+	case in.Op.IsStore() && c.sqCount >= c.cfg.SQSize:
+		// A store queue full of gated stores forces a boundary.
+		if c.gatedSQ > 0 {
+			return cycle
+		}
+		return never
+	case in.DefinesReg() && c.ren.FreeCount(in.Dst.Class) == 0 && !c.cfg.Scheme.DynamicRegions:
+		return never
+	}
+	return cycle
+}
+
+// ChargeIdle accounts k more cycles like the idle step just run, whose
+// statistics before it were before: each counter that step bumped gains k
+// times as much, and the stall-dedupe stamps move k cycles on. The caller
+// guarantees, through NextEvent, that nothing else changes in those cycles.
+func (c *Core) ChargeIdle(before *Stats, k uint64) {
+	if c.done {
+		return
+	}
+	if c.lastRegionStallCycle == c.st.Cycles {
+		c.lastRegionStallCycle += k
+	}
+	if c.lastDrainWaitCycle == c.st.Cycles {
+		c.lastDrainWaitCycle += k
+	}
+	c.regionDrainWait += (c.st.PersistDrainWaits - before.PersistDrainWaits) * k
+	// Each rename or backend stall of an idle cycle is one refused
+	// TryRename or TryAccept, which counts its own refusal.
+	c.ren.RenameStalls += (c.st.RenameNoRegStalls - before.RenameNoRegStalls) * k
+	if c.backend != nil {
+		full := c.st.LogFullStalls + c.st.RedoFullStalls - before.LogFullStalls - before.RedoFullStalls
+		c.backend.Rejects += full * k
+	}
+	if c.cfg.SampleFreeRegs {
+		c.st.FreeInt.AddN(c.ren.FreeCount(isa.ClassInt), k)
+		c.st.FreeFP.AddN(c.ren.FreeCount(isa.ClassFP), k)
+	}
+	c.st.ChargeIdle(before, k)
+}
+
 // releaseSQ frees store-queue entries whose drain completed or whose clwb
 // persist acknowledged.
 func (c *Core) releaseSQ(cycle uint64) {
@@ -916,28 +1095,12 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 		// a second flush would subtract the lag again.
 		c.hier.FlushWB(c.cfg.CoreID, cycle)
 	}
-	if !c.hier.PersistedThrough(c.cfg.CoreID, c.epochSnapSeq) &&
-		!mutation.Is(mutation.PipelineBarrierEarlyRelease) {
-		// The mutation guard is seeded bug PipelineBarrierEarlyRelease:
-		// the barrier releases without waiting for the snapshot to drain.
+	switch c.barrierHold(cause) {
+	case holdDrain:
 		c.noteDrainWait(cycle)
 		return false
-	}
-	// The log discipline may hold the boundary until the core's records
-	// have drained the shared path (the log-write bandwidth).
-	if c.backend != nil && c.backend.BoundaryWaits(c.cfg.CoreID) {
-		c.noteDrainWait(cycle)
+	case holdFullDrain:
 		return false
-	}
-	// The full-drain ablation freezes the frontend while any boundary is
-	// armed (see renameStage) and, for rename-side boundaries, waits for
-	// the ROB to empty and every persist to complete. Commit-side
-	// boundaries (CSQ-full, sync) cannot drain below their own blocked
-	// instruction, so the frontend freeze is their whole strictness.
-	if c.cfg.Scheme.Barrier == persist.BarrierFullDrain && cause == BoundaryPRF {
-		if c.robLen > 0 || c.hier.PersistPending(c.cfg.CoreID) > 0 {
-			return false
-		}
 	}
 
 	// Stores that committed during the wait belong to the next region:
@@ -968,6 +1131,56 @@ func (c *Core) tryEndRegion(cycle uint64, cause BoundaryCause) bool {
 		c.sink.ObserveBarrierComplete(c.cfg.CoreID, cycle, cause)
 	}
 	return true
+}
+
+// barrierHold says what still holds an armed boundary whose gated burst is
+// done.
+type barrierHold int
+
+const (
+	holdNone      barrierHold = iota
+	holdDrain                 // persists or log records not yet durable
+	holdFullDrain             // the full-drain ablation's ROB and persists
+)
+
+// barrierHold reports what holds an armed boundary of cause once its gated
+// burst is done, reading nothing but the core, the hierarchy and the
+// backend.
+func (c *Core) barrierHold(cause BoundaryCause) barrierHold {
+	if !c.hier.PersistedThrough(c.cfg.CoreID, c.epochSnapSeq) &&
+		!mutation.Is(mutation.PipelineBarrierEarlyRelease) {
+		// The mutation guard is seeded bug PipelineBarrierEarlyRelease:
+		// the barrier releases without waiting for the snapshot to drain.
+		return holdDrain
+	}
+	// The log discipline may hold the boundary until the core's records
+	// have drained the shared path (the log-write bandwidth).
+	if c.backend != nil && c.backend.BoundaryWaits(c.cfg.CoreID) {
+		return holdDrain
+	}
+	// The full-drain ablation freezes the frontend while any boundary is
+	// armed (see renameStage) and, for rename-side boundaries, waits for
+	// the ROB to empty and every persist to complete. Commit-side
+	// boundaries (CSQ-full, sync) cannot drain below their own blocked
+	// instruction, so the frontend freeze is their whole strictness.
+	if c.cfg.Scheme.Barrier == persist.BarrierFullDrain && cause == BoundaryPRF &&
+		(c.robLen > 0 || c.hier.PersistPending(c.cfg.CoreID) > 0) {
+		return holdFullDrain
+	}
+	return holdNone
+}
+
+// boundaryHeld reports whether tryEndRegion for cause would wait without
+// changing the core: the boundary is armed, and either the next store of
+// its gated burst cannot enter the write buffer or barrierHold holds it.
+func (c *Core) boundaryHeld(cause BoundaryCause) bool {
+	if !c.epochArmed {
+		return false
+	}
+	if next := len(c.csq) - c.gatedSQ; next < c.epochCSQMark {
+		return c.retire == persist.RetireGated && !c.hier.CanPersist(c.cfg.CoreID, c.csq[next].Addr)
+	}
+	return c.barrierHold(cause) != holdNone
 }
 
 // closeRegionStats records every per-region measurement for a region ending
