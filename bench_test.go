@@ -277,7 +277,7 @@ func BenchmarkCrashRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !out.CompletedBeforeFailure && !out.Consistent {
+		if !out.Completed && out.Inconsistencies != 0 {
 			b.Fatal("inconsistent recovery")
 		}
 	}

@@ -150,15 +150,15 @@ func main() {
 		len(sweep), *appFlag, *schemeFlag, *insts, *minCycle, *maxCycle, *seed,
 		internalsweep.Workers(*workers))
 
-	onPoint := func(out *ppa.TortureOutcome) {
+	onPoint := func(out *ppa.CrashVerdict) {
 		if *verbose || out.Violation != "" {
 			status := "ok"
 			switch {
 			case out.Violation != "":
 				status = "VIOLATION: " + out.Violation
-			case out.Detected:
-				status = "detected: " + out.DetectedAs
-			case out.CompletedBeforeFailure:
+			case out.Detected != nil:
+				status = "detected: " + out.Detected.Error()
+			case out.Completed:
 				status = "completed before failure"
 			}
 			log.Printf("  %v -> %s", out.Point, status)

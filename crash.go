@@ -1,6 +1,7 @@
 package ppa
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -131,27 +132,101 @@ func (r *crashRun) crashLive(opt multicore.CrashOptions) (*multicore.CrashReport
 	return r.down.CrashCopy(r.sys, opt)
 }
 
-// crashVerdict is what one outage did and what recovery made of it.
-type crashVerdict struct {
-	cycle     uint64 // the crashed machine's clock at the cut
-	completed bool   // the workload finished before the cut
-	injected  bool   // the fault actually struck
-	damaged   bool   // a tear or a byte-level mutation changed the dump
-	detected  error  // recovery refused the checkpoint
-	recovered bool
-	attempts  int // entries into the recovery protocol
-	perCore   []*recovery.Outcome
+// CrashVerdict is what one outage did and what recovery made of it. Every
+// crash entry point returns it: RunTorturePoint, the torture sweeps,
+// RunWithFailure and, one per outage, RunWithFailureSchedule. Violation is
+// the one verdict on the scheme's recovery contract; the other fields are
+// the evidence it was reached from.
+type CrashVerdict struct {
+	// Point is the cut: the failure cycle, the fault and its nesting depth.
+	Point TorturePoint `json:"point"`
+	// Cycle is the crashed machine's clock at the cut.
+	Cycle uint64 `json:"cycle"`
+	// Completed reports the workload finished before the cut, so no
+	// failure struck (the point degenerates to a plain run).
+	Completed bool `json:"completed_before_failure,omitempty"`
+	Injected  bool `json:"injected"` // the fault actually struck
+	Damaged   bool `json:"damaged"`  // a tear or a byte-level mutation changed the dump
+	// Detected is the error with which recovery refused the checkpoint,
+	// nil when it did not refuse; one outside recovery's typed taxonomy is
+	// itself a violation. JSON carries it as "detected" and its text as
+	// "detected_as".
+	Detected  error `json:"-"`
+	Recovered bool  `json:"recovered"`
+	// Attempts counts entries into the recovery protocol (1 for an
+	// undisturbed recovery; +1 per nested outage).
+	Attempts int                 `json:"recovery_attempts"`
+	PerCore  []*recovery.Outcome `json:"per_core,omitempty"`
 
-	checkpointBytes int
-	flushedBytes    int
-	// inconsistencies counts words of the contract point's golden memory
+	CheckpointBytes int `json:"checkpoint_bytes"` // encoded dump size across cores
+	// FlushedBytes is how much dirty data a flush-on-failure scheme (eADR)
+	// pushed on residual energy.
+	FlushedBytes int `json:"flushed_bytes"`
+	// Inconsistencies counts words of the contract point's golden memory
 	// that recovered NVM got wrong.
-	inconsistencies int
-	archConsistent  bool
-	oracleChecked   bool
-	oracleErr       error
-	// violation is the contract breach, empty for a pass.
-	violation string
+	Inconsistencies int `json:"inconsistencies"`
+	// ArchConsistent reports the recovered register state matched the
+	// golden model (true for schemes that do not checkpoint it).
+	ArchConsistent bool `json:"arch_consistent"`
+	// OracleChecked reports the lockstep oracle judged the recovered
+	// image; OracleErr is its objection (JSON "oracle_error").
+	OracleChecked bool  `json:"oracle_checked"`
+	OracleErr     error `json:"-"`
+	// Verifier names the check that found the violation.
+	Verifier string `json:"verifier,omitempty"`
+	// Violation is the contract breach, empty for a pass.
+	Violation string `json:"violation,omitempty"`
+	// Resumed is the run resumed after recovery to completion
+	// (RunWithFailure only).
+	Resumed *Result `json:"resumed,omitempty"`
+}
+
+// verdictJSON is a CrashVerdict's JSON: its fields plus its errors' text.
+type verdictJSON struct {
+	*crashRecord
+	Detected    bool   `json:"detected"`
+	DetectedAs  string `json:"detected_as,omitempty"`
+	OracleError string `json:"oracle_error,omitempty"`
+}
+
+// crashRecord is CrashVerdict without its JSON methods.
+type crashRecord CrashVerdict
+
+// MarshalJSON formats the verdict's errors, which it keeps as values.
+func (v *CrashVerdict) MarshalJSON() ([]byte, error) {
+	return json.Marshal(verdictJSON{(*crashRecord)(v), v.Detected != nil, errText(v.Detected), errText(v.OracleErr)})
+}
+
+// UnmarshalJSON restores a verdict from its JSON, refusing unknown keys;
+// its errors keep only their text.
+func (v *CrashVerdict) UnmarshalJSON(b []byte) error {
+	j := verdictJSON{crashRecord: (*crashRecord)(v)}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&j); err != nil {
+		return err
+	}
+	v.Detected, v.OracleErr = nil, nil
+	if j.Detected {
+		v.Detected = errors.New(j.DetectedAs)
+	}
+	if j.OracleError != "" {
+		v.OracleErr = errors.New(j.OracleError)
+	}
+	return nil
+}
+
+// fail records the contract breach violation, found by verifier.
+func (v *CrashVerdict) fail(verifier, violation string) {
+	v.Verifier, v.Violation = verifier, violation
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // cut runs the live machine to p.Cycle, cuts power to a copy of it there
@@ -164,30 +239,30 @@ type crashVerdict struct {
 // around the recovered copy's device, every thread resuming at its
 // contract point. A lockstep divergence before the cut is returned as the
 // error together with its verdict; any other error comes without one.
-func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
+func (r *crashRun) cut(p TorturePoint, resume bool) (*CrashVerdict, error) {
 	if err := r.rewind(p.Cycle); err != nil {
 		return nil, err
 	}
 	hub := r.rc.hub()
-	v := &crashVerdict{archConsistent: true}
+	v := &CrashVerdict{Point: p, ArchConsistent: true}
 	done, err := false, r.halt
 	if err == nil {
 		done, err = r.sys.RunUntil(p.Cycle)
 	}
-	v.cycle = r.sys.Cycle()
+	v.Cycle = r.sys.Cycle()
 	if err != nil {
 		var de *oracle.DivergenceError
 		if !errors.As(err, &de) {
 			return nil, err
 		}
 		r.halt = err
-		v.violation = err.Error()
+		v.fail(forensics.KindLockstepDivergence, err.Error())
 		div, _ := json.Marshal(de.Report)
-		r.capture(r.sys, r.ftail, v, p, forensics.KindLockstepDivergence, div)
+		r.capture(r.sys, r.ftail, v, forensics.KindLockstepDivergence, div)
 		return v, err
 	}
 	if done {
-		v.completed = true
+		v.Completed = true
 		return v, nil
 	}
 	rep, err := r.crashLive(crashOptions(p))
@@ -197,13 +272,13 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 	sys := r.down
 	inj := fault.NewInjector(hub)
 	if rep.Torn {
-		v.injected, v.damaged = true, true
+		v.Injected, v.Damaged = true, true
 		inj.Injected(p.Fault, p.Cycle)
 	}
-	v.flushedBytes = sys.LastCrashFlushBytes()
+	v.FlushedBytes = sys.LastCrashFlushBytes()
 	dev := sys.Device()
 	if p.Fault.ByteLevel() && dev.MutateCheckpoint(p.Fault.Mutate) {
-		v.injected, v.damaged = true, true
+		v.Injected, v.Damaged = true, true
 		inj.Injected(p.Fault, p.Cycle)
 	}
 
@@ -218,13 +293,13 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 	var images []*checkpoint.Image
 	var at []int // each core's contract point: committed prefix or last marker
 	for {
-		v.attempts++
-		if v.attempts > nested+4 {
-			v.violation = "recovery did not converge"
-			r.capture(sys, r.dtail, v, p, forensics.KindTortureViolation, nil)
+		v.Attempts++
+		if v.Attempts > nested+4 {
+			v.fail("recovery-convergence", "recovery did not converge")
+			r.capture(sys, r.dtail, v, forensics.KindTortureViolation, nil)
 			return v, nil
 		}
-		if images, v.detected = recovery.LoadImages(dev, r.images); v.detected != nil {
+		if images, v.Detected = recovery.LoadImages(dev, r.images); v.Detected != nil {
 			break
 		}
 		r.images = images
@@ -234,51 +309,51 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*crashVerdict, error) {
 			// the first Param entries of each image. Either way the
 			// re-entered protocol starts from the top.
 			nested--
-			v.injected = true
+			v.Injected = true
 			inj.Injected(p.Fault, p.Cycle)
 			if txn {
-				_, v.detected = scheme.Recover(dev, len(images))
+				_, v.Detected = scheme.Recover(dev, len(images))
 			} else {
 				for _, im := range images {
 					n := 0
 					if len(im.CSQ) > 0 {
 						n = int(p.Fault.Param % uint64(len(im.CSQ)+1))
 					}
-					if _, v.detected = recovery.ReplayN(dev, im, n); v.detected != nil {
+					if _, v.Detected = recovery.ReplayN(dev, im, n); v.Detected != nil {
 						break
 					}
 				}
 			}
-			if v.detected != nil {
+			if v.Detected != nil {
 				break
 			}
 			continue
 		}
-		at, v.detected = r.recoverByContract(images, txn, v)
-		v.recovered = v.detected == nil
+		at, v.Detected = r.recoverByContract(images, txn, v)
+		v.Recovered = v.Detected == nil
 		break
 	}
-	if v.detected != nil {
+	if v.Detected != nil {
 		inj.Detected(p.Fault, p.Cycle)
 	}
 
 	var div json.RawMessage
 	switch {
-	case v.detected != nil && !recovery.IsDetection(v.detected):
-		v.violation = fmt.Sprintf("untyped recovery error: %v", v.detected)
-	case v.detected != nil && !v.damaged:
+	case v.Detected != nil && !recovery.IsDetection(v.Detected):
+		v.fail("recovery-error", fmt.Sprintf("untyped recovery error: %v", v.Detected))
+	case v.Detected != nil && !v.Damaged:
 		// A nested outage strikes too, but leaves the dump intact: recovery
 		// must not refuse it.
-		v.violation = fmt.Sprintf("spurious detection of an intact checkpoint: %s", v.detected)
-	case v.recovered && v.injected && p.Fault.Corrupting():
-		v.violation = "silently recovered a corrupt checkpoint"
-	case v.recovered:
+		v.fail("spurious-detection", fmt.Sprintf("spurious detection of an intact checkpoint: %s", v.Detected))
+	case v.Recovered && v.Injected && p.Fault.Corrupting():
+		v.fail("corruption-detection", "silently recovered a corrupt checkpoint")
+	case v.Recovered:
 		if div, err = r.verify(v, images, at); err != nil {
 			return nil, err
 		}
 	}
-	r.capture(sys, r.dtail, v, p, forensics.KindTortureViolation, div)
-	if !v.recovered {
+	r.capture(sys, r.dtail, v, forensics.KindTortureViolation, div)
+	if !v.Recovered {
 		return v, nil
 	}
 
@@ -321,7 +396,7 @@ func crashOptions(p TorturePoint) multicore.CrashOptions {
 // validate the dump (a damaged one must still surface as a detection) but
 // rebuild the image from their own durable log and resume at each core's
 // last marker.
-func (r *crashRun) recoverByContract(images []*checkpoint.Image, txn bool, v *crashVerdict) ([]int, error) {
+func (r *crashRun) recoverByContract(images []*checkpoint.Image, txn bool, v *CrashVerdict) ([]int, error) {
 	sys := r.down
 	at := make([]int, len(images))
 	if txn {
@@ -338,20 +413,20 @@ func (r *crashRun) recoverByContract(images []*checkpoint.Image, txn bool, v *cr
 	}
 	for i, im := range images {
 		prog := sys.Cores()[im.CoreID].Program()
-		v.checkpointBytes += im.EncodedLen()
+		v.CheckpointBytes += im.EncodedLen()
 		if txn {
 			o := &recovery.Outcome{CoreID: im.CoreID, ResumeIndex: at[i]}
 			if at[i] > 0 && at[i] <= prog.Len() {
 				o.ResumePC = prog.Insts[at[i]-1].PC + 4
 			}
-			v.perCore = append(v.perCore, o)
+			v.PerCore = append(v.PerCore, o)
 			continue
 		}
 		o, err := recovery.RecoverObserved(sys.Device(), im, prog, r.rc.hub(), sys.Cycle())
 		if err != nil {
 			return nil, err
 		}
-		v.perCore = append(v.perCore, o)
+		v.PerCore = append(v.PerCore, o)
 		at[im.CoreID] = im.Committed
 	}
 	return at, nil
@@ -363,7 +438,7 @@ func (r *crashRun) recoverByContract(images []*checkpoint.Image, txn bool, v *cr
 // with no contract (baseline, DRAM-only, ReplayCache) are run to measure
 // how badly they miss it, so the oracle does not judge them. It returns the
 // oracle's divergence report for a flight-recorder bundle.
-func (r *crashRun) verify(v *crashVerdict, images []*checkpoint.Image, at []int) (json.RawMessage, error) {
+func (r *crashRun) verify(v *CrashVerdict, images []*checkpoint.Image, at []int) (json.RawMessage, error) {
 	sys := r.down
 	dev := sys.Device()
 	committed := make([]int, len(images))
@@ -373,7 +448,7 @@ func (r *crashRun) verify(v *crashVerdict, images []*checkpoint.Image, at []int)
 	// One golden execution per core serves the driver's checks; the
 	// oracle derives its own, so its verdict stays independent of this one.
 	for id, c := range sys.Cores() {
-		v.inconsistencies += recovery.CountInconsistencies(dev, r.golden(id, c.Program(), at[id]))
+		v.Inconsistencies += recovery.CountInconsistencies(dev, r.golden(id, c.Program(), at[id]))
 	}
 	if sys.Scheme().VerifiesArchState() {
 		if r.ren == nil {
@@ -385,32 +460,35 @@ func (r *crashRun) verify(v *crashVerdict, images []*checkpoint.Image, at []int)
 			}
 			g := r.golden(im.CoreID, sys.Cores()[im.CoreID].Program(), im.Committed)
 			if recovery.VerifyArchState(r.ren, g) != nil {
-				v.archConsistent = false
+				v.ArchConsistent = false
 			}
 		}
 	}
 	if m := sys.Oracle(); m != nil {
 		switch sys.Scheme().Contract() {
 		case persist.RecoverCommittedPrefix:
-			v.oracleChecked = true
-			v.oracleErr = m.CheckRecovered(dev.Image(), committed, v.cycle)
+			v.OracleChecked = true
+			v.OracleErr = m.CheckRecovered(dev.Image(), committed, v.Cycle)
 		case persist.RecoverTxnBoundary:
-			v.oracleChecked = true
-			v.oracleErr = m.CheckRecoveredAt(dev.Image(), at, v.cycle)
+			v.OracleChecked = true
+			v.OracleErr = m.CheckRecoveredAt(dev.Image(), at, v.Cycle)
 		}
 	}
+	// The checks are ordered as the mutation gate names its catches: the
+	// oracle's independent verdict, then the committed prefix, then the
+	// register state.
 	var div json.RawMessage
 	switch {
-	case v.inconsistencies > 0:
-		v.violation = fmt.Sprintf("committed-prefix violation: %d words lost", v.inconsistencies)
-	case !v.archConsistent:
-		v.violation = "recovered register state diverged from the golden model"
-	case v.oracleErr != nil:
-		v.violation = v.oracleErr.Error()
+	case v.OracleErr != nil:
+		v.fail("oracle-recovery-check", v.OracleErr.Error())
 		var de *oracle.DivergenceError
-		if errors.As(v.oracleErr, &de) {
+		if errors.As(v.OracleErr, &de) {
 			div, _ = json.Marshal(de.Report)
 		}
+	case v.Inconsistencies > 0:
+		v.fail("committed-prefix", fmt.Sprintf("committed-prefix violation: %d words lost", v.Inconsistencies))
+	case !v.ArchConsistent:
+		v.fail("arch-state", "recovered register state diverged from the golden model")
 	}
 	return div, nil
 }
@@ -441,17 +519,17 @@ func (r *crashRun) golden(core int, prog *isa.Program, n int) *isa.GoldenResult 
 // capture snapshots a violation on sys into the flight recorder: the trace
 // ring, the metrics registry, sys's NVM accept tail and the divergence
 // report, at the instant the violation fires.
-func (r *crashRun) capture(sys *multicore.System, tail *forensics.AcceptTail, v *crashVerdict, p TorturePoint, kind string, div json.RawMessage) {
-	if r.rc.Forensics == nil || v.violation == "" {
+func (r *crashRun) capture(sys *multicore.System, tail *forensics.AcceptTail, v *CrashVerdict, kind string, div json.RawMessage) {
+	if r.rc.Forensics == nil || v.Violation == "" {
 		return
 	}
 	b := &forensics.Bundle{
 		Meta: forensics.Meta{
 			Kind:         kind,
-			Reason:       v.violation,
+			Reason:       v.Violation,
 			App:          r.rc.App,
 			Scheme:       string(r.rc.Scheme),
-			Point:        p.String(),
+			Point:        v.Point.String(),
 			CaptureCycle: sys.Cycle(),
 		},
 		Divergence: div,

@@ -1,6 +1,7 @@
 package ppa
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -32,14 +33,14 @@ func TestRunWithFailureResumesCustomizedMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CompletedBeforeFailure || out.ResumedResult == nil {
+	if out.Completed || out.Resumed == nil {
 		t.Fatal("failure did not strike or the run did not resume")
 	}
 	// Crash plus tail re-executes at least the uncommitted work, so it
 	// cannot be meaningfully faster than the uninterrupted customized run.
-	if got := failCycle + out.ResumedResult.Cycles; got < full.Cycles*9/10 {
+	if got := failCycle + out.Resumed.Cycles; got < full.Cycles*9/10 {
 		t.Fatalf("crash at %d + resumed tail %d cycles = %d, customized full run %d: tail ran on another machine",
-			failCycle, out.ResumedResult.Cycles, got, full.Cycles)
+			failCycle, out.Resumed.Cycles, got, full.Cycles)
 	}
 	// The resumed machine restarts its clock at 0 and runs far past the
 	// crash cycle; only a hub attached to it sees cycles that late.
@@ -73,12 +74,12 @@ func TestFailureScheduleTxnSchemes(t *testing.T) {
 			if !out.Completed {
 				t.Fatal("workload did not complete across repeated failures")
 			}
-			if out.Failures < 3 {
-				t.Fatalf("expected several failures, got %d", out.Failures)
+			if len(out.Verdicts) < 3 {
+				t.Fatalf("expected several failures, got %d", len(out.Verdicts))
 			}
 			if !out.Consistent() {
-				t.Fatalf("lost %d words across %d failures (verdicts %v)",
-					out.TotalInconsistencies, out.Failures, out.ConsistentAfterEach)
+				t.Fatalf("lost %d words across %d failures (violations %q)",
+					lostWords(out), len(out.Verdicts), violations(out))
 			}
 		})
 	}
@@ -129,7 +130,7 @@ func TestGatedBurstWaitsForWriteBuffer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !out.Consistent {
+			if out.Inconsistencies != 0 {
 				t.Fatalf("recovery lost %d committed words", out.Inconsistencies)
 			}
 		})
@@ -171,5 +172,100 @@ func TestCrashRunGoldenMatchesRunGolden(t *testing.T) {
 			t.Fatalf("%s to %d: the advanced golden (%d insts) differs from RunGolden (%d insts)",
 				s.prog.Name, s.n, got.Executed, want.Executed)
 		}
+	}
+}
+
+// TestCrashEntryPointsAgree: every crash entry point returns the driver's
+// one record. At each golden cut of mcf under ppa, and under baseline,
+// whose cuts violate the contract so that the records agree on violations
+// too, RunWithFailure's record equals RunTorturePoint's for the fault-free
+// point on every field but Resumed, and a one-failure schedule holds that
+// same record. VerifyAppOpts then fails exactly the trials whose
+// RunWithFailure record has a violation.
+func TestCrashEntryPointsAgree(t *testing.T) {
+	for _, s := range []Scheme{SchemePPA, SchemeBaseline} {
+		t.Run(string(s), func(t *testing.T) {
+			t.Parallel()
+			rc := RunConfig{App: "mcf", Scheme: s, InstsPerThread: goldenCrashInsts, Lockstep: true}
+			record := func(v *CrashVerdict) string {
+				t.Helper()
+				b, err := json.Marshal(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(b)
+			}
+			violated := 0
+			for _, c := range goldenFailCycles {
+				failed, err := RunWithFailure(rc, c)
+				if err != nil {
+					t.Fatalf("RunWithFailure at %d: %v", c, err)
+				}
+				if failed.Completed || failed.Resumed == nil {
+					t.Fatalf("cut at %d did not strike and resume", c)
+				}
+				if failed.Violation != "" {
+					violated++
+				}
+				resumed := *failed
+				resumed.Resumed = nil
+				want := record(&resumed)
+				point, err := RunTorturePoint(rc, TorturePoint{Cycle: c})
+				if err != nil {
+					t.Fatalf("RunTorturePoint at %d: %v", c, err)
+				}
+				if got := record(point); got != want {
+					t.Errorf("cut at %d: RunTorturePoint's record\n%s\ndiffers from RunWithFailure's\n%s", c, got, want)
+				}
+				sched, err := RunWithFailureSchedule(rc, FailAt(c))
+				if err != nil {
+					t.Fatalf("RunWithFailureSchedule at %d: %v", c, err)
+				}
+				if len(sched.Verdicts) != 1 || !reflect.DeepEqual(sched.FailCycles, []uint64{c}) {
+					t.Fatalf("FailAt(%d) struck at %v", c, sched.FailCycles)
+				}
+				if got := record(sched.Verdicts[0]); got != want {
+					t.Errorf("cut at %d: the schedule's record\n%s\ndiffers from RunWithFailure's\n%s", c, got, want)
+				}
+			}
+			if (violated > 0) != (s == SchemeBaseline) {
+				t.Fatalf("%d of %d golden cuts violated the contract under %s", violated, len(goldenFailCycles), s)
+			}
+
+			o := VerifyOptions{App: "mcf", Scheme: s, InstsPerThread: goldenCrashInsts, Trials: 6, Seed: 3, Lockstep: true}
+			rep, err := VerifyAppOpts(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// VerifyAppOpts's trials: o.Trials seeded cuts within its
+			// probe run, at least 1000 cycles.
+			probe, err := Run(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			window := max(probe.Cycles, 1000)
+			trials := FailRandomly(o.Seed, o.Trials, window/50, window)
+			var want []uint64
+			for after := uint64(0); ; {
+				c, ok := trials.Next(after)
+				if !ok {
+					break
+				}
+				after = c
+				v, err := RunWithFailure(rc, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.Violation != "" {
+					want = append(want, c)
+				}
+			}
+			if rep.Trials != o.Trials || !reflect.DeepEqual(rep.Failed, want) {
+				t.Fatalf("VerifyAppOpts failed %v of %d trials; the records of its cuts violate at %v", rep.Failed, rep.Trials, want)
+			}
+			if (len(want) > 0) != (s == SchemeBaseline) {
+				t.Fatalf("%d of %d trials violated the contract under %s", len(want), rep.Trials, s)
+			}
+		})
 	}
 }

@@ -22,29 +22,29 @@ const goldenCrashInsts = 2000
 var goldenFailCycles = []uint64{1_500, 4_000, 9_000}
 
 var goldenTortureDigests = map[Scheme]string{
-	SchemeBaseline:    "0e78032845a2a2727088e9dde25de825bdf1e6b739191860debd17d4c67d2cb6",
-	SchemePPA:         "b6228ac07a7e1c48a8983604af864b9167806d1919924d507a63aafd8db4d093",
-	SchemeReplayCache: "41bfa7a12207c9052dc4a5d3d80016362e2e07e0e198b93e25299311cd767133",
-	SchemeCapri:       "e4e5c7564f8a19db0d622e092cd32cb24018966d91b119b94a5961ccc156983b",
-	SchemeEADR:        "35f1bbff31cca2d43d4392728b521c3ee7d76c92e7eb2d1fd5ab1207c98719ef",
-	SchemeDRAMOnly:    "68af46d594813b23e6660b853111c5acec926b60ed8f8ea6f4337d6d20909df7",
-	SchemeSBGate:      "caa5bc76d0660cccb29aa09128578fa0cae49202a529e1039b4450324f9a521d",
-	SchemeUndoLog:     "91daef190597903b50e470c56c702170204e8d263e1080dfefbef56a9da62a3b",
-	SchemeRedoTxn:     "5bcd144bfeaebbb992ebf37e3d55a7f3236b3ddbd1010458b2517b7a25ff5606",
-	SchemeHTPM:        "aad8ab5a507c4919459d4168e2d563e4052db25561c6e6ba2e63640698224496",
+	SchemeBaseline:    "14f249ad90f023c9ddbc13bb65c17022ea3bb9ba7a95081aaa92a0710690cec9",
+	SchemePPA:         "0d331f1217fd9fd76306d3be0f052ed5fbfbd2925b36b51df8cc3db0a2806812",
+	SchemeReplayCache: "f76a205047d049376c3a51679f6dc43cd630eca89e5ea2916be33de1edb077ac",
+	SchemeCapri:       "77f895841b7ef349e83abd2118b50f00cd922732991a9b37930b4500e8926a89",
+	SchemeEADR:        "fe189dd1005b31607c2ddda468dfc8d3d98b944bcdbd50f34c74e37aa76efb37",
+	SchemeDRAMOnly:    "5c3de87c9b60032375e16d20dd80a62511153e4aa5fc9426f587df3942949163",
+	SchemeSBGate:      "dfd06fd56a3803e774142ed0ea3e88a55183432ba3fcb93d6cbc49b3cd7fcad8",
+	SchemeUndoLog:     "c56534a0e08cabf799fea960023f8f2c485ef6bc83a3677ac21f4323a3afd344",
+	SchemeRedoTxn:     "a2fb3137c16e6f75eb20bcdb31b77ce69c204ab93184e3fec208c69880ed6d59",
+	SchemeHTPM:        "5c790bab61e9f753362f8d62f7d79f2af0a671b12bb308368ac26fb9e655609c",
 }
 
 var goldenFailureDigests = map[Scheme]string{
-	SchemeBaseline:    "96543f01a5487896be03f071631747fffa05530bd37112844ad5ecc0927abd1c",
-	SchemePPA:         "16dbcc8ee448c8dbd41d23e11034d4d907ae6f49ca131600eeab2d0cb37e7214",
-	SchemeReplayCache: "32354953d5c9154ae45f140102fcf2a54bd42da024dd3ecf7a6c118e7829bd2b",
-	SchemeCapri:       "539cc6adcac0f117cc8ff55d66b8fd8885876df471fc5df5bd4b09b574997f02",
-	SchemeEADR:        "ae3102ca220bfe8f8cc9836ba950ad0209970ac4cb529063becaab6b07c3ef8e",
-	SchemeDRAMOnly:    "8b19f5096ee039b79f2f8659b7044b51d8109d7135f838c50f995475991416de",
-	SchemeSBGate:      "fcb5e3f22c7b0340226a5a39effba399abc669a5c6d0593c459e8fc4ef3315fa",
-	SchemeUndoLog:     "dc17dc5a599fe9ea1bb2bb904fe5fec6c519731155872c6abab7d86be8ea582d",
-	SchemeRedoTxn:     "e81310dd568fd305dbc6855d9aae2534d31384723ec81167aa60709fd0d8e2be",
-	SchemeHTPM:        "cb3be80e1962f39aa98ad58f9569fb7480dadc527da0b279098566a9b8765e54",
+	SchemeBaseline:    "a34cbd8cc9215d40163cca3a402d6e4984b06afc07e6475b11aadaa031afa048",
+	SchemePPA:         "4fc2a02e698f89d2a930be61bc0a614125696e5496d40fcb4661b4afa0b348d0",
+	SchemeReplayCache: "5ae1a5c272b8fa5f0b20d7512adc5829875c92c918b25663180310dd4faaf230",
+	SchemeCapri:       "4c07ecf4f2c2be67a25157bac56079b315f0c2c69154b77bf79bc780df96f054",
+	SchemeEADR:        "c4bd2089a9b8b96fa30ab5eaf31977b8e581911a51e1b87d918ec5bc752c667e",
+	SchemeDRAMOnly:    "afe1c42da5bc3e7a4220cf58778396cb7e8c540850d7158bfdf01366ed857c6b",
+	SchemeSBGate:      "fc88d024824a1683115b0f22b555190b42b952c92b4479f1b3e7ce38c5c22715",
+	SchemeUndoLog:     "8982f431ea57ae3bee9f579eaa23082b09565b5dfe3ca0255c5a6f4b685c9c91",
+	SchemeRedoTxn:     "49a477906304f4861dc4a16062a2aceff6823a9b382b78c48b6236429f631df1",
+	SchemeHTPM:        "46b8c4b6b156935067c9a5c34bc5d303fe579111fb86dc92e41e5917d0415624",
 }
 
 func jsonDigest(t *testing.T, v any) string {
@@ -66,8 +66,8 @@ func TestCrashPathGoldenDigests(t *testing.T) {
 
 			// The report alone is blind to passing points' details, so
 			// every per-point verdict is pinned alongside it.
-			var verdicts []*TortureOutcome
-			rep, err := RunTorture(rc, TorturePoints(1, 40, 200, 8000), func(o *TortureOutcome) {
+			var verdicts []*CrashVerdict
+			rep, err := RunTorture(rc, TorturePoints(1, 40, 200, 8000), func(o *CrashVerdict) {
 				verdicts = append(verdicts, o)
 			})
 			if err != nil {
@@ -77,13 +77,13 @@ func TestCrashPathGoldenDigests(t *testing.T) {
 				t.Errorf("%s torture digest %s, golden %s", s, got, want)
 			}
 
-			var outs []*FailureOutcome
+			var outs []*CrashVerdict
 			for _, c := range goldenFailCycles {
 				out, err := RunWithFailure(rc, c)
 				if err != nil {
 					t.Fatalf("fail at %d: %v", c, err)
 				}
-				if out.ResumedResult == nil {
+				if out.Resumed == nil {
 					t.Fatalf("fail at %d: no resumed run", c)
 				}
 				outs = append(outs, out)

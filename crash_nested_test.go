@@ -22,17 +22,17 @@ func TestNestedFailureSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		t.Fatal("expected the failure to interrupt the run")
 	}
 	if !out.Injected {
 		t.Fatal("nested outages did not strike")
 	}
 	if !out.Recovered {
-		t.Fatalf("nested recovery did not converge (detected as %q)", out.DetectedAs)
+		t.Fatalf("nested recovery did not converge (detected as %v)", out.Detected)
 	}
-	if out.RecoveryAttempts != p.Depth+1 {
-		t.Fatalf("recovery entered %d times, want %d", out.RecoveryAttempts, p.Depth+1)
+	if out.Attempts != p.Depth+1 {
+		t.Fatalf("recovery entered %d times, want %d", out.Attempts, p.Depth+1)
 	}
 	if out.Violation != "" {
 		t.Fatalf("violation: %s", out.Violation)
@@ -56,28 +56,33 @@ func TestCorruptionIsDetected(t *testing.T) {
 		if !out.Injected {
 			t.Fatalf("%v: fault did not strike", k)
 		}
-		if !out.Detected {
+		if out.Detected == nil {
 			t.Fatalf("%v: corruption was not detected (recovered=%v)", k, out.Recovered)
 		}
 		if out.Violation != "" {
 			t.Fatalf("%v: violation: %s", k, out.Violation)
 		}
-		t.Logf("%v detected as: %s", k, out.DetectedAs)
+		t.Logf("%v detected as: %s", k, out.Detected)
 	}
 }
 
 // TestScheduleOutcomeConsistentProperty pins Consistent()'s definition:
-// it holds exactly when no committed-prefix word was lost AND every
-// per-recovery verdict passed.
+// it holds exactly when no recovery's verdict has a violation, whatever
+// the evidence beside it.
 func TestScheduleOutcomeConsistentProperty(t *testing.T) {
-	prop := func(verdicts []bool, lost uint8) bool {
-		o := &ScheduleOutcome{
-			ConsistentAfterEach:  verdicts,
-			TotalInconsistencies: int(lost),
-		}
-		want := int(lost) == 0
-		for _, ok := range verdicts {
-			want = want && ok
+	prop := func(violated []bool, lost []uint8) bool {
+		o := &ScheduleOutcome{}
+		want := true
+		for i, bad := range violated {
+			v := &CrashVerdict{Point: TorturePoint{Cycle: uint64(i)}, ArchConsistent: true}
+			if i < len(lost) {
+				v.Inconsistencies = int(lost[i])
+			}
+			if bad {
+				v.fail("committed-prefix", "committed-prefix violation")
+			}
+			o.Verdicts = append(o.Verdicts, v)
+			want = want && !bad
 		}
 		return o.Consistent() == want
 	}

@@ -10,20 +10,20 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		t.Fatal("expected the failure to interrupt the run")
 	}
-	if !out.Consistent {
+	if out.Inconsistencies != 0 {
 		t.Fatalf("PPA recovery left %d inconsistencies", out.Inconsistencies)
 	}
 	if !out.ArchConsistent {
 		t.Fatal("recovered register state diverged from golden")
 	}
-	if out.ResumedResult == nil {
+	if out.Resumed == nil {
 		t.Fatal("no resumed result")
 	}
 	t.Logf("checkpoint bytes=%d, replayed=%d words, resumed cycles=%d",
-		out.CheckpointBytes, out.PerCore[0].ReplayedWords, out.ResumedResult.Cycles)
+		out.CheckpointBytes, out.PerCore[0].ReplayedWords, out.Resumed.Cycles)
 }
 
 // TestBaselineIsInconsistent demonstrates the negative: the memory-mode
@@ -33,10 +33,10 @@ func TestBaselineIsInconsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		t.Fatal("expected the failure to interrupt the run")
 	}
-	if out.Consistent {
+	if out.Inconsistencies == 0 {
 		t.Fatal("baseline should NOT be crash consistent")
 	}
 	t.Logf("baseline lost %d committed words", out.Inconsistencies)

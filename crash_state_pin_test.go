@@ -181,7 +181,7 @@ func crashStates(t *testing.T, rc RunConfig, points []TorturePoint) []string {
 		if v == nil {
 			t.Fatalf("point %v: %v", p, err)
 		}
-		states = append(states, jsonDigest(t, []any{v.cycle, v.checkpointBytes, v.flushedBytes, v.perCore,
+		states = append(states, jsonDigest(t, []any{v.Cycle, v.CheckpointBytes, v.FlushedBytes, v.PerCore,
 			cutMachine(r, v).Device().Image().Snapshot()}))
 	}
 	return states
@@ -189,8 +189,8 @@ func crashStates(t *testing.T, rc RunConfig, points []TorturePoint) []string {
 
 // cutMachine is the machine whose state v describes: the live machine for
 // a point that completed or diverged before its cut, else the crashed copy.
-func cutMachine(r *crashRun, v *crashVerdict) *multicore.System {
-	if v.completed || r.halt != nil {
+func cutMachine(r *crashRun, v *CrashVerdict) *multicore.System {
+	if v.Completed || r.halt != nil {
 		return r.sys
 	}
 	return r.down

@@ -64,16 +64,8 @@ func crashVerdicts(t *testing.T, rc RunConfig, points []TorturePoint) [][]any {
 		if v == nil {
 			t.Fatalf("point %v: %v", p, err)
 		}
-		verdicts = append(verdicts, []any{v.completed, v.inconsistencies, v.archConsistent,
-			v.oracleChecked, errText(v.oracleErr), v.violation, errText(err)})
+		verdicts = append(verdicts, []any{v.Completed, v.Inconsistencies, v.ArchConsistent,
+			v.OracleChecked, errText(v.OracleErr), v.Violation, errText(err)})
 	}
 	return verdicts
-}
-
-// errText is err's message, or "" for nil.
-func errText(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }

@@ -28,7 +28,7 @@ func Example_crash() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("crash consistent:", out.Consistent)
+	fmt.Println("crash consistent:", out.Violation == "")
 	// Output: crash consistent: true
 }
 

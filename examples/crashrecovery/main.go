@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		log.Fatalf("the run finished before cycle %d; pick an earlier failure", failCycle)
 	}
 
@@ -50,7 +50,7 @@ func main() {
 		fmt.Printf("  core %d: replayed %d committed-but-unpersisted words, resuming at instruction %d\n",
 			pc.CoreID, pc.ReplayedWords, pc.ResumeIndex)
 	}
-	if out.Consistent {
+	if out.Inconsistencies == 0 {
 		fmt.Printf("crash consistency:  VERIFIED — NVM holds the committed prefix of every thread\n")
 	} else {
 		log.Fatalf("crash consistency: FAILED with %d inconsistent words", out.Inconsistencies)
@@ -61,14 +61,14 @@ func main() {
 		log.Fatal("register state: FAILED")
 	}
 	fmt.Printf("resumed run:        %d more cycles to finish the interrupted programs\n\n",
-		out.ResumedResult.Cycles)
+		out.Resumed.Cycles)
 
 	fmt.Printf("=== Baseline (memory mode, no persistence): same failure ===\n\n")
 	base, err := ppa.RunWithFailure(ppa.RunConfig{App: app, Scheme: ppa.SchemeBaseline}, failCycle)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if base.Consistent {
+	if base.Inconsistencies == 0 {
 		fmt.Println("baseline happened to be consistent at this cycle (rare) — try another failure point")
 	} else {
 		fmt.Printf("baseline lost %d committed words: the DRAM cache's dirty data vanished.\n",

@@ -40,16 +40,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("power failures survived:  %d\n", out.Failures)
+	failures := len(out.Verdicts)
+	fmt.Printf("power failures survived:  %d\n", failures)
 	fmt.Printf("workload completed:       %v\n", out.Completed)
 	fmt.Printf("every recovery verified:  %v\n", out.Consistent())
 	fmt.Printf("total simulated cycles:   %d\n", out.TotalCycles)
-	if out.Failures > 0 {
+	if failures > 0 {
+		dumped := 0
+		for _, v := range out.Verdicts {
+			dumped += v.CheckpointBytes
+		}
 		fmt.Printf("checkpoint traffic:       %d bytes total (%d bytes/outage — vs eADR's megabytes of cache)\n",
-			out.CheckpointBytes, out.CheckpointBytes/out.Failures)
+			dumped, dumped/failures)
 	}
 	if !out.Consistent() {
-		log.Fatalf("LOST %d committed words — crash consistency violated", out.TotalInconsistencies)
+		log.Fatalf("LOST %d committed words — crash consistency violated", lostWords(out))
 	}
 
 	fmt.Println("\nFor contrast, the memory-mode baseline through the same storm:")
@@ -60,5 +65,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("baseline lost %d committed words across %d failures.\n",
-		base.TotalInconsistencies, base.Failures)
+		lostWords(base), len(base.Verdicts))
+}
+
+// lostWords sums the committed words each recovery in o failed to restore.
+func lostWords(o *ppa.ScheduleOutcome) int {
+	n := 0
+	for _, v := range o.Verdicts {
+		n += v.Inconsistencies
+	}
+	return n
 }

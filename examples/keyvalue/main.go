@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		fmt.Println("run finished before the failure — nothing to recover")
 		return
 	}
@@ -73,7 +73,7 @@ func main() {
 	}
 	fmt.Printf("  checkpointed %d bytes, replayed %d words across %d cores\n",
 		out.CheckpointBytes, replayed, len(out.PerCore))
-	if !out.Consistent {
+	if out.Inconsistencies != 0 {
 		log.Fatalf("  LOST %d committed updates", out.Inconsistencies)
 	}
 	fmt.Println("  every committed update survived; server threads resumed after their LCPCs")

@@ -31,34 +31,24 @@ func FailRandomly(seed int64, n int, min, max uint64) FailureSchedule {
 
 // ScheduleOutcome summarizes a run through a failure schedule.
 type ScheduleOutcome struct {
-	// Failures is the number of power failures that actually struck.
-	Failures int
-	// FailCycles records each failure's global cycle (cumulative across
-	// resumes).
-	FailCycles []uint64
-	// ConsistentAfterEach records the crash-consistency verdict after each
-	// recovery; all must be true for PPA.
-	ConsistentAfterEach []bool
-	// TotalInconsistencies sums committed-prefix words lost across all
-	// failures (0 for a crash-consistent scheme).
-	TotalInconsistencies int
 	// Completed reports whether every thread finished its trace.
 	Completed bool
 	// TotalCycles is the cumulative simulated cycles across all power-on
 	// periods.
 	TotalCycles uint64
-	// CheckpointBytes sums the encoded checkpoint sizes across failures.
-	CheckpointBytes int
+	// FailCycles records each failure that struck at its global cycle
+	// (cumulative across resumes).
+	FailCycles []uint64
+	// Verdicts holds each of those failures' crash verdict, in order; a
+	// verdict's point and cycle count from the resume before it.
+	Verdicts []*CrashVerdict
 }
 
 // Consistent reports whether every recovery satisfied the contract: no
-// per-recovery verdict failed and no committed-prefix word was lost.
+// verdict has a violation.
 func (o *ScheduleOutcome) Consistent() bool {
-	if o.TotalInconsistencies != 0 {
-		return false
-	}
-	for _, ok := range o.ConsistentAfterEach {
-		if !ok {
+	for _, v := range o.Verdicts {
+		if v.Violation != "" {
 			return false
 		}
 	}
@@ -93,21 +83,17 @@ func RunWithFailureSchedule(rc RunConfig, schedule FailureSchedule) (*ScheduleOu
 		if err != nil {
 			return nil, err
 		}
-		globalCycle += v.cycle
-		if v.completed {
+		globalCycle += v.Cycle
+		if v.Completed {
 			out.TotalCycles = globalCycle
 			out.Completed = true
 			return out, nil
 		}
-		if v.detected != nil {
-			return nil, v.detected
+		if v.Detected != nil {
+			return nil, v.Detected
 		}
-		out.Failures++
 		out.FailCycles = append(out.FailCycles, globalCycle)
-		out.CheckpointBytes += v.checkpointBytes
-		out.TotalInconsistencies += v.inconsistencies
-		out.ConsistentAfterEach = append(out.ConsistentAfterEach,
-			v.inconsistencies == 0 && v.archConsistent && v.oracleErr == nil)
+		out.Verdicts = append(out.Verdicts, v)
 	}
 	return nil, fmt.Errorf("ppa: failure schedule did not terminate")
 }

@@ -12,11 +12,11 @@ func TestFailureScheduleSingle(t *testing.T) {
 	if !out.Completed {
 		t.Fatal("workload did not complete")
 	}
-	if out.Failures != 1 {
-		t.Fatalf("failures = %d", out.Failures)
+	if len(out.Verdicts) != 1 {
+		t.Fatalf("failures = %d", len(out.Verdicts))
 	}
 	if !out.Consistent() {
-		t.Fatalf("lost %d words", out.TotalInconsistencies)
+		t.Fatalf("lost %d words", lostWords(out))
 	}
 }
 
@@ -33,17 +33,21 @@ func TestFailureSchedulePeriodic(t *testing.T) {
 	if !out.Completed {
 		t.Fatal("workload did not complete across repeated failures")
 	}
-	if out.Failures < 3 {
-		t.Fatalf("expected several failures, got %d", out.Failures)
+	if len(out.Verdicts) < 3 {
+		t.Fatalf("expected several failures, got %d", len(out.Verdicts))
 	}
 	if !out.Consistent() {
-		t.Fatalf("lost %d words across %d failures", out.TotalInconsistencies, out.Failures)
+		t.Fatalf("lost %d words across %d failures", lostWords(out), len(out.Verdicts))
 	}
-	if len(out.FailCycles) != out.Failures || len(out.ConsistentAfterEach) != out.Failures {
+	if len(out.FailCycles) != len(out.Verdicts) {
 		t.Fatal("outcome bookkeeping inconsistent")
 	}
+	dumped := 0
+	for _, v := range out.Verdicts {
+		dumped += v.CheckpointBytes
+	}
 	t.Logf("%d failures, %d checkpoint bytes total, %d cycles",
-		out.Failures, out.CheckpointBytes, out.TotalCycles)
+		len(out.Verdicts), dumped, out.TotalCycles)
 }
 
 func TestFailureScheduleRandomMultiCore(t *testing.T) {
@@ -60,7 +64,7 @@ func TestFailureScheduleRandomMultiCore(t *testing.T) {
 		t.Fatal("workload did not complete")
 	}
 	if !out.Consistent() {
-		t.Fatalf("multi-core recovery lost %d words", out.TotalInconsistencies)
+		t.Fatalf("multi-core recovery lost %d words", lostWords(out))
 	}
 }
 
@@ -71,13 +75,13 @@ func TestFailureScheduleBaselineLosesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Failures == 0 {
+	if len(out.Verdicts) == 0 {
 		t.Skip("run finished before the failure")
 	}
 	if out.Consistent() {
 		t.Fatal("the memory-mode baseline should lose data")
 	}
-	if out.TotalInconsistencies == 0 {
+	if lostWords(out) == 0 {
 		t.Fatal("inconsistency accounting missing")
 	}
 }
@@ -115,13 +119,13 @@ func TestFailureScheduleResumeKeepsOneOracleLogObserver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.completed {
+		if v.Completed {
 			break
 		}
-		if !v.recovered {
-			t.Fatalf("outage %d not recovered: %v", resumes+1, v.detected)
+		if !v.Recovered {
+			t.Fatalf("outage %d not recovered: %v", resumes+1, v.Detected)
 		}
-		global += v.cycle
+		global += v.Cycle
 		resumes++
 	}
 	if resumes < 2 {
@@ -130,4 +134,22 @@ func TestFailureScheduleResumeKeepsOneOracleLogObserver(t *testing.T) {
 	if n := r.sys.Device().LogObservers(); n != 1 {
 		t.Fatalf("after %d resumes the device has %d log observers, want 1", resumes, n)
 	}
+}
+
+// lostWords sums the committed-prefix words o's recoveries lost.
+func lostWords(o *ScheduleOutcome) int {
+	n := 0
+	for _, v := range o.Verdicts {
+		n += v.Inconsistencies
+	}
+	return n
+}
+
+// violations lists each of o's recoveries' violation, "" for a pass.
+func violations(o *ScheduleOutcome) []string {
+	var vs []string
+	for _, v := range o.Verdicts {
+		vs = append(vs, v.Violation)
+	}
+	return vs
 }

@@ -98,10 +98,10 @@ func TestFuzzCrashConsistency(t *testing.T) {
 			t.Logf("error: %v", err)
 			return false
 		}
-		if out.CompletedBeforeFailure {
+		if out.Completed {
 			return true
 		}
-		if !out.Consistent {
+		if out.Inconsistencies != 0 {
 			t.Logf("profile %+v fail@%d lost %d words", p, fail, out.Inconsistencies)
 			return false
 		}

@@ -69,7 +69,7 @@ type unitState struct {
 	lease    string
 	worker   string
 	expiry   time.Time
-	outcomes []*ppa.TortureOutcome
+	outcomes []*ppa.CrashVerdict
 	// trace is the unit's span fragment and traceWorker the worker whose
 	// completion was accepted (fragments land in that worker's fleet lane).
 	trace       []obs.Event
@@ -202,7 +202,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 
 // markDoneLocked transitions a unit to done and updates sweep accounting.
 // c.mu must be held (or the coordinator not yet shared).
-func (c *Coordinator) markDoneLocked(st *unitState, outs []*ppa.TortureOutcome) {
+func (c *Coordinator) markDoneLocked(st *unitState, outs []*ppa.CrashVerdict) {
 	st.status = unitDone
 	st.outcomes = outs
 	st.lease = ""
@@ -470,7 +470,7 @@ func (c *Coordinator) Wait(ctx context.Context) (*ppa.TortureReport, error) {
 // and its JSON encoding — is byte-identical to the single-process sweep's.
 func (c *Coordinator) Report() (*ppa.TortureReport, error) {
 	c.mu.Lock()
-	outs := make([]*ppa.TortureOutcome, len(c.points))
+	outs := make([]*ppa.CrashVerdict, len(c.points))
 	for _, st := range c.units {
 		if st.status != unitDone {
 			c.mu.Unlock()

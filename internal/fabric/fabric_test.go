@@ -1,12 +1,16 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -309,7 +313,7 @@ func TestCompleteValidation(t *testing.T) {
 		t.Fatalf("short outcome list: err = %v", err)
 	}
 	if _, err := coord.complete(&CompleteRequest{Lease: g.Lease, UnitID: g.Unit.ID,
-		Outcomes: []*ppa.TortureOutcome{nil, nil, nil, nil}}); !errors.As(err, &perr) {
+		Outcomes: []*ppa.CrashVerdict{nil, nil, nil, nil}}); !errors.As(err, &perr) {
 		t.Fatalf("nil outcomes: err = %v", err)
 	}
 }
@@ -325,5 +329,47 @@ func TestValidateWorkers(t *testing.T) {
 	}
 	if err := ValidateWorkers("workers", 0, 1); !errors.As(err, &ferr) {
 		t.Fatalf("0 workers with min 1 accepted: %v", err)
+	}
+}
+
+// TestVersion1Refused: version 2 carries each point's whole crash verdict,
+// so neither a ledger written in version 1 nor a worker speaking it may
+// join a sweep. A v1 manifest header is refused on open, and a v1 lease
+// request is rejected before it can lease a unit.
+func TestVersion1Refused(t *testing.T) {
+	spec := Spec{App: "mcf", Scheme: "ppa", Insts: 500, Points: 8, Seed: 3, MinCycle: 200, MaxCycle: 1500, UnitSize: 4}
+	path := filepath.Join(t.TempDir(), "v1.manifest")
+	hdr := `{"kind":"ppa-fabric-manifest","version":1,"spec_hash":"` + spec.Hash() + `","units":2}` + "\n"
+	if err := os.WriteFile(path, []byte(hdr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := OpenManifest(path, spec.Hash(), 2); err == nil {
+		m.Close()
+		t.Fatal("a v1 manifest opened")
+	} else if !strings.Contains(err.Error(), "not a v2 fabric manifest") {
+		t.Fatalf("v1 manifest refused with %v", err)
+	}
+
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	body, err := EncodeLeaseRequest(&LeaseRequest{Version: 1, Worker: "old", SpecHash: spec.Hash()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/lease", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "protocol version 1, coordinator speaks 2") {
+		t.Fatalf("v1 lease request answered %d: %s", resp.StatusCode, msg)
+	}
+	if st := coord.Status(); st.Leased != 0 {
+		t.Fatalf("a v1 worker leased %d units", st.Leased)
 	}
 }

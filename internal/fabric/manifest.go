@@ -21,8 +21,9 @@ import (
 // killed mid-append) is detected and dropped: that unit simply runs
 // again, which is safe because units are deterministic.
 
-// manifestVersion is bumped if the ledger format ever changes shape.
-const manifestVersion = 1
+// manifestVersion is bumped if the ledger format ever changes shape:
+// version 2 records each point's whole ppa.CrashVerdict.
+const manifestVersion = 2
 
 type manifestHeader struct {
 	Kind     string `json:"kind"` // "ppa-fabric-manifest"
@@ -32,11 +33,11 @@ type manifestHeader struct {
 }
 
 type manifestEntry struct {
-	Kind     string                `json:"kind"` // "unit"
-	UnitID   string                `json:"unit_id"`
-	Index    int                   `json:"index"`
-	Worker   string                `json:"worker,omitempty"`
-	Outcomes []*ppa.TortureOutcome `json:"outcomes"`
+	Kind     string              `json:"kind"` // "unit"
+	UnitID   string              `json:"unit_id"`
+	Index    int                 `json:"index"`
+	Worker   string              `json:"worker,omitempty"`
+	Outcomes []*ppa.CrashVerdict `json:"outcomes"`
 }
 
 // Manifest is the open ledger. All methods are safe for concurrent use.
@@ -147,7 +148,7 @@ func (m *Manifest) append(v any) error {
 
 // Record durably logs a completed unit. Recording an already-done unit is
 // a no-op (late duplicate completions after a re-lease).
-func (m *Manifest) Record(u Unit, worker string, outcomes []*ppa.TortureOutcome) error {
+func (m *Manifest) Record(u Unit, worker string, outcomes []*ppa.CrashVerdict) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.done[u.ID]; ok {
@@ -163,7 +164,7 @@ func (m *Manifest) Record(u Unit, worker string, outcomes []*ppa.TortureOutcome)
 
 // Completed returns the recorded outcomes for a unit ID (nil when the
 // unit is not in the ledger).
-func (m *Manifest) Completed(unitID string) []*ppa.TortureOutcome {
+func (m *Manifest) Completed(unitID string) []*ppa.CrashVerdict {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.done[unitID]

@@ -19,11 +19,11 @@ func testUnits(t *testing.T) (Spec, []Unit) {
 	return spec, units
 }
 
-func fakeOutcomes(u Unit, spec Spec, violate bool) []*ppa.TortureOutcome {
+func fakeOutcomes(u Unit, spec Spec, violate bool) []*ppa.CrashVerdict {
 	points, _ := spec.PointList()
-	outs := make([]*ppa.TortureOutcome, u.Range.Len())
+	outs := make([]*ppa.CrashVerdict, u.Range.Len())
 	for i := range outs {
-		outs[i] = &ppa.TortureOutcome{Point: points[u.Range.Start+i], Recovered: true}
+		outs[i] = &ppa.CrashVerdict{Point: points[u.Range.Start+i], Recovered: true}
 		if violate && i == 0 {
 			outs[i].Violation = "synthetic"
 		}

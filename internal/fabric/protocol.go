@@ -24,8 +24,9 @@ import (
 // FuzzJobDecode hammers the decoders with arbitrary input.
 
 // ProtocolVersion identifies the wire format. A coordinator rejects
-// workers speaking another version instead of mis-parsing them.
-const ProtocolVersion = 1
+// workers speaking another version instead of mis-parsing them. Version 2
+// carries each point's whole ppa.CrashVerdict.
+const ProtocolVersion = 2
 
 // MaxBodyBytes caps a decoded message body. A unit's outcomes plus a
 // registry export are comfortably under 1 MiB; the cap only exists so a
@@ -101,11 +102,11 @@ type HeartbeatResponse struct {
 // the unit's range, in range order, plus the worker's observability
 // registry for the unit in wire form.
 type CompleteRequest struct {
-	Lease    string                `json:"lease"`
-	UnitID   string                `json:"unit_id"`
-	Worker   string                `json:"worker"`
-	Outcomes []*ppa.TortureOutcome `json:"outcomes"`
-	Metrics  []obs.WireMetric      `json:"metrics,omitempty"`
+	Lease    string              `json:"lease"`
+	UnitID   string              `json:"unit_id"`
+	Worker   string              `json:"worker"`
+	Outcomes []*ppa.CrashVerdict `json:"outcomes"`
+	Metrics  []obs.WireMetric    `json:"metrics,omitempty"`
 	// Trace is the unit's span fragment (lease→run→merge spans plus
 	// per-point instants), stamped in microseconds since the lease's
 	// TraceEpochMicros. The coordinator merges fragments into the fleet

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -33,13 +34,13 @@ func goldenMessages() map[string][]byte {
 		MinCycle: 200, MaxCycle: 4000, Kind: "bit-flip", Oracle: true, UnitSize: 25,
 	}
 	unit := Unit{ID: UnitID(spec.Hash(), sweep.Range{Start: 25, End: 50}), Index: 1, Range: sweep.Range{Start: 25, End: 50}}
-	outcome := &ppa.TortureOutcome{
+	outcome := &ppa.CrashVerdict{
 		Point: ppa.TorturePoint{
 			Cycle: 1234,
 			Fault: ppa.Fault{Kind: fault.BitFlip, Param: 99, Seed: 3},
 		},
-		Injected: true, Detected: true, DetectedAs: "checkpoint: bad checksum",
-		RecoveryAttempts: 1,
+		Cycle: 1234, Injected: true, Damaged: true, Detected: errors.New("checkpoint: bad checksum"),
+		Attempts: 1, ArchConsistent: true,
 	}
 	return map[string][]byte{
 		"spec_response": enc(EncodeSpecResponse(&SpecResponse{
@@ -59,7 +60,7 @@ func goldenMessages() map[string][]byte {
 		})),
 		"complete_request": enc(EncodeCompleteRequest(&CompleteRequest{
 			Lease: "lease-3", UnitID: unit.ID, Worker: "w1",
-			Outcomes: []*ppa.TortureOutcome{outcome},
+			Outcomes: []*ppa.CrashVerdict{outcome},
 			Metrics: []obs.WireMetric{
 				{Name: "torture.points", Kind: "counter", Counter: 25},
 				{Name: "persist.latency", Kind: "histogram", Hist: &obs.WireHistogram{
@@ -135,7 +136,8 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cr.Outcomes) != 1 || !cr.Outcomes[0].Detected || len(cr.Metrics) != 2 {
+	if len(cr.Outcomes) != 1 || cr.Outcomes[0].Detected == nil || cr.Outcomes[0].Detected.Error() != "checkpoint: bad checksum" ||
+		len(cr.Metrics) != 2 {
 		t.Fatalf("complete request mangled: %+v", cr)
 	}
 	if len(cr.Trace) != 2 || cr.Trace[1].Dur != 80_000 || cr.TraceDropped != 2 || len(cr.Bundles) != 1 {

@@ -33,9 +33,9 @@ func syntheticCompletion(t *testing.T, spec Spec, u Unit, worker string, trace [
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := make([]*ppa.TortureOutcome, u.Range.Len())
+	outs := make([]*ppa.CrashVerdict, u.Range.Len())
 	for i := range outs {
-		outs[i] = &ppa.TortureOutcome{Point: points[u.Range.Start+i], Recovered: true}
+		outs[i] = &ppa.CrashVerdict{Point: points[u.Range.Start+i], Recovered: true}
 	}
 	return &CompleteRequest{UnitID: u.ID, Worker: worker, Outcomes: outs, Trace: trace}
 }

@@ -240,9 +240,9 @@ func (w *worker) runUnit(ctx context.Context, lease *LeaseResponse) (bool, error
 	rc.Forensics = rec
 	pts := w.points[u.Range.Start:u.Range.End]
 	runStart := sinceEpoch()
-	var outs []*ppa.TortureOutcome
+	var outs []*ppa.CrashVerdict
 	var viols int64
-	_, err := ppa.RunTortureParallel(unitCtx, rc, pts, w.cfg.Parallel, func(o *ppa.TortureOutcome) {
+	_, err := ppa.RunTortureParallel(unitCtx, rc, pts, w.cfg.Parallel, func(o *ppa.CrashVerdict) {
 		viol := int64(0)
 		if o.Violation != "" {
 			viol = 1

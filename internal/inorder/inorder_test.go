@@ -163,22 +163,22 @@ func TestInOrderFunctionalEquivalence(t *testing.T) {
 // failAndRecover cuts power at each cycle of fails on rc's lockstep machine
 // through the crash driver, and requires recovery to land on the committed
 // prefix, with the oracle's agreement, and the resumed run to complete.
-func failAndRecover(t *testing.T, rc ppa.RunConfig, fails ...uint64) []*ppa.FailureOutcome {
+func failAndRecover(t *testing.T, rc ppa.RunConfig, fails ...uint64) []*ppa.CrashVerdict {
 	t.Helper()
 	rc.Lockstep = true
-	var outs []*ppa.FailureOutcome
+	var outs []*ppa.CrashVerdict
 	for _, fail := range fails {
 		out, err := ppa.RunWithFailure(rc, fail)
 		if err != nil {
 			t.Fatalf("%s fail@%d: %v", rc.App, fail, err)
 		}
 		switch {
-		case out.CompletedBeforeFailure:
+		case out.Completed:
 			t.Fatalf("%s fail@%d: the run completed first", rc.App, fail)
-		case !out.Consistent || !out.OracleChecked || out.OracleViolation != "":
+		case out.Violation != "" || !out.OracleChecked:
 			t.Fatalf("%s fail@%d: %d words lost, oracle checked %v: %s",
-				rc.App, fail, out.Inconsistencies, out.OracleChecked, out.OracleViolation)
-		case out.ResumedResult == nil || out.ResumedResult.Insts == 0:
+				rc.App, fail, out.Inconsistencies, out.OracleChecked, out.Violation)
+		case out.Resumed == nil || out.Resumed.Insts == 0:
 			t.Fatalf("%s fail@%d: the recovered machine did not resume", rc.App, fail)
 		}
 		outs = append(outs, out)
@@ -260,7 +260,7 @@ func TestInOrderTortureSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !out.Completed || out.Failures < 3 || !out.Consistent() {
+		if !out.Completed || len(out.Verdicts) < 3 || !out.Consistent() {
 			t.Fatalf("%s: failure schedule %+v", name, out)
 		}
 	}

@@ -40,14 +40,27 @@ func IsDetection(err error) bool {
 		errors.Is(err, ErrChecksum)
 }
 
+// detection is a refusal of a damaged checkpoint: the taxonomy's sentinel
+// and the codec error that convicted the dump. It formats its text only
+// when asked, so a sweep that never prints a refusal never formats one.
+type detection struct {
+	kind  error // ErrTornCheckpoint or ErrChecksum
+	cause error
+}
+
+func (d *detection) Error() string { return d.kind.Error() + ": " + d.cause.Error() }
+
+// Unwrap exposes the sentinel alone, as a "%w: %v" wrapping would.
+func (d *detection) Unwrap() error { return d.kind }
+
 // classify maps the checkpoint codec's error taxonomy onto recovery's:
 // checksum mismatches stay checksum failures; every other defect (bad
 // magic, truncation, implausible structure) presents as a torn checkpoint.
 func classify(err error) error {
 	if errors.Is(err, checkpoint.ErrChecksum) {
-		return fmt.Errorf("%w: %v", ErrChecksum, err)
+		return &detection{ErrChecksum, err}
 	}
-	return fmt.Errorf("%w: %v", ErrTornCheckpoint, err)
+	return &detection{ErrTornCheckpoint, err}
 }
 
 // LoadImages reads the NVM checkpoint area and decodes every core's image,

@@ -283,21 +283,13 @@ func litmusTrial() string {
 	return ""
 }
 
-// crashTrial runs one crash-and-recover trial and names the first failing
-// check ("" when the trial is clean or the run finished before the crash).
+// crashTrial runs one crash-and-recover trial and names the check that
+// found its violation ("" when the trial is clean or the run finished
+// before the crash).
 func crashTrial(rc RunConfig, cycle uint64) (by, detail string) {
-	out, err := RunWithFailure(rc, cycle)
-	switch {
-	case err != nil:
+	v, err := RunWithFailure(rc, cycle)
+	if err != nil {
 		return "recovery-error", err.Error()
-	case out.CompletedBeforeFailure:
-		return "", ""
-	case out.OracleViolation != "":
-		return "oracle-recovery-check", out.OracleViolation
-	case !out.Consistent:
-		return "committed-prefix", fmt.Sprintf("%d inconsistent words", out.Inconsistencies)
-	case !out.ArchConsistent:
-		return "arch-state", "recovered committed register state diverged from golden"
 	}
-	return "", ""
+	return v.Verifier, v.Violation
 }

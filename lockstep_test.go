@@ -55,19 +55,19 @@ func TestLockstepCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run with failure: %v", err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		t.Fatal("workload completed before cycle 4000; failure never struck")
 	}
 	if !out.OracleChecked {
 		t.Fatal("oracle recovery check did not engage")
 	}
-	if out.OracleViolation != "" {
-		t.Fatalf("oracle violation on healthy simulator: %s", out.OracleViolation)
+	if out.OracleErr != nil {
+		t.Fatalf("oracle violation on healthy simulator: %v", out.OracleErr)
 	}
-	if !out.Consistent || !out.ArchConsistent {
+	if out.Violation != "" {
 		t.Fatalf("healthy recovery inconsistent: %+v", out)
 	}
-	if out.ResumedResult == nil {
+	if out.Resumed == nil {
 		t.Fatal("no resumed result")
 	}
 }
@@ -98,10 +98,10 @@ func TestEagerFlushAblation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run with failure: %v", err)
 			}
-			if out.CompletedBeforeFailure {
+			if out.Completed {
 				t.Fatal("failure never struck")
 			}
-			if !out.Consistent || !out.ArchConsistent || out.OracleViolation != "" {
+			if out.Violation != "" {
 				t.Fatalf("eager-flush recovery inconsistent: %+v", out)
 			}
 		})

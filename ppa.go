@@ -29,7 +29,6 @@ import (
 	"ppa/internal/nvm"
 	"ppa/internal/obs"
 	"ppa/internal/persist"
-	"ppa/internal/recovery"
 	"ppa/internal/workload"
 )
 
@@ -323,49 +322,13 @@ func run(rc RunConfig, w *workload.Workload) (*Result, error) {
 	return sys.Collect(), nil
 }
 
-// FailureOutcome reports a crash-and-recover experiment.
-type FailureOutcome struct {
-	// FailCycle is the cycle at which power was cut.
-	FailCycle uint64
-	// CompletedBeforeFailure is true when the workload finished before the
-	// scheduled failure (no crash occurred).
-	CompletedBeforeFailure bool
-	// PerCore holds each core's recovery outcome.
-	PerCore []*recovery.Outcome
-	// Consistent reports whether, after recovery, NVM held the committed
-	// prefix of every thread (the crash-consistency contract).
-	Consistent bool
-	// ArchConsistent reports whether the recovered committed register
-	// state (CRT + checkpointed physical registers) matched the golden
-	// in-order state for every core. Only meaningful for schemes that
-	// checkpoint the CRT (PPA); true otherwise.
-	ArchConsistent bool
-	// Inconsistencies counts committed-prefix words whose NVM value was
-	// wrong after recovery (0 when Consistent).
-	Inconsistencies int
-	// CheckpointBytes is the total encoded checkpoint size across cores.
-	CheckpointBytes int
-	// FlushedBytes is how much dirty data a flush-on-failure scheme (eADR)
-	// had to push on residual energy — the quantity whose energy cost
-	// Table 5 contrasts with PPA's checkpoint.
-	FlushedBytes int
-	// ResumedResult is the result of resuming every core after recovery
-	// and running to completion (nil if the run completed pre-failure).
-	ResumedResult *Result
-	// OracleChecked is true when the run carried the lockstep oracle and
-	// its post-recovery image check ran (RunConfig.Lockstep on a scheme
-	// whose recovery contract the oracle models).
-	OracleChecked bool
-	// OracleViolation is the oracle's post-recovery verdict when it
-	// disagreed with the machine (empty when clean or unchecked).
-	OracleViolation string
-}
-
 // RunWithFailure runs a simulation, cuts power at failCycle, JIT-checkpoints
 // (for schemes that support it), recovers, verifies crash consistency, and
 // resumes the interrupted programs to completion on the same machine
-// configuration. A checkpoint that recovery refuses surfaces as the error.
-func RunWithFailure(rc RunConfig, failCycle uint64) (*FailureOutcome, error) {
+// configuration; the verdict's Resumed is that run's result. A checkpoint
+// that recovery refuses, an untyped recovery error and a lockstep
+// divergence surface as the error.
+func RunWithFailure(rc RunConfig, failCycle uint64) (*CrashVerdict, error) {
 	r, err := newCrashRun(rc, nil)
 	if err != nil {
 		return nil, err
@@ -374,28 +337,17 @@ func RunWithFailure(rc RunConfig, failCycle uint64) (*FailureOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &FailureOutcome{FailCycle: failCycle, CompletedBeforeFailure: v.completed, Consistent: true}
-	if v.completed {
-		return out, nil
+	if v.Completed {
+		return v, nil
 	}
-	if v.detected != nil {
-		return nil, v.detected
-	}
-	out.PerCore = v.perCore
-	out.Consistent = v.inconsistencies == 0
-	out.ArchConsistent = v.archConsistent
-	out.Inconsistencies = v.inconsistencies
-	out.CheckpointBytes = v.checkpointBytes
-	out.FlushedBytes = v.flushedBytes
-	out.OracleChecked = v.oracleChecked
-	if v.oracleErr != nil {
-		out.OracleViolation = v.oracleErr.Error()
+	if v.Detected != nil {
+		return nil, v.Detected
 	}
 	if err := r.sys.Run(multicore.CycleBudget(rc.insts())); err != nil {
 		return nil, err
 	}
-	out.ResumedResult = r.sys.Collect()
-	return out, nil
+	v.Resumed = r.sys.Collect()
+	return v, nil
 }
 
 // CheckpointImage captures a live core's JIT-checkpoint image (exposed for

@@ -96,16 +96,16 @@ func TestRunWithFailureMultiCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		t.Skip("finished before failure")
 	}
-	if !out.Consistent {
+	if out.Inconsistencies != 0 {
 		t.Fatalf("multi-core recovery inconsistent: %d words", out.Inconsistencies)
 	}
 	if len(out.PerCore) != 8 {
 		t.Fatalf("%d per-core outcomes", len(out.PerCore))
 	}
-	if out.ResumedResult == nil {
+	if out.Resumed == nil {
 		t.Fatal("no resumed result")
 	}
 }
@@ -115,7 +115,7 @@ func TestRunWithFailureCompletesCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.CompletedBeforeFailure || !out.Consistent {
+	if !out.Completed || out.Violation != "" {
 		t.Fatal("run should complete before such a late failure")
 	}
 }
@@ -131,10 +131,10 @@ func TestFailureSweepProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fail@%d: %v", fail, err)
 		}
-		if out.CompletedBeforeFailure {
+		if out.Completed {
 			continue
 		}
-		if !out.Consistent {
+		if out.Inconsistencies != 0 {
 			t.Fatalf("fail@%d: %d inconsistencies", fail, out.Inconsistencies)
 		}
 	}
@@ -148,10 +148,10 @@ func TestCapriCrashConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		t.Skip("finished early")
 	}
-	if !out.Consistent {
+	if out.Inconsistencies != 0 {
 		t.Fatalf("Capri inconsistent: %d words", out.Inconsistencies)
 	}
 }
@@ -161,7 +161,7 @@ func TestCheckpointSizeIsTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		t.Skip("finished early")
 	}
 	// One core's encoded image stays within a few KB — six orders of
@@ -179,13 +179,13 @@ func TestSBGateCrashConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		t.Skip("finished early")
 	}
-	if !out.Consistent {
+	if out.Inconsistencies != 0 {
 		t.Fatalf("SB gating inconsistent: %d words", out.Inconsistencies)
 	}
-	if out.ResumedResult == nil {
+	if out.Resumed == nil {
 		t.Fatal("no resumed result")
 	}
 }
@@ -201,10 +201,10 @@ func TestCrashDuringSyscallHandler(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fail@%d: %v", fail, err)
 		}
-		if out.CompletedBeforeFailure {
+		if out.Completed {
 			continue
 		}
-		if !out.Consistent {
+		if out.Inconsistencies != 0 {
 			t.Fatalf("fail@%d: kernel-mode crash lost %d words", fail, out.Inconsistencies)
 		}
 	}
@@ -355,10 +355,10 @@ func TestEADRCrashFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		t.Skip("finished early")
 	}
-	if !out.Consistent {
+	if out.Inconsistencies != 0 {
 		t.Fatalf("eADR flush-on-failure must be consistent: %d lost", out.Inconsistencies)
 	}
 	if out.FlushedBytes == 0 {
@@ -476,10 +476,10 @@ func TestVerifyAppChecksArchState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.CompletedBeforeFailure || out.ArchConsistent {
+		if out.Completed || out.ArchConsistent {
 			continue
 		}
-		if out.Consistent {
+		if out.Inconsistencies == 0 {
 			archOnly++
 		}
 		if !slices.Contains(rep.Failed, cycle) {

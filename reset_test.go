@@ -42,7 +42,7 @@ func dirtyMachine(t *testing.T, rc RunConfig, org func(*multicore.Config), dirt 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.completed {
+	if v.Completed {
 		t.Fatalf("the dirtying run completed before cycle %d", dirtyCutCycle)
 	}
 	if dirt == "down" {

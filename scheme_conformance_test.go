@@ -81,11 +81,11 @@ func TestSchemeConformanceMatrix(t *testing.T) {
 				if ferr != nil {
 					t.Fatalf("crash at cycle %d: %v", cycle, ferr)
 				}
-				if out.CompletedBeforeFailure {
+				if out.Completed {
 					continue
 				}
 				crashed++
-				if out.ResumedResult == nil {
+				if out.Resumed == nil {
 					t.Fatalf("crash at cycle %d: recovery did not resume", cycle)
 				}
 				if len(out.PerCore) == 0 {
@@ -99,7 +99,7 @@ func TestSchemeConformanceMatrix(t *testing.T) {
 						t.Fatalf("crash at cycle %d: oracle judged a contract-free scheme", cycle)
 					}
 				default:
-					if !out.Consistent {
+					if out.Inconsistencies != 0 {
 						t.Fatalf("crash at cycle %d: %d inconsistent words after recovery",
 							cycle, out.Inconsistencies)
 					}
@@ -109,8 +109,8 @@ func TestSchemeConformanceMatrix(t *testing.T) {
 					if !out.OracleChecked {
 						t.Fatalf("crash at cycle %d: oracle recovery check did not engage", cycle)
 					}
-					if out.OracleViolation != "" {
-						t.Fatalf("crash at cycle %d: oracle violation: %s", cycle, out.OracleViolation)
+					if out.OracleErr != nil {
+						t.Fatalf("crash at cycle %d: oracle violation: %v", cycle, out.OracleErr)
 					}
 				}
 			}
@@ -123,19 +123,19 @@ func TestSchemeConformanceMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("failure schedule: %v", err)
 			}
-			if !sched.Completed || sched.Failures < 2 {
-				t.Fatalf("failure schedule: completed=%v after %d failures", sched.Completed, sched.Failures)
+			if !sched.Completed || len(sched.Verdicts) < 2 {
+				t.Fatalf("failure schedule: completed=%v after %d failures", sched.Completed, len(sched.Verdicts))
 			}
 			switch contract {
 			case persist.RecoverNone:
-				if sched.Consistent() != (sched.TotalInconsistencies == 0) {
-					t.Fatalf("failure schedule: verdicts %v judged beyond lost words (%d)",
-						sched.ConsistentAfterEach, sched.TotalInconsistencies)
+				if sched.Consistent() != (lostWords(sched) == 0) {
+					t.Fatalf("failure schedule: violations %q judged beyond lost words (%d)",
+						violations(sched), lostWords(sched))
 				}
 			default:
 				if !sched.Consistent() {
-					t.Fatalf("failure schedule: lost %d words, verdicts %v",
-						sched.TotalInconsistencies, sched.ConsistentAfterEach)
+					t.Fatalf("failure schedule: lost %d words, violations %q",
+						lostWords(sched), violations(sched))
 				}
 			}
 		})

@@ -201,7 +201,7 @@ func TestTortureWorkerResetMatchesFresh(t *testing.T) {
 			torn, after := false, false
 			for i, o := range outs {
 				torn = torn || o.Point.Fault.Kind == FaultTornCheckpoint && o.Injected
-				after = after || i > 0 && (outs[i-1].Detected || !outs[i-1].Recovered)
+				after = after || i > 0 && (outs[i-1].Detected != nil || !outs[i-1].Recovered)
 			}
 			if !torn || !after {
 				t.Fatalf("sweep tore a dump: %v; a point followed a detected or unrecovered one: %v", torn, after)
@@ -222,10 +222,10 @@ func TestTortureWorkerResetMatchesFresh(t *testing.T) {
 
 // checkResetPointsMatchFresh runs every point, in the order given, on one
 // crashRun, as a sweep worker does, and on a fresh machine, and requires
-// both to leave the same crash state: the clock at the cut,
-// the dump and flush sizes, each core's recovery outcome and a digest of
-// the NVM image recovery left. Verdicts alone can agree on machines that
-// stepped differently; these figures move with every cycle.
+// both to return the same record (the clock at the cut, the dump and flush
+// sizes, each core's recovery outcome and the verdict) and to leave the
+// same NVM image. Verdicts alone can agree on machines that stepped
+// differently; these figures move with every cycle.
 func checkResetPointsMatchFresh(t *testing.T, rc RunConfig, points []TorturePoint) {
 	t.Helper()
 	_, w, err := assemble(rc, nil)
@@ -237,8 +237,7 @@ func checkResetPointsMatchFresh(t *testing.T, rc RunConfig, points []TorturePoin
 		if v == nil {
 			t.Fatalf("point %v: %v", p, err)
 		}
-		return jsonDigest(t, []any{v.cycle, v.checkpointBytes, v.flushedBytes, v.perCore,
-			cutMachine(r, v).Device().Image().Snapshot()})
+		return jsonDigest(t, []any{v, cutMachine(r, v).Device().Image().Snapshot()})
 	}
 	reused := &crashRun{rc: rc, w: w}
 	for _, p := range points {
@@ -325,9 +324,9 @@ func checkSweepBundlesMatchFresh(t *testing.T, rc RunConfig, points []TorturePoi
 // every verdict, in callback order, to be byte-identical to what
 // AggregateTortureOutcomes makes of per-point RunTorturePoint calls, each
 // on a fresh machine over a workload of its own. It returns those verdicts.
-func checkSweepsMatchFresh(t *testing.T, rc RunConfig, points []TorturePoint) []*TortureOutcome {
+func checkSweepsMatchFresh(t *testing.T, rc RunConfig, points []TorturePoint) []*CrashVerdict {
 	t.Helper()
-	outs := make([]*TortureOutcome, len(points))
+	outs := make([]*CrashVerdict, len(points))
 	for i, p := range points {
 		var err error
 		if outs[i], err = RunTorturePoint(rc, p); err != nil {
@@ -346,18 +345,18 @@ func checkSweepsMatchFresh(t *testing.T, rc RunConfig, points []TorturePoint) []
 	}
 	sweeps := []struct {
 		name string
-		run  func(onPoint func(*TortureOutcome)) (*TortureReport, error)
+		run  func(onPoint func(*CrashVerdict)) (*TortureReport, error)
 	}{
-		{"sequential", func(onPoint func(*TortureOutcome)) (*TortureReport, error) {
+		{"sequential", func(onPoint func(*CrashVerdict)) (*TortureReport, error) {
 			return RunTorture(rc, points, onPoint)
 		}},
-		{"2 workers", func(onPoint func(*TortureOutcome)) (*TortureReport, error) {
+		{"2 workers", func(onPoint func(*CrashVerdict)) (*TortureReport, error) {
 			return RunTortureParallel(context.Background(), rc, points, 2, onPoint)
 		}},
 	}
 	for _, sw := range sweeps {
-		var verdicts []*TortureOutcome
-		rep, err := sw.run(func(o *TortureOutcome) { verdicts = append(verdicts, o) })
+		var verdicts []*CrashVerdict
+		rep, err := sw.run(func(o *CrashVerdict) { verdicts = append(verdicts, o) })
 		if err != nil {
 			t.Fatalf("%s sweep: %v", sw.name, err)
 		}

@@ -56,31 +56,6 @@ func (p TorturePoint) String() string {
 	return fmt.Sprintf("cycle=%d %v", p.Cycle, p.Fault)
 }
 
-// TortureOutcome is the verdict of one torture point.
-type TortureOutcome struct {
-	Point TorturePoint `json:"point"`
-	// CompletedBeforeFailure reports the workload finished before Cycle, so
-	// no failure struck (the point degenerates to a plain run).
-	CompletedBeforeFailure bool `json:"completed_before_failure,omitempty"`
-	// Injected reports the fault actually took effect (a torn-checkpoint
-	// budget genuinely tore the dump; a byte-level fault changed bytes).
-	Injected bool `json:"injected"`
-	// Detected reports recovery refused the checkpoint with a typed error.
-	Detected bool `json:"detected"`
-	// DetectedAs carries the typed error's text when Detected.
-	DetectedAs string `json:"detected_as,omitempty"`
-	// Recovered reports recovery completed (possibly after nested outages).
-	Recovered bool `json:"recovered"`
-	// RecoveryAttempts counts entries into the recovery protocol (1 for an
-	// undisturbed recovery; +1 per nested outage).
-	RecoveryAttempts int `json:"recovery_attempts"`
-	// Inconsistencies counts committed-prefix words with wrong NVM values
-	// after a successful recovery.
-	Inconsistencies int `json:"inconsistencies"`
-	// Violation is empty for a pass, else the contract breach.
-	Violation string `json:"violation,omitempty"`
-}
-
 // TortureReport aggregates a sweep.
 type TortureReport struct {
 	Points                 int            `json:"points"`
@@ -89,8 +64,8 @@ type TortureReport struct {
 	Detected               int            `json:"detected"`
 	Recovered              int            `json:"recovered"`
 	ByKind                 map[string]int `json:"by_kind"`
-	// Violations holds every failing outcome, in sweep order.
-	Violations []*TortureOutcome `json:"violations,omitempty"`
+	// Violations holds every verdict with a violation, in sweep order.
+	Violations []*CrashVerdict `json:"violations,omitempty"`
 }
 
 // TorturePointsChecked generates torture points like TorturePoints but
@@ -136,41 +111,28 @@ func TorturePoints(seed int64, n int, minCycle, maxCycle uint64) []TorturePoint 
 // RunTorturePoint executes one torture point on a fresh machine and
 // returns its verdict; the machine does not resume after recovery.
 // Simulation-level failures (config errors, model bugs) surface as the
-// error; contract breaches, lockstep divergences included, surface in
-// Outcome.Violation.
-func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
+// error; contract breaches, lockstep divergences included, surface in the
+// verdict's Violation.
+func RunTorturePoint(rc RunConfig, p TorturePoint) (*CrashVerdict, error) {
 	return (&crashRun{rc: rc}).torture(p)
 }
 
 // torture cuts p on the driver's live machine, which advances to p.Cycle
 // from wherever an earlier point left it (or from cycle zero, when p lies
-// behind its clock), and turns the crash verdict into p's outcome. The
-// crashed copy does not resume after recovery.
-func (r *crashRun) torture(p TorturePoint) (*TortureOutcome, error) {
+// behind its clock). The crashed copy does not resume after recovery, and a
+// lockstep divergence is the verdict's violation, not an error.
+func (r *crashRun) torture(p TorturePoint) (*CrashVerdict, error) {
 	v, err := r.cut(p, false)
 	if v == nil {
 		return nil, err
 	}
-	out := &TortureOutcome{
-		Point:                  p,
-		CompletedBeforeFailure: v.completed,
-		Injected:               v.injected,
-		Detected:               v.detected != nil,
-		Recovered:              v.recovered,
-		RecoveryAttempts:       v.attempts,
-		Inconsistencies:        v.inconsistencies,
-		Violation:              v.violation,
-	}
-	if v.detected != nil {
-		out.DetectedAs = v.detected.Error()
-	}
-	return out, nil
+	return v, nil
 }
 
 // sweep runs points[i] for each i of order, in that order, on the driver
 // and stores each verdict at outs[i]; done, when non-nil, sees each verdict
 // as it lands. Cancelling ctx abandons the rest.
-func (r *crashRun) sweep(ctx context.Context, points []TorturePoint, order []int, outs []*TortureOutcome, done func(*TortureOutcome)) error {
+func (r *crashRun) sweep(ctx context.Context, points []TorturePoint, order []int, outs []*CrashVerdict, done func(*CrashVerdict)) error {
 	for _, i := range order {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -209,12 +171,12 @@ func cycleOrder(points []TorturePoint) []int {
 // accumulate on the run's hub, which also gets the live machine's
 // pre-crash metrics once, not once per point. On an error no verdict is
 // reported.
-func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcome)) (*TortureReport, error) {
+func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*CrashVerdict)) (*TortureReport, error) {
 	_, w, err := assemble(rc, nil)
 	if err != nil {
 		return &TortureReport{ByKind: make(map[string]int)}, err
 	}
-	outs := make([]*TortureOutcome, len(points))
+	outs := make([]*CrashVerdict, len(points))
 	r := &crashRun{rc: rc, w: w}
 	if err := r.sweep(context.Background(), points, cycleOrder(points), outs, nil); err != nil {
 		return &TortureReport{ByKind: make(map[string]int)}, err
@@ -242,7 +204,7 @@ func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcom
 // workers <= 0 means GOMAXPROCS; workers == 1 is exactly the sequential
 // sweep (including rc.Obs use, so trace-carrying hubs keep working).
 // Cancelling ctx abandons the sweep.
-func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint, workers int, onPoint func(*TortureOutcome)) (*TortureReport, error) {
+func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint, workers int, onPoint func(*CrashVerdict)) (*TortureReport, error) {
 	workers = sweep.Workers(workers)
 	if workers <= 1 || len(points) <= 1 {
 		return RunTorture(rc, points, onPoint)
@@ -263,13 +225,13 @@ func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint
 	}
 	livePoints := hub.Registry().Counter("torture.points")
 	liveViolations := hub.Registry().Counter("torture.violations")
-	tick := func(out *TortureOutcome) {
+	tick := func(out *CrashVerdict) {
 		livePoints.Inc()
 		if out.Violation != "" {
 			liveViolations.Inc()
 		}
 	}
-	outs := make([]*TortureOutcome, len(points))
+	outs := make([]*CrashVerdict, len(points))
 	_, err = sweep.Map(ctx, len(runs), len(runs), func(ctx context.Context, i int) (struct{}, error) {
 		run := runs[i]
 		return struct{}{}, drivers[i].sweep(ctx, points, order[run.Start:run.End], outs, tick)
@@ -297,7 +259,7 @@ func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint
 // torture.violations counter ticks (pass nil when those already ticked
 // live, as the parallel and distributed sweeps do); onPoint fires per
 // verdict in sweep order.
-func AggregateTortureOutcomes(hub *obs.Hub, points []TorturePoint, outs []*TortureOutcome, onPoint func(*TortureOutcome)) (*TortureReport, error) {
+func AggregateTortureOutcomes(hub *obs.Hub, points []TorturePoint, outs []*CrashVerdict, onPoint func(*CrashVerdict)) (*TortureReport, error) {
 	if len(points) != len(outs) {
 		return nil, fmt.Errorf("ppa: %d outcomes for %d torture points", len(outs), len(points))
 	}
@@ -328,16 +290,16 @@ func FilterTorturePointsByKind(points []TorturePoint, k FaultKind) []TorturePoin
 // aggregate folds one verdict into the report and fires the per-point
 // callback. It is the single accounting path for the sequential and
 // parallel sweeps, which is what keeps their reports identical.
-func (rep *TortureReport) aggregate(hub *obs.Hub, p TorturePoint, out *TortureOutcome, onPoint func(*TortureOutcome)) {
+func (rep *TortureReport) aggregate(hub *obs.Hub, p TorturePoint, out *CrashVerdict, onPoint func(*CrashVerdict)) {
 	rep.Points++
 	rep.ByKind[p.Fault.Kind.String()]++
-	if out.CompletedBeforeFailure {
+	if out.Completed {
 		rep.CompletedBeforeFailure++
 	}
 	if out.Injected {
 		rep.Injected++
 	}
-	if out.Detected {
+	if out.Detected != nil {
 		rep.Detected++
 	}
 	if out.Recovered {

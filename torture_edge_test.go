@@ -40,7 +40,7 @@ func TestTortureSweepEdgeCases(t *testing.T) {
 			outs := checkSweepsMatchFresh(t, rc, points)
 			completed := 0
 			for _, o := range outs {
-				if o.CompletedBeforeFailure {
+				if o.Completed {
 					completed++
 				}
 			}
@@ -69,7 +69,7 @@ func TestTortureSweepEdgeCases(t *testing.T) {
 func checkDivergedMachineHalts(t *testing.T, rc RunConfig, points []TorturePoint) {
 	t.Helper()
 	r := &crashRun{rc: rc}
-	var halted *crashVerdict
+	var halted *CrashVerdict
 	for _, i := range cycleOrder(points) {
 		v, err := r.cut(points[i], false)
 		if v == nil {
@@ -77,8 +77,8 @@ func checkDivergedMachineHalts(t *testing.T, rc RunConfig, points []TorturePoint
 		}
 		switch {
 		case halted != nil:
-			if v.cycle != halted.cycle || v.violation != halted.violation {
-				t.Fatalf("point %v after a divergence at cycle %d: verdict at cycle %d, %q", points[i], halted.cycle, v.cycle, v.violation)
+			if v.Cycle != halted.Cycle || v.Violation != halted.Violation {
+				t.Fatalf("point %v after a divergence at cycle %d: verdict at cycle %d, %q", points[i], halted.Cycle, v.Cycle, v.Violation)
 			}
 		case r.halt != nil:
 			halted = v
@@ -98,8 +98,8 @@ func TestCrashCopyCarriesAcceptTail(t *testing.T) {
 	r := &crashRun{rc: rc}
 	for _, c := range []uint64{3000, 6000} {
 		v, err := r.cut(TorturePoint{Cycle: c}, false)
-		if err != nil || v.completed {
-			t.Fatalf("cut at %d: completed %v, %v", c, v != nil && v.completed, err)
+		if err != nil || v.Completed {
+			t.Fatalf("cut at %d: completed %v, %v", c, v != nil && v.Completed, err)
 		}
 		live, down := r.ftail.Tail(), r.dtail.Tail()
 		if len(live) == 0 || r.ftail.Total() != r.dtail.Total() {

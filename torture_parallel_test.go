@@ -49,7 +49,7 @@ func checkParallelMatchesSequential(t *testing.T, rc RunConfig, points []Torture
 	}
 	var fired atomic.Int64
 	outOfOrder := false
-	par, err := RunTortureParallel(context.Background(), rc, points, 4, func(out *TortureOutcome) {
+	par, err := RunTortureParallel(context.Background(), rc, points, 4, func(out *CrashVerdict) {
 		i := int(fired.Add(1)) - 1
 		if out.Point != points[i] {
 			outOfOrder = true

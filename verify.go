@@ -117,19 +117,19 @@ func VerifyAppOpts(o VerifyOptions) (*VerifyReport, error) {
 		}
 		after = cycle
 		report.Trials++
-		out, err := RunWithFailure(rc, cycle)
+		v, err := RunWithFailure(rc, cycle)
 		if err != nil {
 			return nil, fmt.Errorf("verify %s@%d: %w", o.App, cycle, err)
 		}
-		if out.CompletedBeforeFailure {
+		if v.Completed {
 			report.Completed++
 			continue
 		}
 		report.Interrupted++
-		if out.OracleChecked {
+		if v.OracleChecked {
 			report.OracleChecked++
 		}
-		if out.Consistent && out.ArchConsistent && out.OracleViolation == "" {
+		if v.Violation == "" {
 			report.Consistent++
 		} else {
 			report.Failed = append(report.Failed, cycle)
