@@ -56,6 +56,9 @@ func renderBundle(w io.Writer, path string, b *forensics.Bundle, full bool) {
 	fmt.Fprintf(w, "# Forensic bundle: %s\n\n", path)
 	fmt.Fprintf(w, "kind:    %s\n", m.Kind)
 	fmt.Fprintf(w, "reason:  %s\n", m.Reason)
+	if m.Verifier != "" {
+		fmt.Fprintf(w, "check:   %s\n", m.Verifier)
+	}
 	switch {
 	case m.Test != "":
 		fmt.Fprintf(w, "context: litmus %s schedule=%d seed=%d\n", m.Test, m.Schedule, m.Seed)

@@ -21,7 +21,8 @@ import (
 // This file is the crash driver: the one place that cuts power, damages
 // what the outage left behind, recovers under the scheme's recovery
 // contract, verifies the result and resumes. RunWithFailure,
-// RunWithFailureSchedule and RunTorturePoint are parameterizations of it.
+// RunWithFailureSchedule, RunTorturePoint and the campaigns (the torture
+// sweeps, VerifyApp and the mutation gate) are parameterizations of it.
 
 // crashRun is a machine under test plus what the driver carries across its
 // outages: the run's configuration, its workload and the flight recorder's
@@ -32,7 +33,8 @@ import (
 // eADR battery flushes into its device), and damages, recovers and
 // verifies that copy, so the live machine can go on to a later cut without
 // simulating its prefix again. A single crash or a failure schedule builds
-// one for its run; a torture worker keeps one for all its points.
+// one for its run; a torture worker keeps one for all its points, and a
+// crash campaign one for its clean run and all its cuts.
 type crashRun struct {
 	rc RunConfig
 	w  *workload.Workload
@@ -59,16 +61,6 @@ type crashRun struct {
 	ren         *rename.Renamer
 	goldens     []*isa.GoldenResult
 	goldenProgs []*isa.Program
-}
-
-// newCrashRun builds the live machine for rc on w, rc's workload generated
-// earlier, or on a workload it generates when w is nil.
-func newCrashRun(rc RunConfig, w *workload.Workload) (*crashRun, error) {
-	r := &crashRun{rc: rc, w: w}
-	if err := r.rewind(0); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // rewind makes the live machine able to reach cycle: it builds the machine
@@ -134,7 +126,8 @@ func (r *crashRun) crashLive(opt multicore.CrashOptions) (*multicore.CrashReport
 
 // CrashVerdict is what one outage did and what recovery made of it. Every
 // crash entry point returns it: RunTorturePoint, the torture sweeps,
-// RunWithFailure and, one per outage, RunWithFailureSchedule. Violation is
+// RunWithFailure and, one per outage, RunWithFailureSchedule and VerifyApp
+// (the mutation gate reads the same records). Violation is
 // the one verdict on the scheme's recovery contract; the other fields are
 // the evidence it was reached from.
 type CrashVerdict struct {
@@ -379,6 +372,32 @@ func (r *crashRun) cut(p TorturePoint, resume bool) (*CrashVerdict, error) {
 	return v, nil
 }
 
+// campaign runs the live machine to completion once, then cuts power at
+// each cycle cuts picks from the run's length, in ascending order: the
+// first cut resets the machine and each later one advances it from the
+// cut before. Every cut is a fault-free torture point whose verdict equals
+// RunTorturePoint's on a fresh machine; the verdicts come back in cut
+// order. A run that fails returns its error and no result; a cut that
+// fails ends the campaign with the verdicts before it.
+func (r *crashRun) campaign(cuts func(runCycles uint64) []uint64) (*Result, []*CrashVerdict, error) {
+	if err := r.rewind(0); err != nil {
+		return nil, nil, err
+	}
+	if err := r.sys.Run(multicore.CycleBudget(r.rc.insts())); err != nil {
+		return nil, nil, err
+	}
+	res := r.sys.Collect()
+	var vs []*CrashVerdict
+	for _, c := range cuts(res.Cycles) {
+		v, err := r.torture(TorturePoint{Cycle: c})
+		if err != nil {
+			return res, vs, fmt.Errorf("cut at cycle %d: %w", c, err)
+		}
+		vs = append(vs, v)
+	}
+	return res, vs, nil
+}
+
 // crashOptions is how p's outage strikes: a torn-checkpoint fault's Param
 // is the reservoir's share of the dump's energy demand in permille, reduced
 // mod 1000 so the dump always tears.
@@ -527,6 +546,7 @@ func (r *crashRun) capture(sys *multicore.System, tail *forensics.AcceptTail, v 
 		Meta: forensics.Meta{
 			Kind:         kind,
 			Reason:       v.Violation,
+			Verifier:     v.Verifier,
 			App:          r.rc.App,
 			Scheme:       string(r.rc.Scheme),
 			Point:        v.Point.String(),

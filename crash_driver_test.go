@@ -180,21 +180,14 @@ func TestCrashRunGoldenMatchesRunGolden(t *testing.T) {
 // whose cuts violate the contract so that the records agree on violations
 // too, RunWithFailure's record equals RunTorturePoint's for the fault-free
 // point on every field but Resumed, and a one-failure schedule holds that
-// same record. VerifyAppOpts then fails exactly the trials whose
-// RunWithFailure record has a violation.
+// same record. VerifyAppOpts's records then equal RunTorturePoint's at its
+// cuts, and it fails exactly the trials whose record has a violation, on
+// mcf and on a multi-threaded run.
 func TestCrashEntryPointsAgree(t *testing.T) {
 	for _, s := range []Scheme{SchemePPA, SchemeBaseline} {
 		t.Run(string(s), func(t *testing.T) {
 			t.Parallel()
 			rc := RunConfig{App: "mcf", Scheme: s, InstsPerThread: goldenCrashInsts, Lockstep: true}
-			record := func(v *CrashVerdict) string {
-				t.Helper()
-				b, err := json.Marshal(v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return string(b)
-			}
 			violated := 0
 			for _, c := range goldenFailCycles {
 				failed, err := RunWithFailure(rc, c)
@@ -209,12 +202,12 @@ func TestCrashEntryPointsAgree(t *testing.T) {
 				}
 				resumed := *failed
 				resumed.Resumed = nil
-				want := record(&resumed)
+				want := verdictRecord(t, &resumed)
 				point, err := RunTorturePoint(rc, TorturePoint{Cycle: c})
 				if err != nil {
 					t.Fatalf("RunTorturePoint at %d: %v", c, err)
 				}
-				if got := record(point); got != want {
+				if got := verdictRecord(t, point); got != want {
 					t.Errorf("cut at %d: RunTorturePoint's record\n%s\ndiffers from RunWithFailure's\n%s", c, got, want)
 				}
 				sched, err := RunWithFailureSchedule(rc, FailAt(c))
@@ -224,7 +217,7 @@ func TestCrashEntryPointsAgree(t *testing.T) {
 				if len(sched.Verdicts) != 1 || !reflect.DeepEqual(sched.FailCycles, []uint64{c}) {
 					t.Fatalf("FailAt(%d) struck at %v", c, sched.FailCycles)
 				}
-				if got := record(sched.Verdicts[0]); got != want {
+				if got := verdictRecord(t, sched.Verdicts[0]); got != want {
 					t.Errorf("cut at %d: the schedule's record\n%s\ndiffers from RunWithFailure's\n%s", c, got, want)
 				}
 			}
@@ -232,40 +225,72 @@ func TestCrashEntryPointsAgree(t *testing.T) {
 				t.Fatalf("%d of %d golden cuts violated the contract under %s", violated, len(goldenFailCycles), s)
 			}
 
-			o := VerifyOptions{App: "mcf", Scheme: s, InstsPerThread: goldenCrashInsts, Trials: 6, Seed: 3, Lockstep: true}
-			rep, err := VerifyAppOpts(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// VerifyAppOpts's trials: o.Trials seeded cuts within its
-			// probe run, at least 1000 cycles.
-			probe, err := Run(rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			window := max(probe.Cycles, 1000)
-			trials := FailRandomly(o.Seed, o.Trials, window/50, window)
-			var want []uint64
-			for after := uint64(0); ; {
-				c, ok := trials.Next(after)
-				if !ok {
-					break
-				}
-				after = c
-				v, err := RunWithFailure(rc, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v.Violation != "" {
-					want = append(want, c)
-				}
-			}
-			if rep.Trials != o.Trials || !reflect.DeepEqual(rep.Failed, want) {
-				t.Fatalf("VerifyAppOpts failed %v of %d trials; the records of its cuts violate at %v", rep.Failed, rep.Trials, want)
-			}
-			if (len(want) > 0) != (s == SchemeBaseline) {
-				t.Fatalf("%d of %d trials violated the contract under %s", len(want), rep.Trials, s)
+			rep := checkVerifyMatchesFresh(t, VerifyOptions{App: "mcf", Scheme: s, InstsPerThread: goldenCrashInsts, Trials: 6, Seed: 3, Lockstep: true})
+			if (len(rep.Failed) > 0) != (s == SchemeBaseline) {
+				t.Fatalf("%d of %d trials violated the contract under %s", len(rep.Failed), rep.Trials, s)
 			}
 		})
 	}
+	// VerifyApp's campaign resets its live machine for its first cut. A
+	// multi-threaded run's interleaving depends on the step seed that reset
+	// restores, so 8-thread water-ns's records must equal fresh machines'
+	// too.
+	t.Run("water-ns-undolog", func(t *testing.T) {
+		t.Parallel()
+		rep := checkVerifyMatchesFresh(t, VerifyOptions{App: "water-ns", Scheme: SchemeUndoLog, InstsPerThread: 2000, Trials: 6, Seed: 3, Lockstep: true})
+		if last := rep.Verdicts[len(rep.Verdicts)-1]; rep.Interrupted < 2 || len(last.PerCore) < 2 {
+			t.Fatalf("%d of %d trials interrupted the run, the last recovering %d cores: the case checks too little",
+				rep.Interrupted, rep.Trials, len(last.PerCore))
+		}
+	})
+}
+
+// checkVerifyMatchesFresh runs VerifyAppOpts(o) and requires one record per
+// trial in ascending cut order, each equal to RunTorturePoint's fault-free
+// record at its cut on a fresh machine, with the report's counts and
+// failed cycles tallied from those records.
+func checkVerifyMatchesFresh(t *testing.T, o VerifyOptions) *VerifyReport {
+	t.Helper()
+	rep, err := VerifyAppOpts(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Trials != o.Trials || len(rep.Verdicts) != rep.Trials {
+		t.Fatalf("%d trials with %d records, want %d", rep.Trials, len(rep.Verdicts), o.Trials)
+	}
+	rc := RunConfig{App: o.App, Scheme: o.Scheme, InstsPerThread: o.InstsPerThread, Lockstep: o.Lockstep}
+	var failed []uint64
+	completed := 0
+	for i, v := range rep.Verdicts {
+		if v.Point != (TorturePoint{Cycle: v.Point.Cycle}) || i > 0 && v.Point.Cycle <= rep.Verdicts[i-1].Point.Cycle {
+			t.Fatalf("trial %d cuts at %v after %v, want fault-free cuts in ascending order", i, v.Point, rep.Verdicts[max(i-1, 0)].Point)
+		}
+		fresh, err := RunTorturePoint(rc, v.Point)
+		if err != nil {
+			t.Fatalf("RunTorturePoint at %d: %v", v.Point.Cycle, err)
+		}
+		if got, want := verdictRecord(t, v), verdictRecord(t, fresh); got != want {
+			t.Errorf("trial %d: VerifyAppOpts's record\n%s\ndiffers from RunTorturePoint's on a fresh machine\n%s", i, got, want)
+		}
+		if v.Completed {
+			completed++
+		} else if v.Violation != "" {
+			failed = append(failed, v.Point.Cycle)
+		}
+	}
+	if !reflect.DeepEqual(rep.Failed, failed) || rep.Completed != completed || rep.Interrupted != rep.Trials-completed {
+		t.Fatalf("report failed %v with %d completed and %d interrupted; its records fail %v with %d completed",
+			rep.Failed, rep.Completed, rep.Interrupted, failed, completed)
+	}
+	return rep
+}
+
+// verdictRecord is v's JSON record.
+func verdictRecord(t *testing.T, v *CrashVerdict) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -29,6 +29,20 @@ func FailRandomly(seed int64, n int, min, max uint64) FailureSchedule {
 	return power.NewRandom(seed, n, min, max)
 }
 
+// failWithin draws a campaign's cuts over a run of runCycles:
+// FailRandomly(seed, n, w/div, w)'s failures in ascending order without
+// repeats, where the window w is runCycles but at least 1 000.
+func failWithin(seed int64, n int, div uint64) func(runCycles uint64) []uint64 {
+	return func(runCycles uint64) (cuts []uint64) {
+		w := max(runCycles, 1000)
+		sched := FailRandomly(seed, n, w/div, w)
+		for c, ok := sched.Next(0); ok; c, ok = sched.Next(c) {
+			cuts = append(cuts, c)
+		}
+		return cuts
+	}
+}
+
 // ScheduleOutcome summarizes a run through a failure schedule.
 type ScheduleOutcome struct {
 	// Completed reports whether every thread finished its trace.
@@ -62,8 +76,8 @@ func (o *ScheduleOutcome) Consistent() bool {
 // thread at its contract point — until the workload completes or the
 // schedule runs out of failures (after which the run completes undisturbed).
 func RunWithFailureSchedule(rc RunConfig, schedule FailureSchedule) (*ScheduleOutcome, error) {
-	r, err := newCrashRun(rc, nil)
-	if err != nil {
+	r := &crashRun{rc: rc}
+	if err := r.rewind(0); err != nil {
 		return nil, err
 	}
 	out := &ScheduleOutcome{}

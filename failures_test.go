@@ -103,8 +103,8 @@ func TestFailureScheduleResumeKeepsOneOracleLogObserver(t *testing.T) {
 	// surviving device. The oracle of an earlier power-on period must stop
 	// observing the device's log appends: the device ends with exactly one
 	// log observer, the live oracle's.
-	r, err := newCrashRun(RunConfig{App: "mcf", Scheme: SchemeUndoLog, InstsPerThread: 4000, Lockstep: true}, nil)
-	if err != nil {
+	r := &crashRun{rc: RunConfig{App: "mcf", Scheme: SchemeUndoLog, InstsPerThread: 4000, Lockstep: true}}
+	if err := r.rewind(0); err != nil {
 		t.Fatal(err)
 	}
 	schedule := FailEvery(4000, 3000)

@@ -161,6 +161,9 @@ type Meta struct {
 	Kind string `json:"kind"`
 	// Reason is the violation string / forbidden-outcome description.
 	Reason string `json:"reason"`
+	// Verifier names the check that found a crash driver's violation (its
+	// verdict's Verifier); litmus bundles leave it empty.
+	Verifier string `json:"verifier,omitempty"`
 	// App/Scheme identify the workload configuration.
 	App    string `json:"app,omitempty"`
 	Scheme string `json:"scheme,omitempty"`

@@ -30,9 +30,10 @@ func sampleBundle() *Bundle {
 
 	b := &Bundle{
 		Meta: Meta{
-			Kind:   KindTortureViolation,
-			Reason: "recovered image dropped a committed store",
-			App:    "mcf", Scheme: "ppa",
+			Kind:     KindTortureViolation,
+			Reason:   "recovered image dropped a committed store",
+			Verifier: "committed-prefix",
+			App:      "mcf", Scheme: "ppa",
 			Point:        "fail@1200 torn-word seed=3",
 			CaptureCycle: 1200,
 		},

@@ -2,6 +2,7 @@ package ppa
 
 import (
 	"fmt"
+	"slices"
 
 	"ppa/internal/litmus"
 	"ppa/internal/mutation"
@@ -53,11 +54,14 @@ type MutationOutcome struct {
 	Caught bool      `json:"caught"`
 	// CaughtBy names the first check that tripped: "clean-run" (lockstep
 	// divergence, persist violation, or durable-image mismatch during an
-	// uninterrupted run), "crash-campaign" (recovery error, committed-
-	// prefix inconsistency, arch-state mismatch, or oracle recovery check),
-	// or "litmus-gate" (a forbidden outcome on the persistency-conformance
-	// corpus under perturbed multicore schedules — the only leg that runs
-	// more than one core, so multicore-gated bugs land here).
+	// uninterrupted run), "crash-campaign" (a crash verdict's violation,
+	// whose Verifier leads Detail: recovery-error for an untyped recovery
+	// error, spurious-detection for a refused intact checkpoint,
+	// oracle-recovery-check, committed-prefix or arch-state; or a cut that
+	// failed to simulate), or "litmus-gate" (a forbidden outcome on the
+	// persistency-conformance corpus under perturbed multicore schedules —
+	// the only leg that runs more than one core, so multicore-gated bugs
+	// land here).
 	CaughtBy string `json:"caught_by,omitempty"`
 	// FailCycle is the crash cycle that caught it (crash-campaign only).
 	FailCycle uint64 `json:"fail_cycle,omitempty"`
@@ -144,53 +148,40 @@ func RunMutationCampaign(cc MutationCampaignConfig) (*MutationCampaignReport, er
 
 	rc := RunConfig{App: cc.App, Scheme: cc.Scheme, InstsPerThread: cc.InstsPerThread, Lockstep: true}
 	rep := &MutationCampaignReport{App: cc.App, Scheme: cc.Scheme, InstsPerThread: cc.InstsPerThread}
-
-	// Probe the healthy run once: its length bounds the crash schedule, and
-	// it doubles as the baseline's clean-run leg.
-	probe, err := Run(rc)
-	if err != nil {
-		rep.BaselineDetail = fmt.Sprintf("clean run: %v", err)
-		return rep, nil
-	}
-	maxCycle := probe.Cycles
-	if maxCycle < 1000 {
-		maxCycle = 1000
-	}
-	sched := FailRandomly(cc.Seed, cc.FailPoints, maxCycle/20, maxCycle)
-	var after uint64
-	for {
-		cycle, ok := sched.Next(after)
-		if !ok {
-			break
+	// The crash schedule is drawn once, from the length of the first run
+	// that completes (the healthy one under the campaign scheme), and every
+	// later leg cuts the same cycles.
+	cuts := func(runCycles uint64) []uint64 {
+		if rep.FailCycles == nil {
+			rep.FailCycles = failWithin(cc.Seed, cc.FailPoints, 20)(runCycles)
 		}
-		after = cycle
-		rep.FailCycles = append(rep.FailCycles, cycle)
+		return rep.FailCycles
 	}
 
-	// Baseline crash campaign: the unmutated simulator must survive every
-	// scheduled crash with a clean oracle and a consistent recovery — under
-	// the campaign scheme and under every scheme a seeded bug redirects to
-	// (the log-recovery bugs only execute under a log-based scheme).
-	rep.BaselineClean = true
+	// Baseline: the unmutated simulator must come through its clean run and
+	// every scheduled crash with a clean oracle and a consistent recovery,
+	// under the campaign scheme and under every scheme a seeded bug
+	// redirects to (the log-recovery bugs only execute under a log-based
+	// scheme).
 	schemes := []Scheme{cc.Scheme}
-	seen := map[Scheme]bool{cc.Scheme: true}
 	for _, m := range mutation.All() {
-		if s := schemeForBug(m.String(), cc.Scheme); !seen[s] {
-			seen[s] = true
+		if s := schemeForBug(m.String(), cc.Scheme); !slices.Contains(schemes, s) {
 			schemes = append(schemes, s)
 		}
 	}
-baseline:
+	rep.BaselineClean = true
 	for _, s := range schemes {
 		src := rc
 		src.Scheme = s
-		for _, cycle := range rep.FailCycles {
-			if by, detail := crashTrial(src, cycle); by != "" {
-				rep.BaselineClean = false
-				rep.BaselineDetail = fmt.Sprintf("false alarm at cycle %d under %s (%s): %s", cycle, s, by, detail)
-				break baseline
-			}
+		if o := crashLegs(src, cuts); o.Caught {
+			rep.BaselineClean = false
+			rep.BaselineDetail = fmt.Sprintf("false alarm under %s (%s, fail cycle %d): %s", s, o.CaughtBy, o.FailCycle, o.Detail)
+			break
 		}
+	}
+	if rep.FailCycles == nil {
+		// The healthy run failed, so there is no schedule to cut.
+		return rep, nil
 	}
 	// Baseline litmus gate: the unmutated simulator must clear the
 	// persistency-conformance corpus too, or catches on that leg would be
@@ -202,13 +193,25 @@ baseline:
 		}
 	}
 
-	for _, m := range mutation.All() {
-		bug := SeededBug{ID: m.String(), Site: m.Site(), Description: m.Description()}
+	bugs := SeededBugs()
+	for i, m := range mutation.All() {
 		brc := rc
-		brc.Scheme = schemeForBug(bug.ID, cc.Scheme)
+		brc.Scheme = schemeForBug(m.String(), cc.Scheme)
 		mutation.Enable(m)
-		out := probeMutation(brc, bug, rep.FailCycles)
+		out := crashLegs(brc, cuts)
+		if !out.Caught {
+			// Leg 3: the persistency-conformance litmus gate. Legs 1–2 run
+			// a single-threaded workload; this is the multicore leg — it
+			// replays the curated litmus corpus under perturbed schedules
+			// and the lockstep oracle, and convicts bugs whose every
+			// intermediate NVM state looks individually plausible (stale
+			// coalesced words, barriers released against the wrong core).
+			if detail := litmusTrial(); detail != "" {
+				out = MutationOutcome{Caught: true, CaughtBy: "litmus-gate", Detail: detail}
+			}
+		}
 		mutation.Disable()
+		out.Bug = bugs[i]
 		rep.Outcomes = append(rep.Outcomes, out)
 		rep.Total++
 		if out.Caught {
@@ -233,41 +236,26 @@ func schemeForBug(id string, def Scheme) Scheme {
 	return def
 }
 
-// probeMutation runs one seeded bug through the gauntlet and reports the
-// first check that caught it.
-func probeMutation(rc RunConfig, bug SeededBug, failCycles []uint64) MutationOutcome {
-	out := MutationOutcome{Bug: bug}
-	// Leg 1: an uninterrupted lockstep run. Catches value-path and
-	// persist-ordering bugs without needing a crash.
-	if _, err := Run(rc); err != nil {
-		out.Caught = true
-		out.CaughtBy = "clean-run"
-		out.Detail = err.Error()
-		return out
+// crashLegs runs rc through the gate's first two legs on one crash driver
+// and reports the first check that caught a violation (Caught false when
+// none did). Leg 1 is the uninterrupted lockstep run, which catches
+// value-path and persist-ordering bugs without a crash; leg 2 cuts the
+// same live machine at each scheduled cycle, recovers and verifies.
+func crashLegs(rc RunConfig, cuts func(runCycles uint64) []uint64) MutationOutcome {
+	res, vs, err := (&crashRun{rc: rc}).campaign(cuts)
+	if res == nil {
+		return MutationOutcome{Caught: true, CaughtBy: "clean-run", Detail: err.Error()}
 	}
-	// Leg 2: crash, recover, verify — at each scheduled cycle until caught.
-	for _, cycle := range failCycles {
-		if by, detail := crashTrial(rc, cycle); by != "" {
-			out.Caught = true
-			out.CaughtBy = "crash-campaign"
-			out.FailCycle = cycle
-			out.Detail = fmt.Sprintf("%s: %s", by, detail)
-			return out
+	for _, v := range vs {
+		if v.Violation != "" {
+			return MutationOutcome{Caught: true, CaughtBy: "crash-campaign", FailCycle: v.Point.Cycle,
+				Detail: fmt.Sprintf("%s: %s", v.Verifier, v.Violation)}
 		}
 	}
-	// Leg 3: the persistency-conformance litmus gate. Legs 1–2 run a
-	// single-threaded workload; this is the multicore leg — it replays the
-	// curated litmus corpus under perturbed schedules and the lockstep
-	// oracle, and convicts bugs whose every intermediate NVM state looks
-	// individually plausible (stale coalesced words, barriers released
-	// against the wrong core).
-	if detail := litmusTrial(); detail != "" {
-		out.Caught = true
-		out.CaughtBy = "litmus-gate"
-		out.Detail = detail
-		return out
+	if err != nil {
+		return MutationOutcome{Caught: true, CaughtBy: "crash-campaign", FailCycle: cuts(res.Cycles)[len(vs)], Detail: err.Error()}
 	}
-	return out
+	return MutationOutcome{}
 }
 
 // litmusTrial runs the built-in conformance corpus under a fixed
@@ -281,15 +269,4 @@ func litmusTrial() string {
 		return f.String()
 	}
 	return ""
-}
-
-// crashTrial runs one crash-and-recover trial and names the check that
-// found its violation ("" when the trial is clean or the run finished
-// before the crash).
-func crashTrial(rc RunConfig, cycle uint64) (by, detail string) {
-	v, err := RunWithFailure(rc, cycle)
-	if err != nil {
-		return "recovery-error", err.Error()
-	}
-	return v.Verifier, v.Violation
 }

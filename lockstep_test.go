@@ -115,7 +115,7 @@ func TestEagerFlushAblation(t *testing.T) {
 // litmus gate's verdicts are the lockstep oracle's wherever the oracle
 // convicts: cache-coalesce-stale-word is the oracle's barrier-incomplete,
 // at the cycle and state the recorder's own barrier check once reported.
-const mutationGateReportSHA256 = "b92998c6b008c888923959391964e50e6ead7965371deb7eabb0e0224cc19279"
+const mutationGateReportSHA256 = "82b27258abd77299d4631a745f3c67bf03010b09343e7adae048e413067727b1"
 
 // TestMutationGate is the CI oracle gate: every seeded single-site bug must
 // be caught by the lockstep oracle or the crash-consistency checks, with no

@@ -329,10 +329,7 @@ func run(rc RunConfig, w *workload.Workload) (*Result, error) {
 // that recovery refuses, an untyped recovery error and a lockstep
 // divergence surface as the error.
 func RunWithFailure(rc RunConfig, failCycle uint64) (*CrashVerdict, error) {
-	r, err := newCrashRun(rc, nil)
-	if err != nil {
-		return nil, err
-	}
+	r := &crashRun{rc: rc}
 	v, err := r.cut(TorturePoint{Cycle: failCycle}, true)
 	if err != nil {
 		return nil, err

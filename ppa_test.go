@@ -459,31 +459,16 @@ func TestVerifyAppChecksArchState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := RunConfig{App: o.App, Scheme: o.Scheme, InstsPerThread: o.InstsPerThread}
-	probe, err := Run(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := FailRandomly(o.Seed, o.Trials, probe.Cycles/50, probe.Cycles)
 	archOnly := 0
-	for after := uint64(0); ; {
-		cycle, ok := sched.Next(after)
-		if !ok {
-			break
-		}
-		after = cycle
-		out, err := RunWithFailure(rc, cycle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Completed || out.ArchConsistent {
+	for _, v := range rep.Verdicts {
+		if v.Completed || v.ArchConsistent {
 			continue
 		}
-		if out.Inconsistencies == 0 {
+		if v.Inconsistencies == 0 {
 			archOnly++
 		}
-		if !slices.Contains(rep.Failed, cycle) {
-			t.Errorf("cycle %d recovered a diverged register state, but VerifyApp counts it consistent", cycle)
+		if !slices.Contains(rep.Failed, v.Point.Cycle) {
+			t.Errorf("cycle %d recovered a diverged register state, but VerifyApp counts it consistent", v.Point.Cycle)
 		}
 	}
 	if archOnly == 0 {

@@ -28,8 +28,8 @@ func dirtyMachine(t *testing.T, rc RunConfig, org func(*multicore.Config), dirt 
 	prof.Seed += 7919
 	rc = goldenConfig(rc, org)
 	rc.Profile = &prof
-	r, err := newCrashRun(rc, nil)
-	if err != nil {
+	r := &crashRun{rc: rc}
+	if err := r.rewind(0); err != nil {
 		t.Fatal(err)
 	}
 	if dirt == "run" {

@@ -241,11 +241,7 @@ func checkResetPointsMatchFresh(t *testing.T, rc RunConfig, points []TorturePoin
 	}
 	reused := &crashRun{rc: rc, w: w}
 	for _, p := range points {
-		fresh, err := newCrashRun(rc, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := state(reused, p), state(fresh, p); got != want {
+		if got, want := state(reused, p), state(&crashRun{rc: rc, w: w}, p); got != want {
 			t.Fatalf("point %v: the reset machine's crash state %s differs from a fresh machine's %s", p, got, want)
 		}
 	}

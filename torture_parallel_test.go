@@ -99,6 +99,9 @@ func TestParallelTortureForensicsCarryTrace(t *testing.T) {
 		if len(b.Divergence) == 0 {
 			t.Fatalf("bundle %d (%s) has no divergence report", i, b.Meta.Reason)
 		}
+		if b.Meta.Verifier != forensics.KindLockstepDivergence {
+			t.Fatalf("bundle %d (%s) names verifier %q, want %q", i, b.Meta.Reason, b.Meta.Verifier, forensics.KindLockstepDivergence)
+		}
 		if n := len(b.Trace); n == 0 || n > forensics.DefaultTraceTail {
 			t.Fatalf("bundle %d carries %d trace events, want 1..%d", i, n, forensics.DefaultTraceTail)
 		}

@@ -24,6 +24,9 @@ type VerifyReport struct {
 	// OracleChecked counts interrupted trials the lockstep oracle
 	// cross-checked (VerifyOptions.Lockstep).
 	OracleChecked int
+	// Verdicts holds every trial's crash verdict, in cut order: the counts
+	// above are tallied from them.
+	Verdicts []*CrashVerdict
 }
 
 // OK reports whether every recovery verified.
@@ -97,42 +100,26 @@ func VerifyAppOpts(o VerifyOptions) (*VerifyReport, error) {
 		scheme = SchemePPA
 	}
 	rc := RunConfig{App: o.App, Scheme: scheme, InstsPerThread: insts, Lockstep: o.Lockstep, Customize: o.Customize}
-	// Bound the failure window by a representative run length.
-	probe, err := Run(rc)
+	// One live machine runs the workload once, bounding the failure window
+	// by its length, and is then cut at every trial's cycle.
+	_, vs, err := (&crashRun{rc: rc}).campaign(failWithin(o.Seed, n, 50))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("verify %s: %w", o.App, err)
 	}
-	maxCycle := probe.Cycles
-	if maxCycle < 1000 {
-		maxCycle = 1000
-	}
-
-	sched := FailRandomly(o.Seed, n, maxCycle/50, maxCycle)
-	report := &VerifyReport{App: o.App, Scheme: scheme}
-	var after uint64
-	for {
-		cycle, ok := sched.Next(after)
-		if !ok {
-			break
-		}
-		after = cycle
-		report.Trials++
-		v, err := RunWithFailure(rc, cycle)
-		if err != nil {
-			return nil, fmt.Errorf("verify %s@%d: %w", o.App, cycle, err)
-		}
-		if v.Completed {
+	report := &VerifyReport{App: o.App, Scheme: scheme, Trials: len(vs), Verdicts: vs}
+	for _, v := range vs {
+		switch {
+		case v.Completed:
 			report.Completed++
 			continue
+		case v.Violation == "":
+			report.Consistent++
+		default:
+			report.Failed = append(report.Failed, v.Point.Cycle)
 		}
 		report.Interrupted++
 		if v.OracleChecked {
 			report.OracleChecked++
-		}
-		if v.Violation == "" {
-			report.Consistent++
-		} else {
-			report.Failed = append(report.Failed, cycle)
 		}
 	}
 	return report, nil
