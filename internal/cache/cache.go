@@ -40,8 +40,10 @@ type saWay struct {
 // Ordinals are handed out in install order, and unit i lives in chunk
 // chunkOf(i). Chunk k holds 4·2^k units, up to 256, and is never copied or
 // moved once allocated, so a run pays for the sets it touches and a power
-// failure reuses the chunks. idx holds no pointers, so the collector never
-// scans it. The chunk sizes were chosen by measuring the crash-sweep and
+// failure reuses the chunks. Only claim writes idx, and it lists each group
+// it hands a unit to, so a reset zeroes those entries alone instead of the
+// whole index (32 KiB for Table 2's L2). idx holds no pointers, so the
+// collector never scans it. The chunk sizes were chosen by measuring the crash-sweep and
 // litmus benchmarks: fixed 64-set chunks slow litmus down, and one doubling
 // slab spends crash-sweep's time copying.
 const (
@@ -73,11 +75,14 @@ type setAssoc struct {
 	shift  uint
 	idx    []uint16  // per group of sets: 1-based unit ordinal, 0 = untouched
 	chunks [][]saWay // unit storage, set-major within a unit
-	used   int       // units handed out since construction or reset
 	clock  uint32
 
 	Hits   uint64
 	Misses uint64
+
+	// claimed lists the group of each unit handed out since construction
+	// or reset, in claim order.
+	claimed []uint16
 }
 
 // newSetAssoc builds a cache with the given total size in bytes and
@@ -107,10 +112,14 @@ func newSetAssoc(sizeBytes uint64, ways int) *setAssoc {
 }
 
 // reset empties the array in place, exactly as a fresh one starts, keeping
-// its chunks for reuse.
+// its chunks for reuse. Only the groups claimed since the last reset hold a
+// nonzero index entry.
 func (c *setAssoc) reset() {
-	clear(c.idx)
-	c.used, c.clock, c.Hits, c.Misses = 0, 0, 0, 0
+	for _, g := range c.claimed {
+		c.idx[g] = 0
+	}
+	c.claimed = c.claimed[:0]
+	c.clock, c.Hits, c.Misses = 0, 0, 0
 }
 
 // set returns the ways of line's set, or nil when no install has touched
@@ -130,8 +139,7 @@ func (c *setAssoc) set(line uint64) []saWay {
 // and returns line's set. A chunk is allocated when its first unit is
 // claimed, and holds no more units than the array has left to hand out.
 func (c *setAssoc) claim(line uint64) []saWay {
-	i := c.used
-	c.used++
+	i := len(c.claimed)
 	k, off := chunkOf(i)
 	unit := c.ways << c.shift
 	if k == len(c.chunks) {
@@ -139,7 +147,9 @@ func (c *setAssoc) claim(line uint64) []saWay {
 		c.chunks = append(c.chunks, make([]saWay, n*unit))
 	}
 	clear(c.chunks[k][off*unit : (off+1)*unit])
-	c.idx[((line/isa.LineSize)&c.setMask)>>c.shift] = uint16(c.used)
+	g := ((line / isa.LineSize) & c.setMask) >> c.shift
+	c.claimed = append(c.claimed, uint16(g))
+	c.idx[g] = uint16(len(c.claimed))
 	return c.set(line)
 }
 

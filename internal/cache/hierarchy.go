@@ -386,7 +386,7 @@ func (d *dirtyStore) deleteLine(base uint64) {
 func (d *dirtyStore) reset() {
 	clear(d.lines)
 	d.words = 0
-	d.last = nil
+	d.last, d.lastBase = nil, 0
 }
 
 // Hierarchy is the full memory system shared by all cores.

@@ -174,9 +174,9 @@ func TestPagedTagArrayMatchesFlat(t *testing.T) {
 						t.Fatalf("%s: lookup(%#x) hit an untouched array", when, l)
 					}
 				}
-				if paged.used != 0 || paged.Hits != flat.Hits || paged.Misses != flat.Misses {
+				if len(paged.claimed) != 0 || paged.Hits != flat.Hits || paged.Misses != flat.Misses {
 					t.Fatalf("%s: probes claimed %d units, hits/misses %d/%d, reference %d/%d",
-						when, paged.used, paged.Hits, paged.Misses, flat.Hits, flat.Misses)
+						when, len(paged.claimed), paged.Hits, paged.Misses, flat.Hits, flat.Misses)
 				}
 			}
 			probe("fresh")
@@ -195,8 +195,8 @@ func TestPagedTagArrayMatchesFlat(t *testing.T) {
 				for _, set := range rng.Perm(int(sets)) {
 					install(-1, uint64(set)*isa.LineSize, set%2 == 0)
 				}
-				if paged.used != len(paged.idx) {
-					t.Fatalf("every set touched, %d of %d units claimed", paged.used, len(paged.idx))
+				if len(paged.claimed) != len(paged.idx) {
+					t.Fatalf("every set touched, %d of %d units claimed", len(paged.claimed), len(paged.idx))
 				}
 			}
 
@@ -209,6 +209,11 @@ func TestPagedTagArrayMatchesFlat(t *testing.T) {
 					checkChunks("before reset")
 					maxChunks = len(paged.chunks)
 					paged.reset()
+					for grp, o := range paged.idx {
+						if o != 0 {
+							t.Fatalf("after reset: group %d still holds unit %d", grp, o)
+						}
+					}
 					flat = newFlatSetAssoc(g.size, g.ways)
 					probe("after reset")
 					if g.touchAll {
@@ -258,7 +263,7 @@ func TestPagedTagArrayMatchesFlat(t *testing.T) {
 				}
 			}
 			t.Logf("%d of %d units claimed in %d chunks (%d before the reset)",
-				paged.used, len(paged.idx), len(paged.chunks), maxChunks)
+				len(paged.claimed), len(paged.idx), len(paged.chunks), maxChunks)
 		})
 	}
 }

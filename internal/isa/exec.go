@@ -216,16 +216,25 @@ type StoreRecord struct {
 // recover NVM to a state where every address stored by the first k committed
 // instructions holds its golden value at instruction k.
 func RunGolden(p *Program, n int) *GoldenResult {
+	res := &GoldenResult{Mem: NewMapMemory()}
+	res.Rerun(p, n)
+	return res
+}
+
+// Rerun makes res what RunGolden(p, n) returns, keeping the storage of its
+// memory's map and of its store log. The memory drops its lines (see
+// MapMemory.Reset), so a line read from res.Mem before keeps its words.
+func (res *GoldenResult) Rerun(p *Program, n int) {
 	if n < 0 || n > len(p.Insts) {
 		n = len(p.Insts)
 	}
-	res := &GoldenResult{Mem: NewMapMemory()}
+	res.Mem.Reset()
+	*res = GoldenResult{Mem: res.Mem, StoreLog: res.StoreLog[:0]}
 	for i := 0; i < n; i++ {
 		in := &p.Insts[i]
 		stepGolden(res, in, i)
 	}
 	res.Executed = n
-	return res
 }
 
 // StepGolden executes one instruction against an existing golden state;

@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"ppa/internal/litmus/px86"
 )
 
 // OpKind is one litmus operation kind.
@@ -58,12 +60,13 @@ type Test struct {
 	Cores [][]Op `json:"cores"`
 }
 
-// Format limits. The generator stays within the ISSUE's 2–4 cores and
-// 2–6 operations; the format accepts slightly wider shapes so regression
-// corpora can pin single-core edge cases.
+// Format limits. The generator stays within 2–4 cores and 2–6
+// operations; the format accepts slightly wider shapes so regression
+// corpora can pin single-core edge cases. The core and address limits are
+// the solver's, whose fixed-size states and configurations they size.
 const (
-	MaxCores      = 4
-	MaxAddrs      = 3
+	MaxCores      = px86.MaxCores
+	MaxAddrs      = px86.MaxAddrs
 	MaxOpsPerCore = 8
 	MaxOps        = 24
 )

@@ -121,6 +121,8 @@ type runner struct {
 	// sseed is the running schedule's seed; the machines' persist
 	// perturbation reads it.
 	sseed uint64
+	// rec observes every schedule of the running test.
+	rec recorder
 }
 
 func newRunner(opt RunOptions) *runner {
@@ -129,6 +131,7 @@ func newRunner(opt RunOptions) *runner {
 		r.sch = *opt.Scheme
 	}
 	r.logCarried = r.sch.Retire() == persist.RetireGatedLog
+	r.rec.bind()
 	return r
 }
 
@@ -184,20 +187,17 @@ func (r *runner) runTest(t *Test) (*TestResult, error) {
 		Schedules:    opt.Schedules,
 		Allowed:      c.Model.Outcomes(),
 		FinalAllowed: c.Model.FinalOutcomes(),
-		Observed:     make(map[string]int),
 	}
+	rec := &r.rec
+	rec.beginTest(c)
 	for s := 0; s < opt.Schedules; s++ {
-		rec, err := r.runSchedule(c, w, s)
-		if err != nil {
+		if err := r.runSchedule(c, w, s); err != nil {
 			return nil, err
 		}
 		if rec.crashed {
 			res.Crashes++
 		}
 		res.Accepts += rec.accepts
-		for k, n := range rec.observed {
-			res.Observed[k] += n
-		}
 		for _, f := range rec.forbidden {
 			if len(res.Forbidden) < maxForbiddenPerTest {
 				res.Forbidden = append(res.Forbidden, f)
@@ -217,6 +217,7 @@ func (r *runner) runTest(t *Test) (*TestResult, error) {
 			_ = opt.Forensics.Capture(b)
 		}
 	}
+	res.Observed = rec.observedKeys()
 	for _, k := range res.Allowed {
 		if res.Observed[k] == 0 {
 			res.Unreached = append(res.Unreached, k)
@@ -238,66 +239,98 @@ func (r *runner) runTest(t *Test) (*TestResult, error) {
 // every state the stream passes through must be one the model allows. The
 // persist-order rules (coalescing subsumption, idempotent re-accept,
 // barrier drain) are the lockstep oracle's, which runs every schedule.
+//
+// A runner keeps one recorder for all its schedules. States are counted and
+// checked as px86.State values; a state is formatted as an outcome key only
+// for a report (observedKeys) or a forbidden outcome (fail).
 type recorder struct {
 	c         *Compiled
 	sched     int
+	sys       *multicore.System
 	dev       interface{ ReadWord(addr uint64) uint64 }
-	overlay   []uint64 // the accept stream's view of the test words
-	observed  map[string]int
+	overlay   px86.State         // the accept stream's view of the test words
+	observed  map[px86.State]int // the running test's outcomes, all schedules
 	forbidden []*Forbidden
 	accepts   uint64
 	crashed   bool
 	// accTail is the flight recorder's accept-stream ring (RunOptions.
 	// Forensics); nil when forensics is off.
 	accTail *forensics.AcceptTail
+	// acceptFn and logFn are onAccept and the log observer, bound once so
+	// that hooking a schedule up allocates nothing.
+	acceptFn func(cycle, line uint64, words *isa.LineWords)
+	logFn    func(core int, lr nvm.LogRecord)
 }
 
-func newRecorder(c *Compiled, sched int) *recorder {
-	r := &recorder{
-		c:        c,
-		sched:    sched,
-		overlay:  make([]uint64, len(c.Addrs)),
-		observed: make(map[string]int),
+// bind makes the recorder's observer callbacks.
+func (r *recorder) bind() {
+	r.observed = make(map[px86.State]int)
+	r.acceptFn = r.onAccept
+	r.logFn = func(core int, lr nvm.LogRecord) {
+		if !lr.Marker {
+			r.onLogWord(r.sys.Cycle(), lr.Addr, lr.Val)
+		}
 	}
-	r.observe() // the initial (all-zero) state counts as observed
-	return r
 }
 
-func (r *recorder) fail(kind string, cycle uint64, state, detail string) {
+// beginTest starts counting c's outcomes.
+func (r *recorder) beginTest(c *Compiled) {
+	r.c = c
+	clear(r.observed)
+}
+
+// beginSchedule readies the recorder for schedule sched on sys.
+func (r *recorder) beginSchedule(sched int, sys *multicore.System) {
+	r.sched, r.sys, r.dev = sched, sys, sys.Device().Image()
+	r.overlay = px86.State{}
+	r.forbidden = r.forbidden[:0]
+	r.accepts, r.crashed, r.accTail = 0, false, nil
+	r.observe() // the initial (all-zero) state counts as observed
+}
+
+// observedKeys returns the running test's outcome counts keyed by outcome
+// key, for its report.
+func (r *recorder) observedKeys() map[string]int {
+	out := make(map[string]int, len(r.observed))
+	for s, n := range r.observed {
+		out[px86.Key(s[:len(r.c.Addrs)])] = n
+	}
+	return out
+}
+
+// fail records a violation; s, when not nil, is the state it reached.
+func (r *recorder) fail(kind string, cycle uint64, s *px86.State, detail string) {
 	if len(r.forbidden) >= maxForbiddenPerTest {
 		return
 	}
-	r.forbidden = append(r.forbidden, &Forbidden{
-		Test: r.c.Test.Name, Schedule: r.sched, Kind: kind,
-		Cycle: cycle, State: state, Detail: detail,
-	})
+	f := &Forbidden{Test: r.c.Test.Name, Schedule: r.sched, Kind: kind, Cycle: cycle, Detail: detail}
+	if s != nil {
+		f.State = px86.Key(s[:len(r.c.Addrs)])
+	}
+	r.forbidden = append(r.forbidden, f)
 }
 
 // runFailed records an error from Run, RunUntil or DrainPersists. The
 // oracle's verdict keeps its own kind (a PersistViolation's, or
 // lockstep-divergence) and its cycle: the one it latched at, or for the
 // image and log checks the one the machine surfaced it at. Any other error
-// is recorded as kind at the machine's cycle, with state when it is not "".
-func (r *recorder) runFailed(sys *multicore.System, kind, state string, err error) {
+// is recorded as kind at the machine's cycle, with state when it is not nil.
+func (r *recorder) runFailed(kind string, state *px86.State, err error) {
 	var de *oracle.DivergenceError
 	if !errors.As(err, &de) {
-		r.fail(kind, sys.Cycle(), state, err.Error())
+		r.fail(kind, r.sys.Cycle(), state, err.Error())
 		return
 	}
-	key := px86.Key(r.overlay)
 	if d := de.Report.Divergence; d != nil {
-		r.fail("lockstep-divergence", d.Cycle, key, d.String())
+		r.fail("lockstep-divergence", d.Cycle, &r.overlay, d.String())
 		return
 	}
 	v := de.Report.PersistViolation
-	r.fail(v.Kind, v.Cycle, key, fmt.Sprintf("core %d addr %#x: %s", v.Core, v.Addr, v.Detail))
+	r.fail(v.Kind, v.Cycle, &r.overlay, fmt.Sprintf("core %d addr %#x: %s", v.Core, v.Addr, v.Detail))
 }
 
 // observe records the overlay as an observed outcome.
-func (r *recorder) observe() {
-	key := px86.Key(r.overlay)
-	r.observed[key]++
-}
+func (r *recorder) observe() { r.observed[r.overlay]++ }
 
 // word checks one durable word of the test and folds it into the overlay;
 // it reports false for a word outside the test's address slots. what names
@@ -305,13 +338,13 @@ func (r *recorder) observe() {
 func (r *recorder) word(cycle, addr, val uint64, what string) bool {
 	slot, ok := r.c.Model.Slot(addr)
 	if !ok {
-		r.fail("stray-accept", cycle, "",
+		r.fail("stray-accept", cycle, nil,
 			fmt.Sprintf("%s word [%#x] <- %#x outside the test's address slots", what, addr, val))
 		return false
 	}
 	r.accepts++
 	if val == 0 || !r.c.values[slot][val] {
-		r.fail("unknown-value", cycle, "",
+		r.fail("unknown-value", cycle, nil,
 			fmt.Sprintf("accepted word [%#x] <- %#x matches no store of the test", addr, val))
 	}
 	r.overlay[slot] = val
@@ -329,8 +362,8 @@ func (r *recorder) onLogWord(cycle, addr, val uint64) {
 		return
 	}
 	r.observe()
-	if key := px86.Key(r.overlay); !r.c.Model.MemberKey(key) {
-		r.fail("forbidden-state", cycle, key,
+	if !r.c.Model.Allows(r.overlay) {
+		r.fail("forbidden-state", cycle, &r.overlay,
 			"durable log stream reached a state outside the model's allowed set")
 	}
 }
@@ -345,40 +378,36 @@ func (r *recorder) onAccept(cycle, line uint64, words *isa.LineWords) {
 		return
 	}
 	r.observe()
-	if key := px86.Key(r.overlay); !r.c.Model.MemberKey(key) {
-		r.fail("forbidden-state", cycle, key,
+	if !r.c.Model.Allows(r.overlay) {
+		r.fail("forbidden-state", cycle, &r.overlay,
 			"NVM accept stream reached a state outside the model's allowed set")
 	}
 	// The durable image must agree with the accept stream word for word.
 	for slot, addr := range r.c.Addrs {
 		if img := r.dev.ReadWord(addr); img != r.overlay[slot] {
-			r.fail("image-divergence", cycle, px86.Key(r.overlay),
+			r.fail("image-divergence", cycle, &r.overlay,
 				fmt.Sprintf("durable image holds [%#x] = %#x, accept stream says %#x", addr, img, r.overlay[slot]))
 		}
 	}
 }
 
-// runSchedule executes one perturbed schedule of a compiled test on w.
-func (r *runner) runSchedule(c *Compiled, w *workload.Workload, sched int) (*recorder, error) {
+// runSchedule executes one perturbed schedule of a compiled test on w,
+// observed by r.rec.
+func (r *runner) runSchedule(c *Compiled, w *workload.Workload, sched int) error {
 	opt := r.opt
 	sseed := mix(opt.Seed, hashName(c.Test.Name), uint64(sched))
 	n := len(c.Progs)
 	sys, err := r.machine(w, sseed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	scheme := sys.Scheme()
-	rec := newRecorder(c, sched)
-	rec.dev = sys.Device().Image()
+	rec := &r.rec
+	rec.beginSchedule(sched, sys)
 	if r.logCarried {
-		sys.Device().AddLogObserver(func(core int, lr nvm.LogRecord) {
-			if lr.Marker {
-				return
-			}
-			rec.onLogWord(sys.Cycle(), lr.Addr, lr.Val)
-		})
+		sys.Device().AddLogObserver(rec.logFn)
 	} else {
-		sys.Device().AddAcceptObserver(rec.onAccept)
+		sys.Device().AddAcceptObserver(rec.acceptFn)
 	}
 	if opt.Forensics != nil {
 		rec.accTail = forensics.NewAcceptTail(forensics.DefaultAcceptTail)
@@ -393,61 +422,59 @@ func (r *runner) runSchedule(c *Compiled, w *workload.Workload, sched int) (*rec
 		rec.crashed = true
 		target := sys.Cycle() + 20 + mix(sseed, 0xC4A54)%400
 		if _, err := sys.RunUntil(target); err != nil {
-			rec.runFailed(sys, "run-error", "", err)
-			return rec, nil
+			rec.runFailed("run-error", nil, err)
+			return nil
 		}
 		sys.Hierarchy().PowerFail()
-		key := px86.Key(rec.overlay)
-		if !c.Model.MemberKey(key) {
-			rec.fail("forbidden-state", sys.Cycle(), key, "crash image outside the model's allowed set")
+		if !c.Model.Allows(rec.overlay) {
+			rec.fail("forbidden-state", sys.Cycle(), &rec.overlay, "crash image outside the model's allowed set")
 		}
 		if scheme.Contract() == persist.RecoverTxnBoundary {
 			if _, rerr := scheme.Recover(sys.Device(), n); rerr != nil {
-				rec.fail("recovery-error", sys.Cycle(), "", rerr.Error())
-				return rec, nil
+				rec.fail("recovery-error", sys.Cycle(), nil, rerr.Error())
+				return nil
 			}
-			state := make([]uint64, len(c.Addrs))
+			var state px86.State
 			for slot, addr := range c.Addrs {
 				state[slot] = sys.Device().Image().ReadWord(addr)
 			}
-			if rkey := px86.Key(state); !c.Model.MemberKey(rkey) {
-				rec.fail("forbidden-recovered-state", sys.Cycle(), rkey,
+			if !c.Model.Allows(state) {
+				rec.fail("forbidden-recovered-state", sys.Cycle(), &state,
 					"recovered NVM image outside the model's allowed set")
 			}
 		}
-		return rec, nil
+		return nil
 	}
 
 	if err := sys.Run(opt.MaxCycles); err != nil {
-		rec.runFailed(sys, "run-error", "", err)
-		return rec, nil
+		rec.runFailed("run-error", nil, err)
+		return nil
 	}
 	if err := sys.DrainPersists(opt.MaxCycles); err != nil {
-		rec.runFailed(sys, "drain-stuck", px86.Key(rec.overlay), err)
-		return rec, nil
+		rec.runFailed("drain-stuck", &rec.overlay, err)
+		return nil
 	}
 	// Litmus footprints (2–3 lines) never evict; an eviction writeback
 	// would persist lines outside the modeled accept flow, so surface it
 	// instead of silently weakening the checks.
 	if wb := sys.Hierarchy().NVMWritebacks; wb != 0 {
-		rec.fail("unexpected-eviction", sys.Cycle(), "",
+		rec.fail("unexpected-eviction", sys.Cycle(), nil,
 			fmt.Sprintf("%d NVM eviction writebacks in a litmus-sized footprint", wb))
 	}
-	key := px86.Key(rec.overlay)
 	if r.sch.Retire() == persist.RetireGated {
 		// The open gated tail is legally volatile on the accept stream; the
 		// drained state need only be allowed, not all-stores-persisted.
-		if !c.Model.MemberKey(key) {
-			rec.fail("forbidden-state", sys.Cycle(), key,
+		if !c.Model.Allows(rec.overlay) {
+			rec.fail("forbidden-state", sys.Cycle(), &rec.overlay,
 				"fully-drained NVM state is outside the model's allowed set")
 		}
-		return rec, nil
+		return nil
 	}
-	if !c.Model.FinalMemberKey(key) {
-		rec.fail("forbidden-final-state", sys.Cycle(), key,
+	if !c.Model.AllowsFinal(rec.overlay) {
+		rec.fail("forbidden-final-state", sys.Cycle(), &rec.overlay,
 			"fully-drained NVM state is not a legal all-stores-persisted outcome")
 	}
-	return rec, nil
+	return nil
 }
 
 func hashName(s string) uint64 {

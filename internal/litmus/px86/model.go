@@ -89,16 +89,26 @@ func (c *CoreProg) canPersistNext(mask uint32, j int) bool {
 	return true
 }
 
-// Limits on the exact-enumeration walk. The generator stays far below
-// both; hand-written tests that exceed them get an explicit error rather
-// than an open-ended search.
+// Limits on the exact-enumeration walk. The litmus format stays within
+// all of them; a hand-written model that exceeds one gets an explicit error
+// rather than an open-ended search.
 const (
+	// MaxCores bounds the number of cores (the width of a configuration).
+	MaxCores = 4
+	// MaxAddrs bounds the number of model addresses (the width of a State).
+	MaxAddrs = 3
 	// MaxStoresPerCore bounds one core's store count (bitmask width).
 	MaxStoresPerCore = 12
 	// maxConfigs bounds the number of distinct (persisted-set, state)
 	// configurations the walk may visit.
 	maxConfigs = 1 << 22
 )
+
+// State is an NVM state of a model: one value per model address, in Addrs
+// order, and zero past the last address. It is comparable, so the solver
+// and the litmus recorder key sets and counts by it; Key formats one for a
+// report.
+type State [MaxAddrs]uint64
 
 // Model is the solved allowed-outcome set of one litmus test: every NVM
 // state any prefix of any legal persist order can exhibit, and the subset
@@ -108,14 +118,14 @@ type Model struct {
 	Cores []CoreProg
 
 	addrIdx map[uint64]int
-	allowed map[string]bool // states of any legal prefix
-	final   map[string]bool // states with every store persisted
+	allowed map[State]bool // states of any legal prefix
+	final   map[State]bool // states with every store persisted
 	configs int
 }
 
 // Key renders an NVM state (one value per model address, in Addrs order)
-// as the canonical outcome key used throughout the engine: the hexadecimal
-// values joined by single spaces.
+// as the canonical outcome key the engine reports: the hexadecimal values
+// joined by single spaces.
 func Key(vals []uint64) string {
 	var b strings.Builder
 	for i, v := range vals {
@@ -130,12 +140,18 @@ func Key(vals []uint64) string {
 // NewModel solves the allowed-outcome sets for the given per-core
 // programs over the given address set (ascending, word-aligned).
 func NewModel(cores []CoreProg, addrs []uint64) (*Model, error) {
+	if len(cores) > MaxCores {
+		return nil, fmt.Errorf("px86: %d cores (max %d)", len(cores), MaxCores)
+	}
+	if len(addrs) > MaxAddrs {
+		return nil, fmt.Errorf("px86: %d addresses (max %d)", len(addrs), MaxAddrs)
+	}
 	m := &Model{
 		Addrs:   addrs,
 		Cores:   cores,
 		addrIdx: make(map[uint64]int, len(addrs)),
-		allowed: make(map[string]bool),
-		final:   make(map[string]bool),
+		allowed: make(map[State]bool),
+		final:   make(map[State]bool),
 	}
 	for i, a := range addrs {
 		if i > 0 && addrs[i-1] >= a {
@@ -143,7 +159,6 @@ func NewModel(cores []CoreProg, addrs []uint64) (*Model, error) {
 		}
 		m.addrIdx[a] = i
 	}
-	total := 0
 	for ci := range cores {
 		c := &cores[ci]
 		if len(c.Stores) > MaxStoresPerCore {
@@ -159,36 +174,24 @@ func NewModel(cores []CoreProg, addrs []uint64) (*Model, error) {
 				return nil, fmt.Errorf("px86: core %d barrier position %d out of range", ci, b)
 			}
 		}
-		total += len(c.Stores)
 	}
 	if err := m.solve(); err != nil {
 		return nil, err
 	}
-	_ = total
 	return m, nil
 }
 
 // config is one node of the persist-interleaving walk: which stores of
-// each core have persisted (bitmasks) and the resulting memory state.
+// each core have persisted (bitmasks) and the resulting memory state. It
+// is its own memo key.
 type config struct {
-	masks []uint32
-	vals  []uint64
-}
-
-func (m *Model) configKey(c *config) string {
-	var b strings.Builder
-	for _, mk := range c.masks {
-		b.WriteString(strconv.FormatUint(uint64(mk), 16))
-		b.WriteByte('.')
-	}
-	b.WriteByte('|')
-	b.WriteString(Key(c.vals))
-	return b.String()
+	masks [MaxCores]uint16
+	vals  State
 }
 
 func (m *Model) full(c *config) bool {
 	for ci := range m.Cores {
-		if c.masks[ci] != uint32(1)<<len(m.Cores[ci].Stores)-1 {
+		if c.masks[ci] != uint16(1)<<len(m.Cores[ci].Stores)-1 {
 			return false
 		}
 	}
@@ -199,35 +202,31 @@ func (m *Model) full(c *config) bool {
 // configuration, recording each visited memory state (and, for drained
 // configurations, the final-state subset).
 func (m *Model) solve() error {
-	start := &config{masks: make([]uint32, len(m.Cores)), vals: make([]uint64, len(m.Addrs))}
-	m.record(start)
-	seen := map[string]bool{m.configKey(start): true}
-	queue := []*config{start}
+	var start config
+	m.record(&start)
+	seen := map[config]bool{start: true}
+	queue := []config{start}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for ci := range m.Cores {
 			prog := &m.Cores[ci]
-			mask := cur.masks[ci]
+			mask := uint32(cur.masks[ci])
 			for j := range prog.Stores {
 				if mask&(1<<j) != 0 || !prog.canPersistNext(mask, j) {
 					continue
 				}
-				next := &config{
-					masks: append([]uint32(nil), cur.masks...),
-					vals:  append([]uint64(nil), cur.vals...),
-				}
+				next := cur
 				next.masks[ci] |= 1 << j
 				next.vals[m.addrIdx[prog.Stores[j].Addr]] = prog.Stores[j].Val
-				k := m.configKey(next)
-				if seen[k] {
+				if seen[next] {
 					continue
 				}
-				seen[k] = true
+				seen[next] = true
 				if m.configs++; m.configs > maxConfigs {
 					return fmt.Errorf("px86: model exceeds %d configurations", maxConfigs)
 				}
-				m.record(next)
+				m.record(&next)
 				queue = append(queue, next)
 			}
 		}
@@ -236,10 +235,9 @@ func (m *Model) solve() error {
 }
 
 func (m *Model) record(c *config) {
-	k := Key(c.vals)
-	m.allowed[k] = true
+	m.allowed[c.vals] = true
 	if m.full(c) {
-		m.final[k] = true
+		m.final[c.vals] = true
 	}
 }
 
@@ -250,30 +248,29 @@ func (m *Model) Slot(addr uint64) (int, bool) {
 	return i, ok
 }
 
-// MemberKey reports whether the state with the outcome key (see Key) is
-// reachable at some point of some legal persist order (the soundness check
-// applies it to every observed NVM state, including crash images).
-func (m *Model) MemberKey(key string) bool { return m.allowed[key] }
+// Allows reports whether state s is reachable at some point of some legal
+// persist order (the soundness check applies it to every observed NVM
+// state, including crash images).
+func (m *Model) Allows(s State) bool { return m.allowed[s] }
 
-// FinalMemberKey reports whether the state with the outcome key is legal
-// once every store has drained (applied to the post-run, post-drain NVM
-// image).
-func (m *Model) FinalMemberKey(key string) bool { return m.final[key] }
+// AllowsFinal reports whether state s is legal once every store has drained
+// (applied to the post-run, post-drain NVM image).
+func (m *Model) AllowsFinal(s State) bool { return m.final[s] }
 
 // Outcomes returns every allowed state key, sorted.
-func (m *Model) Outcomes() []string { return sortedKeys(m.allowed) }
+func (m *Model) Outcomes() []string { return m.sortedKeys(m.allowed) }
 
 // FinalOutcomes returns every allowed drained-state key, sorted.
-func (m *Model) FinalOutcomes() []string { return sortedKeys(m.final) }
+func (m *Model) FinalOutcomes() []string { return m.sortedKeys(m.final) }
 
 // Configs returns the number of distinct persist configurations the
 // solver visited (a size diagnostic for `ppalitmus explain`).
 func (m *Model) Configs() int { return m.configs }
 
-func sortedKeys(set map[string]bool) []string {
+func (m *Model) sortedKeys(set map[State]bool) []string {
 	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+	for s := range set {
+		out = append(out, Key(s[:len(m.Addrs)]))
 	}
 	sort.Strings(out)
 	return out

@@ -45,7 +45,7 @@ func TestModelMP(t *testing.T) {
 	if got := m.Outcomes(); !reflect.DeepEqual(got, wantAllowed) {
 		t.Errorf("allowed = %v, want %v", got, wantAllowed)
 	}
-	if m.MemberKey(Key([]uint64{0, 2})) {
+	if m.Allows(State{0, 2}) {
 		t.Error("flag-without-data allowed; the barrier edge is not enforced")
 	}
 }
@@ -55,7 +55,7 @@ func TestModelMPNoBarrier(t *testing.T) {
 	m := mustModel(t, []CoreProg{
 		{Stores: []Store{{Addr: addrA, Val: 1}, {Addr: addrB, Val: 2}}},
 	}, []uint64{addrA, addrB})
-	if !m.MemberKey(Key([]uint64{0, 2})) {
+	if !m.Allows(State{0, 2}) {
 		t.Error("unordered cross-address stores must allow either persist order")
 	}
 }
@@ -78,7 +78,7 @@ func TestModel2p2w(t *testing.T) {
 	// {A=1, B=7} would need p1's A<-7 before p0's A<-1 (A order) and p0's
 	// B<-4 before p1's B<-7 (B order) — with the fences that is the cycle
 	// A7 < A1 < B4 < B7 < A7.
-	if m.FinalMemberKey(Key([]uint64{1, 7})) {
+	if m.AllowsFinal(State{1, 7}) {
 		t.Error("cyclic 2+2W outcome admitted: the solver is reasoning per-address")
 	}
 	// As a transient prefix (not all stores persisted) {A=1, B=7} is fine:
@@ -86,7 +86,7 @@ func TestModel2p2w(t *testing.T) {
 	// forbids too (B7 needs A7 first? no: p1's fence orders B7 before A7,
 	// so B7 alone is fine; p0's fence orders A1 before B4, so A1 alone is
 	// fine). It must therefore be in the allowed set.
-	if !m.MemberKey(Key([]uint64{1, 7})) {
+	if !m.Allows(State{1, 7}) {
 		t.Error("{A=1,B=7} must be reachable as a transient prefix")
 	}
 }
@@ -137,7 +137,7 @@ func TestModelRMWShape(t *testing.T) {
 	m := mustModel(t, []CoreProg{
 		{Stores: []Store{{Addr: addrA, Val: 1}, {Addr: addrB, Val: 5}}, Barriers: []int{1}},
 	}, []uint64{addrA, addrB})
-	if m.MemberKey(Key([]uint64{0, 5})) {
+	if m.Allows(State{0, 5}) {
 		t.Error("RMW persisted before the store its implicit barrier orders first")
 	}
 }

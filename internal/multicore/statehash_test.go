@@ -72,6 +72,8 @@ type walker struct {
 	counters bool
 	seen     map[walkKey]bool
 	stop     map[reflect.Type]bool
+	// keep names fields the walk leaves out, such as resetKeeps.
+	keep map[string]string
 }
 
 func (w *walker) mix(x uint64) {
@@ -79,7 +81,7 @@ func (w *walker) mix(x uint64) {
 }
 
 func (w *walker) skipField(name string) bool {
-	return loopFields[name] || !w.counters && idleCounters[name]
+	return loopFields[name] || !w.counters && idleCounters[name] || w.keep[name] != ""
 }
 
 func (w *walker) value(v reflect.Value) {
@@ -111,7 +113,7 @@ func (w *walker) value(v reflect.Value) {
 		var sum uint64
 		it := v.MapRange()
 		for it.Next() {
-			sub := &walker{counters: w.counters, seen: map[walkKey]bool{}, stop: w.stop}
+			sub := &walker{counters: w.counters, seen: map[walkKey]bool{}, stop: w.stop, keep: w.keep}
 			sub.value(it.Key())
 			sub.value(it.Value())
 			sum += sub.sum
@@ -156,7 +158,7 @@ func (w *walker) elems(v reflect.Value, n int) {
 		return
 	}
 	et := v.Type().Elem()
-	if ls, ok := plainLeaves(et, w.counters); ok && v.Kind() == reflect.Slice {
+	if ls, ok := plainLeaves(et, w.counters); ok && v.Kind() == reflect.Slice && w.keep == nil {
 		base := v.UnsafePointer()
 		for i := 0; i < n; i++ {
 			p := unsafe.Add(base, uintptr(i)*et.Size())

@@ -387,6 +387,11 @@ type Core struct {
 	// the reusable event so the hot loop stays allocation-free.
 	sink   CommitSink
 	sinkEv CommitEvent
+
+	// golden is the front the core built itself, which a reset without an
+	// injected Config.Front reruns in place; nil until the core needs one.
+	// An injected front is the caller's and is never reused.
+	golden *isa.GoldenResult
 }
 
 // New builds a core over a program and a shared hierarchy. backend is the
@@ -489,7 +494,7 @@ func (c *Core) CrashCopyFrom(src *Core) error {
 	*c = *src
 	c.cfg.Obs = own.cfg.Obs
 	c.hier, c.ren, c.backend, c.backendFull = own.hier, own.ren, own.backend, own.backendFull
-	c.rob, c.front, c.st = own.rob, own.front, own.st
+	c.rob, c.front, c.golden, c.st = own.rob, own.front, own.golden, own.st
 	c.sqReleases = own.sqReleases[:0]
 	c.sqAckToks = own.sqAckToks[:0]
 	c.keepScratch = own.keepScratch[:0]
@@ -503,9 +508,10 @@ func (c *Core) CrashCopyFrom(src *Core) error {
 var errGeometry = errors.New("pipeline: width and ROB size must be positive")
 
 // reset sets every field to its just-built value for cfg and prog. It
-// carries over only storage, the hierarchy and backend, and obs handles;
-// a field not listed returns to zero. ROB slots keep stale contents:
-// dispatch writes every field of a slot before it becomes live.
+// carries over only storage (its own golden front included), the hierarchy
+// and backend, and obs handles; a field not listed returns to zero. ROB
+// slots keep stale contents: dispatch writes every field of a slot before
+// it becomes live.
 func (c *Core) reset(cfg Config, prog *isa.Program) error {
 	if err := cfg.Scheme.Validate(); err != nil {
 		return err
@@ -523,9 +529,13 @@ func (c *Core) reset(cfg Config, prog *isa.Program) error {
 	if stop < cfg.StartAt {
 		return fmt.Errorf("pipeline: stop %d before start %d", stop, cfg.StartAt)
 	}
-	front := cfg.Front
+	front, golden := cfg.Front, c.golden
 	if front == nil {
-		front = isa.RunGolden(prog, cfg.StartAt)
+		if golden == nil {
+			golden = &isa.GoldenResult{Mem: isa.NewMapMemory()}
+		}
+		golden.Rerun(prog, cfg.StartAt)
+		front = golden
 	} else if front.Executed != cfg.StartAt {
 		return fmt.Errorf("pipeline: injected front at instruction %d, core starts at %d",
 			front.Executed, cfg.StartAt)
@@ -548,6 +558,7 @@ func (c *Core) reset(cfg Config, prog *isa.Program) error {
 		committed:   cfg.StartAt,
 		stop:        stop,
 		front:       front,
+		golden:      golden,
 
 		tr:              c.tr,
 		obsRegionInsts:  c.obsRegionInsts,

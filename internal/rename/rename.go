@@ -43,21 +43,30 @@ type file struct {
 
 	rat []uint16 // in-flight arch -> phys
 	crt []uint16 // committed arch -> phys
+
+	// resetFree is the free list a reset file starts with: every register
+	// past the architectural ones, the highest at the bottom.
+	resetFree []uint16
 }
 
 func newFile(class isa.RegClass, physRegs, archRegs int) *file {
 	if physRegs < archRegs+1 {
 		physRegs = archRegs + 1
 	}
+	resetFree := make([]uint16, 0, physRegs-archRegs)
+	for i := physRegs - 1; i >= archRegs; i-- {
+		resetFree = append(resetFree, uint16(i))
+	}
 	return &file{
-		class:    class,
-		archRegs: archRegs,
-		vals:     make([]uint64, physRegs),
-		readyAt:  make([]uint64, physRegs),
-		masked:   make([]bool, physRegs),
-		free:     make([]uint16, 0, physRegs-archRegs),
-		rat:      make([]uint16, archRegs),
-		crt:      make([]uint16, archRegs),
+		class:     class,
+		archRegs:  archRegs,
+		vals:      make([]uint64, physRegs),
+		readyAt:   make([]uint64, physRegs),
+		masked:    make([]bool, physRegs),
+		free:      make([]uint16, 0, physRegs-archRegs),
+		rat:       make([]uint16, archRegs),
+		crt:       make([]uint16, archRegs),
+		resetFree: resetFree,
 	}
 }
 
@@ -72,20 +81,17 @@ func (f *file) reset() {
 		f.rat[i] = uint16(i)
 		f.crt[i] = uint16(i)
 	}
-	free := f.free[:0]
-	for i := len(f.vals) - 1; i >= f.archRegs; i-- {
-		free = append(free, uint16(i))
-	}
 	*f = file{
-		class:    f.class,
-		archRegs: f.archRegs,
-		vals:     f.vals,
-		readyAt:  f.readyAt,
-		masked:   f.masked,
-		free:     free,
-		deferred: f.deferred[:0],
-		rat:      f.rat,
-		crt:      f.crt,
+		class:     f.class,
+		archRegs:  f.archRegs,
+		vals:      f.vals,
+		readyAt:   f.readyAt,
+		masked:    f.masked,
+		free:      append(f.free[:0], f.resetFree...),
+		deferred:  f.deferred[:0],
+		rat:       f.rat,
+		crt:       f.crt,
+		resetFree: f.resetFree,
 	}
 }
 
