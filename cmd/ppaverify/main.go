@@ -3,7 +3,8 @@
 // image against a golden in-order execution's committed prefix every time.
 // With -lockstep each trial also runs the differential oracle (golden-model
 // lockstep at commit plus persist-ordering checks); with -mutations it runs
-// the mutation-testing gate instead, demanding every seeded bug be caught.
+// the mutation-testing gate instead, which cuts every cycle of each seeded
+// bug's run and demands every bug be caught.
 //
 //	ppaverify -app mcf -n 20               # 20 random failures under PPA
 //	ppaverify -app all -n 5 -lockstep      # oracle-checked sweep over all apps
@@ -26,10 +27,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ppaverify: ")
 	app := flag.String("app", "mcf", "application, or 'all'")
-	scheme := flag.String("scheme", "ppa", "persistence scheme")
-	n := flag.Int("n", 10, "failure points per application")
+	scheme := flag.String("scheme", "ppa", "persistence scheme; not with -mutations, whose seeded bugs each declare theirs")
+	n := flag.Int("n", 10, "failure points per application; not with -mutations")
 	insts := flag.Int("insts", 20_000, "dynamic instructions per thread")
-	seed := flag.Int64("seed", 42, "failure-schedule seed")
+	seed := flag.Int64("seed", 42, "failure-schedule seed; not with -mutations")
 	lockstep := flag.Bool("lockstep", false, "run each trial under the differential lockstep oracle (golden-model commit checks + persist ordering + post-recovery image checks)")
 	mutations := flag.Bool("mutations", false, "run the mutation-testing gate: enable each seeded bug in turn and require the oracle or the consistency checks to catch it")
 	outPath := flag.String("out", "", "write the campaign report(s) as JSON (the CI artifact)")
@@ -49,22 +50,22 @@ func main() {
 	}
 
 	if *mutations {
-		// The campaign has its own tuned defaults; only flags the caller
-		// actually set override them.
+		// The gate cuts every cycle of each bug's run under the scheme the
+		// bug declares, so it has no trial count, schedule seed or scheme to
+		// take; only -app and -insts, when set, override its defaults.
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		cc := ppa.MutationCampaignConfig{Seed: *seed}
+		for _, name := range []string{"n", "seed", "scheme"} {
+			if set[name] {
+				log.Fatalf("invalid -%s: the -mutations gate cuts every cycle of each seeded bug's run under the scheme the bug declares, and takes no -n, -seed or -scheme; run -%s without -mutations", name, name)
+			}
+		}
+		var cc ppa.MutationCampaignConfig
 		if set["app"] {
 			cc.App = *app
 		}
-		if set["scheme"] {
-			cc.Scheme = ppa.Scheme(*scheme)
-		}
 		if set["insts"] {
 			cc.InstsPerThread = *insts
-		}
-		if set["n"] {
-			cc.FailPoints = *n
 		}
 		runMutationGate(cc, *outPath)
 		return

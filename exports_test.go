@@ -14,10 +14,39 @@ import (
 	"testing"
 )
 
-// exportKeeps names the exported internal declarations that no non-test
-// Go calls but that stay on purpose, each with its reason. A key is
-// "dir.Name" for a package-level name and "dir.Type.Method" for a method.
+// exportKeeps names the exported declarations that no non-test Go calls
+// but that stay on purpose, each with its reason. A key is "dir.Name" for a
+// package-level name and "dir.Type.Method" for a method, where the root
+// package's dir is "ppa".
 var exportKeeps = map[string]string{
+	"ppa.ExportTrace":      readmeAPI,
+	"ppa.RunInOrder":       readmeAPI,
+	"ppa.SeedStudy":        readmeAPI,
+	"ppa.VerifyApp":        readmeAPI,
+	"ppa.WriteChromeTrace": readmeAPI,
+
+	"ppa.CheckpointImage":              testOnly,
+	"ppa.VerifyReport.ConsistencyRate": testOnly,
+	"ppa.FailAt":                       testOnly,
+	"ppa.SortByApp":                    testOnly,
+	"ppa.ImportTrace":                  testOnly,
+
+	// Names for the internal types and values that the root package's own
+	// signatures carry: a caller outside the module cannot import the
+	// internal package that declares them.
+	"ppa.HierarchyParams":        "the type of MachineConfig.Hierarchy, which a Customize function sets",
+	"ppa.NVMConfig":              "the type of MachineConfig.NVM, which a Customize function sets",
+	"ppa.WorkloadProfile":        "the type RunConfig.Profile points to",
+	"ppa.OracleReport":           "the type of OracleError.Report, which a lockstep run returns",
+	"ppa.OracleDivergence":       "the type of OracleReport.Divergence",
+	"ppa.OraclePersistViolation": "the type of OracleReport.PersistViolation",
+	"ppa.FaultNone":              faultKind,
+	"ppa.FaultTornCheckpoint":    faultKind,
+	"ppa.FaultNestedOutage":      faultKind,
+	"ppa.FaultBitFlip":           faultKind,
+	"ppa.FaultTornWord":          faultKind,
+	"ppa.FaultDropTail":          faultKind,
+
 	"internal/checkpoint.Decode":                  "the strict one-image inverse of Image.Encode; the wire-format tests and FuzzCheckpointDecode in package ppa check the format through it",
 	"internal/multicore.System.CrashWithOptions":  "the in-place outage CrashCopy must equal; TestCrashCopyMatchesCopyAndCrash and the copy gates in package ppa crash through it, and a method cannot move into another package's test file",
 	"internal/nvm.Device.LogObservers":            "TestFailureScheduleResumeKeepsOneOracleLogObserver in package ppa reads it, and a method cannot move into another package's test file",
@@ -28,6 +57,12 @@ var exportKeeps = map[string]string{
 	"internal/pipeline.Core.CheckRenamePartition": "invariant check; wiring it into the lockstep oracle is its own correctness change",
 	"internal/workload.GenerateMultiProcess":      "Section 5's multi-process workload; deleting it is a scope decision, not a cleanup",
 }
+
+const (
+	readmeAPI = "public API that README documents"
+	testOnly  = "test-only; deletion pending"
+	faultKind = "a FaultKind value, which a caller-built TorturePoint's Fault carries"
+)
 
 // implicitMethods are satisfied implicitly by the standard library
 // (fmt, errors, sort, encoding/json, io), which calls them without a
@@ -41,12 +76,13 @@ var implicitMethods = map[string]bool{
 
 // TestInternalExportsHaveCallers keeps "code nothing calls gets deleted"
 // from regrowing: every exported function, method, type, variable and
-// constant declared in non-test Go under internal/ must be used by some
-// non-test Go file of the repository (perfbench included), or be named in
-// exportKeeps. Uses are matched by name from the syntax tree: a qualified
-// pkg.Name for another package, a bare Name inside the declaring package,
-// and any .Name selector for a method. A method's receiver is part of its
-// declaration, so a type that only its own methods name is unused.
+// constant declared in non-test Go under internal/ or in the root package
+// must be used by some non-test Go file of the repository (cmd/, examples/
+// and perfbench included), or be named in exportKeeps. Uses are matched by
+// name from the syntax tree: a qualified pkg.Name for another package, a
+// bare Name inside the declaring package, and any .Name selector for a
+// method. A method's receiver is part of its declaration, so a type that
+// only its own methods name is unused.
 // internal/fabric is skipped; CI jobs drive it through cmd/ppafabric.
 //
 // The method match is by name only: any .Name selector counts for every
@@ -84,7 +120,11 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(path)), f})
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if dir == "." {
+			dir = "ppa"
+		}
+		files = append(files, file{dir, f})
 		return nil
 	})
 	if err != nil {
@@ -96,12 +136,12 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	selectors := map[string]bool{} // every .Name selector, for methods and fields
 	structs := map[string]scope{}  // "dir.Name" -> declared struct type
 	for _, f := range files {
-		scanned := strings.HasPrefix(f.dir, "internal/") && f.dir != "internal/fabric" &&
+		scanned := f.dir == "ppa" || strings.HasPrefix(f.dir, "internal/") && f.dir != "internal/fabric" &&
 			!strings.HasPrefix(f.dir, "internal/fabric/")
 		imports := map[string]string{} // local name -> repository dir
 		for _, im := range f.ast.Imports {
 			p, _ := strconv.Unquote(im.Path.Value)
-			if !strings.HasPrefix(p, "ppa/internal/") {
+			if p != "ppa" && !strings.HasPrefix(p, "ppa/internal/") {
 				continue
 			}
 			name := p[strings.LastIndex(p, "/")+1:]

@@ -145,3 +145,38 @@ func resetDiff(a, b reflect.Value, path string) string {
 	}
 	return path
 }
+
+// TestResetAttachesOracleWithoutAllocating: resetting a lockstep redotxn
+// machine allocates no more than resetting the same machine without the
+// oracle. The device keeps its observer lists' storage across a reset, and
+// the machine binds the oracle's accept and log observers once, so
+// re-attaching the oracle to both streams costs nothing.
+func TestResetAttachesOracleWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the count is taken without -race")
+	}
+	p, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.New(p, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(lockstep bool) float64 {
+		cfg := multicore.DefaultConfig(1, persist.RedoTxnDefault())
+		cfg.Lockstep = lockstep
+		sys, err := multicore.NewSystem(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := sys.Reset(w, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if plain, checked := allocs(false), allocs(true); checked > plain {
+		t.Fatalf("a lockstep Reset allocates %.0f times, %.0f more than one without the oracle", checked, checked-plain)
+	}
+}

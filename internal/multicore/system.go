@@ -144,7 +144,12 @@ type System struct {
 	stepOrder []int
 
 	// oracle is the lockstep checker (nil unless Config.Lockstep).
-	oracle *oracle.Machine
+	// observeAccept and observeLog hand it the device's accept and log
+	// streams: bound once per machine, they read oracle at each call, so a
+	// reset attaches them without building them again.
+	oracle        *oracle.Machine
+	observeAccept func(cycle, line uint64, words *isa.LineWords)
+	observeLog    func(core int, rec nvm.LogRecord)
 
 	// idleMarks holds each core's statistics before the idle step of a
 	// skip (see skipTo); skipped counts the cycles skips charged, on the
@@ -373,8 +378,8 @@ func coreConfig(cfg Config, w *workload.Workload, i int, startAt []int) pipeline
 // reset sets the machine's own state to its just-built value over layers
 // that are already built or reset: cycle zero, the step order, the persist
 // perturbation, and the lockstep oracle with its hookups. It carries over
-// only the layers, the scheme, the step-order storage and the oracle, which
-// it resets in place.
+// only the layers, the scheme, the step-order storage, the oracle, which
+// it resets in place, and the oracle's observers.
 func (s *System) reset(cfg Config, w *workload.Workload, startAt []int) {
 	order, orc := s.stepOrder, s.oracle
 	if cfg.StepSeed == 0 || len(s.cores) < 2 {
@@ -396,6 +401,9 @@ func (s *System) reset(cfg Config, w *workload.Workload, startAt []int) {
 		resumed:   s.resumed,
 		images:    s.images,
 		dump:      s.dump,
+
+		observeAccept: s.observeAccept,
+		observeLog:    s.observeLog,
 	}
 	if cfg.Lockstep {
 		switch {
@@ -407,16 +415,23 @@ func (s *System) reset(cfg Config, w *workload.Workload, startAt []int) {
 			orc = oracle.New(w.Threads, startAt)
 		}
 		s.oracle = orc
-		s.dev.SetAcceptObserver(s.oracle.ObserveAccept)
+		if s.observeAccept == nil {
+			s.observeAccept = func(cycle, line uint64, words *isa.LineWords) {
+				s.oracle.ObserveAccept(cycle, line, words)
+			}
+		}
+		s.dev.SetAcceptObserver(s.observeAccept)
 		// A log scheme's records reach the oracle as the device logs them
 		// (Capri's battery-mode RedoPath logs none).
 		for _, b := range s.backends {
 			if lp, ok := b.(*persist.LogPath); ok {
-				undo := lp.LogsPreImage()
-				orc := s.oracle
-				s.dev.SetLogObserver(func(core int, rec nvm.LogRecord) {
-					orc.ObserveLogAppend(core, rec, undo)
-				})
+				if s.observeLog == nil {
+					undo := lp.LogsPreImage()
+					s.observeLog = func(core int, rec nvm.LogRecord) {
+						s.oracle.ObserveLogAppend(core, rec, undo)
+					}
+				}
+				s.dev.SetLogObserver(s.observeLog)
 			}
 		}
 		for _, c := range s.cores {

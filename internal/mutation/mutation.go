@@ -1,11 +1,13 @@
 // Package mutation is the seeded-bug registry behind the oracle's
 // mutation-testing gate. Each Mutation names one intentional single-site
 // bug compiled into the simulator behind an `if mutation.Is(...)` guard;
-// enabling it flips exactly that site into its buggy variant. The harness
-// (ppa.RunMutationCampaign, exercised by TestMutationGate and the CI
-// oracle-gate job) enables each bug in turn and demands that the lockstep
-// oracle or the crash-consistency checks catch it — proof that the
-// verification tooling has teeth, not just coverage.
+// enabling it flips exactly that site into its buggy variant, and each
+// declares the persistence scheme under which its site executes. The
+// harness (ppa.RunMutationCampaign, exercised by TestMutationGate and the
+// CI oracle-gate job) enables each bug in turn, runs it under its scheme —
+// a clean lockstep run, then a cut at every cycle of that run — and demands
+// that the lockstep oracle or the crash-consistency checks catch it: proof
+// that the verification tooling has teeth, not just coverage.
 //
 // The enabled mutation is plain package state, deliberately: the guards sit
 // on simulator hot paths (commit, write-buffer add, WPQ accept) where an
@@ -201,6 +203,38 @@ var descriptions = [...]string{
 	PipelineBarrierSnapshotCrossCore: "barrier snapshots the next core's persist counter",
 	LogReplaySkipsLast:               "redo-log replay stops one record short of the commit marker",
 	UndoAppliedAfterCommit:           "undo rollback reverts a committed pre-marker record",
+}
+
+// schemes names, for each seeded bug, the persistence scheme (a
+// persist.Kind name) under which its site executes: the two log-recovery
+// bugs live in the transaction schemes' shared recovery, and only a redo
+// replay or an undo rollback runs them; every other site is in the PPA
+// hardware or its recovery path.
+var schemes = [...]string{
+	None:                             "",
+	RenameReclaimMaskedEarly:         "ppa",
+	RenameCRTStaleTag:                "ppa",
+	PipelineMaskSkip:                 "ppa",
+	PipelineBarrierEarlyRelease:      "ppa",
+	PipelineBarrierSnapshotOffByOne:  "ppa",
+	PipelineLCPCSkew:                 "ppa",
+	CacheCoalesceDropWord:            "ppa",
+	RecoveryReplayOffByOne:           "ppa",
+	CheckpointDropCSQRegs:            "ppa",
+	NVMCoalesceSkipImage:             "ppa",
+	CacheCoalesceStaleWord:           "ppa",
+	PipelineBarrierSnapshotCrossCore: "ppa",
+	LogReplaySkipsLast:               "redotxn",
+	UndoAppliedAfterCommit:           "undolog",
+}
+
+// Scheme names the persistence scheme under which the seeded bug's site
+// executes, the scheme its gate legs run under.
+func (m Mutation) Scheme() string {
+	if m >= 0 && int(m) < len(schemes) {
+		return schemes[m]
+	}
+	return ""
 }
 
 // Description is a one-line human summary of the bug.

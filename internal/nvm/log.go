@@ -56,7 +56,7 @@ func (d *Device) AddLogObserver(fn func(core int, rec LogRecord)) {
 // machine resumed around a surviving device uses it so the previous
 // power-on period's oracle stops observing the log.
 func (d *Device) SetLogObserver(fn func(core int, rec LogRecord)) {
-	d.logObs = []func(core int, rec LogRecord){fn}
+	d.logObs = append(d.logObs[:0], fn)
 }
 
 // LogObservers returns how many log-append observers are attached.

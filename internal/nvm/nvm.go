@@ -252,11 +252,10 @@ type Device struct {
 // accepts), stamped with the device's current cycle. A nil observer (the
 // default) costs one length check per accept.
 func (d *Device) SetAcceptObserver(fn func(cycle, line uint64, words *isa.LineWords)) {
-	if fn == nil {
-		d.acceptObs = nil
-		return
+	d.acceptObs = d.acceptObs[:0]
+	if fn != nil {
+		d.acceptObs = append(d.acceptObs, fn)
 	}
-	d.acceptObs = []func(cycle, line uint64, words *isa.LineWords){fn}
 }
 
 // AddAcceptObserver appends an accept observer, preserving any already
@@ -289,8 +288,8 @@ func NewDevice(cfg Config) *Device {
 // Reset returns the device to the state NewDevice builds: an empty image,
 // log area and checkpoint area, fresh wear state and statistics, empty
 // queues and no accept or log observers. It keeps the channels' WPQ rings,
-// write-combining buffers and checkpoint storage for reuse, and the obs
-// handles SetObs bound.
+// write-combining buffers, checkpoint storage and observer lists' storage
+// for reuse, and the obs handles SetObs bound.
 func (d *Device) Reset() {
 	for i := range d.chans {
 		d.chans[i].reset()
@@ -301,6 +300,8 @@ func (d *Device) Reset() {
 		chans:      d.chans,
 		checkpoint: d.checkpoint[:0],
 		spare:      d.spare[:0],
+		logObs:     d.logObs[:0],
+		acceptObs:  d.acceptObs[:0],
 		tr:         d.tr,
 		wpqRejects: d.wpqRejects,
 		wpqAtWrite: d.wpqAtWrite,

@@ -36,6 +36,9 @@ type SeededBug struct {
 	Site string `json:"site"`
 	// Description is a one-line summary of the misbehaviour.
 	Description string `json:"description"`
+	// Scheme is the persistence scheme under which the site executes, and
+	// so the scheme the bug's gate legs run under.
+	Scheme Scheme `json:"scheme"`
 }
 
 // SeededBugs lists the mutation registry in stable order.
@@ -43,7 +46,7 @@ func SeededBugs() []SeededBug {
 	ms := mutation.All()
 	out := make([]SeededBug, len(ms))
 	for i, m := range ms {
-		out[i] = SeededBug{ID: m.String(), Site: m.Site(), Description: m.Description()}
+		out[i] = SeededBug{ID: m.String(), Site: m.Site(), Description: m.Description(), Scheme: Scheme(m.Scheme())}
 	}
 	return out
 }
@@ -52,20 +55,25 @@ func SeededBugs() []SeededBug {
 type MutationOutcome struct {
 	Bug    SeededBug `json:"bug"`
 	Caught bool      `json:"caught"`
-	// CaughtBy names the first check that tripped: "clean-run" (lockstep
+	// CaughtBy names the first leg that caught it: "clean-run" (lockstep
 	// divergence, persist violation, or durable-image mismatch during an
-	// uninterrupted run), "crash-campaign" (a crash verdict's violation,
-	// whose Verifier leads Detail: recovery-error for an untyped recovery
-	// error, spurious-detection for a refused intact checkpoint,
-	// oracle-recovery-check, committed-prefix or arch-state; or a cut that
-	// failed to simulate), or "litmus-gate" (a forbidden outcome on the
-	// persistency-conformance corpus under perturbed multicore schedules —
-	// the only leg that runs more than one core, so multicore-gated bugs
-	// land here).
+	// uninterrupted run), "crash-campaign" (a crash verdict's violation at
+	// some cut of the run, or a cut that failed to simulate), or
+	// "litmus-gate" (a forbidden outcome on the persistency-conformance
+	// corpus under perturbed multicore schedules — the only leg that runs
+	// more than one core, so multicore-gated bugs land here).
 	CaughtBy string `json:"caught_by,omitempty"`
-	// FailCycle is the crash cycle that caught it (crash-campaign only).
+	// FailCycle is the first cut, in cycle order, whose verdict violated
+	// the contract (crash-campaign only).
 	FailCycle uint64 `json:"fail_cycle,omitempty"`
-	// Detail is the catching check's message.
+	// CaughtCuts counts the cuts whose verdict violated the contract, of
+	// the one at every cycle of the run (crash-campaign only).
+	CaughtCuts int `json:"caught_cuts,omitempty"`
+	// Detail is the catching check's message. For a crash-campaign catch it
+	// is the first violating verdict's Verifier and Violation:
+	// recovery-error for an untyped recovery error, spurious-detection for
+	// a refused intact checkpoint, oracle-recovery-check, committed-prefix
+	// or arch-state.
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -74,25 +82,15 @@ type MutationCampaignConfig struct {
 	// App is the workload (default "mcf" — store-dense with enough PRF
 	// pressure to form dynamic regions).
 	App string
-	// Scheme is the persistence scheme under test (default SchemePPA; the
-	// seeded bugs live in the PPA hardware and its recovery path).
-	Scheme Scheme
 	// InstsPerThread is the per-thread instruction count (default 6000).
 	InstsPerThread int
-	// FailPoints is how many crash cycles each bug's crash campaign tries
-	// (default 6).
-	FailPoints int
-	// Seed drives the crash-cycle schedule.
-	Seed int64
 }
 
 // MutationCampaignReport is the campaign verdict, JSON-marshalable for the
 // CI artifact. With a fixed config it is byte-for-byte deterministic.
 type MutationCampaignReport struct {
 	App            string            `json:"app"`
-	Scheme         Scheme            `json:"scheme"`
 	InstsPerThread int               `json:"insts_per_thread"`
-	FailCycles     []uint64          `json:"fail_cycles"`
 	BaselineClean  bool              `json:"baseline_clean"`
 	BaselineDetail string            `json:"baseline_detail,omitempty"`
 	Outcomes       []MutationOutcome `json:"outcomes"`
@@ -111,21 +109,22 @@ func (r *MutationCampaignReport) String() string {
 	if !r.AllCaught() {
 		verdict = "FAIL"
 	}
-	s := fmt.Sprintf("mutation gate %s: %d/%d seeded bugs caught on %s/%s (baseline clean: %v)",
-		verdict, r.Caught, r.Total, r.App, r.Scheme, r.BaselineClean)
+	s := fmt.Sprintf("mutation gate %s: %d/%d seeded bugs caught on %s (baseline clean: %v)",
+		verdict, r.Caught, r.Total, r.App, r.BaselineClean)
 	for _, o := range r.Outcomes {
 		if !o.Caught {
-			s += fmt.Sprintf("\n  MISSED %s (%s): %s", o.Bug.ID, o.Bug.Site, o.Bug.Description)
+			s += fmt.Sprintf("\n  MISSED %s (%s under %s): %s", o.Bug.ID, o.Bug.Site, o.Bug.Scheme, o.Bug.Description)
 		}
 	}
 	return s
 }
 
 // RunMutationCampaign proves the verification tooling has teeth: for each
-// seeded bug it runs the workload under the lockstep oracle — first
-// uninterrupted, then crashed at each scheduled cycle and recovered — and
-// records which check caught the bug. The unmutated simulator runs the same
-// gauntlet first and must come through clean.
+// seeded bug it runs the workload under the lockstep oracle and the bug's
+// scheme — first uninterrupted, then crashed at every cycle of that run and
+// recovered — and records which check caught the bug. The unmutated
+// simulator runs the same gauntlet first, under every scheme a bug
+// declares, and must come through clean.
 //
 // The mutation registry is process-global state flipped between
 // simulations, so campaigns must not run concurrently with other
@@ -134,54 +133,33 @@ func RunMutationCampaign(cc MutationCampaignConfig) (*MutationCampaignReport, er
 	if cc.App == "" {
 		cc.App = "mcf"
 	}
-	if cc.Scheme == "" {
-		cc.Scheme = SchemePPA
-	}
 	if cc.InstsPerThread <= 0 {
 		cc.InstsPerThread = 6000
-	}
-	if cc.FailPoints <= 0 {
-		cc.FailPoints = 6
 	}
 	mutation.Disable()
 	defer mutation.Disable()
 
-	rc := RunConfig{App: cc.App, Scheme: cc.Scheme, InstsPerThread: cc.InstsPerThread, Lockstep: true}
-	rep := &MutationCampaignReport{App: cc.App, Scheme: cc.Scheme, InstsPerThread: cc.InstsPerThread}
-	// The crash schedule is drawn once, from the length of the first run
-	// that completes (the healthy one under the campaign scheme), and every
-	// later leg cuts the same cycles.
-	cuts := func(runCycles uint64) []uint64 {
-		if rep.FailCycles == nil {
-			rep.FailCycles = failWithin(cc.Seed, cc.FailPoints, 20)(runCycles)
-		}
-		return rep.FailCycles
-	}
+	rc := RunConfig{App: cc.App, InstsPerThread: cc.InstsPerThread, Lockstep: true}
+	rep := &MutationCampaignReport{App: cc.App, InstsPerThread: cc.InstsPerThread}
+	bugs := SeededBugs()
 
 	// Baseline: the unmutated simulator must come through its clean run and
-	// every scheduled crash with a clean oracle and a consistent recovery,
-	// under the campaign scheme and under every scheme a seeded bug
-	// redirects to (the log-recovery bugs only execute under a log-based
-	// scheme).
-	schemes := []Scheme{cc.Scheme}
-	for _, m := range mutation.All() {
-		if s := schemeForBug(m.String(), cc.Scheme); !slices.Contains(schemes, s) {
-			schemes = append(schemes, s)
+	// a cut at every cycle with a clean oracle and a consistent recovery,
+	// under every scheme a seeded bug runs under.
+	var schemes []Scheme
+	for _, b := range bugs {
+		if !slices.Contains(schemes, b.Scheme) {
+			schemes = append(schemes, b.Scheme)
 		}
 	}
 	rep.BaselineClean = true
 	for _, s := range schemes {
-		src := rc
-		src.Scheme = s
-		if o := crashLegs(src, cuts); o.Caught {
+		rc.Scheme = s
+		if o := crashLegs(rc); o.Caught {
 			rep.BaselineClean = false
 			rep.BaselineDetail = fmt.Sprintf("false alarm under %s (%s, fail cycle %d): %s", s, o.CaughtBy, o.FailCycle, o.Detail)
 			break
 		}
-	}
-	if rep.FailCycles == nil {
-		// The healthy run failed, so there is no schedule to cut.
-		return rep, nil
 	}
 	// Baseline litmus gate: the unmutated simulator must clear the
 	// persistency-conformance corpus too, or catches on that leg would be
@@ -193,12 +171,10 @@ func RunMutationCampaign(cc MutationCampaignConfig) (*MutationCampaignReport, er
 		}
 	}
 
-	bugs := SeededBugs()
 	for i, m := range mutation.All() {
-		brc := rc
-		brc.Scheme = schemeForBug(m.String(), cc.Scheme)
+		rc.Scheme = bugs[i].Scheme
 		mutation.Enable(m)
-		out := crashLegs(brc, cuts)
+		out := crashLegs(rc)
 		if !out.Caught {
 			// Leg 3: the persistency-conformance litmus gate. Legs 1–2 run
 			// a single-threaded workload; this is the multicore leg — it
@@ -221,41 +197,47 @@ func RunMutationCampaign(cc MutationCampaignConfig) (*MutationCampaignReport, er
 	return rep, nil
 }
 
-// schemeForBug returns the scheme whose recovery path actually executes the
-// seeded bug, when the campaign's default scheme cannot reach it. The two
-// log-recovery bugs live in the transaction schemes' shared recovery
-// (internal/persist/logpath.go): replay-skips-last only fires on a redo
-// replay, rollback-after-commit only on an undo rollback.
-func schemeForBug(id string, def Scheme) Scheme {
-	switch id {
-	case "log-replay-skips-last-entry":
-		return SchemeRedoTxn
-	case "undo-applied-after-commit":
-		return SchemeUndoLog
+// everyCycle is the gate's cut source: every cycle 1 … runCycles-1 of the
+// leg's own clean run, so a recovery bug cannot hide between sampled cuts.
+func everyCycle(runCycles uint64) []uint64 {
+	cuts := make([]uint64, 0, max(runCycles, 1)-1)
+	for c := uint64(1); c < runCycles; c++ {
+		cuts = append(cuts, c)
 	}
-	return def
+	return cuts
 }
 
 // crashLegs runs rc through the gate's first two legs on one crash driver
 // and reports the first check that caught a violation (Caught false when
 // none did). Leg 1 is the uninterrupted lockstep run, which catches
 // value-path and persist-ordering bugs without a crash; leg 2 cuts the
-// same live machine at each scheduled cycle, recovers and verifies.
-func crashLegs(rc RunConfig, cuts func(runCycles uint64) []uint64) MutationOutcome {
-	res, vs, err := (&crashRun{rc: rc}).campaign(cuts)
+// same live machine at every cycle of that run, recovers and verifies, and
+// counts the cuts that violate the contract.
+func crashLegs(rc RunConfig) MutationOutcome {
+	res, vs, err := (&crashRun{rc: rc}).campaign(everyCycle)
 	if res == nil {
 		return MutationOutcome{Caught: true, CaughtBy: "clean-run", Detail: err.Error()}
 	}
+	var out MutationOutcome
 	for _, v := range vs {
-		if v.Violation != "" {
-			return MutationOutcome{Caught: true, CaughtBy: "crash-campaign", FailCycle: v.Point.Cycle,
+		if v.Violation == "" {
+			continue
+		}
+		if !out.Caught {
+			out = MutationOutcome{Caught: true, CaughtBy: "crash-campaign", FailCycle: v.Point.Cycle,
 				Detail: fmt.Sprintf("%s: %s", v.Verifier, v.Violation)}
 		}
+		out.CaughtCuts++
 	}
 	if err != nil {
-		return MutationOutcome{Caught: true, CaughtBy: "crash-campaign", FailCycle: cuts(res.Cycles)[len(vs)], Detail: err.Error()}
+		// The cut after the last verdict failed to simulate, which ended
+		// the campaign.
+		if !out.Caught {
+			out = MutationOutcome{Caught: true, CaughtBy: "crash-campaign", FailCycle: uint64(len(vs)) + 1, Detail: err.Error()}
+		}
+		out.CaughtCuts++
 	}
-	return MutationOutcome{}
+	return out
 }
 
 // litmusTrial runs the built-in conformance corpus under a fixed

@@ -186,9 +186,6 @@ func ServeObs(addr string, hub *obs.Hub) (*obs.Server, error) {
 // run and optionally writes each to disk as it is captured.
 type ForensicsRecorder = forensics.Recorder
 
-// ForensicsBundle is one captured failure bundle.
-type ForensicsBundle = forensics.Bundle
-
 // NewForensicsRecorder builds a flight recorder keeping at most max bundles
 // (a small default when max <= 0). When dir is non-empty every kept bundle
 // is also written there as a CRC-framed .ppab artifact, renderable with

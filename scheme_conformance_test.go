@@ -141,3 +141,51 @@ func TestSchemeConformanceMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestEveryCycleSchemeMatrix cuts every cycle of one short lockstep run
+// under each scheme, and recovers and verifies each cut. The contract
+// schemes must recover every cut, each under the oracle's independent
+// check. The contract-free schemes are the negative controls: recovery
+// leaves memory short of the committed prefix at thousands of their cuts,
+// and committed-prefix must be the verifier that says so at each one. Their
+// counts are pinned (baseline and dram-only lose data at all but the first
+// 382 cuts, replaycache at about two in five), so a check that goes blind
+// moves them.
+func TestEveryCycleSchemeMatrix(t *testing.T) {
+	wantViolated := map[Scheme]int{SchemeBaseline: 12_917, SchemeDRAMOnly: 11_997, SchemeReplayCache: 12_020}
+	for _, s := range Schemes() {
+		s := s
+		t.Run(string(s), func(t *testing.T) {
+			t.Parallel()
+			cfg, err := SchemeConfig(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			contract := persist.SchemeFor(cfg).Contract()
+			rc := RunConfig{App: "mcf", Scheme: s, InstsPerThread: 2000, Lockstep: true}
+			res, vs, err := (&crashRun{rc: rc}).campaign(everyCycle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(vs) == 0 || uint64(len(vs)) != res.Cycles-1 {
+				t.Fatalf("%d cuts of a %d-cycle run", len(vs), res.Cycles)
+			}
+			violated := 0
+			for _, v := range vs {
+				switch {
+				case v.Completed:
+					t.Fatalf("cut at cycle %d of a %d-cycle run found the workload complete", v.Point.Cycle, res.Cycles)
+				case v.Violation != "" && (contract != persist.RecoverNone || v.Verifier != "committed-prefix"):
+					t.Fatalf("cut at cycle %d under the %s contract: %s: %s", v.Point.Cycle, contract, v.Verifier, v.Violation)
+				case v.Violation != "":
+					violated++
+				case contract != persist.RecoverNone && !v.OracleChecked:
+					t.Fatalf("cut at cycle %d: the oracle did not check the recovered image", v.Point.Cycle)
+				}
+			}
+			if violated != wantViolated[s] {
+				t.Fatalf("%d of %d cuts violated the committed prefix, want %d", violated, len(vs), wantViolated[s])
+			}
+		})
+	}
+}
