@@ -7,8 +7,6 @@ import (
 
 	"ppa/internal/checkpoint"
 	"ppa/internal/isa"
-	"ppa/internal/nvm"
-	"ppa/internal/oracle"
 	"ppa/internal/persist"
 	"ppa/internal/recovery"
 	"ppa/internal/workload"
@@ -191,9 +189,12 @@ func TestMultiCoreRecoveryOrderIndependence(t *testing.T) {
 	_ = sys
 }
 
-func TestNewSystemResumed(t *testing.T) {
-	prof := mustProfile(t, "gcc")
-	w, _ := workload.New(prof, 8000)
+// TestResume: a machine that lost power and had its device recovered
+// resumes in place at the committed prefix, runs the rest of its trace and
+// leaves the golden image of the whole trace; a resume-point count other
+// than the core count is refused before anything changes.
+func TestResume(t *testing.T) {
+	w, _ := workload.New(mustProfile(t, "gcc"), 8000)
 	sys, err := NewSystem(DefaultConfig(1, persist.PPADefault()), w)
 	if err != nil {
 		t.Fatal(err)
@@ -203,35 +204,41 @@ func TestNewSystemResumed(t *testing.T) {
 	if _, err := recovery.Replay(sys.Device(), images[0]); err != nil {
 		t.Fatal(err)
 	}
+	committed := images[0].Committed
+	if err := sys.Resume([]int{1, 2}); err == nil {
+		t.Fatal("wrong resume-point count must error")
+	}
+	if sys.Cycle() != 10_000 {
+		t.Fatalf("a refused resume moved the machine to cycle %d", sys.Cycle())
+	}
 
-	// Resume on the surviving device.
-	w2, _ := workload.New(prof, 8000)
-	resumed, err := NewSystemResumed(DefaultConfig(1, persist.PPADefault()), w2,
-		sys.Device(), []int{images[0].Committed})
-	if err != nil {
+	if err := sys.Resume([]int{committed}); err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.Run(50_000_000); err != nil {
+	if sys.Cycle() != 0 || sys.Cores()[0].Committed() != committed {
+		t.Fatalf("resumed machine at cycle %d with %d committed, want 0 and %d", sys.Cycle(), sys.Cores()[0].Committed(), committed)
+	}
+	if err := sys.Run(50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	// Final state matches the uninterrupted golden run's stores... once
-	// the open region's CSQ residue is accounted, the committed prefix is
-	// the whole program.
-	res := resumed.Collect()
-	if res.Insts != 8000-uint64(images[0].Committed) {
+	// The resumed run commits the rest of the trace, so the committed
+	// prefix is the whole program.
+	res := sys.Collect()
+	if res.Insts != 8000-uint64(committed) {
 		t.Fatalf("resumed insts %d", res.Insts)
 	}
-
-	// Mismatched resume points are rejected.
-	if _, err := NewSystemResumed(DefaultConfig(1, persist.PPADefault()), w2,
-		sys.Device(), []int{1, 2}); err == nil {
-		t.Fatal("wrong resume-point count must error")
+	if err := sys.DrainPersists(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	sys.Hierarchy().FlushAllDirty()
+	if n := recovery.CountInconsistencies(sys.Device(), isa.RunGolden(w.Threads[0], -1)); n != 0 {
+		t.Fatalf("%d words of the resumed run's image differ from the golden run's", n)
 	}
 }
 
 // TestResetPreconditions: Reset refuses a workload of another thread
-// count, a resumed machine and a sampled window, without touching the
-// machine, and a Result collected before a Reset keeps its figures.
+// count without touching the machine, and a Result collected before a
+// Reset keeps its figures.
 func TestResetPreconditions(t *testing.T) {
 	w, _ := workload.New(mustProfile(t, "gcc"), 2000)
 	cfg := DefaultConfig(1, persist.PPADefault())
@@ -258,31 +265,6 @@ func TestResetPreconditions(t *testing.T) {
 	}
 	if res.PerCore[0].Insts != 2000 {
 		t.Fatalf("a reset rewrote a collected Result: %d insts", res.PerCore[0].Insts)
-	}
-
-	sys.RunUntil(3000)
-	images := sys.CrashWithOptions(CrashOptions{}).Images
-	if _, err := recovery.Replay(sys.Device(), images[0]); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := NewSystemResumed(cfg, w, sys.Device(), []int{images[0].Committed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Reset(w, 0); err == nil {
-		t.Fatal("a resumed machine must refuse a reset")
-	}
-
-	// A sampled window is built as RunWindow builds it: around the run's
-	// surviving device, so the resumed-machine refusal covers it.
-	wcfg := cfg
-	wcfg.engine = oracle.New(w.Threads, nil)
-	window, err := newSystem(wcfg, w, nvm.NewDevice(cfg.NVM), []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := window.Reset(w, 0); err == nil {
-		t.Fatal("a sampled window must refuse a reset")
 	}
 }
 
@@ -354,11 +336,11 @@ func TestNonEADRSchemesDoNotFlush(t *testing.T) {
 }
 
 // TestCopyFromSampledAndResumed checks what CrashCopy does with machines
-// built around a surviving device: it refuses a sampled window either way,
+// that run on a surviving device: it refuses a sampled window either way,
 // before changing anything (the window borrows its frontends and oracle
 // from the sampled runner), and it reproduces a resumed machine's outage —
 // a crash copy of a resumed machine leaves what that machine's own outage
-// in place leaves, and refuses a Reset just as its source does.
+// in place leaves.
 func TestCopyFromSampledAndResumed(t *testing.T) {
 	prof := mustProfile(t, "gcc")
 	w, _ := workload.New(prof, 4000)
@@ -373,20 +355,22 @@ func TestCopyFromSampledAndResumed(t *testing.T) {
 
 	dst := fresh()
 	dst.RunUntil(500)
-	window := cfg
-	window.stops = []int{3000}
-	win, err := NewSystem(window, w)
+	ss, err := NewSampled(cfg, w, SampleConfig{Window: 1000, Period: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	win.RunUntil(1000)
+	if err := ss.RunWindow(); err != nil {
+		t.Fatal(err)
+	}
+	win := ss.sys
+	winCycle := win.Cycle()
 	if _, err := dst.CrashCopy(win, CrashOptions{}); err == nil {
 		t.Fatal("CrashCopy accepted a sampled window")
 	}
 	if _, err := win.CrashCopy(dst, CrashOptions{}); err == nil {
 		t.Fatal("CrashCopy onto a sampled window succeeded")
 	}
-	if dst.Cycle() != 500 || win.Cycle() != 1000 {
+	if dst.Cycle() != 500 || win.Cycle() != winCycle {
 		t.Fatalf("a refused CrashCopy moved the machines to cycles %d and %d", dst.Cycle(), win.Cycle())
 	}
 
@@ -396,8 +380,8 @@ func TestCopyFromSampledAndResumed(t *testing.T) {
 	if _, err := recovery.Replay(crashed.Device(), images[0]); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := NewSystemResumed(cfg, w, crashed.Device(), []int{images[0].Committed})
-	if err != nil {
+	resumed := crashed
+	if err := resumed.Resume([]int{images[0].Committed}); err != nil {
 		t.Fatal(err)
 	}
 	resumed.RunUntil(2000)
@@ -418,9 +402,6 @@ func TestCopyFromSampledAndResumed(t *testing.T) {
 	rep, err := dst.CrashCopy(resumed, opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := dst.Reset(w, 0); err == nil {
-		t.Fatal("the crash copy of a resumed machine accepted a Reset")
 	}
 	if outage(dst, rep) != outage(resumed, resumed.CrashWithOptions(opt)) {
 		t.Fatal("the crash copy of a resumed machine differs from its outage in place")

@@ -52,11 +52,15 @@ func (d *Device) AddLogObserver(fn func(core int, rec LogRecord)) {
 	d.logObs = append(d.logObs, fn)
 }
 
-// SetLogObserver replaces the log-observer list with the given callback. A
-// machine resumed around a surviving device uses it so the previous
-// power-on period's oracle stops observing the log.
+// SetLogObserver replaces the log-observer list with the given callback,
+// or empties it for a nil one. A machine resumed on a surviving device
+// empties it so the previous power-on period's observers stop observing
+// the log.
 func (d *Device) SetLogObserver(fn func(core int, rec LogRecord)) {
-	d.logObs = append(d.logObs[:0], fn)
+	d.logObs = d.logObs[:0]
+	if fn != nil {
+		d.logObs = append(d.logObs, fn)
+	}
 }
 
 // LogObservers returns how many log-append observers are attached.

@@ -436,13 +436,7 @@ func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.B
 	}
 	c.tr = cfg.Obs.Tracer()
 	if reg := cfg.Obs.Registry(); reg != nil {
-		p := fmt.Sprintf("core%d.", cfg.CoreID)
-		c.ren.RegisterMetrics(reg, p+"rename.")
-		reg.BindGaugeFunc(p+"pipeline.regions", func() float64 { return float64(c.st.Regions) })
-		reg.BindGaugeFunc(p+"pipeline.region-end-stalls", func() float64 { return float64(c.st.RegionEndStalls) })
-		reg.BindGaugeFunc(p+"pipeline.rename-no-reg-stalls", func() float64 { return float64(c.st.RenameNoRegStalls) })
-		reg.BindGaugeFunc(p+"pipeline.wb-full-stalls", func() float64 { return float64(c.st.WBFullStalls) })
-		reg.BindGaugeFunc(p+"pipeline.csq-max-depth", func() float64 { return float64(c.st.CSQMaxDepth) })
+		c.BindGauges()
 		// Region attribution: distributions and per-cause totals, shared
 		// across every core on this registry so they expose as one
 		// Prometheus family each.
@@ -456,6 +450,23 @@ func New(cfg Config, prog *isa.Program, hier *cache.Hierarchy, backend persist.B
 		c.pressure = rename.NewBoundaryPressure(reg)
 	}
 	return c, nil
+}
+
+// BindGauges points the core's gauges on its obs hub's registry, its
+// renamer's and its stall counts', at the core. New binds them; a registry
+// reads the core that bound them last.
+func (c *Core) BindGauges() {
+	reg := c.cfg.Obs.Registry()
+	if reg == nil {
+		return
+	}
+	p := fmt.Sprintf("core%d.", c.cfg.CoreID)
+	c.ren.RegisterMetrics(reg, p+"rename.")
+	reg.BindGaugeFunc(p+"pipeline.regions", func() float64 { return float64(c.st.Regions) })
+	reg.BindGaugeFunc(p+"pipeline.region-end-stalls", func() float64 { return float64(c.st.RegionEndStalls) })
+	reg.BindGaugeFunc(p+"pipeline.rename-no-reg-stalls", func() float64 { return float64(c.st.RenameNoRegStalls) })
+	reg.BindGaugeFunc(p+"pipeline.wb-full-stalls", func() float64 { return float64(c.st.WBFullStalls) })
+	reg.BindGaugeFunc(p+"pipeline.csq-max-depth", func() float64 { return float64(c.st.CSQMaxDepth) })
 }
 
 // Reset returns the core to the state New builds for cfg and prog over the
