@@ -214,26 +214,27 @@ func everyCycle(runCycles uint64) []uint64 {
 // same live machine at every cycle of that run, recovers and verifies, and
 // counts the cuts that violate the contract.
 func crashLegs(rc RunConfig) MutationOutcome {
-	res, vs, err := (&crashRun{rc: rc}).campaign(everyCycle)
-	if res == nil {
-		return MutationOutcome{Caught: true, CaughtBy: "clean-run", Detail: err.Error()}
-	}
 	var out MutationOutcome
-	for _, v := range vs {
+	cuts := 0
+	res, err := (&crashRun{rc: rc}).campaign(everyCycle, func(v *CrashVerdict) {
+		cuts++
 		if v.Violation == "" {
-			continue
+			return
 		}
 		if !out.Caught {
 			out = MutationOutcome{Caught: true, CaughtBy: "crash-campaign", FailCycle: v.Point.Cycle,
 				Detail: fmt.Sprintf("%s: %s", v.Verifier, v.Violation)}
 		}
 		out.CaughtCuts++
+	})
+	if res == nil {
+		return MutationOutcome{Caught: true, CaughtBy: "clean-run", Detail: err.Error()}
 	}
 	if err != nil {
 		// The cut after the last verdict failed to simulate, which ended
 		// the campaign.
 		if !out.Caught {
-			out = MutationOutcome{Caught: true, CaughtBy: "crash-campaign", FailCycle: uint64(len(vs)) + 1, Detail: err.Error()}
+			out = MutationOutcome{Caught: true, CaughtBy: "crash-campaign", FailCycle: uint64(cuts) + 1, Detail: err.Error()}
 		}
 		out.CaughtCuts++
 	}

@@ -163,7 +163,8 @@ func TestEveryCycleSchemeMatrix(t *testing.T) {
 			}
 			contract := persist.SchemeFor(cfg).Contract()
 			rc := RunConfig{App: "mcf", Scheme: s, InstsPerThread: 2000, Lockstep: true}
-			res, vs, err := (&crashRun{rc: rc}).campaign(everyCycle)
+			var vs []*CrashVerdict
+			res, err := (&crashRun{rc: rc}).campaign(everyCycle, func(v *CrashVerdict) { vs = append(vs, v) })
 			if err != nil {
 				t.Fatal(err)
 			}
