@@ -11,6 +11,8 @@ package ppa
 
 import (
 	"testing"
+
+	"ppa/internal/checkpoint"
 )
 
 // benchInsts keeps a full -bench=. sweep tractable on one CPU while still
@@ -262,7 +264,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		b.Fatal(err)
 	}
 	sys.RunUntil(30_000)
-	im := CheckpointImage(sys.Cores()[0])
+	im := checkpoint.Capture(sys.Cores()[0])
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

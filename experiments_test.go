@@ -348,14 +348,6 @@ func TestSeriesGMeanMatchesValues(t *testing.T) {
 	}
 }
 
-func TestSortByApp(t *testing.T) {
-	vals := []AppValue{{App: "xsbench"}, {App: "bzip2"}, {App: "mcf"}}
-	SortByApp(vals)
-	if vals[0].App != "bzip2" || vals[2].App != "xsbench" {
-		t.Fatalf("order: %v", vals)
-	}
-}
-
 func TestSuiteGMeans(t *testing.T) {
 	s := newSeries("x", []AppValue{
 		{App: "a", Suite: "CPU2006", Value: 1.0},

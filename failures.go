@@ -16,9 +16,6 @@ import (
 // FailureSchedule re-exports the failure-injection schedules.
 type FailureSchedule = power.Schedule
 
-// FailAt fails once at a fixed cycle.
-func FailAt(cycle uint64) FailureSchedule { return power.At(cycle) }
-
 // FailEvery fails periodically.
 func FailEvery(period, offset uint64) FailureSchedule {
 	return power.Every{Period: period, Offset: offset}

@@ -200,7 +200,7 @@ func TestInOrderCrashRecovery(t *testing.T) {
 	if _, err := sys.RunUntil(40_000); err != nil {
 		t.Fatal(err)
 	}
-	im := ppa.CheckpointImage(sys.Cores()[0])
+	im := checkpoint.Capture(sys.Cores()[0])
 	decoded, err := checkpoint.Decode(im.Encode())
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,6 @@ import (
 	"io"
 
 	"ppa/internal/cache"
-	"ppa/internal/checkpoint"
 	"ppa/internal/forensics"
 	"ppa/internal/multicore"
 	"ppa/internal/nvm"
@@ -343,10 +342,6 @@ func RunWithFailure(rc RunConfig, failCycle uint64) (*CrashVerdict, error) {
 	v.Resumed = r.sys.Collect()
 	return v, nil
 }
-
-// CheckpointImage captures a live core's JIT-checkpoint image (exposed for
-// examples and tests).
-func CheckpointImage(core multicore.Core) *checkpoint.Image { return checkpoint.Capture(core) }
 
 // Expose commonly needed internal types through the public surface.
 type (

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"ppa/internal/isa"
 	"ppa/internal/mutation"
 )
 
@@ -316,7 +317,7 @@ func TestExportImportTrace(t *testing.T) {
 	if err := ExportTrace(&buf, "gcc", 2000, 0); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ImportTrace(&buf)
+	prog, err := isa.DecodeProgram(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

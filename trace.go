@@ -11,9 +11,6 @@ import (
 	"ppa/internal/workload"
 )
 
-// Program re-exports the dynamic-trace type for trace I/O users.
-type Program = isa.Program
-
 // ExportTrace writes the named application's thread-tid dynamic trace in
 // the binary trace format (a 32-byte record per instruction), so traces can
 // be archived, diffed, or consumed by external tools.
@@ -28,9 +25,6 @@ func ExportTrace(w io.Writer, app string, insts, tid int) error {
 	}
 	return isa.EncodeProgram(w, prog)
 }
-
-// ImportTrace reads a binary trace.
-func ImportTrace(r io.Reader) (*Program, error) { return isa.DecodeProgram(r) }
 
 // InOrderResult summarizes a run of the Section 6 in-order core variant.
 type InOrderResult struct {
