@@ -211,30 +211,32 @@ func TestSampleConfigValidate(t *testing.T) {
 
 // goldenSampledDigests pins every scheme's lockstep sampled run of mcf
 // (12 000 insts, window 1 500, period 6 000) and 8-thread water-ns (6 000
-// insts, window 1 000, period 3 000): the SHA-256 of its SampledResult JSON
-// and of its final NVM image snapshot's JSON. Each run has several windows,
-// so a restart between windows that leaves anything behind moves a digest.
-var goldenSampledDigests = map[string][2]string{
-	"mcf/baseline":         {"81e34e863dc72348678c205f8d62a2f33dc012351befc27cb6a72bfbb6f2593f", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7"},
-	"mcf/capri":            {"cdbf64c589337eb6db5507065d995b7d0a8a34e47606a5ed79be94f7596365f4", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7"},
-	"mcf/dram-only":        {"6300d703d54083185e7d86c82a588b78f9bec44a297ff66e1e11e24be7fb142d", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7"},
-	"mcf/eadr":             {"919b60f805f77a8561b6b54713c45735a3c28178109561466a249117626760fd", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7"},
-	"mcf/htpm":             {"d5e328302a9888a777b23c9b354c879d537d8a8e3950434f8779147fe449e469", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7"},
-	"mcf/ppa":              {"e3c3c118714d3e16ef287ac0d81975633cad9be8aaa9d06879fa7dadf8601608", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7"},
-	"mcf/redotxn":          {"02817d518b584931d7ac2b4cd37d23e84f583f3ff515aa89c555465ca98ab2e0", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7"},
-	"mcf/replaycache":      {"2bf2ace7a7ad6fd5536a3ec5774514bad82c5713aa5806d6e622eae735c47c0d", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7"},
-	"mcf/sb-gate":          {"c139c0a8304537203803b47b79101d748d24a3aec17df1a38551e2d1935db274", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7"},
-	"mcf/undolog":          {"600c5da2664a4c86d8ee480f2225a17eb37b66ae7d0285da0b178f153f29dd69", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7"},
-	"water-ns/baseline":    {"670c31d59982c3f838e8bf5e30e6d14998116c8751490244b5578aef3e73a9d1", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2"},
-	"water-ns/capri":       {"b98a048e3f616a1a7a4f6352decc5c377c4393c28c5b3a28cf1a7c88f954420a", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2"},
-	"water-ns/dram-only":   {"73772a1449c95f6ea597bfa1e5db6a7ca9bd15bf7195e67ae8deae778ece0c31", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2"},
-	"water-ns/eadr":        {"2f10d52f059c0c58bd1986e2f9f80be99830a049bf51bdc6b9ce33bef8e735b7", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2"},
-	"water-ns/htpm":        {"1c9bf5da450c293d6f83ac88561974788b6705efc4cd595facd072fa28089aa8", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2"},
-	"water-ns/ppa":         {"fe6e9d76e1007ede72d8c86b8e81f1bdb597c9bae836949a1dfe79f7921f9518", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2"},
-	"water-ns/redotxn":     {"efdcd8e0343a9ed463d173c84e0f2e68120e9bc74f2df4ebe15b1342c15fe80e", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2"},
-	"water-ns/replaycache": {"ca98836b7f59d15574f6410cc734e4fd918b91e3bb74a96af0c8ccf12492cf11", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2"},
-	"water-ns/sb-gate":     {"1e36dbc7a3a1cfa964a9f13d743df1527770ac0e6e3b4f0feb77e99899829eed", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2"},
-	"water-ns/undolog":     {"db98bd35f2afc262bd8163fdfd199e43cf81973f0616c5adadc0db2df03042b6", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2"},
+// insts, window 1 000, period 3 000): the SHA-256 of its SampledResult JSON,
+// of its final NVM image snapshot's JSON, and of the engine's commit and
+// accepted-word counts after each window. Each run has several windows,
+// so a restart between windows that leaves anything behind moves a digest,
+// and so does one that stops checking a window or resets the engine.
+var goldenSampledDigests = map[string][3]string{
+	"mcf/baseline":         {"81e34e863dc72348678c205f8d62a2f33dc012351befc27cb6a72bfbb6f2593f", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7", "e234aea2d9dc9de3efbfb5f9d9203fbb8b70d6b8954d9855c6b1e2b34ce17059"},
+	"mcf/capri":            {"cdbf64c589337eb6db5507065d995b7d0a8a34e47606a5ed79be94f7596365f4", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7", "e234aea2d9dc9de3efbfb5f9d9203fbb8b70d6b8954d9855c6b1e2b34ce17059"},
+	"mcf/dram-only":        {"6300d703d54083185e7d86c82a588b78f9bec44a297ff66e1e11e24be7fb142d", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7", "e234aea2d9dc9de3efbfb5f9d9203fbb8b70d6b8954d9855c6b1e2b34ce17059"},
+	"mcf/eadr":             {"919b60f805f77a8561b6b54713c45735a3c28178109561466a249117626760fd", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7", "e234aea2d9dc9de3efbfb5f9d9203fbb8b70d6b8954d9855c6b1e2b34ce17059"},
+	"mcf/htpm":             {"d5e328302a9888a777b23c9b354c879d537d8a8e3950434f8779147fe449e469", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7", "917d4c9dd39536d383cc0268ed0f6d1c2383ba74b9ebd9483d01ccdf95cc9469"},
+	"mcf/ppa":              {"e3c3c118714d3e16ef287ac0d81975633cad9be8aaa9d06879fa7dadf8601608", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7", "c40e5436f97be2131e9affc9a224e22edecc1cfc31957bcbd7579ee25e2b2215"},
+	"mcf/redotxn":          {"02817d518b584931d7ac2b4cd37d23e84f583f3ff515aa89c555465ca98ab2e0", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7", "e234aea2d9dc9de3efbfb5f9d9203fbb8b70d6b8954d9855c6b1e2b34ce17059"},
+	"mcf/replaycache":      {"2bf2ace7a7ad6fd5536a3ec5774514bad82c5713aa5806d6e622eae735c47c0d", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7", "da2aa3e802789d4b2bf857493f08a10980fd98f9f3aa4cfb3dea11c219bdcd01"},
+	"mcf/sb-gate":          {"c139c0a8304537203803b47b79101d748d24a3aec17df1a38551e2d1935db274", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7", "13bd72b81e6d40bd809cc0bfca413abc9d7a7b81f4846e9f8ea635c2f9ee10ef"},
+	"mcf/undolog":          {"600c5da2664a4c86d8ee480f2225a17eb37b66ae7d0285da0b178f153f29dd69", "3979bc69a3ee4ee9ecaaf2eb7787b45a393729886381e9be6fb9bc51396c38c7", "917d4c9dd39536d383cc0268ed0f6d1c2383ba74b9ebd9483d01ccdf95cc9469"},
+	"water-ns/baseline":    {"670c31d59982c3f838e8bf5e30e6d14998116c8751490244b5578aef3e73a9d1", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2", "53ba1b40b87390f9d65328544ebce4e3a1afa5570a6d34a47879eaac3ce324b9"},
+	"water-ns/capri":       {"b98a048e3f616a1a7a4f6352decc5c377c4393c28c5b3a28cf1a7c88f954420a", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2", "53ba1b40b87390f9d65328544ebce4e3a1afa5570a6d34a47879eaac3ce324b9"},
+	"water-ns/dram-only":   {"73772a1449c95f6ea597bfa1e5db6a7ca9bd15bf7195e67ae8deae778ece0c31", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2", "53ba1b40b87390f9d65328544ebce4e3a1afa5570a6d34a47879eaac3ce324b9"},
+	"water-ns/eadr":        {"2f10d52f059c0c58bd1986e2f9f80be99830a049bf51bdc6b9ce33bef8e735b7", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2", "53ba1b40b87390f9d65328544ebce4e3a1afa5570a6d34a47879eaac3ce324b9"},
+	"water-ns/htpm":        {"1c9bf5da450c293d6f83ac88561974788b6705efc4cd595facd072fa28089aa8", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2", "76c4eb6eabacc0a427b8f21d1728994c2509c2a8aa2560268e06e649393578e2"},
+	"water-ns/ppa":         {"fe6e9d76e1007ede72d8c86b8e81f1bdb597c9bae836949a1dfe79f7921f9518", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2", "bf1f95d35a505f6f64c224e1ad4c24b2b680fd10cb4e87df3eac9b8c9f92935a"},
+	"water-ns/redotxn":     {"efdcd8e0343a9ed463d173c84e0f2e68120e9bc74f2df4ebe15b1342c15fe80e", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2", "53ba1b40b87390f9d65328544ebce4e3a1afa5570a6d34a47879eaac3ce324b9"},
+	"water-ns/replaycache": {"ca98836b7f59d15574f6410cc734e4fd918b91e3bb74a96af0c8ccf12492cf11", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2", "e15df883b8d955e1a2a647fcf8c96c9286d835a921b377b5aa71027c7ec342a7"},
+	"water-ns/sb-gate":     {"1e36dbc7a3a1cfa964a9f13d743df1527770ac0e6e3b4f0feb77e99899829eed", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2", "161f8fa6354324821b3f5ffd31d8b3513f876f3dc94d4cd75624b9a27b58b98c"},
+	"water-ns/undolog":     {"db98bd35f2afc262bd8163fdfd199e43cf81973f0616c5adadc0db2df03042b6", "ffb053bc620a4b5212bcecf190e78b734aabfbbb77bdded2798a58d77c4bd8c2", "30f4c85343f51391942ba00751144f7d41f3ae34a4ae25abcb18c5255eac9500"},
 }
 
 // TestSampledGoldenDigests holds multi-window sampled runs byte for byte:
@@ -273,17 +275,20 @@ func TestSampledGoldenDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				var engine [][2]uint64 // commits and accepted words after each window
 				for !ss.Done() {
 					if err := ss.RunWindow(); err != nil {
 						t.Fatal(err)
 					}
+					r := ss.engine.Report()
+					engine = append(engine, [2]uint64{r.Commits, r.AcceptedWords})
 				}
 				if ss.Windows() < 2 {
 					t.Fatalf("%d windows: the pin needs a restart between windows", ss.Windows())
 				}
-				got := [2]string{digest(ss.Result()), digest(ss.Device().Image().Snapshot())}
+				got := [3]string{digest(ss.Result()), digest(ss.Device().Image().Snapshot()), digest(engine)}
 				if want := goldenSampledDigests[a.app+"/"+name]; got != want {
-					t.Errorf("digests (result, image) %q, golden %q", got, want)
+					t.Errorf("digests (result, image, engine) %q, golden %q", got, want)
 				}
 			})
 		}
