@@ -264,7 +264,8 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		b.Fatal(err)
 	}
 	sys.RunUntil(30_000)
-	im := checkpoint.Capture(sys.Cores()[0])
+	im := new(checkpoint.Image)
+	im.CaptureFrom(sys.Cores()[0])
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -8,7 +8,6 @@ import (
 
 	"ppa/internal/isa"
 	"ppa/internal/mutation"
-	"ppa/internal/power"
 	"ppa/internal/workload"
 )
 
@@ -211,12 +210,12 @@ func TestCrashEntryPointsAgree(t *testing.T) {
 				if got := verdictRecord(t, point); got != want {
 					t.Errorf("cut at %d: RunTorturePoint's record\n%s\ndiffers from RunWithFailure's\n%s", c, got, want)
 				}
-				sched, err := RunWithFailureSchedule(rc, power.At(c))
+				sched, err := RunWithFailureSchedule(rc, FailRandomly(0, 1, c, c+1))
 				if err != nil {
 					t.Fatalf("RunWithFailureSchedule at %d: %v", c, err)
 				}
 				if len(sched.Verdicts) != 1 || !reflect.DeepEqual(sched.FailCycles, []uint64{c}) {
-					t.Fatalf("power.At(%d) struck at %v", c, sched.FailCycles)
+					t.Fatalf("a schedule of cycle %d struck at %v", c, sched.FailCycles)
 				}
 				if got := verdictRecord(t, sched.Verdicts[0]); got != want {
 					t.Errorf("cut at %d: the schedule's record\n%s\ndiffers from RunWithFailure's\n%s", c, got, want)

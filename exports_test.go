@@ -25,14 +25,6 @@ var exportKeeps = map[string]string{
 	"ppa.VerifyApp":        readmeAPI,
 	"ppa.WriteChromeTrace": readmeAPI,
 
-	// The root package's test-only wrappers went; the tests now call what
-	// they wrapped, which no other non-test Go calls. CDF.At counted as used
-	// only because the scan matched power.At's bare selector.
-	"internal/checkpoint.Capture": testOnly,
-	"internal/isa.DecodeProgram":  testOnly,
-	"internal/power.At":           testOnly,
-	"internal/stats.CDF.At":       testOnly,
-
 	// Names for the internal types and values that the root package's own
 	// signatures carry: a caller outside the module cannot import the
 	// internal package that declares them.
@@ -62,7 +54,6 @@ var exportKeeps = map[string]string{
 
 const (
 	readmeAPI = "public API that README documents"
-	testOnly  = "test-only; deletion pending"
 	faultKind = "a FaultKind value, which a caller-built TorturePoint's Fault carries"
 )
 

@@ -3,14 +3,12 @@ package ppa
 import (
 	"reflect"
 	"testing"
-
-	"ppa/internal/power"
 )
 
 func TestFailureScheduleSingle(t *testing.T) {
 	out, err := RunWithFailureSchedule(
 		RunConfig{App: "gcc", Scheme: SchemePPA, InstsPerThread: 8000},
-		power.At(10_000))
+		FailRandomly(0, 1, 10_000, 10_001)) // once, at cycle 10 000
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +74,7 @@ func TestFailureScheduleRandomMultiCore(t *testing.T) {
 func TestFailureScheduleBaselineLosesData(t *testing.T) {
 	out, err := RunWithFailureSchedule(
 		RunConfig{App: "mcf", Scheme: SchemeBaseline, InstsPerThread: 12_000},
-		power.At(20_000))
+		FailRandomly(0, 1, 20_000, 20_001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestFailureScheduleBaselineLosesData(t *testing.T) {
 func TestFailureScheduleNoFailures(t *testing.T) {
 	out, err := RunWithFailureSchedule(
 		RunConfig{App: "gcc", Scheme: SchemePPA, InstsPerThread: 3000},
-		power.At(0)) // At(0) never fires (cycle must be strictly after 0... it fires only if >0)
+		FailEvery(0, 0)) // a zero period never fires
 	if err != nil {
 		t.Fatal(err)
 	}

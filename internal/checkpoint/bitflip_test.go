@@ -11,7 +11,7 @@ import (
 // no bit in an encoded image whose flip survives Decode. This is what the
 // torture harness's bit-flip class relies on.
 func TestEveryBitFlipDetected(t *testing.T) {
-	blob := Capture(liveCore(t, "mcf", 6000, 6000)).Encode()
+	blob := liveImage(t, "mcf", 6000, 6000).Encode()
 	mut := make([]byte, len(blob))
 	copy(mut, blob)
 	for bit := 0; bit < len(blob)*8; bit++ {
@@ -27,7 +27,7 @@ func TestEveryBitFlipDetected(t *testing.T) {
 // checkpoint a browned-out capacitor leaves — must fail to decode with the
 // typed taxonomy (never succeed, never panic).
 func TestEveryTruncationDetected(t *testing.T) {
-	blob := Capture(liveCore(t, "gcc", 6000, 6000)).Encode()
+	blob := liveImage(t, "gcc", 6000, 6000).Encode()
 	for n := 0; n < len(blob); n++ {
 		_, err := Decode(blob[:n])
 		if err == nil {

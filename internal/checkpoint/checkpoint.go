@@ -53,19 +53,12 @@ type Core interface {
 	Renamer() *rename.Renamer
 }
 
-// Capture snapshots a core's architectural recovery state, exactly the five
+// CaptureFrom makes im a snapshot of a core's architectural recovery
+// state, with CoreID zero, reusing im's storage. It holds exactly the five
 // structures of Figure 7: only registers marked by CRT or CSQ entries are
 // saved — free and uncommitted registers are not (Section 4.5). Without a
 // renamer the image is the value-bearing CSQ, the LCPC and the commit
 // count.
-func Capture(core Core) *Image {
-	im := new(Image)
-	im.CaptureFrom(core)
-	return im
-}
-
-// CaptureFrom makes im Capture(core) with CoreID zero, reusing im's
-// storage.
 func (im *Image) CaptureFrom(core Core) {
 	*im = Image{
 		LCPC:      core.LCPC(),

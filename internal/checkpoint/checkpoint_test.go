@@ -16,8 +16,8 @@ import (
 	"ppa/internal/workload"
 )
 
-// liveCore runs a PPA core partway through a trace and returns it.
-func liveCore(t *testing.T, app string, insts int, stopAt uint64) *pipeline.Core {
+// liveImage runs a PPA core partway through a trace and captures it.
+func liveImage(t *testing.T, app string, insts int, stopAt uint64) *Image {
 	t.Helper()
 	p, err := workload.ByName(app)
 	if err != nil {
@@ -37,12 +37,13 @@ func liveCore(t *testing.T, app string, insts int, stopAt uint64) *pipeline.Core
 		hier.Tick(cyc)
 		core.Step(cyc)
 	}
-	return core
+	im := new(Image)
+	im.CaptureFrom(core)
+	return im
 }
 
 func TestCaptureContents(t *testing.T) {
-	core := liveCore(t, "gcc", 10000, 8000)
-	im := Capture(core)
+	im := liveImage(t, "gcc", 10000, 8000)
 	if im.LCPC == 0 || im.Committed == 0 {
 		t.Fatal("capture missed commit state")
 	}
@@ -69,8 +70,7 @@ func TestCaptureContents(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	core := liveCore(t, "mcf", 10000, 10000)
-	im := Capture(core)
+	im := liveImage(t, "mcf", 10000, 10000)
 	im.CoreID = 3
 	blob := im.Encode()
 	got, err := Decode(blob)
@@ -116,8 +116,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // sections. EncodeAll must be the images' encodings back to back.
 func TestSizesMatchEncoding(t *testing.T) {
 	images := []*Image{
-		Capture(liveCore(t, "mcf", 10000, 6000)),
-		Capture(liveCore(t, "gcc", 10000, 8000)),
+		liveImage(t, "mcf", 10000, 6000),
+		liveImage(t, "gcc", 10000, 8000),
 		{CoreID: 2, MaskInt: make([]bool, 13), MaskFP: []bool{true}},
 		{},
 	}
@@ -160,8 +160,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode([]byte{1, 2, 3, 4}); err == nil {
 		t.Fatal("bad magic must fail")
 	}
-	core := liveCore(t, "gcc", 5000, 5000)
-	blob := Capture(core).Encode()
+	blob := liveImage(t, "gcc", 5000, 5000).Encode()
 	if _, err := Decode(blob[:len(blob)/2]); err == nil {
 		t.Fatal("truncated blob must fail")
 	}
@@ -189,8 +188,7 @@ func TestCostModelMatchesPaper(t *testing.T) {
 }
 
 func TestEncodeDeterministic(t *testing.T) {
-	core := liveCore(t, "xz", 8000, 8000)
-	im := Capture(core)
+	im := liveImage(t, "xz", 8000, 8000)
 	a := im.Encode()
 	b := im.Encode()
 	if string(a) != string(b) {

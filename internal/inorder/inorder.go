@@ -105,11 +105,12 @@ func (c *Core) Reset(cfg pipeline.Config, prog *isa.Program) error {
 }
 
 // CrashCopyFrom makes c, a core of the same index, a copy of src as far as
-// a power failure reads it: what checkpoint.Capture dumps (the CSQ, the
-// LCPC and the commit count) and what Collect reads (the statistics), with
-// src's configuration, program, scoreboard and region state. The
-// frontend's golden state, which the outage loses, is not copied: c's
-// keeps its own stale contents, so c must not be stepped until a Reset.
+// a power failure reads it: what checkpoint.Image.CaptureFrom dumps (the
+// CSQ, the LCPC and the commit count) and what Collect reads (the
+// statistics), with src's configuration, program, scoreboard and region
+// state. The frontend's golden state, which the outage loses, is not
+// copied: c's keeps its own stale contents, so c must not be stepped until
+// a Reset.
 // It keeps c's hierarchy, CSQ storage and commit sink, and shares no
 // mutable storage with src: every field is src's except those it restores.
 func (c *Core) CrashCopyFrom(src *Core) error {

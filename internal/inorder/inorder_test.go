@@ -200,7 +200,8 @@ func TestInOrderCrashRecovery(t *testing.T) {
 	if _, err := sys.RunUntil(40_000); err != nil {
 		t.Fatal(err)
 	}
-	im := checkpoint.Capture(sys.Cores()[0])
+	im := new(checkpoint.Image)
+	im.CaptureFrom(sys.Cores()[0])
 	decoded, err := checkpoint.Decode(im.Encode())
 	if err != nil {
 		t.Fatal(err)

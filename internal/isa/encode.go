@@ -3,14 +3,13 @@ package isa
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 )
 
 // Binary trace format: a fixed 32-byte record per dynamic instruction,
 // little-endian, preceded by a magic/version header and the program name.
 // The format lets traces be stored, diffed, and consumed by external tools
-// (or replayed into the simulator) without regenerating them.
+// without regenerating them.
 
 const (
 	traceMagic   = uint32(0x50504154) // "PPAT"
@@ -51,49 +50,4 @@ func EncodeProgram(w io.Writer, p *Program) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// DecodeProgram reads a program in the binary trace format.
-func DecodeProgram(r io.Reader) (*Program, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("isa: trace header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != traceMagic {
-		return nil, fmt.Errorf("isa: bad trace magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != traceVersion {
-		return nil, fmt.Errorf("isa: unsupported trace version %d", v)
-	}
-	nameLen := binary.LittleEndian.Uint32(hdr[8:])
-	count := binary.LittleEndian.Uint32(hdr[12:])
-	if nameLen > 4096 {
-		return nil, fmt.Errorf("isa: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("isa: trace name: %w", err)
-	}
-	p := &Program{Name: string(name), Insts: make([]Inst, 0, count)}
-	var rec [recordBytes]byte
-	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("isa: trace record %d: %w", i, err)
-		}
-		in := Inst{
-			PC:   binary.LittleEndian.Uint64(rec[0:]),
-			Op:   Op(rec[8]),
-			Dst:  Reg{Class: RegClass(rec[9]), Index: rec[10]},
-			Src1: Reg{Class: RegClass(rec[11]), Index: rec[12]},
-			Src2: Reg{Class: RegClass(rec[13]), Index: rec[14]},
-			Addr: binary.LittleEndian.Uint64(rec[16:]),
-			Imm:  int64(binary.LittleEndian.Uint64(rec[24:])),
-		}
-		if in.Op > OpSync {
-			return nil, fmt.Errorf("isa: trace record %d: unknown opcode %d", i, rec[8])
-		}
-		p.Insts = append(p.Insts, in)
-	}
-	return p, nil
 }

@@ -15,6 +15,10 @@ import (
 type Warmth struct {
 	cap  int
 	ring []uint64 // touched lines in order, duplicates allowed
+	// seen and out are distinct's scratch, kept from one compaction to
+	// the next.
+	seen map[uint64]struct{}
+	out  []uint64
 }
 
 // NewWarmth returns a warmth model that remembers at most capLines
@@ -23,7 +27,12 @@ func NewWarmth(capLines int) *Warmth {
 	if capLines <= 0 {
 		capLines = 4096
 	}
-	return &Warmth{cap: capLines, ring: make([]uint64, 0, 8*capLines)}
+	return &Warmth{
+		cap:  capLines,
+		ring: make([]uint64, 0, 8*capLines),
+		seen: make(map[uint64]struct{}, capLines),
+		out:  make([]uint64, 0, capLines),
+	}
 }
 
 // Touch records an access to the line containing addr. The fast-forward
@@ -47,17 +56,18 @@ func (w *Warmth) compact() {
 }
 
 // distinct returns the cap most recently touched distinct lines,
-// oldest-touch first.
+// oldest-touch first, in storage the next call reuses.
 func (w *Warmth) distinct() []uint64 {
-	seen := make(map[uint64]struct{}, w.cap)
-	out := make([]uint64, 0, w.cap)
+	clear(w.seen)
+	out := w.out[:0]
 	for i := len(w.ring) - 1; i >= 0 && len(out) < w.cap; i-- {
 		line := w.ring[i]
-		if _, dup := seen[line]; !dup {
-			seen[line] = struct{}{}
+		if _, dup := w.seen[line]; !dup {
+			w.seen[line] = struct{}{}
 			out = append(out, line)
 		}
 	}
+	w.out = out
 	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
 		out[i], out[j] = out[j], out[i]
 	}
@@ -67,7 +77,7 @@ func (w *Warmth) distinct() []uint64 {
 // Lines returns the tracked lines ordered oldest-touch first, capped at the
 // model's capacity — exactly the install order a recency-managed cache
 // wants (the most recently touched line is installed last, so it is the
-// last to be evicted).
+// last to be evicted). The slice is valid until the next Touch or Lines.
 func (w *Warmth) Lines() []uint64 {
 	if w == nil {
 		return nil
@@ -98,7 +108,7 @@ func (m *Machine) Golden(core int) *isa.GoldenResult {
 // already-checked instructions: a target at or below the current position
 // is a no-op, which is how the engine catches up through a detailed window
 // it did not observe commit-by-commit.
-func (m *Machine) FastForward(core, target int, img isa.Memory, warm *Warmth) error {
+func (m *Machine) FastForward(core, target int, img *isa.MapMemory, warm *Warmth) error {
 	if core < 0 || core >= len(m.cores) {
 		return fmt.Errorf("oracle: fast-forward core %d of %d", core, len(m.cores))
 	}
@@ -106,10 +116,11 @@ func (m *Machine) FastForward(core, target int, img isa.Memory, warm *Warmth) er
 	if target > cm.prog.Len() {
 		return fmt.Errorf("oracle: fast-forward target %d past trace end %d", target, cm.prog.Len())
 	}
-	for cm.next < target {
-		in := &cm.prog.Insts[cm.next]
-		src1 := cm.regs.Read(in.Src1)
-		src2 := cm.regs.Read(in.Src2)
+	var rf regFile
+	rf.load(&cm.regs)
+	for i := cm.next; i < target; i++ {
+		in := &cm.prog.Insts[i]
+		src1, src2 := rf.read(in.Src1), rf.read(in.Src2)
 		switch in.Op {
 		case isa.OpStore:
 			addr := isa.WordAlign(in.Addr)
@@ -128,16 +139,46 @@ func (m *Machine) FastForward(core, target int, img isa.Memory, warm *Warmth) er
 				img.WriteWord(addr, val)
 			}
 			warm.Touch(addr)
-			cm.regs.Write(in.Dst, isa.Eval(in, src1, src2, old))
+			rf.write(in.Dst, isa.Eval(in, src1, src2, old))
 		case isa.OpLoad:
-			cm.regs.Write(in.Dst, isa.Eval(in, src1, src2, cm.mem.ReadWord(in.Addr)))
+			rf.write(in.Dst, isa.Eval(in, src1, src2, cm.mem.ReadWord(in.Addr)))
 			warm.Touch(in.Addr)
 		default:
 			if in.DefinesReg() {
-				cm.regs.Write(in.Dst, isa.Eval(in, src1, src2, 0))
+				rf.write(in.Dst, isa.Eval(in, src1, src2, 0))
 			}
 		}
-		cm.next++
 	}
+	cm.next = max(cm.next, target)
+	rf.store(&cm.regs)
 	return nil
+}
+
+// regFile is FastForward's copy of an isa.ArchState, flat so that a
+// register's slot is computed, not branched on: the integer registers, the
+// FP registers, a slot NoReg reads as zero and one that NoReg writes to.
+type regFile [isa.NumIntRegs + isa.NumFPRegs + 2]uint64
+
+const (
+	noRegRead  = isa.NumIntRegs + isa.NumFPRegs
+	noRegWrite = noRegRead + 1
+)
+
+var (
+	readBase  = [...]int{isa.ClassNone: noRegRead, isa.ClassInt: 0, isa.ClassFP: isa.NumIntRegs}
+	writeBase = [...]int{isa.ClassNone: noRegWrite, isa.ClassInt: 0, isa.ClassFP: isa.NumIntRegs}
+)
+
+func (rf *regFile) read(r isa.Reg) uint64 { return rf[readBase[r.Class]+int(r.Index)] }
+
+func (rf *regFile) write(r isa.Reg, v uint64) { rf[writeBase[r.Class]+int(r.Index)] = v }
+
+func (rf *regFile) load(s *isa.ArchState) {
+	copy(rf[:isa.NumIntRegs], s.Int[:])
+	copy(rf[isa.NumIntRegs:noRegRead], s.FP[:])
+}
+
+func (rf *regFile) store(s *isa.ArchState) {
+	copy(s.Int[:], rf[:isa.NumIntRegs])
+	copy(s.FP[:], rf[isa.NumIntRegs:noRegRead])
 }

@@ -26,8 +26,8 @@ import (
 	"ppa/internal/pipeline"
 )
 
-// WordReader is the read side of a durable memory image (nvm.Device's
-// image satisfies it via isa.Memory).
+// WordReader is the read side of a durable memory image (nvm.Device and its
+// isa.MapMemory image satisfy it).
 type WordReader interface {
 	ReadWord(addr uint64) uint64
 }

@@ -485,8 +485,8 @@ func (c *Core) Reset(cfg Config, prog *isa.Program) error {
 
 // CrashCopyFrom makes c, a core of the same index, ROB and register-file
 // sizes, a copy of src as far as a power failure reads it: what
-// checkpoint.Capture dumps (the CSQ, the LCPC, the commit count and the
-// register files) and what Collect reads (the statistics), with src's
+// checkpoint.Image.CaptureFrom dumps (the CSQ, the LCPC, the commit count
+// and the register files) and what Collect reads (the statistics), with src's
 // configuration, program and scalar state. The in-flight instructions,
 // the SQ release queues and the frontend's golden state, which the outage
 // loses, are not copied: c's ROB and frontend keep their own stale

@@ -12,17 +12,6 @@ type Schedule interface {
 	Next(after uint64) (cycle uint64, ok bool)
 }
 
-// At fails exactly once at a fixed cycle.
-type At uint64
-
-// Next implements Schedule.
-func (a At) Next(after uint64) (uint64, bool) {
-	if uint64(a) > after {
-		return uint64(a), true
-	}
-	return 0, false
-}
-
 // Every fails periodically with the given period, starting at Offset.
 type Every struct {
 	Period uint64

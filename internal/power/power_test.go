@@ -5,19 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestAt(t *testing.T) {
-	s := At(100)
-	if c, ok := s.Next(0); !ok || c != 100 {
-		t.Fatalf("Next(0) = %d, %v", c, ok)
-	}
-	if _, ok := s.Next(100); ok {
-		t.Fatal("At fires only once")
-	}
-	if _, ok := s.Next(200); ok {
-		t.Fatal("At must not fire after its cycle")
-	}
-}
-
 func TestEvery(t *testing.T) {
 	s := Every{Period: 100, Offset: 50}
 	if c, _ := s.Next(0); c != 50 {

@@ -42,7 +42,8 @@ func crashAt(t *testing.T, app string, insts int, failCycle uint64) (
 		hier.Tick(cyc)
 		core.Step(cyc)
 	}
-	im := checkpoint.Capture(core)
+	im := new(checkpoint.Image)
+	im.CaptureFrom(core)
 	hier.PowerFail()
 	return prog, dev, im
 }
@@ -209,7 +210,8 @@ func TestCrashConsistencyProperty(t *testing.T) {
 			hier.Tick(cyc)
 			core.Step(cyc)
 		}
-		im := checkpoint.Capture(core)
+		im := new(checkpoint.Image)
+		im.CaptureFrom(core)
 		hier.PowerFail()
 		if _, err := Replay(dev, im); err != nil {
 			t.Logf("%s@%d: replay error %v", app, failCycle, err)
@@ -241,7 +243,8 @@ func TestRecoveredArchStateProperty(t *testing.T) {
 			hier.Tick(cyc)
 			core.Step(cyc)
 		}
-		im := checkpoint.Capture(core)
+		im := new(checkpoint.Image)
+		im.CaptureFrom(core)
 		ren := rename.New(rename.DefaultConfig())
 		if err := RestoreRenamer(ren, im); err != nil {
 			return false
@@ -275,7 +278,8 @@ func TestContextSwitchCrashRecovery(t *testing.T) {
 			hier.Tick(cyc)
 			core.Step(cyc)
 		}
-		im := checkpoint.Capture(core)
+		im := new(checkpoint.Image)
+		im.CaptureFrom(core)
 		hier.PowerFail()
 		if _, err := Replay(dev, im); err != nil {
 			t.Fatalf("fail@%d: %v", fail, err)

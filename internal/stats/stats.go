@@ -47,20 +47,6 @@ func (c *CDF) AddN(v int, n uint64) {
 // Total returns the number of samples.
 func (c *CDF) Total() uint64 { return c.total }
 
-// At returns P(sample <= v).
-func (c *CDF) At(v int) float64 {
-	if c.total == 0 {
-		return 0
-	}
-	var cum uint64
-	for s, n := range c.counts {
-		if s <= v {
-			cum += n
-		}
-	}
-	return float64(cum) / float64(c.total)
-}
-
 // Mean returns the sample mean.
 func (c *CDF) Mean() float64 {
 	if c.total == 0 {

@@ -6,6 +6,17 @@ import (
 	"testing/quick"
 )
 
+// pAt reads P(sample <= v) off a CDF's points.
+func pAt(c *CDF, v int) float64 {
+	p := 0.0
+	for _, pt := range c.Points() {
+		if pt.Value <= v {
+			p = pt.P
+		}
+	}
+	return p
+}
+
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF()
 	for i := 1; i <= 100; i++ {
@@ -14,14 +25,14 @@ func TestCDFBasics(t *testing.T) {
 	if c.Total() != 100 {
 		t.Fatalf("total %d", c.Total())
 	}
-	if got := c.At(50); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("At(50) = %v", got)
+	if got := pAt(c, 50); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("P(<= 50) = %v", got)
 	}
-	if got := c.At(100); got != 1.0 {
-		t.Fatalf("At(100) = %v", got)
+	if got := pAt(c, 100); got != 1.0 {
+		t.Fatalf("P(<= 100) = %v", got)
 	}
-	if got := c.At(0); got != 0 {
-		t.Fatalf("At(0) = %v", got)
+	if got := pAt(c, 0); got != 0 {
+		t.Fatalf("P(<= 0) = %v", got)
 	}
 	if m := c.Mean(); math.Abs(m-50.5) > 1e-9 {
 		t.Fatalf("Mean = %v", m)
@@ -36,8 +47,8 @@ func TestCDFAddN(t *testing.T) {
 	if c.Total() != 40 {
 		t.Fatalf("total %d", c.Total())
 	}
-	if got := c.At(5); math.Abs(got-0.25) > 1e-9 {
-		t.Fatalf("At(5) = %v", got)
+	if got := pAt(c, 5); math.Abs(got-0.25) > 1e-9 {
+		t.Fatalf("P(<= 5) = %v", got)
 	}
 }
 
@@ -65,7 +76,7 @@ func TestCDFPointsMonotone(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF()
-	if c.At(10) != 0 || c.Mean() != 0 {
+	if c.Mean() != 0 {
 		t.Fatal("empty CDF must return zeros")
 	}
 	if len(c.Points()) != 0 {

@@ -93,16 +93,81 @@ func generateThread(p Profile, n int, tid int) *isa.Program {
 		pcBase:   0x400000 + uint64(tid)<<32,
 	}
 	g.init()
-	prog := &isa.Program{Name: p.Name, Insts: make([]isa.Inst, 0, n)}
-	for i := 0; i < n; i++ {
-		prog.Insts = append(prog.Insts, g.next(i))
+	prog := &isa.Program{Name: p.Name, Insts: make([]isa.Inst, n)}
+	for i := range prog.Insts {
+		g.next(i, &prog.Insts[i])
 	}
 	return prog
+}
+
+// Draws whose probability or range no profile sets.
+var (
+	jumpChance     = chanceOf(0.25) // a destination register drawn at random
+	sharedROChance = chanceOf(0.15) // a cold read of the shared region
+	// A kernel instruction's mix: loads, stores, branches, compares.
+	kernelLoad   = chanceOf(0.30)
+	kernelStore  = chanceOf(0.38)
+	kernelBranch = chanceOf(0.55)
+	kernelCmp    = chanceOf(0.8)
+
+	intRegSpan      = intnSpan(isa.NumIntRegs)
+	fpRegSpan       = intnSpan(isa.NumFPRegs)
+	immSpan         = intnSpan(1 << 12)
+	lineWordSpan    = intnSpan(8)
+	storeRunSpan    = intnSpan(6)
+	coinSpan        = intnSpan(2)
+	kernelOffSpan   = int63nSpan(32 * KB)
+	sharedROOffSpan = int63nSpan(int64(sharedROBytes))
+)
+
+// draws holds the chances and spans a profile fixes, computed once per
+// generator from the same expressions the draws compare against.
+type draws struct {
+	load, loadStore, loadStoreBranch chance
+	fp, mul, cmp                     chance
+	hot, hotWarm                     chance
+	stackStore, storeStream          chance
+	storeHot                         chance
+
+	dep                              span // 1 + dep is a source's distance
+	hotOff, warmOff, hotStore, stack span // offsets into the regions
+	sync, syscall, kernelBurst       span // gaps and burst lengths
+}
+
+func newDraws(p *Profile) draws {
+	d := draws{
+		load:            chanceOf(p.LoadRatio),
+		loadStore:       chanceOf(p.LoadRatio + p.StoreRatio),
+		loadStoreBranch: chanceOf(p.LoadRatio + p.StoreRatio + p.BranchRatio),
+		fp:              chanceOf(p.FPRatio),
+		mul:             chanceOf(p.MulRatio),
+		cmp:             chanceOf(p.CmpRatio),
+		hot:             chanceOf(p.HotFraction),
+		hotWarm:         chanceOf(p.HotFraction + p.WarmFraction),
+		stackStore:      chanceOf(p.StackStoreFraction),
+		storeStream:     chanceOf(p.StoreStreamBias),
+		storeHot:        chanceOf(p.StoreHotBias),
+
+		dep:         intnSpan(2 * p.DepDistance),
+		hotOff:      int63nSpan(int64(maxU64(p.HotBytes, 512))),
+		warmOff:     int63nSpan(int64(maxU64(p.WarmBytes, 4096))),
+		hotStore:    int63nSpan(int64(hotStoreBytes(p))),
+		stack:       int63nSpan(int64(max(p.StackBytes, isa.LineSize))),
+		kernelBurst: intnSpan(maxInt(p.KernelBurstLen, 2)),
+	}
+	if p.SyncEvery > 0 {
+		d.sync = intnSpan(p.SyncEvery)
+	}
+	if p.SyscallEvery > 0 {
+		d.syscall = intnSpan(p.SyscallEvery)
+	}
+	return d
 }
 
 // generator holds the evolving state of one thread's trace synthesis.
 type generator struct {
 	p        Profile
+	d        draws
 	rng      *stream
 	heapBase uint64
 	pcBase   uint64
@@ -156,21 +221,16 @@ func (r *ring) push(reg isa.Reg) {
 	}
 }
 
-// pick returns a register defined approximately `dist` definitions ago,
-// clamped to what the ring holds.
-func (r *ring) pick(rng *stream, dist int) isa.Reg {
-	if r.n == 0 {
-		return isa.NoReg
-	}
-	d := 1 + rng.Intn(2*dist)
-	if d > r.n {
-		d = r.n
-	}
-	idx := (r.pos - d + 2*len(r.regs)) % len(r.regs)
-	return r.regs[idx]
+// pick returns a register defined approximately DepDistance definitions
+// ago, clamped to what the ring holds; dep is the span of 2*DepDistance.
+// The ring is never empty: init seeds it.
+func (r *ring) pick(rng *stream, dep *span) isa.Reg {
+	d := min(1+int(rng.draw(dep)), r.n)
+	return r.regs[(r.pos-d)&(len(r.regs)-1)]
 }
 
 func (g *generator) init() {
+	g.d = newDraws(&g.p)
 	// Seed the rings so the first instructions have sources.
 	for i := 0; i < 8; i++ {
 		g.recentInt.push(isa.Int(i))
@@ -199,7 +259,7 @@ func (g *generator) scheduleSync(from int) {
 		g.nextSync = -1
 		return
 	}
-	gap := g.p.SyncEvery/2 + g.rng.Intn(g.p.SyncEvery)
+	gap := g.p.SyncEvery/2 + int(g.rng.draw(&g.d.sync))
 	if gap < 8 {
 		gap = 8
 	}
@@ -210,8 +270,8 @@ func (g *generator) scheduleSync(from int) {
 // the file with occasional random jumps (accumulator reuse).
 func (g *generator) defInt() isa.Reg {
 	var r isa.Reg
-	if g.rng.Float64() < 0.25 {
-		r = isa.Int(g.rng.Intn(isa.NumIntRegs))
+	if g.rng.hit(jumpChance) {
+		r = isa.Int(int(g.rng.draw(&intRegSpan)))
 	} else {
 		r = isa.Int(g.defIntCounter % isa.NumIntRegs)
 		g.defIntCounter++
@@ -222,8 +282,8 @@ func (g *generator) defInt() isa.Reg {
 
 func (g *generator) defFP() isa.Reg {
 	var r isa.Reg
-	if g.rng.Float64() < 0.25 {
-		r = isa.FP(g.rng.Intn(isa.NumFPRegs))
+	if g.rng.hit(jumpChance) {
+		r = isa.FP(int(g.rng.draw(&fpRegSpan)))
 	} else {
 		r = isa.FP(g.defFPCounter % isa.NumFPRegs)
 		g.defFPCounter++
@@ -232,25 +292,25 @@ func (g *generator) defFP() isa.Reg {
 	return r
 }
 
-func (g *generator) srcInt() isa.Reg { return g.recentInt.pick(g.rng, g.p.DepDistance) }
-func (g *generator) srcFP() isa.Reg  { return g.recentFP.pick(g.rng, g.p.DepDistance) }
+func (g *generator) srcInt() isa.Reg { return g.recentInt.pick(g.rng, &g.d.dep) }
+func (g *generator) srcFP() isa.Reg  { return g.recentFP.pick(g.rng, &g.d.dep) }
 
 // address draws one memory address according to the locality mix. The
 // isStore flag steers streaming accesses (write-streaming apps bias their
 // cold-region traffic toward stores).
 func (g *generator) address(isStore bool) uint64 {
-	u := g.rng.Float64()
+	u := g.rng.unit()
 	switch {
-	case u < g.p.HotFraction:
-		off := uint64(g.rng.Int63n(int64(maxU64(g.p.HotBytes, 512))))
+	case u < g.d.hot:
+		off := g.rng.draw(&g.d.hotOff)
 		return isa.WordAlign(g.heapBase + hotRegionOff + off)
-	case u < g.p.HotFraction+g.p.WarmFraction:
-		off := uint64(g.rng.Int63n(int64(maxU64(g.p.WarmBytes, 4096))))
+	case u < g.d.hotWarm:
+		off := g.rng.draw(&g.d.warmOff)
 		return isa.WordAlign(g.heapBase + warmRegionOff + off)
 	default:
-		if !isStore && g.rng.Float64() < 0.15 {
+		if !isStore && g.rng.hit(sharedROChance) {
 			// A slice of cold reads hits the shared read-only region.
-			off := uint64(g.rng.Int63n(int64(sharedROBytes)))
+			off := g.rng.draw(&sharedROOffSpan)
 			return isa.WordAlign(sharedROBase + off)
 		}
 		// Cold streaming walk: sequential within a line, then advance.
@@ -282,7 +342,7 @@ func (g *generator) scheduleSyscall(from int) {
 		g.nextSyscall = -1
 		return
 	}
-	gap := g.p.SyscallEvery/2 + g.rng.Intn(g.p.SyscallEvery)
+	gap := g.p.SyscallEvery/2 + int(g.rng.draw(&g.d.syscall))
 	if gap < 16 {
 		gap = 16
 	}
@@ -292,65 +352,70 @@ func (g *generator) scheduleSyscall(from int) {
 // kernelAddr picks a word in the per-thread kernel structures (resident in
 // the SRAM caches like any hot OS data).
 func (g *generator) kernelAddr() uint64 {
-	off := uint64(g.rng.Int63n(int64(32 * KB)))
+	off := g.rng.draw(&kernelOffSpan)
 	return isa.WordAlign(g.heapBase + kernelRegionOff + off)
 }
 
-// kernelInst synthesizes one kernel-mode instruction of the current
+// kernelInst writes into in one kernel-mode instruction of the current
 // syscall handler: pointer-heavy loads, a few bookkeeping stores, compares.
-func (g *generator) kernelInst(pc uint64) isa.Inst {
+func (g *generator) kernelInst(pc uint64, in *isa.Inst) {
 	g.kernelLeft--
-	switch r := g.rng.Float64(); {
-	case r < 0.30:
-		return isa.Inst{PC: pc, Op: isa.OpLoad, Dst: g.defInt(), Src1: g.srcInt(), Addr: g.kernelAddr()}
-	case r < 0.38:
-		return isa.Inst{PC: pc, Op: isa.OpStore, Src1: g.srcInt(), Src2: g.srcInt(), Addr: g.kernelAddr()}
-	case r < 0.55:
-		return isa.Inst{PC: pc, Op: isa.OpBranch, Src1: g.srcInt()}
-	case r < 0.8:
-		return isa.Inst{PC: pc, Op: isa.OpALU, Src1: g.srcInt(), Src2: g.srcInt(), Imm: 1}
+	switch r := g.rng.unit(); {
+	case r < kernelLoad:
+		*in = isa.Inst{PC: pc, Op: isa.OpLoad, Dst: g.defInt(), Src1: g.srcInt(), Addr: g.kernelAddr()}
+	case r < kernelStore:
+		*in = isa.Inst{PC: pc, Op: isa.OpStore, Src1: g.srcInt(), Src2: g.srcInt(), Addr: g.kernelAddr()}
+	case r < kernelBranch:
+		*in = isa.Inst{PC: pc, Op: isa.OpBranch, Src1: g.srcInt()}
+	case r < kernelCmp:
+		*in = isa.Inst{PC: pc, Op: isa.OpALU, Src1: g.srcInt(), Src2: g.srcInt(), Imm: 1}
 	default:
-		return isa.Inst{PC: pc, Op: isa.OpALU, Dst: g.defInt(), Src1: g.srcInt(), Src2: g.srcInt(), Imm: 3}
+		*in = isa.Inst{PC: pc, Op: isa.OpALU, Dst: g.defInt(), Src1: g.srcInt(), Src2: g.srcInt(), Imm: 3}
 	}
 }
 
-// next synthesizes the i-th dynamic instruction.
-func (g *generator) next(i int) isa.Inst {
+// next writes the i-th dynamic instruction into in.
+func (g *generator) next(i int, in *isa.Inst) {
 	pc := g.pcBase + uint64(i)*4
 	if g.kernelLeft > 0 {
-		return g.kernelInst(pc)
+		g.kernelInst(pc, in)
+		return
 	}
 	if g.nextSyscall >= 0 && i >= g.nextSyscall {
 		// Trap into the kernel: the syscall instruction serializes
 		// (Section 5: "system calls rely on trap instructions"; PPA needs
 		// no special treatment — the handler is just more instructions).
 		g.scheduleSyscall(i)
-		g.kernelLeft = g.p.KernelBurstLen/2 + g.rng.Intn(maxInt(g.p.KernelBurstLen, 2))
-		return isa.Inst{PC: pc, Op: isa.OpSync, Src1: g.srcInt()}
+		g.kernelLeft = g.p.KernelBurstLen/2 + int(g.rng.draw(&g.d.kernelBurst))
+		*in = isa.Inst{PC: pc, Op: isa.OpSync, Src1: g.srcInt()}
+		return
 	}
 	if g.nextSync >= 0 && i >= g.nextSync {
 		g.scheduleSync(i)
 		// Synchronization alternates between an atomic RMW (lock) and a
 		// plain sync/barrier event; both are PPA region boundaries.
-		if g.rng.Intn(2) == 0 {
+		if g.rng.draw(&coinSpan) == 0 {
 			dst := g.defInt()
-			return isa.Inst{PC: pc, Op: isa.OpRMW, Dst: dst, Src1: g.srcInt(), Addr: g.address(true)}
+			*in = isa.Inst{PC: pc, Op: isa.OpRMW, Dst: dst, Src1: g.srcInt(), Addr: g.address(true)}
+			return
 		}
-		return isa.Inst{PC: pc, Op: isa.OpSync, Src1: g.srcInt()}
+		*in = isa.Inst{PC: pc, Op: isa.OpSync, Src1: g.srcInt()}
+		return
 	}
 
-	u := g.rng.Float64()
+	u := g.rng.unit()
 	switch {
-	case u < g.p.LoadRatio:
-		fp := g.rng.Float64() < g.p.FPRatio
+	case u < g.d.load:
+		fp := g.rng.hit(g.d.fp)
 		addr := g.address(false)
 		if fp {
-			return isa.Inst{PC: pc, Op: isa.OpLoad, Dst: g.defFP(), Src1: g.srcInt(), Addr: addr}
+			*in = isa.Inst{PC: pc, Op: isa.OpLoad, Dst: g.defFP(), Src1: g.srcInt(), Addr: addr}
+			return
 		}
-		return isa.Inst{PC: pc, Op: isa.OpLoad, Dst: g.defInt(), Src1: g.srcInt(), Addr: addr}
+		*in = isa.Inst{PC: pc, Op: isa.OpLoad, Dst: g.defInt(), Src1: g.srcInt(), Addr: addr}
 
-	case u < g.p.LoadRatio+g.p.StoreRatio:
-		fp := g.rng.Float64() < g.p.FPRatio
+	case u < g.d.loadStore:
+		fp := g.rng.hit(g.d.fp)
 		addr := g.storeAddr()
 		var data isa.Reg
 		if fp {
@@ -358,34 +423,37 @@ func (g *generator) next(i int) isa.Inst {
 		} else {
 			data = g.srcInt()
 		}
-		return isa.Inst{PC: pc, Op: isa.OpStore, Src1: data, Src2: g.srcInt(), Addr: addr}
+		*in = isa.Inst{PC: pc, Op: isa.OpStore, Src1: data, Src2: g.srcInt(), Addr: addr}
 
-	case u < g.p.LoadRatio+g.p.StoreRatio+g.p.BranchRatio:
-		return isa.Inst{PC: pc, Op: isa.OpBranch, Src1: g.srcInt()}
+	case u < g.d.loadStoreBranch:
+		*in = isa.Inst{PC: pc, Op: isa.OpBranch, Src1: g.srcInt()}
 
 	default:
-		fp := g.rng.Float64() < g.p.FPRatio
-		mul := g.rng.Float64() < g.p.MulRatio
-		imm := int64(g.rng.Intn(1 << 12))
-		if g.rng.Float64() < g.p.CmpRatio {
+		fp := g.rng.hit(g.d.fp)
+		mul := g.rng.hit(g.d.mul)
+		imm := int64(g.rng.draw(&immSpan))
+		if g.rng.hit(g.d.cmp) {
 			// Flag-setting compare/test: reads registers, defines none.
 			if fp {
-				return isa.Inst{PC: pc, Op: isa.OpFPU, Src1: g.srcFP(), Src2: g.srcFP(), Imm: imm}
+				*in = isa.Inst{PC: pc, Op: isa.OpFPU, Src1: g.srcFP(), Src2: g.srcFP(), Imm: imm}
+				return
 			}
-			return isa.Inst{PC: pc, Op: isa.OpALU, Src1: g.srcInt(), Src2: g.srcInt(), Imm: imm}
+			*in = isa.Inst{PC: pc, Op: isa.OpALU, Src1: g.srcInt(), Src2: g.srcInt(), Imm: imm}
+			return
 		}
 		if fp {
 			op := isa.OpFPU
 			if mul {
 				op = isa.OpFPMul
 			}
-			return isa.Inst{PC: pc, Op: op, Dst: g.defFP(), Src1: g.srcFP(), Src2: g.srcFP(), Imm: imm}
+			*in = isa.Inst{PC: pc, Op: op, Dst: g.defFP(), Src1: g.srcFP(), Src2: g.srcFP(), Imm: imm}
+			return
 		}
 		op := isa.OpALU
 		if mul {
 			op = isa.OpMul
 		}
-		return isa.Inst{PC: pc, Op: op, Dst: g.defInt(), Src1: g.srcInt(), Src2: g.srcInt(), Imm: imm}
+		*in = isa.Inst{PC: pc, Op: op, Dst: g.defInt(), Src1: g.srcInt(), Src2: g.srcInt(), Imm: imm}
 	}
 }
 
@@ -403,32 +471,35 @@ func (g *generator) coldStoreAddr() uint64 {
 // hotStoreAddr picks a word in the small written working set at the base
 // of the hot pool.
 func (g *generator) hotStoreAddr() uint64 {
-	size := g.p.StoreHotBytes
+	off := g.rng.draw(&g.d.hotStore)
+	return isa.WordAlign(g.heapBase + hotRegionOff + off)
+}
+
+// hotStoreBytes sizes the written working set: StoreHotBytes (2 KB if
+// unset), at most the hot pool.
+func hotStoreBytes(p *Profile) uint64 {
+	size := p.StoreHotBytes
 	if size == 0 {
 		size = 2 * KB
 	}
-	if size > maxU64(g.p.HotBytes, 512) {
-		size = maxU64(g.p.HotBytes, 512)
-	}
-	off := uint64(g.rng.Int63n(int64(size)))
-	return isa.WordAlign(g.heapBase + hotRegionOff + off)
+	return min(size, maxU64(p.HotBytes, 512))
 }
 
 // storeAddr draws a store address: stack traffic, streaming output, or
 // object updates clustered in short same-line runs.
 func (g *generator) storeAddr() uint64 {
 	switch {
-	case g.rng.Float64() < g.p.StackStoreFraction:
+	case g.rng.hit(g.d.stackStore):
 		return g.stackAddr()
-	case g.p.StoreStreamBias > 0 && g.rng.Float64() < g.p.StoreStreamBias:
+	case g.p.StoreStreamBias > 0 && g.rng.hit(g.d.storeStream):
 		return g.coldStoreAddr()
 	}
 	if g.storeRunLeft > 0 {
 		g.storeRunLeft--
-		return g.curStoreLine + uint64(g.rng.Intn(8))*isa.WordSize
+		return g.curStoreLine + g.rng.draw(&lineWordSpan)*isa.WordSize
 	}
 	var a uint64
-	if g.p.StoreHotBias > 0 && g.rng.Float64() < g.p.StoreHotBias {
+	if g.p.StoreHotBias > 0 && g.rng.hit(g.d.storeHot) {
 		a = g.hotStoreAddr()
 	} else {
 		a = g.address(true)
@@ -439,16 +510,12 @@ func (g *generator) storeAddr() uint64 {
 		}
 	}
 	g.curStoreLine = isa.LineAlign(a)
-	g.storeRunLeft = 2 + g.rng.Intn(6)
+	g.storeRunLeft = 2 + int(g.rng.draw(&storeRunSpan))
 	return isa.WordAlign(a)
 }
 
-// stackAddr picks a word in the tiny stack-like region.
+// stackAddr picks a word in the tiny stack-like region (at least a line).
 func (g *generator) stackAddr() uint64 {
-	size := g.p.StackBytes
-	if size < isa.LineSize {
-		size = isa.LineSize
-	}
-	off := uint64(g.rng.Int63n(int64(size)))
+	off := g.rng.draw(&g.d.stack)
 	return isa.WordAlign(g.heapBase + stackRegionOff + off)
 }

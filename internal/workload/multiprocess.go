@@ -52,28 +52,32 @@ func GenerateMultiProcess(profiles []Profile, quantum, totalInsts int, seed int6
 
 	prog := &isa.Program{
 		Name:  "multiprocess",
-		Insts: make([]isa.Inst, 0, totalInsts),
+		Insts: make([]isa.Inst, totalInsts),
 	}
-	pid := 0
+	quanta := intnSpan(quantum)
+	pid, k := 0, 0
 	const switchBurst = 60
-	for len(prog.Insts) < totalInsts {
+	for k < totalInsts {
 		// One quantum of the current process (with a little jitter, like a
 		// timer interrupt would have).
-		slice := quantum/2 + rng.Intn(quantum)
-		for i := 0; i < slice && len(prog.Insts) < totalInsts; i++ {
-			prog.Insts = append(prog.Insts, gens[pid].next(locals[pid]))
+		slice := quantum/2 + int(rng.draw(&quanta))
+		for i := 0; i < slice && k < totalInsts; i++ {
+			gens[pid].next(locals[pid], &prog.Insts[k])
 			locals[pid]++
+			k++
 		}
-		if len(prog.Insts) >= totalInsts {
+		if k >= totalInsts {
 			break
 		}
 		// Timer interrupt: trap, then the scheduler walks run queues and
 		// saves/restores contexts in the outgoing process's kernel region.
 		g := gens[pid]
-		prog.Insts = append(prog.Insts, isa.Inst{Op: isa.OpSync, Src1: isa.Int(0)})
-		for i := 0; i < switchBurst && len(prog.Insts) < totalInsts; i++ {
+		prog.Insts[k] = isa.Inst{Op: isa.OpSync, Src1: isa.Int(0)}
+		k++
+		for i := 0; i < switchBurst && k < totalInsts; i++ {
 			g.kernelLeft = 1 // force one kernel instruction at a time
-			prog.Insts = append(prog.Insts, g.kernelInst(0))
+			g.kernelInst(0, &prog.Insts[k])
+			k++
 		}
 		pid = (pid + 1) % len(profiles)
 	}

@@ -14,8 +14,9 @@ import (
 // TestStreamMatchesMathRand checks stream against rand.New(rand.NewSource)
 // draw for draw, over seeds that take each branch of the source's seeding
 // (zero, negative, at and above 2^31-1) and far more draws than the
-// 607-word ring holds. The draws interleave every method the generator
-// calls, with bounds that mask, reject, and cross from Int31n to Int63n.
+// 607-word ring holds. The draws interleave Int63 with spans that mask,
+// reject, and cross from Int31n to Int63n; TestBoundedDrawsExact checks
+// the chances and the generator's own spans.
 func TestStreamMatchesMathRand(t *testing.T) {
 	type draw struct {
 		name string
@@ -23,15 +24,15 @@ func TestStreamMatchesMathRand(t *testing.T) {
 		got  func(s *stream) int64
 	}
 	draws := []draw{
-		{"Float64", func(r *rand.Rand) int64 { return int64(math.Float64bits(r.Float64())) },
-			func(s *stream) int64 { return int64(math.Float64bits(s.Float64())) }},
 		{"Int63", func(r *rand.Rand) int64 { return r.Int63() }, func(s *stream) int64 { return s.Int63() }},
 	}
 	for _, n := range []int{1, 2, 8, 4096, 3, 6, 1000, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1<<40 + 3, 1<<62 + 1} {
-		draws = append(draws, draw{"Intn", func(r *rand.Rand) int64 { return int64(r.Intn(n)) }, func(s *stream) int64 { return int64(s.Intn(n)) }})
+		sp := intnSpan(n)
+		draws = append(draws, draw{"Intn", func(r *rand.Rand) int64 { return int64(r.Intn(n)) }, func(s *stream) int64 { return int64(s.draw(&sp)) }})
 	}
 	for _, n := range []int64{1, 512, 32 * KB, 64 * MB, 7, 3000, 1<<62 + 1, math.MaxInt64} {
-		draws = append(draws, draw{"Int63n", func(r *rand.Rand) int64 { return r.Int63n(n) }, func(s *stream) int64 { return s.Int63n(n) }})
+		sp := int63nSpan(n)
+		draws = append(draws, draw{"Int63n", func(r *rand.Rand) int64 { return r.Int63n(n) }, func(s *stream) int64 { return int64(s.draw(&sp)) }})
 	}
 	const rounds = 100_000
 	for _, seed := range []int64{0, -1, -7919, math.MinInt64, 1<<31 - 1, 1<<31 - 2, 1 << 31, 1<<40 + 13, math.MaxInt64} {

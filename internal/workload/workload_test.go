@@ -473,6 +473,27 @@ func BenchmarkGenerateThread(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerate generates what a sampled run of gcc or mcf does:
+// 1M instructions of one thread, reported per instruction.
+func BenchmarkGenerate(b *testing.B) {
+	const insts = 1_000_000
+	for _, app := range []string{"gcc", "mcf"} {
+		b.Run(app, func(b *testing.B) {
+			p, err := ByName(app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(p, insts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/insts, "ns/inst")
+		})
+	}
+}
+
 // isMem reports whether an opcode accesses memory.
 func isMem(op isa.Op) bool { return op == isa.OpLoad || op == isa.OpStore || op == isa.OpRMW }
 

@@ -7,6 +7,7 @@ import (
 
 	"ppa/internal/isa"
 	"ppa/internal/mutation"
+	"ppa/internal/workload"
 )
 
 func TestAppsPopulation(t *testing.T) {
@@ -317,12 +318,20 @@ func TestExportImportTrace(t *testing.T) {
 	if err := ExportTrace(&buf, "gcc", 2000, 0); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := isa.DecodeProgram(&buf)
+	p, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.Name != "gcc" || prog.Len() != 2000 {
-		t.Fatalf("trace %q/%d", prog.Name, prog.Len())
+	prog, err := workload.GenerateThread(p, 2000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := isa.EncodeProgram(&want, prog); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatal("the exported trace is not gcc's thread 0 in the binary trace format")
 	}
 	if err := ExportTrace(&buf, "fft", 100, 99); err == nil {
 		t.Fatal("out-of-range thread id must error")
