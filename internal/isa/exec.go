@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // MapMemory is a sparse word-granular memory: the golden executor's, the
 // NVM image's and the fast-forward engine's. All accesses are 8-byte words
@@ -11,9 +8,7 @@ import (
 // line-granular — one LineWords per touched line, plus a one-line cursor —
 // because real traces access memory in same-line runs (store clustering,
 // streaming walks): the common case is an array-slot hit on the cursor's
-// line instead of a per-word map probe. A memory of many lines also keeps
-// a filter of the lines it holds, so that a read of a line never written
-// (most reads of a long fast-forward) needs no map probe.
+// line instead of a per-word map probe.
 type MapMemory struct {
 	lines    map[uint64]*LineWords
 	words    int // distinct words ever written
@@ -21,18 +16,7 @@ type MapMemory struct {
 	last     *LineWords
 	// slab holds the lines of the last CopyFrom, which the next one reuses.
 	slab []LineWords
-	// seen is a one-hash bit filter over the lines the map holds, once it
-	// holds filterMinLines: a line whose bit is clear was never written,
-	// so its read needs no map probe. It keeps at least filterBitsPerLine
-	// bits per line; hash(base)>>seenShift is a line's bit.
-	seen      []uint64
-	seenShift uint8
 }
-
-const (
-	filterMinLines    = 256
-	filterBitsPerLine = 16
-)
 
 // NewMapMemory returns an empty sparse memory.
 func NewMapMemory() *MapMemory { return &MapMemory{lines: make(map[uint64]*LineWords)} }
@@ -42,11 +26,6 @@ func NewMapMemory() *MapMemory { return &MapMemory{lines: make(map[uint64]*LineW
 func (m *MapMemory) line(base uint64) *LineWords {
 	if m.last != nil && m.lastBase == base {
 		return m.last
-	}
-	if len(m.seen) != 0 {
-		if b := lineHash(base) >> m.seenShift; m.seen[b/64]&(1<<(b%64)) == 0 {
-			return nil
-		}
 	}
 	lw := m.lines[base]
 	if lw != nil {
@@ -76,7 +55,6 @@ func (m *MapMemory) WriteWord(addr uint64, val uint64) {
 		lw = &LineWords{}
 		m.lines[base] = lw
 		m.last, m.lastBase = lw, base
-		m.noteLine(base)
 	}
 	s := Slot(WordAlign(addr))
 	if lw.Mask&(1<<s) == 0 {
@@ -86,40 +64,11 @@ func (m *MapMemory) WriteWord(addr uint64, val uint64) {
 	lw.Mask |= 1 << s
 }
 
-// lineHash spreads a line base over 64 bits (Fibonacci hashing).
-func lineHash(base uint64) uint64 { return base / LineSize * 0x9E3779B97F4A7C15 }
-
-// noteLine sets the filter bit of a line just added to the map, first
-// building the filter, or doubling it, when the map outgrows it.
-func (m *MapMemory) noteLine(base uint64) {
-	n := len(m.lines)
-	if n < filterMinLines {
-		return
-	}
-	if n*filterBitsPerLine > 64*len(m.seen) {
-		words := max(2*len(m.seen), filterMinLines*filterBitsPerLine/64)
-		m.seen = slices.Grow(m.seen[:0], words)[:words]
-		clear(m.seen)
-		m.seenShift = uint8(65 - bits.Len(uint(64*words)))
-		for b := range m.lines {
-			m.setSeen(b)
-		}
-		return
-	}
-	m.setSeen(base)
-}
-
-func (m *MapMemory) setSeen(base uint64) {
-	b := lineHash(base) >> m.seenShift
-	m.seen[b/64] |= 1 << (b % 64)
-}
-
-// Reset empties m, keeping its map and filter storage. The lines m held
-// are dropped, not reused, so a line read from m before the reset keeps
-// its words.
+// Reset empties m, keeping its map storage. The lines m held are dropped,
+// not reused, so a line read from m before the reset keeps its words.
 func (m *MapMemory) Reset() {
 	clear(m.lines)
-	*m = MapMemory{lines: m.lines, seen: m.seen[:0]}
+	*m = MapMemory{lines: m.lines}
 }
 
 // Len returns the number of distinct words ever written.
@@ -159,7 +108,6 @@ func (m *MapMemory) CopyFrom(src *MapMemory) {
 		i++
 	}
 	m.words, m.last, m.lastBase = src.words, nil, 0
-	m.seen, m.seenShift = append(m.seen[:0], src.seen...), src.seenShift
 }
 
 // Range calls fn for every written word until fn returns false.

@@ -116,11 +116,10 @@ func (m *Machine) FastForward(core, target int, img *isa.MapMemory, warm *Warmth
 	if target > cm.prog.Len() {
 		return fmt.Errorf("oracle: fast-forward target %d past trace end %d", target, cm.prog.Len())
 	}
-	var rf regFile
-	rf.load(&cm.regs)
-	for i := cm.next; i < target; i++ {
-		in := &cm.prog.Insts[i]
-		src1, src2 := rf.read(in.Src1), rf.read(in.Src2)
+	for cm.next < target {
+		in := &cm.prog.Insts[cm.next]
+		src1 := cm.regs.Read(in.Src1)
+		src2 := cm.regs.Read(in.Src2)
 		switch in.Op {
 		case isa.OpStore:
 			addr := isa.WordAlign(in.Addr)
@@ -139,46 +138,16 @@ func (m *Machine) FastForward(core, target int, img *isa.MapMemory, warm *Warmth
 				img.WriteWord(addr, val)
 			}
 			warm.Touch(addr)
-			rf.write(in.Dst, isa.Eval(in, src1, src2, old))
+			cm.regs.Write(in.Dst, isa.Eval(in, src1, src2, old))
 		case isa.OpLoad:
-			rf.write(in.Dst, isa.Eval(in, src1, src2, cm.mem.ReadWord(in.Addr)))
+			cm.regs.Write(in.Dst, isa.Eval(in, src1, src2, cm.mem.ReadWord(in.Addr)))
 			warm.Touch(in.Addr)
 		default:
 			if in.DefinesReg() {
-				rf.write(in.Dst, isa.Eval(in, src1, src2, 0))
+				cm.regs.Write(in.Dst, isa.Eval(in, src1, src2, 0))
 			}
 		}
+		cm.next++
 	}
-	cm.next = max(cm.next, target)
-	rf.store(&cm.regs)
 	return nil
-}
-
-// regFile is FastForward's copy of an isa.ArchState, flat so that a
-// register's slot is computed, not branched on: the integer registers, the
-// FP registers, a slot NoReg reads as zero and one that NoReg writes to.
-type regFile [isa.NumIntRegs + isa.NumFPRegs + 2]uint64
-
-const (
-	noRegRead  = isa.NumIntRegs + isa.NumFPRegs
-	noRegWrite = noRegRead + 1
-)
-
-var (
-	readBase  = [...]int{isa.ClassNone: noRegRead, isa.ClassInt: 0, isa.ClassFP: isa.NumIntRegs}
-	writeBase = [...]int{isa.ClassNone: noRegWrite, isa.ClassInt: 0, isa.ClassFP: isa.NumIntRegs}
-)
-
-func (rf *regFile) read(r isa.Reg) uint64 { return rf[readBase[r.Class]+int(r.Index)] }
-
-func (rf *regFile) write(r isa.Reg, v uint64) { rf[writeBase[r.Class]+int(r.Index)] = v }
-
-func (rf *regFile) load(s *isa.ArchState) {
-	copy(rf[:isa.NumIntRegs], s.Int[:])
-	copy(rf[isa.NumIntRegs:noRegRead], s.FP[:])
-}
-
-func (rf *regFile) store(s *isa.ArchState) {
-	copy(s.Int[:], rf[:isa.NumIntRegs])
-	copy(s.FP[:], rf[isa.NumIntRegs:noRegRead])
 }
